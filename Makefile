@@ -3,6 +3,10 @@
 
 PY := PYTHONPATH=src python
 
+#: The per-record reference replayer (tests/oracle.py) behind the
+#: `python -m repro.traces` CLI, for differential smoke checks.
+ORACLE := PYTHONPATH=src:tests python -m oracle
+
 #: Scratch directory for the trace-demo targets.  Unset (the default),
 #: each run works in a private mktemp dir and removes it on exit, so
 #: concurrent CI jobs and multi-user machines cannot collide; set it to
@@ -175,10 +179,12 @@ loadgen-smoke:
 	$(PY) -m repro.traces info "$(LOADGEN_DIR)/uniform-churn.trace"; \
 	$(PY) -m repro.traces replay "$(LOADGEN_DIR)/uniform-churn.trace"
 
-## CI gate for the columnar replay engine: record a compressed trace,
-## replay it with both engines (timing + hierarchy + shared-L3 modes)
-## and require byte-identical statistics output.  The printed replay
-## summaries carry no timing, so `cmp` is the whole oracle.
+## CI gate for the LRU kernel: record a compressed trace, replay it
+## through the production CLI (timing + hierarchy + shared-L3 modes) and
+## through the per-record oracle in tests/oracle.py (the same CLI with
+## the oracle's replayers swapped in), and require byte-identical
+## statistics output.  The printed replay summaries carry no timing, so
+## `cmp` is the whole check.
 kernel-smoke:
 	@$(DEMO_DIR_SETUP); \
 	$(PY) -m repro.traces record --scenario server-churn \
@@ -186,19 +192,17 @@ kernel-smoke:
 		--out "$$dir/server-churn.trace"; \
 	for mode in timing hierarchy; do \
 		$(PY) -m repro.traces replay "$$dir/server-churn.trace" \
-			--mode $$mode --engine columnar \
-			> "$$dir/$$mode-columnar.txt"; \
-		$(PY) -m repro.traces replay "$$dir/server-churn.trace" \
-			--mode $$mode --engine records \
-			> "$$dir/$$mode-records.txt"; \
-		cmp "$$dir/$$mode-columnar.txt" "$$dir/$$mode-records.txt"; \
+			--mode $$mode > "$$dir/$$mode-kernel.txt"; \
+		$(ORACLE) replay "$$dir/server-churn.trace" \
+			--mode $$mode > "$$dir/$$mode-oracle.txt"; \
+		cmp "$$dir/$$mode-kernel.txt" "$$dir/$$mode-oracle.txt"; \
 	done; \
 	$(PY) -m repro.traces replay-mc "$$dir/server-churn.trace" \
-		--cores 2 --engine columnar > "$$dir/mc-columnar.txt"; \
-	$(PY) -m repro.traces replay-mc "$$dir/server-churn.trace" \
-		--cores 2 --engine records > "$$dir/mc-records.txt"; \
-	cmp "$$dir/mc-columnar.txt" "$$dir/mc-records.txt"; \
-	echo "kernel-smoke: columnar and per-record engines agree"
+		--cores 2 > "$$dir/mc-kernel.txt"; \
+	$(ORACLE) replay-mc "$$dir/server-churn.trace" \
+		--cores 2 > "$$dir/mc-oracle.txt"; \
+	cmp "$$dir/mc-kernel.txt" "$$dir/mc-oracle.txt"; \
+	echo "kernel-smoke: the kernel and the per-record oracle agree"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).

@@ -10,13 +10,7 @@ output artifacts:
   :class:`~repro.experiments.results.SectionResult` document per
   section (the regression-gateable trajectory).
 
-The canonical entry point is ``python -m repro run`` (see
-:mod:`repro.cli`).  ``python -m repro.experiments.runner`` survives as a
-deprecated shim with its historical flags::
-
-    python -m repro.experiments.runner [--full] [--jobs N]
-                                       [--output EXPERIMENTS.md]
-                                       [--corpus DIR | --no-corpus]
+The entry point is ``python -m repro run`` (see :mod:`repro.cli`).
 
 Trace-consuming sections (Figures 4/10/11, the trace cross-checks and
 the multi-core study) resolve their workloads through the
@@ -27,10 +21,8 @@ records, every later invocation replays pure corpus hits.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import sys
 import time
 import traceback as traceback_module
 
@@ -40,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.corpus.manifest import ManifestLockTimeout
 from repro.experiments.context import RunContext
-from repro.experiments.registry import Experiment, select
+from repro.experiments.registry import Experiment
 from repro.experiments.results import (
     SectionFailure,
     SectionOutcome,
@@ -266,7 +258,7 @@ def execute(
 
 _PREAMBLE = """# EXPERIMENTS — paper vs. measured
 
-Regenerated by ``python -m repro.experiments.runner``.  Absolute numbers
+Regenerated by ``python -m repro run``.  Absolute numbers
 come from a functional Python simulator with an analytical timing model
 (see DESIGN.md substitutions); the reproduction target is the *shape* of
 each result — orderings, rough factors and crossovers.  Known divergences
@@ -295,21 +287,14 @@ _DIVERGENCES = """
 """
 
 
-def write_markdown(sections: dict[str, str], path: str) -> None:
-    """Assemble {section title: rendered body} into the report file."""
+def write_report(results: list[SectionResult], path: str) -> None:
+    """Write the rendered EXPERIMENTS.md for a list of section results."""
     parts = [_PREAMBLE]
-    for title, body in sections.items():
-        parts.append(f"## {title}\n\n```text\n{body}\n```\n")
+    for result in results:
+        parts.append(f"## {result.title}\n\n```text\n{result.markdown}\n```\n")
     parts.append(_DIVERGENCES)
     with open(path, "w") as handle:
         handle.write("\n".join(parts))
-
-
-def write_report(results: list[SectionResult], path: str) -> None:
-    """Write the rendered EXPERIMENTS.md for a list of section results."""
-    write_markdown(
-        {result.title: result.markdown for result in results}, path
-    )
 
 
 def write_results(
@@ -393,76 +378,3 @@ def write_results(
         handle.write("\n")
     paths.append(index_path)
     return paths
-
-
-def run_all(
-    full: bool = False, jobs: int = 1, corpus_root: str | None = None
-) -> dict[str, str]:
-    """Legacy API: run everything, return {section title: rendered body}.
-
-    Kept for callers of the pre-registry runner; new code should use
-    :func:`execute` with an explicit selection and
-    :class:`~repro.experiments.context.RunContext`.  ``corpus_root=None``
-    keeps the trace-consuming sections fully live/ephemeral, matching
-    the historical behaviour.
-    """
-    ctx = RunContext(
-        profile="full" if full else "quick",
-        instructions=200_000 if full else 80_000,
-        seeds=(0, 1, 2) if full else (0,),
-        corpus_root=corpus_root,
-        jobs=jobs,
-    )
-    results = execute(select(), ctx)
-    return {result.title: result.markdown for result in results}
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Deprecated entry point; ``python -m repro run`` is the successor."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true", help="long traces, 3 seeds")
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for the experiment sections (default: 1)",
-    )
-    parser.add_argument("--output", default="EXPERIMENTS.md")
-    parser.add_argument(
-        "--corpus", default=None, metavar="DIR",
-        help="corpus store root for the trace-consuming sections "
-        "(default: $REPRO_CORPUS_DIR or ./.repro-corpus)",
-    )
-    parser.add_argument(
-        "--no-corpus", action="store_true",
-        help="synthesise every workload live instead of using the corpus",
-    )
-    arguments = parser.parse_args(argv)
-    print(
-        "note: python -m repro.experiments.runner is deprecated; "
-        "use `python -m repro run`",
-        file=sys.stderr,
-    )
-    ctx = RunContext.create(
-        profile="full" if arguments.full else "quick",
-        corpus=arguments.corpus,
-        no_corpus=arguments.no_corpus,
-        # The historical runner ran sequentially for --jobs <= 1; the
-        # shim preserves that instead of rejecting 0.
-        jobs=max(1, arguments.jobs),
-    )
-    started = time.time()
-    report = execute_report(select(), ctx)
-    write_report(report.outcomes, arguments.output)
-    if ctx.corpus_root is not None:
-        print(f"corpus: {ctx.corpus_root}")
-    print(f"wrote {arguments.output} in {time.time() - started:.0f}s")
-    for failure in report.failures:
-        print(
-            f"FAILED {failure.name} ({failure.kind}, "
-            f"{failure.attempts} attempt(s)): {failure.error}",
-            file=sys.stderr,
-        )
-    return 1 if report.failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

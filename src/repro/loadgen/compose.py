@@ -17,9 +17,9 @@ replayers and the multi-core engine unchanged:
    working-set fault-in;
 4. tenant addresses are offset into disjoint namespaces
    (``tenant * TENANT_ADDRESS_STRIDE``) and the chunks are merged by
-   arrival time into one open-loop stream, played through a fresh
-   tag-only ladder with the replayer's exact accounting semantics — so
-   the recorded footer verifies bit-identically on replay.
+   arrival time into one open-loop stream, counted in a fresh tag-only
+   ladder with the replayer's exact accounting semantics — so the
+   recorded footer verifies bit-identically on replay.
 
 The capture sinks never consume a tenant generator's RNG and the merge
 is a pure function of the document, so two compositions of the same
@@ -33,11 +33,10 @@ import hashlib
 import heapq
 from dataclasses import replace
 
-from repro.cpu.pipeline import MemoryEventCounts
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.schema import LoadScenario
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
+from repro.memory.kernel import TouchBuffer
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
 from repro.traces import recorder
@@ -169,8 +168,8 @@ def run_composed(
 ) -> RunResult:
     """Compose and play one load scenario; ``run_trace``-shaped result.
 
-    Every tenant chunk is played in merged arrival order through a
-    fresh tag-only ladder using the replayer's exact semantics (CFORM
+    Every tenant chunk is counted in merged arrival order in a fresh
+    tag-only ladder using the replayer's exact semantics (CFORM
     expansion, warmup counter reset at the emitted ``EV_WARM``), so the
     returned statistics — and hence the recorded footer — verify
     bit-identically on replay.  ``sink`` receives the merged stream
@@ -228,10 +227,8 @@ def _run_composed(
             scenario=load.name,
         )
 
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-    l1_access, l2_access, l3_access = l1.access, l2.access, l3.access
+    ladder = TouchBuffer(config)
+    touch = ladder.touch
     record = sink.append if sink is not None else None
 
     app_instructions = 0.0
@@ -244,9 +241,7 @@ def _run_composed(
     def discard_warmup() -> None:
         nonlocal app_instructions, overhead_instructions, cform_lines
         nonlocal cform_records, alloc_events
-        l1.reset_counters()
-        l2.reset_counters()
-        l3.reset_counters()
+        ladder.reset_counters()
         app_instructions = 0.0
         overhead_instructions = 0.0
         cform_lines = 0
@@ -269,21 +264,17 @@ def _run_composed(
             if record is not None:
                 record(kind, address, arg)
             if kind == EV_LOAD or kind == EV_STORE:
-                if not l1_access(address):
-                    if not l2_access(address):
-                        l3_access(address)
+                touch(address)
             elif kind == EV_CFORM:
                 cform_records += 1
                 cform_lines += arg
                 overhead_instructions += arg * (1 + CFORM_SETUP_INSTRUCTIONS)
                 for line_index in range(arg):
-                    line_address = address + line_index * 64
-                    if not l1_access(line_address):
-                        if not l2_access(line_address):
-                            l3_access(line_address)
+                    touch(address + line_index * 64)
             elif kind == EV_ALLOC:
                 alloc_events += 1
             # EV_FREE carries no cache touches.
+        ladder.burst_end()
         if sink is not None:
             sink.burst()
     if warm_pending:
@@ -300,12 +291,7 @@ def _run_composed(
         benchmark=f"loadgen/{load.name}",
         scenario=scenario if scenario is not None else Scenario.baseline(),
         instructions=int(app_instructions + overhead_instructions),
-        events=MemoryEventCounts(
-            l1_accesses=l1.accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l3_misses=l3.misses,
-        ),
+        events=ladder.events(),
         cform_instructions=cform_lines,
         alloc_events=alloc_events,
     )

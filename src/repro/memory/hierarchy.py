@@ -246,8 +246,7 @@ class MemoryHierarchy:
     ) -> int:
         """Replay one decoded record batch (parallel columns) in order.
 
-        The columnar twin of the trace replayer's per-record hierarchy
-        loop: ``kinds``/``addresses``/``args`` are equal-length arrays
+        The trace replayer's hierarchy-mode entry point: ``kinds``/``addresses``/``args`` are equal-length arrays
         in stream order using the trace event codes (see
         :mod:`repro.memory.kernel`).  LOAD/STORE move data through the
         stack exactly as the equivalent :meth:`replay_trace` ops would

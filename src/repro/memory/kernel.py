@@ -1,18 +1,20 @@
-"""Batched tag-hierarchy kernel: column arrays in, exact LRU stats out.
+"""Batched tag-hierarchy kernel: the one LRU simulator of the timing path.
 
-The per-record replay path walks one ``(kind, address, arg)`` tuple at a
-time through :class:`~repro.memory.cache.TagOnlyCache` ladders — correct,
-but the Python interpreter pays per record.  This module is the
-column-at-a-time equivalent: the trace layer decodes whole epochs into
-parallel numpy arrays (:class:`repro.traces.format.RecordColumns`) and
-the kernel resolves set indices, tag matches, LRU victim selection and
+Every timing statistic (Figures 4 and 10–12) is a count of hits and
+misses of an access stream through tag-only L1/L2/L3 LRU caches.  This
+module computes those counts a column of addresses at a time: the trace
+layer decodes whole epochs into parallel numpy arrays
+(:class:`repro.traces.format.RecordColumns`), and the live writers (the
+workload generator, the attack driver and the loadgen composer) append
+their touches to a :class:`TouchBuffer` that hands them over in blocks.
+The kernel resolves set indices, tag matches, LRU victim selection and
 miss accounting over those arrays in vectorized batches.
 
 Exactness is the design constraint, not an aspiration: every statistic a
-kernel produces is **bit-identical** to the per-record ladder's, because
-the per-record path stays in the tree as the differential-test oracle
-(``tests/traces/test_columnar_equivalence.py``) and because
-``replay_timing`` verifies replayed counts against recorded footers.
+kernel produces is **bit-identical** to a one-access-at-a-time LRU
+ladder's, for any ordered stream cut into any blocks.  The per-record
+ladder survives as the differential-test oracle (``tests/oracle.py``),
+and ``replay_timing`` verifies replayed counts against recorded footers.
 The vectorization therefore only removes work that provably cannot
 change LRU state:
 
@@ -33,24 +35,17 @@ change LRU state:
   is strictly increasing along every set's stream and the victim is the
   minimum-stamp way.  Skewed tails (a few hot sets with long streams
   left) finish in a tight per-set Python loop over the same state.
-
-numpy is a declared dependency (``pyproject.toml``), but every consumer
-gates on :func:`require_numpy` so a numpy-less interpreter still has the
-pure-Python per-record engine (``engine="records"``).
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+from array import array
 
+import numpy as np
+
+from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig
-
-#: True when numpy imported and the columnar engine is available.
-HAVE_NUMPY = _np is not None
 
 #: The trace event kinds, as the kernel's own vocabulary.  These mirror
 #: the ``EV_*`` constants of :mod:`repro.workloads.generator` (re-exported
@@ -71,22 +66,11 @@ KIND_EPOCH = 6
 #: simulated geometry's line size).
 CFORM_LINE_STRIDE = 64
 
-
-def require_numpy(feature: str = "the columnar replay engine"):
-    """Return numpy, or raise a directed ImportError.
-
-    Every columnar entry point funnels through here so a numpy-less
-    environment gets one clear message instead of an AttributeError deep
-    inside a kernel.
-    """
-    if _np is None:
-        raise ImportError(
-            f"numpy is required for {feature} (declared in pyproject.toml; "
-            "`pip install numpy`). Without it, use the pure-Python "
-            "per-record path: engine='records' in the replay APIs, or "
-            "--engine records on the python -m repro.traces CLI."
-        )
-    return _np
+#: Touches a :class:`TouchBuffer` collects before it hands them to the
+#: kernel.  The buffer is flushed at the first burst end that reaches
+#: this size, so a live run holds about one block of its stream at a
+#: time; the statistics do not depend on the value.
+TOUCH_BLOCK = 16384
 
 
 #: Below this many concurrently active sets, a vectorized round costs
@@ -97,22 +81,19 @@ _ROUND_MIN_SETS = 12
 #: floor-divide (line size ≥ 2) to the int64 minimum, so a plain
 #: equality match can never hit an empty way and liveness checks drop
 #: out of the hot matching loops entirely.
-_EMPTY_LINE = -(2**63) if _np is None else int(_np.iinfo(_np.int64).min)
+_EMPTY_LINE = int(np.iinfo(np.int64).min)
 
 
 class LruTagKernel:
-    """Batched twin of :class:`~repro.memory.cache.TagOnlyCache`.
+    """One LRU tag array, accessed a column of addresses at a time.
 
-    Same geometry, same counters, same LRU decisions — but accessed a
-    column of addresses at a time.  State is a pair of
-    ``(num_sets, associativity)`` arrays: the resident line per way
-    (:data:`_EMPTY_LINE` marks an empty way, unmatched by any real
-    address) and a strictly increasing last-use timestamp per way
-    (``-1`` for empty ways, so they fill before any resident line is
-    evicted).  A victim is the minimum-stamp way — exactly the least
+    State is a pair of ``(num_sets, associativity)`` arrays: the
+    resident line per way (:data:`_EMPTY_LINE` marks an empty way,
+    unmatched by any real address) and a strictly increasing last-use
+    timestamp per way (``-1`` for empty ways, so they fill before any
+    resident line is evicted).  A victim is the minimum-stamp way — exactly the least
     recently used — so hit/miss outcomes and retained contents are
-    identical to the ``OrderedDict``-per-set mechanics of
-    :class:`TagOnlyCache`.
+    identical to sequential per-access LRU.
     """
 
     __slots__ = (
@@ -123,7 +104,6 @@ class LruTagKernel:
     )
 
     def __init__(self, geometry: CacheGeometry):
-        np = require_numpy("the batched LRU tag kernel")
         self.geometry = geometry
         self._line_size = geometry.line_size
         self._num_sets = geometry.num_sets
@@ -154,7 +134,7 @@ class LruTagKernel:
         ``addresses`` is an int64 array; the returned boolean array marks
         the accesses that missed this level (the residual stream a lower
         level must see, in order).  Counters update exactly as ``len(
-        addresses)`` sequential :meth:`TagOnlyCache.access` calls would.
+        addresses)`` sequential per-access LRU lookups would.
 
         The batch algorithm, each step exactness-preserving:
 
@@ -177,7 +157,6 @@ class LruTagKernel:
         Skewed leftovers (a few sets with many more segments than the
         rest) finish in a per-set Python loop over the same state.
         """
-        np = _np
         n = len(addresses)
         self.accesses += n
         miss_mask = np.zeros(n, dtype=bool)
@@ -395,7 +374,6 @@ class LadderKernel:
         3-level ladder's caller to ignore, the shared-L3 request stream
         for a 2-level one.
         """
-        np = _np
         indices = np.flatnonzero(self.l1.access_block(addresses))
         for level in (self.l2, self.l3):
             if level is None:
@@ -410,6 +388,15 @@ class LadderKernel:
         self.l2.reset_counters()
         if self.l3 is not None:
             self.l3.reset_counters()
+
+    def events(self) -> MemoryEventCounts:
+        """A 3-level ladder's counters as the pipeline model's events."""
+        return MemoryEventCounts(
+            l1_accesses=self.l1.accesses,
+            l1_misses=self.l1.misses,
+            l2_misses=self.l2.misses,
+            l3_misses=self.l3.misses,
+        )
 
     @property
     def levels(self) -> tuple:
@@ -441,6 +428,47 @@ class LadderKernel:
         return report
 
 
+class TouchBuffer:
+    """Buffered front end of a 3-level :class:`LadderKernel` for writers.
+
+    A live writer calls :attr:`touch` once per cache touch: it is the
+    bound ``append`` of an ``array('q')``, so the hot loop does no cache
+    work.  :meth:`burst_end` hands the buffered touches to
+    :meth:`LadderKernel.touch_block` once :data:`TOUCH_BLOCK` of them
+    have accumulated; :meth:`reset_counters` (the warm boundary) and
+    :meth:`events` flush whatever is pending first, so counters always
+    describe the whole stream appended so far.
+    """
+
+    __slots__ = ("ladder", "touch", "_pending")
+
+    def __init__(self, config: HierarchyConfig):
+        self.ladder = LadderKernel(config, levels=3)
+        self._pending = array("q")
+        self.touch = self._pending.append
+
+    def burst_end(self) -> None:
+        """Flush if a full block is pending."""
+        if len(self._pending) >= TOUCH_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        pending = self._pending
+        if pending:
+            self.ladder.touch_block(np.frombuffer(pending, dtype=np.int64))
+            del pending[:]
+
+    def reset_counters(self) -> None:
+        """End of warmup: simulate the pending touches, then zero."""
+        self.flush()
+        self.ladder.reset_counters()
+
+    def events(self) -> MemoryEventCounts:
+        """Flush, then report the ladder's event counts."""
+        self.flush()
+        return self.ladder.events()
+
+
 def expand_touches(kinds, addresses, args):
     """Expand one record column into its cache-touch column.
 
@@ -452,7 +480,6 @@ def expand_touches(kinds, addresses, args):
     carries any per-record annotation (e.g. a multi-core slot) onto the
     touch column.
     """
-    np = _np
     counts = np.zeros(len(kinds), dtype=np.int64)
     counts[(kinds == KIND_LOAD) | (kinds == KIND_STORE)] = 1
     cform = kinds == KIND_CFORM

@@ -27,13 +27,11 @@ Scenario families:
     compressed frames (delta/run-length tokenisation + zlib), and the
     streaming replay that inflates and de-tokenises frame by frame —
     the corpus store's write and read sides.
-``trace_columnar_*`` / ``trace_records_*``
-    The replay-engine pair: the same workloads with the engine pinned to
-    ``columnar`` (array-native decode + batched tag kernel) or to the
-    retained per-record oracle, so every report carries its own
-    columnar-vs-records speedup.  The unpinned ``trace_*_replay``
-    scenarios above default to the columnar engine when numpy is
-    available.
+``trace_columnar_replay`` / ``trace_columnar_mc_replay``
+    Array-native decode + batched tag kernel over a compressed
+    single-core trace and over the 2-core shared-L3 pair (names kept
+    from when a per-record engine ran beside them, so the trajectory
+    stays comparable).
 ``loadgen_generate``
     The open-loop traffic engine (``repro.loadgen``): composing a
     2-tenant scenario's merged arrival stream and recording it as one
@@ -324,7 +322,7 @@ def _trace_decompress_replay(quick: bool) -> Workload:
     return replay_once, records
 
 
-def _engine_replay(quick: bool, engine: str) -> Workload:
+def _trace_columnar_replay(quick: bool) -> Workload:
     from io import BytesIO
 
     from repro.traces.format import TraceReader
@@ -339,20 +337,12 @@ def _engine_replay(quick: bool, engine: str) -> Workload:
     records = TraceReader(BytesIO(raw)).read_footer()["records"]
 
     def replay_once() -> None:
-        replay_timing(BytesIO(raw), engine=engine)
+        replay_timing(BytesIO(raw))
 
     return replay_once, records
 
 
-def _trace_columnar_replay(quick: bool) -> Workload:
-    return _engine_replay(quick, "columnar")
-
-
-def _trace_records_replay(quick: bool) -> Workload:
-    return _engine_replay(quick, "records")
-
-
-def _engine_mc_replay(quick: bool, engine: str) -> Workload:
+def _trace_columnar_mc_replay(quick: bool) -> Workload:
     from io import BytesIO
 
     from repro.traces.format import TraceReader
@@ -370,19 +360,9 @@ def _engine_mc_replay(quick: bool, engine: str) -> Workload:
         records += TraceReader(BytesIO(raws[-1])).read_footer()["records"]
 
     def replay_once() -> None:
-        replay_multicore(
-            [BytesIO(raw) for raw in raws], jobs=1, engine=engine
-        )
+        replay_multicore([BytesIO(raw) for raw in raws], jobs=1)
 
     return replay_once, records
-
-
-def _trace_columnar_mc_replay(quick: bool) -> Workload:
-    return _engine_mc_replay(quick, "columnar")
-
-
-def _trace_records_mc_replay(quick: bool) -> Workload:
-    return _engine_mc_replay(quick, "records")
 
 
 def _loadgen_generate(quick: bool) -> Workload:
@@ -602,29 +582,15 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "trace_columnar_replay",
-            "columnar engine pinned: batched decode+replay of a v2 trace",
+            "batched decode + kernel replay of a v2 trace",
             _trace_columnar_replay,
             default_iterations=10,
             default_warmup=1,
         ),
         Scenario(
-            "trace_records_replay",
-            "per-record oracle pinned: same v2 trace as trace_columnar_replay",
-            _trace_records_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
             "trace_columnar_mc_replay",
-            "columnar engine pinned: 2-core shared-L3 replay of the mc pair",
+            "batched 2-core shared-L3 replay of the mc pair",
             _trace_columnar_mc_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_records_mc_replay",
-            "per-record oracle pinned: same pair as trace_columnar_mc_replay",
-            _trace_records_mc_replay,
             default_iterations=10,
             default_warmup=1,
         ),

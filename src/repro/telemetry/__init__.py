@@ -24,7 +24,7 @@ Instrumented code uses the module-level helpers::
     if tel is not None:
         tel.inc("decode_records_total", len(batch))
 
-    with telemetry.span("replay/timing", engine=engine) as sp:
+    with telemetry.span("replay/timing") as sp:
         ...
         sp.set("touches", touches)
 

@@ -6,10 +6,10 @@ use-after-free, heap scans, ...) against the schemes' functional models.
 This driver turns the *memory behaviour* of that suite into a recordable
 workload with the same contract as
 :func:`repro.workloads.generator.run_trace`: a deterministic campaign of
-heap grooming plus attack probe bursts, played through the tag-only
-cache ladder, with every touch optionally emitted to a trace-engine
-sink.  A recorded ``attack-replay`` trace therefore replays
-bit-identically through the standard replayers — the corpus can persist
+heap grooming plus attack probe bursts, counted in the tag-only cache
+ladder, with every touch optionally emitted to a trace-engine sink.  A
+recorded ``attack-replay`` trace therefore replays bit-identically
+through the standard replayers — the corpus can persist
 adversarial traffic next to the benign mixes, and cache-side studies
 (e.g. how probing sweeps pollute a co-runner's shared L3) run from the
 same artifacts.
@@ -40,9 +40,8 @@ from repro.analysis.attacks import (
     _VICTIM_SIZE,
     ATTACK_NAMES,
 )
-from repro.cpu.pipeline import MemoryEventCounts
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
+from repro.memory.kernel import TouchBuffer
 from repro.workloads.generator import (
     EV_ALLOC,
     EV_FREE,
@@ -89,14 +88,9 @@ def run_attack_trace(
     """
     rng = random.Random(f"{profile.name}:{seed}")
 
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-
-    def touch(address: int) -> None:
-        if not l1.access(address):
-            if not l2.access(address):
-                l3.access(address)
+    ladder = TouchBuffer(config)
+    touch = ladder.touch
+    burst_end = ladder.burst_end
 
     if sink is None:
         record = None
@@ -128,6 +122,7 @@ def run_attack_trace(
     for base in victims:
         for line_offset in range(0, _VICTIM_SIZE, 64):
             touch_load(base + line_offset)
+        burst_end()
 
     skew_exponent = 1.0 / profile.locality_skew
     burst_instructions = profile.burst_length / profile.mem_ratio
@@ -144,9 +139,7 @@ def run_attack_trace(
     while app_instructions < total_budget:
         if not warm and app_instructions >= warmup_budget:
             warm = True
-            l1.reset_counters()
-            l2.reset_counters()
-            l3.reset_counters()
+            ladder.reset_counters()
             app_instructions -= warmup_budget
             total_budget -= warmup_budget
             alloc_events = 0
@@ -206,6 +199,7 @@ def run_attack_trace(
             if record is not None:
                 record(EV_ALLOC, new_base, _VICTIM_SIZE)
 
+        burst_end()
         if sink is not None:
             sink.burst()
 
@@ -213,12 +207,7 @@ def run_attack_trace(
         benchmark=profile.name,
         scenario=scenario,
         instructions=int(app_instructions),
-        events=MemoryEventCounts(
-            l1_accesses=l1.accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l3_misses=l3.misses,
-        ),
+        events=ladder.events(),
         cform_instructions=0,
         alloc_events=alloc_events,
     )

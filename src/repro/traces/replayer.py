@@ -1,18 +1,20 @@
 """Replay engines: trace file → statistics, single-process or sharded.
 
-Three consumers of the record stream:
+Three consumers of the record stream, all decoding it as
+:class:`~repro.traces.format.RecordColumns` batches:
 
 :func:`replay_timing`
-    Rebuilds the tag-only cache ladder from the recorded geometry and
-    pushes every touch through it — the same work the live generator
-    did, minus the RNG and heap bookkeeping.  Returns a
+    Rebuilds the tag-only cache ladder (a
+    :class:`~repro.memory.kernel.LadderKernel`) from the recorded
+    geometry and pushes every touch through it — the same work the live
+    generator did, minus the RNG and heap bookkeeping.  Returns a
     :class:`~repro.workloads.generator.RunResult` that is bit-identical
     to the live run's (verified against the footer unless disabled), so
     every timing figure can run from a persisted trace.
 
 :func:`replay_hierarchy`
     Drives the data-carrying :class:`MemoryHierarchy` through its
-    batched :meth:`replay_trace` entry point, interpreting CFORM records
+    :meth:`replay_columns` entry point, interpreting CFORM records
     as security-byte sets on the touched lines — exception accounting
     (violations) plus AMAT cycles for the same stream.
 
@@ -41,21 +43,20 @@ Three consumers of the record stream:
 
 from __future__ import annotations
 
-import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
+
+import numpy as np
 
 from repro.cpu.pipeline import MemoryEventCounts
-from repro.memory.cache import CacheGeometry, TagOnlyCache
+from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import (
     HierarchyConfig,
     MemoryHierarchy,
     amat_cycles,
 )
 from repro.memory.kernel import (
-    HAVE_NUMPY,
     KIND_ALLOC,
     KIND_CFORM,
     KIND_EPOCH,
@@ -64,20 +65,13 @@ from repro.memory.kernel import (
     KIND_WARM,
     LadderKernel,
     expand_touches,
-    require_numpy,
 )
-from repro.memory.multicore import PrivateLadder, SharedL3, SharedL3Kernel
+from repro.memory.multicore import SharedL3Kernel
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import flush as telemetry_flush
 from repro.telemetry.runtime import span as telemetry_span
 from repro.traces.format import (
-    EV_ALLOC,
-    EV_CFORM,
     EV_EPOCH,
-    EV_FREE,
-    EV_LOAD,
-    EV_STORE,
-    EV_WARM,
     KIND_NAMES,
     TraceFormatError,
     TraceIntegrityError,
@@ -86,9 +80,6 @@ from repro.traces.format import (
 )
 from repro.traces.registry import TraceScenarioSpec
 from repro.workloads.generator import RunResult
-
-#: Ops accumulated before one ``replay_trace`` batch in hierarchy mode.
-HIERARCHY_BATCH_OPS = 2048
 
 #: Byte offsets califormed per line when a CFORM record is replayed
 #: through the data-carrying hierarchy.  The generator's CFORM events
@@ -180,59 +171,20 @@ def _amat_cycles(config: HierarchyConfig, events: MemoryEventCounts) -> int:
     )
 
 
-# -- engine selection ---------------------------------------------------------
-#
-# Every replay entry point runs on one of two engines producing
-# bit-identical statistics:
-#
-#   "columnar"   column_batches() decode + the batched tag kernels of
-#                :mod:`repro.memory.kernel` — the default when numpy is
-#                importable, and the fast path for everything at scale;
-#   "records"    the original record-at-a-time loops below — pure
-#                Python, kept intact both as the numpy-less fallback and
-#                as the oracle the differential tests replay against.
-
-#: The engine names accepted everywhere an ``engine`` parameter appears.
-ENGINES = ("columnar", "records")
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine choice to a concrete engine name.
-
-    ``None`` selects ``"columnar"`` when numpy is importable and
-    ``"records"`` otherwise; an explicit ``"columnar"`` without numpy
-    raises the directed :class:`ImportError` of
-    :func:`repro.memory.kernel.require_numpy`.
-    """
-    if engine is None:
-        return "columnar" if HAVE_NUMPY else "records"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown replay engine {engine!r} (choose 'columnar' or "
-            "'records')"
-        )
-    if engine == "columnar":
-        require_numpy()
-    return engine
-
-
-def _first_unknown_kind(np, kinds):
-    """First out-of-range kind code in a batch, or None.
-
-    The columnar loops hoist the per-record ``unknown record kind``
-    check to one vectorized scan per batch; the raised message matches
-    the per-record engine's.
-    """
+def _first_unknown_kind(kinds):
+    """First out-of-range kind code in a batch, or None (one vectorized
+    scan per batch instead of a per-record ``unknown record kind``
+    check)."""
     unknown = np.flatnonzero(kinds > KIND_EPOCH)
     return int(kinds[unknown[0]]) if unknown.size else None
 
 
-def _warm_segments(np, kinds, honor_warm: bool):
+def _warm_segments(kinds, honor_warm: bool):
     """Split one batch into ``(start, stop, warm_position)`` segments.
 
     With ``honor_warm``, the batch is split at every EV_WARM record so
-    the caller can reset its counters exactly where the per-record loop
-    would; ``warm_position`` is the WARM record's batch index (``None``
+    the caller can reset its counters exactly where the live run did;
+    ``warm_position`` is the WARM record's batch index (``None``
     for the final segment).  Without it the whole batch is one segment —
     WARM expands to zero touches, so no split is needed.
     """
@@ -246,8 +198,10 @@ def _warm_segments(np, kinds, honor_warm: bool):
         yield 0, len(kinds), None
 
 
-def _replay_timing_stream(reader: TraceReader, honor_warm: bool = True) -> ShardStats:
-    """Push one record stream through a cold tag-only ladder.
+def _replay_timing_columns(
+    reader: TraceReader, honor_warm: bool = True
+) -> ShardStats:
+    """Push one record stream through a cold 3-level :class:`LadderKernel`.
 
     ``honor_warm`` replays EV_WARM as the live run's counter reset —
     required for bit-identical full-trace replay.  Shard (region) replay
@@ -256,79 +210,16 @@ def _replay_timing_stream(reader: TraceReader, honor_warm: bool = True) -> Shard
     which shard happens to contain the warmup boundary.
     """
     config = _config_from_header(reader.header)
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-    l1_access, l2_access, l3_access = l1.access, l2.access, l3.access
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    for kind, address, arg in reader.records():
-        if kind == EV_LOAD or kind == EV_STORE:
-            touches += 1
-            if not l1_access(address):
-                if not l2_access(address):
-                    l3_access(address)
-        elif kind == EV_CFORM:
-            cform_lines += arg
-            for line_index in range(arg):
-                line_address = address + line_index * 64
-                touches += 1
-                if not l1_access(line_address):
-                    if not l2_access(line_address):
-                        l3_access(line_address)
-        elif kind == EV_ALLOC:
-            alloc_events += 1
-        elif kind == EV_FREE or kind == EV_EPOCH:
-            pass
-        elif kind == EV_WARM:
-            if honor_warm:
-                l1.reset_counters()
-                l2.reset_counters()
-                l3.reset_counters()
-                touches = 0
-                cform_lines = 0
-                alloc_events = 0
-        else:
-            raise TraceFormatError(f"unknown record kind {kind}")
-    events = MemoryEventCounts(
-        l1_accesses=l1.accesses,
-        l1_misses=l1.misses,
-        l2_misses=l2.misses,
-        l3_misses=l3.misses,
-    )
-    return ShardStats(
-        events=events,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        violations=0,
-        amat_cycles=_amat_cycles(config, events),
-    )
-
-
-def _replay_timing_columns(
-    reader: TraceReader, honor_warm: bool = True
-) -> ShardStats:
-    """Columnar twin of :func:`_replay_timing_stream`.
-
-    Decodes the trace as :class:`RecordColumns` batches and runs the
-    touch columns through a 3-level :class:`LadderKernel`; the kernel's
-    MRU-collapse argument (see :mod:`repro.memory.kernel`) is what makes
-    the returned statistics bit-identical to the per-record loop's.
-    """
-    np = require_numpy()
-    config = _config_from_header(reader.header)
     ladder = LadderKernel(config, levels=3)
     touches = 0
     cform_lines = 0
     alloc_events = 0
     for batch in reader.column_batches():
         kinds = batch.kind
-        unknown = _first_unknown_kind(np, kinds)
+        unknown = _first_unknown_kind(kinds)
         if unknown is not None:
             raise TraceFormatError(f"unknown record kind {unknown}")
-        for start, stop, warm in _warm_segments(np, kinds, honor_warm):
+        for start, stop, warm in _warm_segments(kinds, honor_warm):
             if stop > start:
                 segment_kinds = kinds[start:stop]
                 segment_args = batch.arg[start:stop]
@@ -347,12 +238,7 @@ def _replay_timing_columns(
                 cform_lines = 0
                 alloc_events = 0
     _report_ladder(ladder)
-    events = MemoryEventCounts(
-        l1_accesses=ladder.l1.accesses,
-        l1_misses=ladder.l1.misses,
-        l2_misses=ladder.l2.misses,
-        l3_misses=ladder.l3.misses,
-    )
+    events = ladder.events()
     return ShardStats(
         events=events,
         touches=touches,
@@ -363,12 +249,7 @@ def _replay_timing_columns(
     )
 
 
-def replay_timing(
-    source,
-    verify: bool = True,
-    with_footer: bool = False,
-    engine: str | None = None,
-):
+def replay_timing(source, verify: bool = True, with_footer: bool = False):
     """Replay a full trace through fresh tag caches; return its RunResult.
 
     With ``verify`` (the default) the recomputed event counts and the
@@ -379,36 +260,42 @@ def replay_timing(
     needing footer metadata (record counts, ...) avoid a second pass
     over the file.
 
-    ``engine`` picks the replay implementation (see :func:`resolve_engine`);
-    both engines produce identical results, so the choice is purely a
-    speed/dependency trade.
-
     Only whole recorded traces carry the run summary this reconstructs;
     for shard files use :func:`replay_shards` (region accounting).
     """
-    engine = resolve_engine(engine)
-    with telemetry_span("replay/timing", engine=engine) as tspan, \
+    with telemetry_span("replay/timing") as tspan, \
             TraceReader(source) as reader:
-        if engine == "columnar":
-            stats = _replay_timing_columns(reader)
-        else:
-            stats = _replay_timing_stream(reader)
+        stats = _replay_timing_columns(reader)
         tspan.set("touches", stats.touches)
         footer = reader.read_footer()
-        if "benchmark" not in footer:
-            kind = footer.get("kind", "unknown")
-            raise TraceFormatError(
-                f"not a whole recorded trace (footer kind {kind!r}): "
-                "no run summary to reconstruct — replay shard files with "
-                "replay-shards / replay_shards()"
-            )
-        try:
-            spec_document = reader.header["spec"]
-        except KeyError:
-            raise TraceFormatError(
-                "trace header missing 'spec' — not a recorder-written trace?"
-            ) from None
-        spec = TraceScenarioSpec.from_dict(spec_document)
+    result = _footer_result(stats, reader.header, footer, verify)
+    return (result, footer) if with_footer else result
+
+
+def _footer_result(
+    stats: ShardStats, header: dict, footer: dict, verify: bool = True
+) -> RunResult:
+    """The :class:`RunResult` of a whole-trace replay's ``stats``.
+
+    The benchmark, instructions and scenario come from the recorded
+    footer and header.  With ``verify`` the replayed event counts and
+    the CFORM/allocation accounting must match the footer, or
+    :class:`TraceIntegrityError` is raised.
+    """
+    if "benchmark" not in footer:
+        kind = footer.get("kind", "unknown")
+        raise TraceFormatError(
+            f"not a whole recorded trace (footer kind {kind!r}): "
+            "no run summary to reconstruct — replay shard files with "
+            "replay-shards / replay_shards()"
+        )
+    try:
+        spec_document = header["spec"]
+    except KeyError:
+        raise TraceFormatError(
+            "trace header missing 'spec' — not a recorder-written trace?"
+        ) from None
+    spec = TraceScenarioSpec.from_dict(spec_document)
     recorded_events = footer.get("events")
     if verify and recorded_events is None:
         raise TraceIntegrityError(
@@ -438,7 +325,7 @@ def replay_timing(
                     f"replayed {stats.alloc_events} allocation events, "
                     f"recorded {footer['alloc_events']}"
                 )
-        result = RunResult(
+        return RunResult(
             benchmark=footer["benchmark"],
             scenario=spec.build_scenario(),
             instructions=footer["instructions"],
@@ -451,107 +338,18 @@ def replay_timing(
             f"trace footer missing {missing} — foreign or partially "
             "written recording"
         ) from None
-    return (result, footer) if with_footer else result
-
-
-def _replay_hierarchy_stream(
-    reader: TraceReader, honor_warm: bool = True
-) -> ShardStats:
-    """Drive the data-carrying hierarchy via batched ``replay_trace``.
-
-    ``honor_warm`` as in :func:`_replay_timing_stream`.
-    """
-    from repro.core.cform import CformRequest
-
-    config = _config_from_header(reader.header)
-    hierarchy = MemoryHierarchy(config)
-    replay_batch = hierarchy.replay_trace
-    cform = hierarchy.cform
-    ops: list[tuple] = []
-    violations = 0
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    for kind, address, arg in reader.records():
-        if kind == EV_LOAD:
-            ops.append(("L", address, arg))
-            touches += 1
-            if len(ops) >= HIERARCHY_BATCH_OPS:
-                violations += replay_batch(ops)
-                ops = []
-        elif kind == EV_STORE:
-            ops.append(("S", address, bytes([address & 0xFF]) * arg))
-            touches += 1
-            if len(ops) >= HIERARCHY_BATCH_OPS:
-                violations += replay_batch(ops)
-                ops = []
-        elif kind == EV_CFORM:
-            if ops:
-                violations += replay_batch(ops)
-                ops = []
-            cform_lines += arg
-            for line_index in range(arg):
-                line_address = (address + line_index * 64) & ~63
-                # Object churn re-califorms reused lines; CFORM-set on an
-                # already-set byte is an architectural usage error, so
-                # only the still-clear offsets are set.
-                current = hierarchy.secmask_of(line_address)
-                wanted = [
-                    offset
-                    for offset in CFORM_REPLAY_OFFSETS
-                    if not (current >> offset) & 1
-                ]
-                if wanted:
-                    cform(CformRequest.set_bytes(line_address, wanted))
-                touches += 1
-        elif kind == EV_ALLOC:
-            alloc_events += 1
-        elif kind == EV_FREE or kind == EV_EPOCH:
-            pass
-        elif kind == EV_WARM:
-            if honor_warm:
-                if ops:
-                    violations += replay_batch(ops)
-                    ops = []
-                hierarchy.reset_stats()
-                violations = 0
-                touches = 0
-                cform_lines = 0
-                alloc_events = 0
-        else:
-            raise TraceFormatError(f"unknown record kind {kind}")
-    if ops:
-        violations += replay_batch(ops)
-    events = MemoryEventCounts(
-        l1_accesses=hierarchy.l1.stats.accesses,
-        l1_misses=hierarchy.l1.stats.misses,
-        l2_misses=hierarchy.l2.stats.misses,
-        l3_misses=hierarchy.l3.stats.misses,
-    )
-    return ShardStats(
-        events=events,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        violations=violations,
-        amat_cycles=hierarchy.total_cycles(),
-    )
 
 
 def _replay_hierarchy_columns(
     reader: TraceReader, honor_warm: bool = True
 ) -> ShardStats:
-    """Columnar twin of :func:`_replay_hierarchy_stream`.
+    """Drive the data-carrying hierarchy over the decoded columns.
 
-    The data-carrying hierarchy moves real bytes per access, so the
-    per-access work stays sequential — the columnar win here is the
-    array-native decode plus :meth:`MemoryHierarchy.replay_columns`,
-    which consumes whole column segments without building op tuples.
-    State evolution is record-order either way (the per-record path's op
-    batching is a pure buffering artifact), so statistics and violation
-    counts are bit-identical.
+    The hierarchy moves real bytes per access, so the per-access work
+    stays sequential: :meth:`MemoryHierarchy.replay_columns` consumes
+    whole column segments in record order.  ``honor_warm`` as in
+    :func:`_replay_timing_columns`.
     """
-    np = require_numpy()
     config = _config_from_header(reader.header)
     hierarchy = MemoryHierarchy(config)
     replay_columns = hierarchy.replay_columns
@@ -561,10 +359,10 @@ def _replay_hierarchy_columns(
     alloc_events = 0
     for batch in reader.column_batches():
         kinds = batch.kind
-        unknown = _first_unknown_kind(np, kinds)
+        unknown = _first_unknown_kind(kinds)
         if unknown is not None:
             raise TraceFormatError(f"unknown record kind {unknown}")
-        for start, stop, warm in _warm_segments(np, kinds, honor_warm):
+        for start, stop, warm in _warm_segments(kinds, honor_warm):
             if stop > start:
                 segment_kinds = kinds[start:stop]
                 segment_args = batch.arg[start:stop]
@@ -605,15 +403,11 @@ def _replay_hierarchy_columns(
     )
 
 
-def replay_hierarchy(source, engine: str | None = None) -> ShardStats:
+def replay_hierarchy(source) -> ShardStats:
     """Full-fidelity replay: data movement, exceptions, AMAT cycles."""
-    engine = resolve_engine(engine)
-    with telemetry_span("replay/hierarchy", engine=engine) as tspan, \
+    with telemetry_span("replay/hierarchy") as tspan, \
             TraceReader(source) as reader:
-        if engine == "columnar":
-            stats = _replay_hierarchy_columns(reader)
-        else:
-            stats = _replay_hierarchy_stream(reader)
+        stats = _replay_hierarchy_columns(reader)
         tspan.set("touches", stats.touches)
         tspan.set("violations", stats.violations)
         reader.read_footer()
@@ -695,14 +489,12 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
 
 
 _SHARD_STREAMS = {
-    ("timing", "records"): _replay_timing_stream,
-    ("timing", "columnar"): _replay_timing_columns,
-    ("hierarchy", "records"): _replay_hierarchy_stream,
-    ("hierarchy", "columnar"): _replay_hierarchy_columns,
+    "timing": _replay_timing_columns,
+    "hierarchy": _replay_hierarchy_columns,
 }
 
 
-def _replay_shard_worker(task: tuple[str, str, str]) -> ShardStats:
+def _replay_shard_worker(task: tuple[str, str]) -> ShardStats:
     """Process-pool entry point: replay one shard (region) file.
 
     Region semantics: EV_WARM does not reset counters here, so the
@@ -710,8 +502,8 @@ def _replay_shard_worker(task: tuple[str, str, str]) -> ShardStats:
     function of the trace alone — the shard count only moves the cold
     cache boundaries.
     """
-    shard_path, mode, engine = task
-    replay_stream = _SHARD_STREAMS[mode, engine]
+    shard_path, mode = task
+    replay_stream = _SHARD_STREAMS[mode]
     with TraceReader(shard_path) as reader:
         stats = replay_stream(reader, honor_warm=False)
         reader.read_footer()
@@ -725,7 +517,6 @@ def replay_shards(
     shard_paths: list[str],
     jobs: int = 1,
     mode: str = "timing",
-    engine: str | None = None,
 ) -> MergedReplay:
     """Replay shard files (serially or across processes) and merge.
 
@@ -743,11 +534,9 @@ def replay_shards(
         raise ValueError(f"unknown replay mode {mode!r}")
     if not shard_paths:
         raise ValueError("no shard files to replay")
-    engine = resolve_engine(engine)
-    tasks = [(path, mode, engine) for path in shard_paths]
+    tasks = [(path, mode) for path in shard_paths]
     with telemetry_span(
-        "replay/shards",
-        shards=len(tasks), jobs=jobs, mode=mode, engine=engine,
+        "replay/shards", shards=len(tasks), jobs=jobs, mode=mode
     ) as tspan:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -771,7 +560,7 @@ def replay_shards(
 #
 #   phase 1 (parallelisable per core)  each core's stream runs through
 #       its own private L1/L2 tag ladder; the residue — the L3 request
-#       stream — is captured as (slot, address) pairs;
+#       stream — is captured as parallel (slot, address) columns;
 #   phase 2 (always serial)            the per-core L3 request streams
 #       are merged by slot and fed through one shared L3 tag array with
 #       per-core hit/miss attribution.
@@ -781,7 +570,7 @@ def replay_shards(
 # any ``jobs`` value, and a 1-core run degenerates to the single-ladder
 # replay exactly.
 
-#: Sentinel address in a phase-1 entry list marking a core's warmup
+#: Sentinel address in a phase-1 residue marking a core's warmup
 #: boundary: phase 2 resets that core's shared-L3 attribution there
 #: (contents stay warm), mirroring the single-ladder EV_WARM handling.
 _WARM_RESET = -1
@@ -798,20 +587,6 @@ _CORE_ADDRESS_STRIDE = 1 << 44
 
 
 @dataclass(frozen=True)
-class _CoreFilter:
-    """Phase-1 output for one core: private-ladder stats + L3 residue."""
-
-    config: HierarchyConfig
-    l1_accesses: int
-    l1_misses: int
-    l2_misses: int
-    touches: int
-    cform_lines: int
-    alloc_events: int
-    entries: list[tuple[int, int]]  # (slot, address | _WARM_RESET)
-
-
-@dataclass(frozen=True)
 class MulticoreReplay:
     """Accounting of one multi-core shared-L3 replay."""
 
@@ -820,101 +595,12 @@ class MulticoreReplay:
     merged: ShardStats
 
 
-def _filter_core_stream(
-    core: int, cores: int, sources, config: HierarchyConfig | None
-) -> _CoreFilter:
-    """Phase 1: run one core's record stream through its private ladder.
-
-    ``sources`` is that core's sequence of trace files (paths or binary
-    file objects), replayed as one concatenated stream.  Warm markers
-    are honored for whole recorded traces (counter reset, as in
-    :func:`replay_timing`) and ignored for shard files (region
-    semantics, as in :func:`replay_shards`).
-    """
-    explicit_config = config
-    ladder: PrivateLadder | None = None
-    ladder_access = None
-    entries: list[tuple[int, int]] = []
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    offset = core * _CORE_ADDRESS_STRIDE  # disjoint physical spaces
-    slot = core  # global slot of this core's next record
-    for source in sources:
-        with TraceReader(source) as reader:
-            source_config = _config_from_header(reader.header)
-            if config is None:
-                # No caller override: the first file pins the config a
-                # caller override would otherwise supply; later files of
-                # the same stream must agree or the ladder geometry
-                # would silently misrepresent them.
-                config = source_config
-            elif explicit_config is None and source_config != config:
-                raise TraceFormatError(
-                    "trace files of one core stream were recorded under "
-                    "different hierarchy configurations"
-                )
-            if ladder is None:
-                ladder = PrivateLadder(config)
-                ladder_access = ladder.access
-            honor_warm = "shard" not in reader.header
-            for kind, address, arg in reader.records():
-                if kind == EV_LOAD or kind == EV_STORE:
-                    touches += 1
-                    if not ladder_access(address):
-                        entries.append((slot, address + offset))
-                elif kind == EV_CFORM:
-                    cform_lines += arg
-                    for line_index in range(arg):
-                        line_address = address + line_index * 64
-                        touches += 1
-                        if not ladder_access(line_address):
-                            entries.append((slot, line_address + offset))
-                elif kind == EV_ALLOC:
-                    alloc_events += 1
-                elif kind == EV_FREE or kind == EV_EPOCH:
-                    pass
-                elif kind == EV_WARM:
-                    if honor_warm:
-                        ladder.reset_counters()
-                        touches = 0
-                        cform_lines = 0
-                        alloc_events = 0
-                        entries.append((slot, _WARM_RESET))
-                else:
-                    raise TraceFormatError(f"unknown record kind {kind}")
-                slot += cores
-            reader.read_footer()
-    if ladder is None:  # no sources for this core
-        raise ValueError(f"core {core} has no trace sources")
-    return _CoreFilter(
-        config=config,
-        l1_accesses=ladder.l1.accesses,
-        l1_misses=ladder.l1.misses,
-        l2_misses=ladder.l2.misses,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        entries=entries,
-    )
-
-
-def _filter_core_worker(task: tuple) -> _CoreFilter:
-    """Process-pool entry point for phase 1 (paths only)."""
-    core, cores, paths, config = task
-    filtered = _filter_core_stream(core, cores, paths, config)
-    telemetry_flush()  # pool children exit without atexit
-    return filtered
-
-
 @dataclass(frozen=True)
-class _CoreFilterColumns:
-    """Phase-1 output for one core on the columnar engine.
+class _CoreFilter:
+    """Phase-1 output for one core: private-ladder stats + L3 residue.
 
-    Same accounting as :class:`_CoreFilter`, but the L3 residue is a
-    pair of parallel int64 arrays (``slots`` / ``addresses``) instead of
-    tuple entries; warm boundaries appear as ``_WARM_RESET`` addresses
-    exactly like the per-record entries.
+    The residue is a pair of parallel int64 arrays (``slots`` /
+    ``addresses``); warm boundaries appear as ``_WARM_RESET`` addresses.
     """
 
     config: HierarchyConfig
@@ -930,17 +616,21 @@ class _CoreFilterColumns:
 
 def _filter_core_columns(
     core: int, cores: int, sources, config: HierarchyConfig | None
-) -> _CoreFilterColumns:
-    """Columnar twin of :func:`_filter_core_stream`.
+) -> _CoreFilter:
+    """Phase 1: run one core's record stream through its private ladder.
+
+    ``sources`` is that core's sequence of trace files (paths or binary
+    file objects), replayed as one concatenated stream.  Warm markers
+    are honored for whole recorded traces (counter reset, as in
+    :func:`replay_timing`) and ignored for shard files (region
+    semantics, as in :func:`replay_shards`).
 
     A 2-level :class:`LadderKernel` filters the expanded touch columns;
     the surviving touches keep their record's global slot (``record
     index * cores + core``) so phase 2 can merge the per-core residues
     into the recorded interleaving.  CFORM touches share their record's
-    slot with intra-record order preserved, matching the per-record
-    entries exactly.
+    slot with intra-record order preserved.
     """
-    np = require_numpy()
     explicit_config = config
     ladder: LadderKernel | None = None
     slot_blocks: list = []
@@ -955,6 +645,10 @@ def _filter_core_columns(
         with TraceReader(source) as reader:
             source_config = _config_from_header(reader.header)
             if config is None:
+                # No caller override: the first file pins the config a
+                # caller override would otherwise supply; later files of
+                # the same stream must agree or the ladder geometry
+                # would silently misrepresent them.
                 config = source_config
             elif explicit_config is None and source_config != config:
                 raise TraceFormatError(
@@ -966,13 +660,13 @@ def _filter_core_columns(
             honor_warm = "shard" not in reader.header
             for batch in reader.column_batches():
                 kinds = batch.kind
-                unknown = _first_unknown_kind(np, kinds)
+                unknown = _first_unknown_kind(kinds)
                 if unknown is not None:
                     raise TraceFormatError(f"unknown record kind {unknown}")
                 record_slots = core + (
                     stream_index + np.arange(len(kinds), dtype=np.int64)
                 ) * cores
-                for start, stop, warm in _warm_segments(np, kinds, honor_warm):
+                for start, stop, warm in _warm_segments(kinds, honor_warm):
                     if stop > start:
                         segment_kinds = kinds[start:stop]
                         segment_args = batch.arg[start:stop]
@@ -1017,7 +711,7 @@ def _filter_core_columns(
     else:
         slots = np.empty(0, dtype=np.int64)
         addresses = np.empty(0, dtype=np.int64)
-    return _CoreFilterColumns(
+    return _CoreFilter(
         config=config,
         l1_accesses=ladder.l1.accesses,
         l1_misses=ladder.l1.misses,
@@ -1030,8 +724,8 @@ def _filter_core_columns(
     )
 
 
-def _filter_core_columns_worker(task: tuple) -> _CoreFilterColumns:
-    """Process-pool entry point for columnar phase 1 (paths only)."""
+def _filter_core_worker(task: tuple) -> _CoreFilter:
+    """Process-pool entry point for phase 1 (paths only)."""
     core, cores, paths, config = task
     filtered = _filter_core_columns(core, cores, paths, config)
     telemetry_flush()  # pool children exit without atexit
@@ -1041,17 +735,15 @@ def _filter_core_columns_worker(task: tuple) -> _CoreFilterColumns:
 def _merge_shared_columns(
     config: HierarchyConfig, cores: int, filters: list
 ) -> list[int]:
-    """Columnar phase 2: merge the residues into one shared-L3 kernel.
+    """Phase 2: merge the residues into one shared-L3 kernel.
 
-    A stable sort on the concatenated slot arrays reproduces the
-    ``heapq.merge`` interleaving exactly: cross-core slots are unique
-    (``slot % cores == core``), and equal slots — a CFORM record's line
-    touches — are contiguous per core in stream order, which stable
-    sorting preserves.  Warm-reset sentinels split the stream so each
+    A stable sort on the concatenated slot arrays yields the recorded
+    interleaving: cross-core slots are unique (``slot % cores ==
+    core``), and equal slots — a CFORM record's line touches — are
+    contiguous per core in stream order, which stable sorting preserves.  Warm-reset sentinels split the stream so each
     core's attribution resets at its recorded boundary while the tag
     contents stay warm.  Returns the per-core shared-L3 miss counts.
     """
-    np = require_numpy()
     shared = SharedL3Kernel(config, cores)
     slots = np.concatenate([filtered.slots for filtered in filters])
     addresses = np.concatenate([filtered.addresses for filtered in filters])
@@ -1076,7 +768,6 @@ def replay_multicore(
     core_sources: list,
     jobs: int = 1,
     config: HierarchyConfig | None = None,
-    engine: str | None = None,
 ) -> MulticoreReplay:
     """Replay one trace stream per core against a shared L3.
 
@@ -1090,17 +781,12 @@ def replay_multicore(
     extra-latency knobs); by default every trace must have been recorded
     under the same configuration, which is then used.
 
-    ``engine`` picks the replay implementation for both phases (see
-    :func:`resolve_engine`); the returned accounting is identical either
-    way.
-
     Returns per-core :class:`ShardStats` (shared-L3 misses attributed to
     the requesting core, cycles from the shared AMAT helper) plus their
     merged sum.
     """
     if not core_sources:
         raise ValueError("no cores to replay")
-    engine = resolve_engine(engine)
     normalized: list[tuple] = []
     for entry in core_sources:
         if isinstance(entry, (list, tuple)):
@@ -1112,14 +798,7 @@ def replay_multicore(
         (core, cores, sources, config)
         for core, sources in enumerate(normalized)
     ]
-    worker = (
-        _filter_core_columns_worker
-        if engine == "columnar"
-        else _filter_core_worker
-    )
-    with telemetry_span(
-        "replay/mc", cores=cores, jobs=jobs, engine=engine
-    ) as tspan:
+    with telemetry_span("replay/mc", cores=cores, jobs=jobs) as tspan:
         if jobs > 1:
             if not all(
                 isinstance(source, str)
@@ -1131,9 +810,9 @@ def replay_multicore(
                     "cross process boundaries)"
                 )
             with ProcessPoolExecutor(max_workers=min(jobs, cores)) as pool:
-                filters = list(pool.map(worker, tasks))
+                filters = list(pool.map(_filter_core_worker, tasks))
         else:
-            filters = [worker(task) for task in tasks]
+            filters = [_filter_core_worker(task) for task in tasks]
         resolved = filters[0].config
         for core, filtered in enumerate(filters):
             if filtered.config != resolved:
@@ -1142,28 +821,9 @@ def replay_multicore(
                     "configuration; pass an explicit config override"
                 )
 
-        # Phase 2: deterministic serial merge into the shared L3.  Slots
-        # are unique (slot % cores == core), so the merge order is total
-        # and heapq.merge keeps each core's own entries in stream order.
+        # Phase 2: deterministic serial merge into the shared L3.
         with telemetry_span("replay/mc/merge", cores=cores):
-            if engine == "columnar":
-                shared_misses = _merge_shared_columns(
-                    resolved, cores, filters
-                )
-            else:
-                shared = SharedL3(resolved, cores)
-                shared_access = shared.access
-                reset_core = shared.reset_core
-                for slot, address in heapq.merge(
-                    *(filtered.entries for filtered in filters),
-                    key=itemgetter(0),
-                ):
-                    core = slot % cores
-                    if address == _WARM_RESET:
-                        reset_core(core)
-                    else:
-                        shared_access(core, address)
-                shared_misses = shared.misses
+            shared_misses = _merge_shared_columns(resolved, cores, filters)
         tspan.set("touches", sum(f.touches for f in filters))
 
     per_core: list[ShardStats] = []

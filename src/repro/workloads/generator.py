@@ -3,7 +3,8 @@
 This is the engine behind every timing figure (4, 10, 11, 12).  For one
 benchmark profile and one *scenario* (insertion policy + whether CFORM
 instructions are issued) it synthesises the benchmark's memory behaviour
-and plays it through the tag-only cache hierarchy:
+and counts its hits and misses in the tag-only L1/L2/L3 hierarchy (the
+touches reach :class:`repro.memory.kernel.TouchBuffer` in blocks):
 
 1. a heap population is built from the profile's object mix (structs from
    the corpus pool and raw buffers), laid out by a bump/free-list
@@ -36,8 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cpu.pipeline import MemoryEventCounts, PipelineModel
-from repro.memory.cache import TagOnlyCache
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
+from repro.memory.kernel import TouchBuffer
 from repro.softstack.ctypes_model import Struct, align_up, is_blacklist_target
 from repro.softstack.insertion import (
     CaliformedLayout,
@@ -282,14 +283,9 @@ def run_trace(
         else build_type_catalog(Scenario.baseline())
     )
 
-    l1 = TagOnlyCache(config.l1_geometry)
-    l2 = TagOnlyCache(config.l2_geometry)
-    l3 = TagOnlyCache(config.l3_geometry)
-
-    def touch(address: int) -> None:
-        if not l1.access(address):
-            if not l2.access(address):
-                l3.access(address)
+    ladder = TouchBuffer(config)
+    touch = ladder.touch
+    burst_end = ladder.burst_end
 
     # Recording wrappers: when no sink is attached these *are* ``touch``,
     # so the hot loops pay nothing; with a sink each touch first appends
@@ -335,11 +331,14 @@ def run_trace(
     # Pre-warm: touch every line of every live object once, so measured
     # misses reflect capacity and conflict behaviour rather than
     # first-touch cold misses (which the paper's 500M-instruction
-    # SimPoint windows amortise away, but a short trace would not).
+    # SimPoint windows amortise away, but a short trace would not).  Each
+    # object ends a burst, so a multi-MB heap's sweep reaches the kernel
+    # in bounded blocks rather than as one large one (peak memory).
     for address, type_index, raw_size in objects:
         size = raw_size if type_index < 0 else catalog[type_index].size
         for line_offset in range(0, max(size, 1), 64):
             touch_load(address + line_offset)
+        burst_end()
 
     object_count = len(objects)
     skew_exponent = 1.0 / profile.locality_skew
@@ -374,9 +373,7 @@ def run_trace(
         if not warm and app_instructions >= warmup_budget:
             # Warmup ends: keep cache contents, discard all statistics.
             warm = True
-            l1.reset_counters()
-            l2.reset_counters()
-            l3.reset_counters()
+            ladder.reset_counters()
             app_instructions -= warmup_budget
             total_budget -= warmup_budget
             overhead_instructions = 0.0
@@ -443,6 +440,7 @@ def run_trace(
                 cform_object(new_address, info.cform_lines)  # alloc side
             objects[victim] = (new_address, type_index, 0)
 
+        burst_end()
         if sink is not None:
             sink.burst()
 
@@ -450,12 +448,7 @@ def run_trace(
         benchmark=profile.name,
         scenario=scenario,
         instructions=int(app_instructions + overhead_instructions),
-        events=MemoryEventCounts(
-            l1_accesses=l1.accesses,
-            l1_misses=l1.misses,
-            l2_misses=l2.misses,
-            l3_misses=l3.misses,
-        ),
+        events=ladder.events(),
         cform_instructions=cform_instructions,
         alloc_events=alloc_events,
     )

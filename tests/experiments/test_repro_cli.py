@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.results import SectionResult
-from repro.experiments.runner import run_all
 
 #: Sections with no trace recording and sub-second runtimes.
 CHEAP = ["fig03", "table1", "table2", "table3", "sec7", "table7"]
@@ -220,31 +219,6 @@ class TestSetSelection:
             main(["run", "--set", "no-such-set", "--no-corpus"])
         assert excinfo.value.code == 2
         assert "--set" in capsys.readouterr().err
-
-
-class TestLegacyShims:
-    def test_run_all_returns_titles_to_bodies(self, tmp_path):
-        # The legacy dict API rides on the registry now; spot-check via
-        # a direct executor call on a cheap selection instead of a full
-        # run (which the slow suite covers).
-        from repro.experiments.context import RunContext
-        from repro.experiments.registry import select
-        from repro.experiments.runner import execute
-
-        ctx = RunContext()  # quick, no corpus
-        results = execute(select(["fig03", "table1"]), ctx)
-        legacy_shape = {r.title: r.markdown for r in results}
-        assert list(legacy_shape) == [
-            "Figure 3 — struct density census",
-            "Table 1 — CFORM K-map",
-        ]
-        assert all(isinstance(body, str) for body in legacy_shape.values())
-
-    def test_run_all_signature_unchanged(self):
-        import inspect
-
-        parameters = inspect.signature(run_all).parameters
-        assert list(parameters) == ["full", "jobs", "corpus_root"]
 
 
 @pytest.mark.slow

@@ -1,30 +1,30 @@
-"""The batched tag kernel: exact twin-ship with the per-access classes.
+"""The batched tag kernel: exact twin-ship with the per-access oracle.
 
 Property layer under the whole-registry differential suite
 (``tests/traces/test_columnar_equivalence.py``): every kernel class is
-driven side by side with its per-access twin over randomized streams and
-must agree on every counter and on the residual miss stream — the
-invariant the columnar replay engine's bit-identical claim rests on.
+driven side by side with its per-access twin from ``tests/oracle.py``
+over randomized streams and must agree on every counter and on the
+residual miss stream — the invariant the kernel's bit-identical claim
+rests on.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
+from oracle import PrivateLadder, SharedL3, TagOnlyCache
 from repro.memory import kernel
-from repro.memory.cache import CacheGeometry, TagOnlyCache
+from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import WESTMERE
 from repro.memory.kernel import (
     CFORM_LINE_STRIDE,
-    HAVE_NUMPY,
     LadderKernel,
     LruTagKernel,
+    TouchBuffer,
     expand_touches,
-    require_numpy,
 )
-from repro.memory.multicore import PrivateLadder, SharedL3, SharedL3Kernel
+from repro.memory.multicore import SharedL3Kernel
 from repro.workloads.generator import (
     EV_ALLOC,
     EV_CFORM,
@@ -67,17 +67,6 @@ class TestKindConstants:
         assert kernel.KIND_CFORM == EV_CFORM
         assert kernel.KIND_WARM == EV_WARM
         assert kernel.KIND_EPOCH == EV_EPOCH
-
-
-class TestNumpyGate:
-    def test_have_numpy_is_true_here(self):
-        assert HAVE_NUMPY
-        assert require_numpy() is np
-
-    def test_missing_numpy_raises_directed_error(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_np", None)
-        with pytest.raises(ImportError, match="engine='records'"):
-            require_numpy("a unit test")
 
 
 class TestLruTagKernel:
@@ -165,6 +154,43 @@ class TestLadderKernel:
         assert (batched.l3.accesses, batched.l3.misses) == (
             l3.accesses, l3.misses
         )
+
+
+class TestTouchBuffer:
+    @pytest.mark.parametrize("block", [1, 7, 500, kernel.TOUCH_BLOCK])
+    def test_any_flush_block_matches_the_serial_ladder(self, block, monkeypatch):
+        monkeypatch.setattr(kernel, "TOUCH_BLOCK", block)
+        l1 = TagOnlyCache(WESTMERE.l1_geometry)
+        l2 = TagOnlyCache(WESTMERE.l2_geometry)
+        l3 = TagOnlyCache(WESTMERE.l3_geometry)
+        buffered = TouchBuffer(WESTMERE)
+        addresses = random_addresses(9).tolist()
+        for index, address in enumerate(addresses):
+            if index == 1500:  # a warm boundary mid-stream
+                for level in (l1, l2, l3):
+                    level.reset_counters()
+                buffered.reset_counters()
+            if not l1.access(address):
+                if not l2.access(address):
+                    l3.access(address)
+            buffered.touch(address)
+            if index % 13 == 0:
+                buffered.burst_end()
+        events = buffered.events()
+        assert (events.l1_accesses, events.l1_misses) == (l1.accesses, l1.misses)
+        assert (events.l2_misses, events.l3_misses) == (l2.misses, l3.misses)
+
+    def test_burst_end_flushes_only_full_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernel, "TOUCH_BLOCK", 4)
+        buffered = TouchBuffer(WESTMERE)
+        for address in range(0, 3 * 64, 64):
+            buffered.touch(address)
+        buffered.burst_end()
+        assert buffered.ladder.l1.accesses == 0  # 3 pending < 4
+        buffered.touch(3 * 64)
+        buffered.burst_end()
+        assert buffered.ladder.l1.accesses == 4
+        assert buffered.events().l1_misses == 4
 
 
 class TestExpandTouches:

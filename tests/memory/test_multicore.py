@@ -1,10 +1,12 @@
-"""Tests for the multi-core tag hierarchy (private ladders + shared L3)."""
+"""Tests for the per-record multi-core oracle (private ladders + shared
+L3), the reference the shared-L3 kernel and multi-core replay are
+checked against."""
 
 import pytest
 
-from repro.memory.cache import CacheGeometry, TagOnlyCache
+from oracle import MultiCoreHierarchy, SharedL3, TagOnlyCache
+from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig, amat_cycles
-from repro.memory.multicore import MultiCoreHierarchy, SharedL3
 
 #: A tiny geometry so eviction pressure is cheap to provoke.
 TINY = HierarchyConfig(

@@ -8,7 +8,7 @@ from repro.telemetry import runtime
 from repro.telemetry.export import metrics_document, read_span_log
 from repro.traces.recorder import record_spec
 from repro.traces.registry import CORPUS
-from repro.traces.replayer import replay_timing, resolve_engine
+from repro.traces.replayer import replay_timing
 
 INSTRUCTIONS = 2000
 
@@ -30,16 +30,15 @@ def test_replay_emits_decode_kernel_counters_and_spans(tmp_path):
     document = exported(handle)
 
     counters = document["counters"]
-    if resolve_engine(None) == "columnar":
-        assert counters["decode_frames_total"] > 0
-        assert counters["decode_records_total"] > 0
-        assert counters['kernel_accesses_total{level="l1"}'] > 0
-        assert counters['kernel_rounds_total{level="l1"}'] > 0
+    assert counters["decode_frames_total"] > 0
+    assert counters["decode_records_total"] > 0
+    assert counters['kernel_accesses_total{level="l1"}'] > 0
+    assert counters['kernel_rounds_total{level="l1"}'] > 0
     span_row = document["spans"]["replay/timing"]
     assert span_row["count"] == 1
 
 
-def test_replay_span_carries_engine_and_touches(tmp_path):
+def test_replay_span_carries_touches(tmp_path):
     spec = CORPUS["server-churn"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
     record_spec(spec, trace)
@@ -51,7 +50,6 @@ def test_replay_span_carries_engine_and_touches(tmp_path):
         os.path.join(handle.directory, runtime.SPAN_LOG_NAME)
     )
     (record,) = [r for r in log.spans if r["name"] == "replay/timing"]
-    assert record["attrs"]["engine"] in ("columnar", "records")
     assert record["attrs"]["touches"] > 0
 
 

@@ -1,30 +1,26 @@
-"""Columnar vs per-record replay: whole-registry differential suite.
+"""Kernel vs per-record oracle: whole-registry differential suite.
 
-The acceptance gate for the columnar engine: over every registry
+The acceptance gate for the one LRU simulation path: over every registry
 scenario in both container versions — plus a loadgen-composed trace —
-the columnar engine's statistics are **bit-identical** to the
-per-record oracle's, for timing replay (footer stats), hierarchy replay
-(counters, violations, cycles), sharded merges, and multi-core per-core
-attribution.  The per-record path is the retained reference, the same
-differential-testing pattern as ``tests/core/test_fastpath_equivalence``.
+the statistics the batched kernel produces are **bit-identical** to the
+per-record oracle's (``tests/oracle.py``), for the live writers (the
+``RunResult`` a recording returns and its footer), timing replay,
+hierarchy replay (counters, violations, cycles), sharded merges, and
+multi-core per-core attribution.  The same differential-testing pattern
+as ``tests/core/test_fastpath_equivalence``.
 """
-
-import io
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
+import oracle
 from repro.loadgen.compose import compose_spec
 from repro.loadgen.schema import ArrivalSpec, LoadScenario, MixEntry
-from repro.memory import kernel
 from repro.traces import CORPUS, record_spec, replay_timing
 from repro.traces.format import TraceReader
 from repro.traces.replayer import (
     replay_hierarchy,
     replay_multicore,
     replay_shards,
-    resolve_engine,
     shard_trace,
 )
 
@@ -100,15 +96,37 @@ def test_column_batches_rejects_mixed_iteration(recorded):
             reader.column_batches()
 
 
+# -- live writers ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ["loadgen"])
+def test_live_run_footer_and_oracle_replay_agree(name, recorded):
+    # The writers count their touches with the kernel while recording;
+    # the per-record oracle replays the recorded stream independently.
+    path, live = recorded[name, "v1"]
+    with TraceReader(path) as reader:
+        stats = oracle.replay_timing_stream(reader)
+        footer = reader.read_footer()
+    assert footer["events"] == {
+        "l1_accesses": live.events.l1_accesses,
+        "l1_misses": live.events.l1_misses,
+        "l2_misses": live.events.l2_misses,
+        "l3_misses": live.events.l3_misses,
+    }
+    assert stats.events == live.events
+    assert stats.cform_lines == live.cform_instructions == footer[
+        "cform_instructions"
+    ]
+    assert stats.alloc_events == live.alloc_events == footer["alloc_events"]
+
+
 # -- single-trace replay ------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,container", ALL_TRACES)
 def test_timing_replay_is_engine_agnostic(name, container, recorded):
     path, live = recorded[name, container]
-    from_records = replay_timing(path, engine="records")
-    from_columns = replay_timing(path, engine="columnar")
-    assert from_columns == from_records == live
+    assert replay_timing(path) == oracle.replay_timing(path) == live
 
 
 @pytest.mark.parametrize(
@@ -125,9 +143,7 @@ def test_timing_replay_is_engine_agnostic(name, container, recorded):
 def test_hierarchy_replay_is_engine_agnostic(name, container, recorded):
     path, _ = recorded[name, container]
     # Full ShardStats equality: counters, violations, AMAT cycles.
-    assert replay_hierarchy(path, engine="columnar") == replay_hierarchy(
-        path, engine="records"
-    )
+    assert replay_hierarchy(path) == oracle.replay_hierarchy(path)
 
 
 # -- sharded merge ------------------------------------------------------------
@@ -138,9 +154,9 @@ def test_hierarchy_replay_is_engine_agnostic(name, container, recorded):
 def test_sharded_merge_is_engine_agnostic(container, mode, recorded, tmp_path):
     path, _ = recorded["server-churn", container]
     shards = shard_trace(path, str(tmp_path / "shards"), shards=3)
-    from_records = replay_shards(shards, jobs=1, mode=mode, engine="records")
-    from_columns = replay_shards(shards, jobs=2, mode=mode, engine="columnar")
-    assert from_columns == from_records
+    assert replay_shards(shards, jobs=2, mode=mode) == oracle.replay_shards(
+        shards, mode=mode
+    )
 
 
 # -- multi-core ---------------------------------------------------------------
@@ -153,49 +169,18 @@ def test_multicore_attribution_is_engine_agnostic(container, recorded):
         recorded["scan-heavy", container][0],
         recorded["pointer-chase", container][0],
     ]
-    from_records = replay_multicore(sources, engine="records")
-    from_columns = replay_multicore(sources, jobs=2, engine="columnar")
-    assert from_columns.per_core == from_records.per_core
-    assert from_columns.merged == from_records.merged
+    from_kernel = replay_multicore(sources, jobs=2)
+    from_oracle = oracle.replay_multicore(sources)
+    assert from_kernel.per_core == from_oracle.per_core
+    assert from_kernel.merged == from_oracle.merged
 
 
 def test_multicore_shard_streams_are_engine_agnostic(recorded, tmp_path):
     # Concatenated shard files per core: region semantics (warm markers
-    # ignored) must match across engines too.
+    # ignored) must match the oracle too.
     churn, _ = recorded["server-churn", "v1"]
     scan, _ = recorded["scan-heavy", "v2"]
     churn_shards = shard_trace(churn, str(tmp_path / "churn"), shards=2)
     scan_shards = shard_trace(scan, str(tmp_path / "scan"), shards=2)
     sources = [churn_shards, scan_shards]
-    assert replay_multicore(sources, engine="columnar") == replay_multicore(
-        sources, engine="records"
-    )
-
-
-# -- engine selection ---------------------------------------------------------
-
-
-class TestEngineSelection:
-    def test_default_is_columnar_with_numpy(self):
-        assert resolve_engine() == "columnar"
-        assert resolve_engine("records") == "records"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown replay engine"):
-            resolve_engine("simd")
-
-    def test_numpy_less_default_falls_back_to_records(self, monkeypatch):
-        from repro.traces import replayer
-
-        monkeypatch.setattr(replayer, "HAVE_NUMPY", False)
-        assert replayer.resolve_engine() == "records"
-
-    def test_explicit_columnar_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_np", None)
-        with pytest.raises(ImportError, match="--engine records"):
-            resolve_engine("columnar")
-
-    def test_records_engine_runs_without_numpy(self, monkeypatch, recorded):
-        path, live = recorded["server-churn", "v1"]
-        monkeypatch.setattr(kernel, "_np", None)
-        assert replay_timing(path, engine="records") == live
+    assert replay_multicore(sources) == oracle.replay_multicore(sources)
