@@ -179,30 +179,38 @@ loadgen-smoke:
 	$(PY) -m repro.traces info "$(LOADGEN_DIR)/uniform-churn.trace"; \
 	$(PY) -m repro.traces replay "$(LOADGEN_DIR)/uniform-churn.trace"
 
-## CI gate for the LRU kernel: record a compressed trace, replay it
-## through the production CLI (timing + hierarchy + shared-L3 modes) and
-## through the per-record oracle in tests/oracle.py (the same CLI with
-## the oracle's replayers swapped in), and require byte-identical
-## statistics output.  The printed replay summaries carry no timing, so
-## `cmp` is the whole check.
+## CI gate for the LRU kernel and the columnar decoder: record a
+## trace in both containers (compressed CALTRC02 and its fixed-record
+## CALTRC01 twin), replay each through the production CLI (timing +
+## hierarchy + shared-L3 modes) and through the per-record oracle in
+## tests/oracle.py (the same CLI with the oracle's scalar decoder and
+## replayers swapped in), and require byte-identical statistics output.
+## The printed replay summaries carry no timing, so `cmp` is the whole
+## check.
 kernel-smoke:
 	@$(DEMO_DIR_SETUP); \
 	$(PY) -m repro.traces record --scenario server-churn \
 		--instructions 8000 --compress \
-		--out "$$dir/server-churn.trace"; \
-	for mode in timing hierarchy; do \
-		$(PY) -m repro.traces replay "$$dir/server-churn.trace" \
-			--mode $$mode > "$$dir/$$mode-kernel.txt"; \
-		$(ORACLE) replay "$$dir/server-churn.trace" \
-			--mode $$mode > "$$dir/$$mode-oracle.txt"; \
-		cmp "$$dir/$$mode-kernel.txt" "$$dir/$$mode-oracle.txt"; \
+		--out "$$dir/server-churn.v2.trace"; \
+	$(PY) -m repro.traces record --scenario server-churn \
+		--instructions 8000 --out "$$dir/server-churn.v1.trace"; \
+	for version in v1 v2; do \
+		trace="$$dir/server-churn.$$version.trace"; \
+		for mode in timing hierarchy; do \
+			$(PY) -m repro.traces replay "$$trace" \
+				--mode $$mode > "$$dir/$$version-$$mode-kernel.txt"; \
+			$(ORACLE) replay "$$trace" \
+				--mode $$mode > "$$dir/$$version-$$mode-oracle.txt"; \
+			cmp "$$dir/$$version-$$mode-kernel.txt" \
+				"$$dir/$$version-$$mode-oracle.txt"; \
+		done; \
+		$(PY) -m repro.traces replay-mc "$$trace" \
+			--cores 2 > "$$dir/$$version-mc-kernel.txt"; \
+		$(ORACLE) replay-mc "$$trace" \
+			--cores 2 > "$$dir/$$version-mc-oracle.txt"; \
+		cmp "$$dir/$$version-mc-kernel.txt" "$$dir/$$version-mc-oracle.txt"; \
 	done; \
-	$(PY) -m repro.traces replay-mc "$$dir/server-churn.trace" \
-		--cores 2 > "$$dir/mc-kernel.txt"; \
-	$(ORACLE) replay-mc "$$dir/server-churn.trace" \
-		--cores 2 > "$$dir/mc-oracle.txt"; \
-	cmp "$$dir/mc-kernel.txt" "$$dir/mc-oracle.txt"; \
-	echo "kernel-smoke: the kernel and the per-record oracle agree"
+	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).

@@ -15,7 +15,10 @@ Identity is two-level:
   names the object file.  Hashing the canonical stream rather than the
   on-disk bytes makes identity independent of the storage codec: a
   recompressed or transcoded object keeps its name, and ``verify`` can
-  check a CALTRC02 file against the digest its v1 twin would have.
+  check a CALTRC02 file against the digest its v1 twin would have.  The
+  digest decodes through :meth:`TraceReader.column_batches`, the same
+  decoder every replay uses, and repacks each batch into the v1 record
+  layout before hashing it.
 
 :meth:`CorpusStore.ensure` is the whole workflow: manifest hit → return
 the object path; miss → record the spec live (through its driver),
@@ -35,10 +38,18 @@ import struct
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
-from repro.traces.format import EV_END, MAGIC, RECORD, TraceReader
+from repro.traces.format import (
+    EV_END,
+    MAGIC,
+    RECORD,
+    RECORD_DTYPE,
+    TraceReader,
+)
 from repro.traces.recorder import _geometry_dict, record_spec
 from repro.traces.registry import CORPUS, TraceScenarioSpec, policy_to_str
 from repro.traces.replayer import replay_timing
@@ -116,9 +127,13 @@ def canonical_digest(source) -> tuple[str, int, dict]:
 
     Streams the file (any container version) and hashes the exact bytes
     its v1 serialisation would hold — header ``format`` normalised to
-    ``CALTRC01`` so a transcoded twin hashes identically.  The footer is
-    returned as well (the stream was fully drained to hash it, so
-    callers wanting record counts need no second pass).
+    ``CALTRC01`` so a transcoded twin hashes identically.  Records come
+    from :meth:`TraceReader.column_batches`; each batch is repacked into
+    the packed ``<BQI`` layout and hashed in one update.  A record that
+    layout cannot hold (a negative address, an ``arg`` of 2**32 or more)
+    raises :class:`TraceFormatError`.  The footer is returned as well
+    (the stream was fully drained to hash it, so callers wanting record
+    counts need no second pass).
     """
     digest = hashlib.sha256()
     length = 0
@@ -136,12 +151,26 @@ def canonical_digest(source) -> tuple[str, int, dict]:
         feed(MAGIC)
         feed(struct.pack("<I", len(header_bytes)))
         feed(header_bytes)
-        pack = RECORD.pack
-        for kind, address, arg in reader.records():
-            feed(pack(kind, address, arg))
+        position = 0  # stream index of the batch's first record
+        for batch in reader.column_batches():
+            address, arg = batch.address, batch.arg
+            bad = np.flatnonzero((address < 0) | (arg > 0xFFFFFFFF))
+            if bad.size:
+                row = int(bad[0])
+                raise reader.error(
+                    f"record {position + row} (address {int(address[row])}, "
+                    f"arg {int(arg[row])}) does not fit the canonical <BQI "
+                    "record layout"
+                )
+            rows = np.empty(len(batch), dtype=RECORD_DTYPE)
+            rows["kind"] = batch.kind
+            rows["address"] = address
+            rows["arg"] = arg
+            feed(rows.tobytes())
+            position += len(batch)
         footer = reader.read_footer()
         footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
-        feed(pack(EV_END, 0, len(footer_bytes)))
+        feed(RECORD.pack(EV_END, 0, len(footer_bytes)))
         feed(footer_bytes)
     return digest.hexdigest(), length, footer
 
@@ -166,17 +195,14 @@ class CorpusStore:
     binding and re-records from the deterministic spec.  The spec, not
     the stored bytes, is the source of truth; healing therefore always
     converges on an object byte-identical to an undamaged build.
-    ``verify_reads=False`` opts a handle out of read-time hashing (perf
-    harnesses measuring pure replay).
     """
 
-    def __init__(self, root: str, verify_reads: bool = True):
+    def __init__(self, root: str):
         self.root = root
         self.objects_dir = os.path.join(root, "objects")
         self.manifest_path = os.path.join(root, MANIFEST_NAME)
         self.quarantine_dir = os.path.join(root, QUARANTINE_DIR)
         self.heal_log_path = os.path.join(self.quarantine_dir, HEAL_LOG_NAME)
-        self.verify_reads = verify_reads
         #: Resolution counters for this store instance (reporting; the
         #: acceptance invariant "second run records nothing" is
         #: ``built == 0``).  ``healed`` counts self-heal repairs.
@@ -228,9 +254,8 @@ class CorpusStore:
         """Resolve a spec to a recorded trace, building on first use.
 
         A manifest hit is trusted only after the on-disk object
-        re-hashes to the digest the manifest promises (unless
-        ``verify_reads`` is off, where only existence is checked); any
-        damage is quarantined and healed by re-recording.
+        re-hashes to the digest the manifest promises; any damage is
+        quarantined and healed by re-recording.
         """
         fingerprint = spec_fingerprint(spec, config)
         entry = self.manifest().get(fingerprint)
@@ -253,15 +278,13 @@ class CorpusStore:
     ) -> str | None:
         """Why this object cannot be trusted, or ``None`` if it can.
 
-        ``force`` re-hashes even when read verification is off or the
-        digest was already verified by this handle (the bulk
-        verify/repair paths always want fresh evidence).
+        ``force`` re-hashes even when the digest was already verified by
+        this handle (the bulk verify/repair paths always want fresh
+        evidence).
         """
         if not os.path.exists(path):
             return f"object {entry.digest[:12]}… missing ({path})"
-        if not force and (
-            not self.verify_reads or entry.digest in self._verified
-        ):
+        if not force and entry.digest in self._verified:
             return None
         try:
             digest, raw_bytes, _footer = canonical_digest(path)

@@ -33,8 +33,10 @@ A run token expands to ``count`` records of the same kind and arg whose
 addresses step by ``stride``; the delta base resets to 0 at every frame
 boundary so frames decode independently.  Encode and decode are both
 fully streaming: the writer buffers at most one frame of records, the
-reader inflates one frame at a time — compression never changes what the
-replayers see, only how many bytes hold it.
+reader (:meth:`~repro.traces.format.TraceReader.column_batches`)
+decodes a bounded group of frames at a time into record columns —
+compression never changes what the replayers see, only how many bytes
+hold it.
 """
 
 from __future__ import annotations
@@ -160,90 +162,13 @@ def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
     return zlib.compress(bytes(tokens), COMPRESSION_LEVEL)
 
 
-def decode_frame(
-    payload: bytes, record_count: int
-) -> Iterator[tuple[int, int, int]]:
-    """Inflate + de-tokenise one frame; yields exactly ``record_count``."""
-    try:
-        tokens = zlib.decompress(payload)
-    except zlib.error as error:
-        raise TraceFormatError(f"corrupt frame: {error}") from None
-    offset = 0
-    end = len(tokens)
-    previous = 0
-    produced = 0
-    while offset < end:
-        token = tokens[offset]
-        offset += 1
-        kind = token & ~_RUN_FLAG
-        if kind > EV_EPOCH:
-            # Fail before yielding anything downstream: a corrupt kind
-            # byte must not be masked into a plausible record.
-            raise TraceFormatError(
-                f"corrupt frame: invalid record kind byte 0x{token:02X}"
-            )
-        if token & _RUN_FLAG:
-            length, offset = _read_varint(tokens, offset)
-            delta, offset = _read_signed(tokens, offset)
-            stride, offset = _read_signed(tokens, offset)
-            arg, offset = _read_varint(tokens, offset)
-            produced += length
-            if produced > record_count:
-                raise TraceFormatError(
-                    f"corrupt frame: decodes past the {record_count} "
-                    "records its header promised"
-                )
-            address = previous + delta
-            for _ in range(length):
-                yield kind, address, arg
-                address += stride
-            previous = address - stride
-        else:
-            delta, offset = _read_signed(tokens, offset)
-            arg, offset = _read_varint(tokens, offset)
-            produced += 1
-            if produced > record_count:
-                raise TraceFormatError(
-                    f"corrupt frame: decodes past the {record_count} "
-                    "records its header promised"
-                )
-            previous += delta
-            yield kind, previous, arg
-    if produced != record_count:
-        raise TraceFormatError(
-            f"corrupt frame: decoded {produced} records, "
-            f"frame header promised {record_count}"
-        )
-
-
-def decode_frame_columns(payload: bytes, record_count: int):
-    """Inflate + de-tokenise one frame into column arrays.
-
-    The columnar twin of :func:`decode_frame`: returns a
-    :class:`~repro.traces.format.RecordColumns` with exactly
-    ``record_count`` rows instead of yielding per-record tuples.  Well-
-    formed frames decode on the vectorized path of
-    :func:`_decode_frames_fast`; anything it declines falls back to the
-    per-token walk of :func:`_decode_frame_columns_tokens`, which raises
-    the same :class:`TraceFormatError` diagnostics as the per-record
-    decoder on corrupt payloads.
-    """
-    try:
-        tokens = zlib.decompress(payload)
-    except zlib.error as error:
-        raise TraceFormatError(f"corrupt frame: {error}") from None
-    columns = _decode_frames_fast([tokens], [record_count])
-    if columns is not None:
-        return columns
-    return _decode_frame_columns_tokens(tokens, record_count)
-
-
-def _decode_frame_columns_tokens(tokens: bytes, record_count: int):
+def _decode_frame_tokens(tokens: bytes, record_count: int):
     """Per-token fallback decoder (also the corrupt-frame diagnoser).
 
-    One Python step per token; exactly the validation order of
-    :func:`decode_frame`, so every corrupt payload raises the identical
-    :class:`TraceFormatError` message whichever engine hits it first.
+    One Python step per token, validating as it goes: an invalid kind
+    byte, a truncated varint or a record count that disagrees with the
+    frame header raises a precise :class:`TraceFormatError` for frames
+    the vectorized :func:`_decode_frames_fast` declines.
     """
     offset = 0
     end = len(tokens)
@@ -507,11 +432,11 @@ def _read_exact(
 def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
     """Walk a CALTRC02 reader's frames: ``(frame_offset, records, payload)``.
 
-    The shared stream layer under both record-tuple and columnar
-    iteration: reads each record frame's header + compressed payload,
-    parses the terminator frame's footer into ``reader.footer``, and
-    attributes truncation/corruption to the offending frame's byte
-    offset.  Payload decoding is the caller's business.
+    The stream layer under columnar iteration: reads each record frame's
+    header + compressed payload, parses the terminator frame's footer
+    into ``reader.footer``, and attributes truncation/corruption to the
+    offending frame's byte offset.  Payload decoding is the caller's
+    business.
     """
     import json
 
@@ -563,21 +488,6 @@ def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
             )
 
 
-def iter_compressed_records(reader: TraceReader) -> Iterator[tuple[int, int, int]]:
-    """Record iterator for a :class:`TraceReader` positioned after the
-    header of a CALTRC02 file.  Populates ``reader.footer`` when the end
-    frame is reached, mirroring the v1 iterator's contract.  Errors —
-    including frame-payload corruption detected inside
-    :func:`decode_frame` — are located at the offending frame's byte
-    offset in the reader's file."""
-    path = reader.path
-    for frame_start, record_count, payload in _iter_frames(reader):
-        try:
-            yield from decode_frame(payload, record_count)
-        except TraceFormatError as error:
-            raise error.located(path, frame_start) from None
-
-
 #: Records accumulated before one grouped columnar decode.  Epoch frames
 #: are a few hundred records each; decoding a group of them as one
 #: vectorized pass amortises the array-op overhead that would otherwise
@@ -618,9 +528,7 @@ def _decode_group(reader, group):
     parts = []
     for (frame_start, record_count, _), tokens in zip(group, streams):
         try:
-            parts.append(
-                _decode_frame_columns_tokens(tokens, record_count)
-            )
+            parts.append(_decode_frame_tokens(tokens, record_count))
         except TraceFormatError as error:
             raise error.located(path, frame_start) from None
     return RecordColumns(
@@ -635,11 +543,12 @@ def iter_compressed_columns(reader: TraceReader):
     :class:`~repro.traces.format.RecordColumns` per *group* of record
     frames (up to :data:`FRAME_GROUP_RECORDS` records).
 
-    The array-native side of :meth:`TraceReader.column_batches` for
-    CALTRC02 files; same footer and error-location contract as
-    :func:`iter_compressed_records`.  Batch boundaries are a decoding
-    artifact — consumers see the identical concatenated record stream
-    whatever the grouping.
+    The CALTRC02 side of :meth:`TraceReader.column_batches`: populates
+    ``reader.footer`` when the end frame is reached, and locates every
+    error — including frame-payload corruption — at the offending
+    frame's byte offset in the reader's file.  Batch boundaries are a
+    decoding artifact — consumers see the identical concatenated record
+    stream whatever the grouping.
     """
     group: list[tuple[int, int, bytes]] = []
     pending = 0
@@ -738,7 +647,12 @@ def transcode(source, target, version: int) -> int:
             header["format"] = magic.decode("ascii")
         with trace_writer(target, header, version=version) as writer:
             append = writer.append
-            for kind, address, arg in reader.records():
-                append(kind, address, arg)
+            for batch in reader.column_batches():
+                for kind, address, arg in zip(
+                    batch.kind.tolist(),
+                    batch.address.tolist(),
+                    batch.arg.tolist(),
+                ):
+                    append(kind, address, arg)
             writer.set_footer(reader.read_footer())
     return writer.record_count

@@ -24,8 +24,10 @@ split points.
 
 Both :class:`TraceWriter` and :class:`TraceReader` stream: the writer
 buffers a bounded number of packed records before flushing, the reader
-iterates the file in fixed-size chunks — neither ever holds a full trace
-in memory, so traces are bounded by disk, not by RAM.
+decodes the file in bounded column batches
+(:meth:`TraceReader.column_batches`, its one record decoder) — neither
+ever holds a full trace in memory, so traces are bounded by disk, not by
+RAM.
 
 Two container versions share this module's reader:
 
@@ -35,9 +37,9 @@ Two container versions share this module's reader:
   tokens + zlib; see :mod:`repro.traces.compress`).
 
 :class:`TraceReader` detects the version from the magic and yields the
-identical ``(kind, address, arg)`` stream either way, so every consumer
-(replay, shard, multi-core, info) is version-agnostic; writers are
-chosen per version through :func:`trace_writer`.
+identical ``(kind, address, arg)`` columns either way, so every consumer
+(replay, shard, digest, multi-core, info) is version-agnostic; writers
+are chosen per version through :func:`trace_writer`.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ EV_END = 0xFF
 #: One record: kind (u8), address (u64), arg (u32).
 RECORD = struct.Struct("<BQI")
 RECORD_SIZE = RECORD.size
+
+#: The same record as a packed little-endian numpy structured dtype.
+RECORD_DTYPE = np.dtype([("kind", "u1"), ("address", "<u8"), ("arg", "<u4")])
 
 #: Human-readable names, for ``info`` output and error messages.
 KIND_NAMES = {
@@ -140,8 +145,8 @@ class RecordColumns:
     addresses are far below 2**63; signed width keeps delta/cumsum
     arithmetic and Python-int round-trips exact).  Row ``i`` of the three
     arrays is record ``i`` of the batch, in stream order — a batch holds
-    one CALTRC02 frame or one CALTRC01 read chunk, so iterating batches
-    yields the identical record stream :meth:`TraceReader.records` would.
+    a group of CALTRC02 frames or one CALTRC01 read chunk, and batch
+    boundaries never change the concatenated record stream.
     """
 
     kind: np.ndarray
@@ -270,15 +275,12 @@ class TraceWriter(TraceWriterBase):
 class TraceReader:
     """Streaming reader over a trace file or binary file object.
 
-    ``header`` is available immediately; :meth:`records` yields
-    ``(kind, address, arg)`` tuples without materialising the trace;
-    ``footer`` is populated once iteration reaches the terminator (or by
-    :meth:`read_footer`, which drains the stream).
+    ``header`` is available immediately; :meth:`column_batches` yields
+    the record stream as :class:`RecordColumns` batches without
+    materialising the trace; ``footer`` is populated once iteration
+    reaches the terminator (or by :meth:`read_footer`, which drains the
+    stream).
     """
-
-    #: Bytes per read; chosen as a multiple of the record size so chunk
-    #: boundaries never split a record.
-    CHUNK_RECORDS = 8192
 
     def __init__(self, source: str | BinaryIO):
         if isinstance(source, str):
@@ -338,94 +340,43 @@ class TraceReader:
         #: record iterators count from here so errors are attributable.
         self.data_offset = len(MAGIC) + _HEADER_LEN.size + header_len
         self.footer: dict | None = None
-        self._records_iter: Iterator[tuple[int, int, int]] | None = None
+        self._batches: Iterator[RecordColumns] | None = None
 
     def error(self, detail: str, offset: int | None = None) -> TraceFormatError:
         """A :class:`TraceFormatError` located in this reader's file."""
         return TraceFormatError(detail, path=self.path, offset=offset)
 
-    def records(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(kind, address, arg)`` until the terminator record.
-
-        Leaves :attr:`footer` populated.  Raises
-        :class:`TraceFormatError` if the file ends without a terminator
-        (a crashed or still-recording writer).
-
-        The stream is single-pass: repeated calls return the *same*
-        iterator (so a partially consumed iteration can be resumed, and
-        :meth:`read_footer` drains from wherever iteration stopped
-        without losing the chunk buffered by the suspended generator).
-        """
-        if self._records_iter is None:
-            if self.version == 2:
-                from repro.traces.compress import iter_compressed_records
-
-                self._records_iter = iter_compressed_records(self)
-            else:
-                self._records_iter = self._iter_records()
-        return self._records_iter
-
-    def _iter_records(self) -> Iterator[tuple[int, int, int]]:
-        chunk_bytes = self.CHUNK_RECORDS * RECORD_SIZE
-        unpack_from = RECORD.unpack_from
-        pending = b""
-        position = self.data_offset  # file offset of the next record
-        while True:
-            chunk = pending + self._file.read(chunk_bytes)
-            if not chunk:
-                raise self.error(
-                    "trace ends without a terminator record", offset=position
-                )
-            usable = len(chunk) - (len(chunk) % RECORD_SIZE)
-            for offset in range(0, usable, RECORD_SIZE):
-                kind, address, arg = unpack_from(chunk, offset)
-                if kind == EV_END:
-                    tail = chunk[offset + RECORD_SIZE :]
-                    self._read_footer_bytes(
-                        arg, tail, position + offset + RECORD_SIZE
-                    )
-                    return
-                yield kind, address, arg
-            pending = chunk[usable:]
-            position += usable
-            if usable == 0:
-                raise self.error("truncated trace record", offset=position)
-
-    #: Records per column batch on the v1 path; larger than the tuple
-    #: iterator's chunk because one numpy batch amortises per-batch cost
-    #: over more records (64 Ki records ≈ 832 KB resident, still bounded).
+    #: Records per column batch on the v1 path (64 Ki records ≈ 832 KB
+    #: resident): one numpy batch amortises per-batch cost over many
+    #: records while keeping memory bounded.
     COLUMN_CHUNK_RECORDS = 1 << 16
-
-    #: The v1 record as a structured numpy dtype (packed, little-endian).
-    _COLUMN_DTYPE = np.dtype([("kind", "u1"), ("address", "<u8"), ("arg", "<u4")])
 
     def column_batches(self) -> Iterator[RecordColumns]:
         """Yield the record stream as :class:`RecordColumns` batches.
 
-        The columnar twin of :meth:`records`: the concatenation of the
-        yielded batches is exactly the ``(kind, address, arg)`` stream,
-        and :attr:`footer` is populated once the terminator is reached —
-        but no per-record tuples are ever built.  v2 (CALTRC02) batches
-        are one epoch frame each, decoded straight from the token stream
+        The reader's only record decoder: the concatenation of the
+        yielded batches is the ``(kind, address, arg)`` stream, and
+        :attr:`footer` is populated once the terminator is reached.  v2
+        (CALTRC02) batches are groups of epoch frames decoded straight
+        from the token stream
         (:func:`repro.traces.compress.iter_compressed_columns`); v1
         batches are fixed-size read chunks lifted via ``np.frombuffer``.
 
-        Like :meth:`records`, the stream is single-pass; mixing the two
-        iteration styles on one reader is not supported.
+        The stream is single-pass: repeated calls return the *same*
+        iterator, so a partially consumed iteration can be resumed and
+        :meth:`read_footer` drains from wherever iteration stopped.
         """
-        if self._records_iter is not None:
-            raise RuntimeError(
-                "column_batches() cannot resume a reader already being "
-                "iterated with records()"
-            )
-        if self.version == 2:
-            from repro.traces.compress import iter_compressed_columns
+        if self._batches is None:
+            if self.version == 2:
+                from repro.traces.compress import iter_compressed_columns
 
-            return iter_compressed_columns(self)
-        return self._iter_columns_v1()
+                self._batches = iter_compressed_columns(self)
+            else:
+                self._batches = self._iter_columns_v1()
+        return self._batches
 
     def _iter_columns_v1(self) -> Iterator[RecordColumns]:
-        dtype = TraceReader._COLUMN_DTYPE
+        dtype = RECORD_DTYPE
         chunk_bytes = self.COLUMN_CHUNK_RECORDS * RECORD_SIZE
         pending = b""
         position = self.data_offset  # file offset of the next record
@@ -486,11 +437,11 @@ class TraceReader:
     def read_footer(self) -> dict:
         """Drain remaining records and return the footer summary.
 
-        Safe mid-iteration: it continues the shared :meth:`records`
-        iterator rather than re-reading the file.
+        Safe mid-iteration: it continues the shared
+        :meth:`column_batches` iterator rather than re-reading the file.
         """
         if self.footer is None:
-            for _ in self.records():
+            for _ in self.column_batches():
                 pass
         if self.footer is None:
             raise TraceFormatError("trace ends without a terminator record")

@@ -452,16 +452,33 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
             writers.append(trace_writer(shard_path, header, reader.version))
             counts.append({KIND_NAMES[k]: 0 for k in KIND_NAMES})
             paths.append(shard_path)
-        segment = 0
-        for kind, address, arg in reader.records():
-            name = KIND_NAMES.get(kind)
-            if name is None:
-                raise TraceFormatError(f"unknown record kind {kind}")
-            shard_index = min(segment // per_shard, shards - 1)
-            writers[shard_index].append(kind, address, arg)
-            counts[shard_index][name] += 1
-            if kind == EV_EPOCH:
-                segment += 1
+        segment = 0  # EPOCH markers seen before the current batch
+        for batch in reader.column_batches():
+            kinds = batch.kind
+            unknown = _first_unknown_kind(kinds)
+            if unknown is not None:
+                raise TraceFormatError(f"unknown record kind {unknown}")
+            # A record's segment counts the markers before it, so each
+            # EPOCH marker closes the segment it belongs to.
+            epochs = (kinds == EV_EPOCH).astype(np.int64)
+            segments = segment + np.cumsum(epochs) - epochs
+            segment += int(epochs.sum())
+            shard_of = np.minimum(segments // per_shard, shards - 1)
+            edges = np.searchsorted(shard_of, np.arange(shards + 1)).tolist()
+            rows = list(
+                zip(kinds.tolist(), batch.address.tolist(), batch.arg.tolist())
+            )
+            for index in range(shards):
+                start, stop = edges[index], edges[index + 1]
+                if start == stop:
+                    continue
+                append = writers[index].append
+                for kind, address, arg in rows[start:stop]:
+                    append(kind, address, arg)
+                tally = np.bincount(kinds[start:stop]).tolist()
+                for kind, count in enumerate(tally):
+                    if count:
+                        counts[index][KIND_NAMES[kind]] += count
         for index, writer in enumerate(writers):
             writer.set_footer(
                 {

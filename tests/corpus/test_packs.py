@@ -15,8 +15,9 @@ from repro.corpus.packs import (
     verify_pack,
     write_pack,
 )
-from repro.corpus.store import CorpusStore
-from repro.traces.format import TraceFormatError
+from repro.corpus.store import CorpusStore, spec_fingerprint
+from repro.traces.compress import CompressedTraceWriter
+from repro.traces.format import EV_LOAD, TraceFormatError, TraceReader
 from repro.traces.registry import CORPUS
 
 INSTRUCTIONS = 2_000
@@ -147,6 +148,27 @@ class TestDamage:
 
                 digest, _raw, _footer = canonical_digest(target)
                 assert digest == entry.digest
+
+    @pytest.mark.parametrize(
+        "record", [(EV_LOAD, -64, 8), (EV_LOAD, 64, 1 << 33)],
+        ids=["address", "arg"],
+    )
+    def test_out_of_layout_member_is_unreadable(self, store, record):
+        # The member inflates cleanly, but one record does not fit the
+        # canonical <BQI layout the digest hashes.
+        entry = store.manifest().entries[
+            spec_fingerprint(_spec("pointer-chase"))
+        ]
+        object_path = store.object_path(entry.digest)
+        with TraceReader(object_path) as reader:
+            header = reader.header
+        with CompressedTraceWriter(object_path, header) as writer:
+            writer.append(*record)
+            writer.set_footer({"records": 1})
+        path, _identifier, _count = write_pack(store)
+        (problem,) = verify_pack(path)
+        assert problem.startswith("pointer-chase: unreadable:")
+        assert "canonical <BQI record layout" in problem
 
     def test_bad_index_version(self, store):
         path, _identifier, _count = write_pack(store)

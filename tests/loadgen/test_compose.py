@@ -4,6 +4,7 @@ from io import BytesIO
 
 import pytest
 
+import oracle
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.compose import (
     TENANT_ADDRESS_STRIDE,
@@ -111,7 +112,7 @@ class TestMerge:
             if times
         }
         bins = set()
-        for kind, address, arg in TraceReader(BytesIO(raw)).records():
+        for kind, address, arg in oracle.records(TraceReader(BytesIO(raw))):
             if kind in MEMORY_EVENTS:
                 bins.add(address >> 33)
                 if kind == EV_CFORM:  # expansion stays inside the bin
@@ -143,7 +144,9 @@ class TestSingleTenantEquivalence:
         ]
         composed = [
             record
-            for record in TraceReader(BytesIO(record_bytes(load))).records()
+            for record in oracle.records(
+                TraceReader(BytesIO(record_bytes(load)))
+            )
             if record[0] not in (EV_EPOCH, EV_WARM)
         ]
         assert composed == expected

@@ -1,18 +1,26 @@
-"""Per-record reference simulator: the differential oracle of the kernel.
+"""Per-record reference implementations: the differential oracles.
 
-Production counts cache hits and misses with one simulator, the batched
-:class:`~repro.memory.kernel.LadderKernel` (and its shared-L3 sibling
-:class:`~repro.memory.multicore.SharedL3Kernel`).  This module keeps the
-straightforward one-access-at-a-time implementation it must agree with:
+Production decodes traces with one decoder, the columnar
+:meth:`TraceReader.column_batches`, and counts cache hits and misses
+with one simulator, the batched :class:`~repro.memory.kernel.LadderKernel`
+(and its shared-L3 sibling :class:`~repro.memory.multicore.SharedL3Kernel`).
+This module keeps the straightforward one-record-at-a-time
+implementations they must agree with:
 
+* :func:`records` — the scalar ``(kind, address, arg)`` decoder for both
+  container versions (a ``struct`` walk of CALTRC01 records, and
+  :func:`decode_frame`'s token walk of CALTRC02 frames, sharing only the
+  frame walk and the varint primitives with production);
+* :func:`canonical_digest` — the corpus identity hash, one packed
+  record at a time over :func:`records`;
 * :class:`TagOnlyCache` — one LRU tag array, an ``OrderedDict`` per set;
 * :class:`PrivateLadder`, :class:`SharedL3`, :class:`MultiCoreHierarchy`
   — per-core L1/L2 pairs in front of one shared L3;
 * :func:`replay_timing`, :func:`replay_hierarchy`, :func:`replay_shards`
   and :func:`replay_multicore` — the replay entry points of
   :mod:`repro.traces.replayer`, re-implemented as record-at-a-time loops
-  over :meth:`TraceReader.records` with the same return types, so a
-  differential test compares the two with ``==``.
+  over :func:`records` with the same return types, so a differential
+  test compares the two with ``==``.
 
 Run as a script, it is the ``python -m repro.traces`` CLI with these
 replayers swapped in, so its summaries can be compared byte for byte
@@ -23,8 +31,12 @@ with the production CLI's::
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
+import struct
 import sys
+import zlib
 from collections import OrderedDict
 from operator import itemgetter
 
@@ -36,14 +48,24 @@ from repro.memory.hierarchy import (
     MemoryHierarchy,
     amat_cycles,
 )
+from repro.traces.compress import (
+    _RUN_FLAG,
+    _iter_frames,
+    _read_signed,
+    _read_varint,
+)
 from repro.traces.format import (
     EV_ALLOC,
     EV_CFORM,
+    EV_END,
     EV_EPOCH,
     EV_FREE,
     EV_LOAD,
     EV_STORE,
     EV_WARM,
+    MAGIC,
+    RECORD,
+    RECORD_SIZE,
     TraceFormatError,
     TraceReader,
 )
@@ -61,6 +83,139 @@ from repro.traces.replayer import (
 
 #: Ops accumulated before one ``replay_trace`` batch in hierarchy mode.
 HIERARCHY_BATCH_OPS = 2048
+
+#: Records per read on the CALTRC01 walk.
+CHUNK_RECORDS = 8192
+
+
+# -- scalar decoding ------------------------------------------------------------
+
+
+def records(reader: TraceReader):
+    """Yield ``(kind, address, arg)`` until the terminator record.
+
+    The scalar twin of :meth:`TraceReader.column_batches` for both
+    container versions; leaves ``reader.footer`` populated.  Call it
+    once per reader, on a reader nothing else has iterated.
+    """
+    if reader.version == 2:
+        return _compressed_records(reader)
+    return _fixed_records(reader)
+
+
+def _fixed_records(reader: TraceReader):
+    chunk_bytes = CHUNK_RECORDS * RECORD_SIZE
+    unpack_from = RECORD.unpack_from
+    pending = b""
+    position = reader.data_offset  # file offset of the next record
+    while True:
+        chunk = pending + reader._file.read(chunk_bytes)
+        if not chunk:
+            raise reader.error(
+                "trace ends without a terminator record", offset=position
+            )
+        usable = len(chunk) - (len(chunk) % RECORD_SIZE)
+        for offset in range(0, usable, RECORD_SIZE):
+            kind, address, arg = unpack_from(chunk, offset)
+            if kind == EV_END:
+                tail = chunk[offset + RECORD_SIZE :]
+                reader._read_footer_bytes(
+                    arg, tail, position + offset + RECORD_SIZE
+                )
+                return
+            yield kind, address, arg
+        pending = chunk[usable:]
+        position += usable
+        if usable == 0:
+            raise reader.error("truncated trace record", offset=position)
+
+
+def _compressed_records(reader: TraceReader):
+    for frame_start, record_count, payload in _iter_frames(reader):
+        try:
+            yield from decode_frame(payload, record_count)
+        except TraceFormatError as error:
+            raise error.located(reader.path, frame_start) from None
+
+
+def decode_frame(payload: bytes, record_count: int):
+    """Inflate + de-tokenise one CALTRC02 frame; yields exactly
+    ``record_count`` records."""
+    try:
+        tokens = zlib.decompress(payload)
+    except zlib.error as error:
+        raise TraceFormatError(f"corrupt frame: {error}") from None
+    offset = 0
+    end = len(tokens)
+    previous = 0
+    produced = 0
+    while offset < end:
+        token = tokens[offset]
+        offset += 1
+        kind = token & ~_RUN_FLAG
+        if kind > EV_EPOCH:
+            raise TraceFormatError(
+                f"corrupt frame: invalid record kind byte 0x{token:02X}"
+            )
+        if token & _RUN_FLAG:
+            length, offset = _read_varint(tokens, offset)
+            delta, offset = _read_signed(tokens, offset)
+            stride, offset = _read_signed(tokens, offset)
+            arg, offset = _read_varint(tokens, offset)
+            produced += length
+            if produced > record_count:
+                raise TraceFormatError(
+                    f"corrupt frame: decodes past the {record_count} "
+                    "records its header promised"
+                )
+            address = previous + delta
+            for _ in range(length):
+                yield kind, address, arg
+                address += stride
+            previous = address - stride
+        else:
+            delta, offset = _read_signed(tokens, offset)
+            arg, offset = _read_varint(tokens, offset)
+            produced += 1
+            if produced > record_count:
+                raise TraceFormatError(
+                    f"corrupt frame: decodes past the {record_count} "
+                    "records its header promised"
+                )
+            previous += delta
+            yield kind, previous, arg
+    if produced != record_count:
+        raise TraceFormatError(
+            f"corrupt frame: decoded {produced} records, "
+            f"frame header promised {record_count}"
+        )
+
+
+def canonical_digest(source) -> tuple[str, int, dict]:
+    """Per-record twin of :func:`repro.corpus.store.canonical_digest`."""
+    digest = hashlib.sha256()
+    length = 0
+
+    def feed(data: bytes) -> None:
+        nonlocal length
+        digest.update(data)
+        length += len(data)
+
+    with TraceReader(source) as reader:
+        header = dict(reader.header)
+        if "format" in header:
+            header["format"] = MAGIC.decode("ascii")
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        feed(MAGIC)
+        feed(struct.pack("<I", len(header_bytes)))
+        feed(header_bytes)
+        for kind, address, arg in records(reader):
+            feed(RECORD.pack(kind, address, arg))
+        footer = reader.footer
+        footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
+        feed(RECORD.pack(EV_END, 0, len(footer_bytes)))
+        feed(footer_bytes)
+    return digest.hexdigest(), length, footer
 
 
 # -- tag arrays ------------------------------------------------------------------
@@ -237,7 +392,7 @@ def replay_timing_stream(reader: TraceReader, honor_warm: bool = True) -> ShardS
     touches = 0
     cform_lines = 0
     alloc_events = 0
-    for kind, address, arg in reader.records():
+    for kind, address, arg in records(reader):
         if kind == EV_LOAD or kind == EV_STORE:
             touches += 1
             if not l1_access(address):
@@ -296,7 +451,7 @@ def replay_hierarchy_stream(
     touches = 0
     cform_lines = 0
     alloc_events = 0
-    for kind, address, arg in reader.records():
+    for kind, address, arg in records(reader):
         if kind == EV_LOAD:
             ops.append(("L", address, arg))
             touches += 1
@@ -393,7 +548,7 @@ def filter_core_stream(
                 ladder = PrivateLadder(config)
             ladder_access = ladder.access
             honor_warm = "shard" not in reader.header
-            for kind, address, arg in reader.records():
+            for kind, address, arg in records(reader):
                 if kind == EV_LOAD or kind == EV_STORE:
                     touches += 1
                     if not ladder_access(address):

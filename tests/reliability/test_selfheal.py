@@ -25,6 +25,8 @@ from repro.reliability.matrix import (
     _matrix_spec,
 )
 from repro.corpus import __main__ as corpus_cli
+from repro.traces.compress import CompressedTraceWriter
+from repro.traces.format import EV_LOAD, TraceReader
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +117,47 @@ class TestEnsureHeals:
         assert store.healed == healed_before
         assert store.hits == 1
 
-    def test_verify_reads_off_still_catches_missing_objects(
-        self, template, tmp_path
-    ):
-        copy, _digest = _damaged_copy(template, tmp_path, "delete")
-        store = CorpusStore(copy, verify_reads=False)
+
+
+#: Records a CALTRC02 frame encodes and inflates cleanly, but the
+#: canonical ``<BQI`` record layout the digest hashes cannot hold.
+OUT_OF_LAYOUT = [(EV_LOAD, -64, 8), (EV_LOAD, 64, 1 << 33)]
+
+
+def _out_of_layout_copy(template, tmp_path, record):
+    """A store copy whose one object holds ``record`` and nothing else."""
+    root, digest = template
+    copy = str(tmp_path / "corpus")
+    shutil.copytree(root, copy)
+    path = CorpusStore(copy).object_path(digest)
+    with TraceReader(path) as reader:
+        header = reader.header
+    with CompressedTraceWriter(path, header) as writer:
+        writer.append(*record)
+        writer.set_footer({"records": 1})
+    return copy, digest
+
+
+class TestOutOfLayoutRecords:
+    @pytest.mark.parametrize("record", OUT_OF_LAYOUT, ids=["address", "arg"])
+    def test_ensure_heals(self, template, tmp_path, record):
+        copy, digest = _out_of_layout_copy(template, tmp_path, record)
+        store = CorpusStore(copy)
         resolved = store.ensure(_spec())
         assert resolved.built
+        assert resolved.entry.digest == digest
         assert store.healed == 1
+        events = store.heal_events()
+        assert "canonical <BQI record layout" in events[0]["reason"]
+
+    @pytest.mark.parametrize("record", OUT_OF_LAYOUT, ids=["address", "arg"])
+    def test_verify_reports_and_repair_heals(self, template, tmp_path, record):
+        copy, digest = _out_of_layout_copy(template, tmp_path, record)
+        (problem,) = CorpusStore(copy).verify()
+        assert "unreadable" in problem and "record 0" in problem
+        problems, actions = CorpusStore(copy).repair()
+        assert len(problems) == len(actions) == 1
+        assert CorpusStore(copy).verify() == []
 
 
 class TestReplayHeals:

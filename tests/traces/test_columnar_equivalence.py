@@ -1,18 +1,20 @@
-"""Kernel vs per-record oracle: whole-registry differential suite.
+"""Columnar production vs per-record oracles: a whole-registry suite.
 
-The acceptance gate for the one LRU simulation path: over every registry
-scenario in both container versions — plus a loadgen-composed trace —
-the statistics the batched kernel produces are **bit-identical** to the
-per-record oracle's (``tests/oracle.py``), for the live writers (the
-``RunResult`` a recording returns and its footer), timing replay,
-hierarchy replay (counters, violations, cycles), sharded merges, and
-multi-core per-core attribution.  The same differential-testing pattern
-as ``tests/core/test_fastpath_equivalence``.
+The acceptance gate for the one trace decoder and the one LRU simulation
+path: over every registry scenario in both container versions — plus a
+loadgen-composed trace — production is **bit-identical** to the
+per-record oracles in ``tests/oracle.py``: the record stream
+:meth:`TraceReader.column_batches` decodes, the corpus digest, the live
+writers (the ``RunResult`` a recording returns and its footer), timing
+replay, hierarchy replay (counters, violations, cycles), sharded merges,
+and multi-core per-core attribution.  The same differential-testing
+pattern as ``tests/core/test_fastpath_equivalence``.
 """
 
 import pytest
 
 import oracle
+from repro.corpus.store import canonical_digest
 from repro.loadgen.compose import compose_spec
 from repro.loadgen.schema import ArrivalSpec, LoadScenario, MixEntry
 from repro.traces import CORPUS, record_spec, replay_timing
@@ -78,7 +80,7 @@ ALL_TRACES = [
 def test_column_batches_reproduce_the_record_stream(name, container, recorded):
     path, _ = recorded[name, container]
     with TraceReader(path) as tuples, TraceReader(path) as columns:
-        stream = tuples.records()
+        stream = oracle.records(tuples)
         for batch in columns.column_batches():
             for row in zip(
                 batch.kind.tolist(), batch.address.tolist(), batch.arg.tolist()
@@ -88,12 +90,15 @@ def test_column_batches_reproduce_the_record_stream(name, container, recorded):
         assert columns.footer == tuples.footer
 
 
-def test_column_batches_rejects_mixed_iteration(recorded):
-    path, _ = recorded["server-churn", "v1"]
-    with TraceReader(path) as reader:
-        next(iter(reader.records()))
-        with pytest.raises(RuntimeError, match="records\\(\\)"):
-            reader.column_batches()
+@pytest.mark.parametrize("name,container", ALL_TRACES)
+def test_canonical_digest_matches_the_oracle(name, container, recorded):
+    # The corpus identity: columnar repack + one hash update per batch
+    # against one packed record at a time, and one name per workload
+    # whichever container holds it.
+    path, _ = recorded[name, container]
+    digest = canonical_digest(path)
+    assert digest == oracle.canonical_digest(path)
+    assert digest == canonical_digest(recorded[name, "v1"][0])
 
 
 # -- live writers ---------------------------------------------------------------

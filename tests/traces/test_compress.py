@@ -9,15 +9,18 @@ the on-disk footprint by well over the 4x target on compressible mixes.
 import io
 import zlib
 
+import numpy as np
 import pytest
 
+import oracle
 from repro.traces import CORPUS, record_spec, replay_timing
 from repro.traces.compress import (
     MAGIC_V2,
     MAX_FRAME_RECORDS,
     CompressedTraceWriter,
+    _decode_frame_tokens,
+    _decode_frames_fast,
     compression_summary,
-    decode_frame,
     encode_frame,
     frame_stats,
     transcode,
@@ -39,17 +42,45 @@ INSTRUCTIONS = 5_000
 ALL_SCENARIOS = sorted(CORPUS)
 
 
+def _rows(columns):
+    """One :class:`RecordColumns` batch as ``(kind, address, arg)`` tuples."""
+    return list(
+        zip(
+            columns.kind.tolist(),
+            columns.address.tolist(),
+            columns.arg.tolist(),
+        )
+    )
+
+
+def _reader_rows(reader):
+    return [row for batch in reader.column_batches() for row in _rows(batch)]
+
+
+def _columnar_decode(payload, record_count):
+    """Production's two frame decoders: the vectorized fast path and the
+    token walk it falls back to (which must agree wherever both run)."""
+    tokens = zlib.decompress(payload)
+    walked = _decode_frame_tokens(tokens, record_count)
+    fast = _decode_frames_fast([tokens], [record_count])
+    if fast is not None:
+        assert _rows(fast) == _rows(walked)
+    return _rows(walked)
+
+
 # -- token/frame codec --------------------------------------------------------
 
 
 class TestFrameCodec:
     def roundtrip(self, records):
         payload = encode_frame(records)
-        assert list(decode_frame(payload, len(records))) == records
+        assert list(oracle.decode_frame(payload, len(records))) == records
+        if all(address < 2**63 for _, address, _ in records):
+            assert _columnar_decode(payload, len(records)) == records
         return payload
 
     def test_empty_frame(self):
-        assert list(decode_frame(encode_frame([]), 0)) == []
+        self.roundtrip([])
 
     def test_mixed_records(self):
         self.roundtrip(
@@ -70,6 +101,16 @@ class TestFrameCodec:
                 (EV_STORE, 2**63, 8),
             ]
         )
+        # The columnar decoder's int64 address column refuses the top
+        # half of the u64 range with a diagnosis, never a wrapped value.
+        payload = encode_frame([(EV_LOAD, 2**64 - 1, 8)])
+        with pytest.raises(TraceFormatError, match="int64"):
+            _columnar_decode(payload, 1)
+
+    def test_negative_addresses_and_wide_args_decode(self):
+        # Out of the canonical <BQI layout, but well-formed tokens: the
+        # decoders yield them, and the corpus digest rejects them.
+        self.roundtrip([(EV_LOAD, -64, 8), (EV_STORE, 64, 1 << 33)])
 
     def test_monotone_run_collapses(self):
         # A constant-stride scan should tokenise far below one byte per
@@ -94,7 +135,10 @@ class TestFrameCodec:
     def test_record_count_mismatch_detected(self):
         payload = encode_frame([(EV_LOAD, 64, 8)] * 10)
         with pytest.raises(TraceFormatError, match="promised"):
-            list(decode_frame(payload, 11))
+            list(oracle.decode_frame(payload, 11))
+        assert _decode_frames_fast([zlib.decompress(payload)], [11]) is None
+        with pytest.raises(TraceFormatError, match="promised"):
+            _columnar_decode(payload, 11)
 
 
 # -- container round-trip -----------------------------------------------------
@@ -121,7 +165,7 @@ class TestContainer:
         buffer.seek(0)
         reader = TraceReader(buffer)
         assert reader.version == 2
-        assert list(reader.records()) == records
+        assert _reader_rows(reader) == records
         assert reader.footer == {"records": len(records)}
 
     def test_epochless_trace_flushes_by_cap(self):
@@ -129,13 +173,14 @@ class TestContainer:
         records = [(EV_LOAD, index * 8, 8) for index in range(count)]
         buffer = self._write(records)
         buffer.seek(0)
-        assert sum(1 for _ in TraceReader(buffer).records()) == count
+        batches = list(TraceReader(buffer).column_batches())
+        assert sum(len(batch) for batch in batches) == count
 
     def test_empty_trace(self):
         buffer = self._write([])
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert list(reader.records()) == []
+        assert list(reader.column_batches()) == []
         assert reader.footer == {"records": 0}
 
     def test_magic_detected(self):
@@ -169,8 +214,13 @@ def recorded_pairs(tmp_path_factory):
 def test_v2_record_stream_is_identical(name, recorded_pairs):
     _, v1, v2, _ = recorded_pairs[name]
     with TraceReader(v1) as a, TraceReader(v2) as b:
-        for left, right in zip(a.records(), b.records(), strict=True):
-            assert left == right
+        left = list(a.column_batches())
+        right = list(b.column_batches())
+        for column in ("kind", "address", "arg"):
+            assert np.array_equal(
+                np.concatenate([getattr(batch, column) for batch in left]),
+                np.concatenate([getattr(batch, column) for batch in right]),
+            )
         assert a.footer == b.footer
         assert {k: v for k, v in a.header.items() if k != "format"} == {
             k: v for k, v in b.header.items() if k != "format"
@@ -267,7 +317,7 @@ class TestMalformedCompressed:
     def test_truncated_mid_frame(self, sample):
         reader = TraceReader(io.BytesIO(sample[: len(sample) // 2]))
         with pytest.raises(TraceFormatError, match="truncated|terminator"):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_missing_end_frame(self, sample):
         # Chop the end frame (5-byte head + footer JSON) off exactly.
@@ -276,14 +326,15 @@ class TestMalformedCompressed:
         footer_bytes = len(json.dumps({"records": 505}, sort_keys=True))
         reader = TraceReader(io.BytesIO(sample[: -(5 + footer_bytes)]))
         with pytest.raises(TraceFormatError, match="terminator"):
-            list(reader.records())
+            reader.read_footer()
 
     def test_corrupt_frame_payload(self, sample):
         corrupted = bytearray(sample)
         corrupted[len(corrupted) // 2] ^= 0xFF
         reader = TraceReader(io.BytesIO(bytes(corrupted)))
-        with pytest.raises(TraceFormatError):
-            list(reader.records())
+        with pytest.raises(TraceFormatError) as caught:
+            list(reader.column_batches())
+        assert caught.value.offset is not None
 
     def test_unknown_frame_type(self):
         buffer = io.BytesIO()
@@ -300,7 +351,7 @@ class TestMalformedCompressed:
         corrupted[offset] = 0x7E
         reader = TraceReader(io.BytesIO(bytes(corrupted)))
         with pytest.raises(TraceFormatError, match="frame type"):
-            list(reader.records())
+            list(reader.column_batches())
 
     def test_truncated_magic(self):
         with pytest.raises(TraceFormatError, match="truncated"):
@@ -311,6 +362,18 @@ class TestMalformedCompressed:
         writer = CompressedTraceWriter(path, {"kind": "test"})
         writer.append(EV_LOAD, 64, 8)
         writer.abort()
-        reader = TraceReader(path)
-        with pytest.raises(TraceFormatError):
-            list(reader.records())
+        with TraceReader(path) as reader:
+            with pytest.raises(TraceFormatError, match="terminator"):
+                reader.read_footer()
+
+    def test_read_footer_after_partial_iteration(self, sample, monkeypatch):
+        # Small frame groups, so the 500-record sample spans batches.
+        from repro.traces import compress
+
+        monkeypatch.setattr(compress, "FRAME_GROUP_RECORDS", 150)
+        reader = TraceReader(io.BytesIO(sample))
+        first = next(reader.column_batches())
+        assert len(first) == 202  # two 101-record epoch frames
+        assert reader.footer is None
+        assert reader.read_footer() == {"records": 505}
+        assert list(reader.column_batches()) == []

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import oracle
 from repro.traces.format import (
     EV_CFORM,
     EV_LOAD,
@@ -24,6 +25,17 @@ def _write_sample(target, records, header=None, footer=None):
         writer.set_footer(footer or {"records": len(records)})
 
 
+def _rows(reader):
+    """The reader's record stream, flattened from its column batches."""
+    return [
+        row
+        for batch in reader.column_batches()
+        for row in zip(
+            batch.kind.tolist(), batch.address.tolist(), batch.arg.tolist()
+        )
+    ]
+
+
 class TestRoundTrip:
     def test_records_survive(self):
         records = [
@@ -36,7 +48,7 @@ class TestRoundTrip:
         buffer.seek(0)
         reader = TraceReader(buffer)
         assert reader.header == {"kind": "test"}
-        assert list(reader.records()) == records
+        assert _rows(reader) == records
         assert reader.footer == {"records": 3}
 
     def test_empty_trace(self):
@@ -44,7 +56,7 @@ class TestRoundTrip:
         _write_sample(buffer, [])
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert list(reader.records()) == []
+        assert list(reader.column_batches()) == []
         assert reader.footer == {"records": 0}
 
     def test_path_based_io(self, tmp_path):
@@ -56,37 +68,48 @@ class TestRoundTrip:
 
     def test_streaming_across_flush_boundaries(self):
         # More records than one writer flush and one reader chunk.
-        count = TraceWriter.FLUSH_RECORDS * 2 + 17
+        count = TraceReader.COLUMN_CHUNK_RECORDS + 17
+        assert count > TraceWriter.FLUSH_RECORDS
         records = [(EV_LOAD, index * 64, 8) for index in range(count)]
         buffer = io.BytesIO()
         _write_sample(buffer, records)
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert sum(1 for _ in reader.records()) == count
+        batches = list(reader.column_batches())
+        assert [len(batch) for batch in batches] == [
+            TraceReader.COLUMN_CHUNK_RECORDS, 17
+        ]
+        assert batches[1].address.tolist()[-1] == (count - 1) * 64
 
     def test_read_footer_after_partial_iteration(self):
-        """read_footer continues the shared records iterator — breaking
-        out of an iteration must not lose the buffered chunk."""
-        records = [(EV_LOAD, index * 64, 8) for index in range(100)]
+        """read_footer continues the reader's one column iterator —
+        breaking out of an iteration must not lose the buffered chunk."""
+        count = TraceReader.COLUMN_CHUNK_RECORDS + 100
+        records = [(EV_LOAD, index * 64, 8) for index in range(count)]
         buffer = io.BytesIO()
         _write_sample(buffer, records)
         buffer.seek(0)
         reader = TraceReader(buffer)
-        consumed = []
-        for record in reader.records():
-            consumed.append(record)
-            if len(consumed) == 5:
-                break
-        assert reader.read_footer() == {"records": 100}
+        first = next(reader.column_batches())
+        assert reader.footer is None
+        assert reader.read_footer() == {"records": count}
+        assert first.address.tolist()[:5] == [0, 64, 128, 192, 256]
         # The shared iterator was drained, not restarted.
-        assert consumed == records[:5]
+        assert reader.column_batches() is reader.column_batches()
+        assert list(reader.column_batches()) == []
 
     def test_u64_address_and_u32_arg_bounds(self):
+        # The container stores the full u64/u32 range; the columnar
+        # decoder's int64 address column rejects the top half, located.
         records = [(EV_LOAD, 2**64 - 1, 2**32 - 1)]
         buffer = io.BytesIO()
         _write_sample(buffer, records)
         buffer.seek(0)
-        assert list(TraceReader(buffer).records()) == records
+        assert list(oracle.records(TraceReader(buffer))) == records
+        buffer.seek(0)
+        with pytest.raises(TraceFormatError, match="int64") as caught:
+            list(TraceReader(buffer).column_batches())
+        assert caught.value.offset is not None
 
 
 class TestMalformedFiles:
@@ -105,8 +128,17 @@ class TestMalformedFiles:
         # Chop the footer and terminator off.
         raw = buffer.getvalue()[: -(RECORD_SIZE + 2)]
         reader = TraceReader(io.BytesIO(raw))
-        with pytest.raises(TraceFormatError):
-            list(reader.records())
+        with pytest.raises(TraceFormatError, match="truncated|terminator"):
+            list(reader.column_batches())
+
+    def test_missing_terminator_at_record_boundary(self):
+        buffer = io.BytesIO()
+        _write_sample(buffer, [(EV_LOAD, 0, 8)], footer={"records": 1})
+        # Whole records survive; the terminator and footer are gone.
+        raw = buffer.getvalue()[: -(RECORD_SIZE + len('{"records": 1}'))]
+        reader = TraceReader(io.BytesIO(raw))
+        with pytest.raises(TraceFormatError, match="terminator"):
+            reader.read_footer()
 
     def test_truncated_footer(self):
         buffer = io.BytesIO()
@@ -114,7 +146,7 @@ class TestMalformedFiles:
         raw = buffer.getvalue()[:-50]
         reader = TraceReader(io.BytesIO(raw))
         with pytest.raises(TraceFormatError, match="footer"):
-            list(reader.records())
+            reader.read_footer()
 
     def test_path_based_errors_name_file_and_offset(self, tmp_path):
         """Failures must be attributable to one file and one position —
@@ -126,7 +158,7 @@ class TestMalformedFiles:
             handle.truncate(size - (RECORD_SIZE + 20))
         with pytest.raises(TraceFormatError) as caught:
             with TraceReader(path) as reader:
-                list(reader.records())
+                list(reader.column_batches())
         assert caught.value.path == path
         assert caught.value.offset is not None
         assert path in str(caught.value)

