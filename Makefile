@@ -185,8 +185,11 @@ loadgen-smoke:
 ## hierarchy + shared-L3 modes) and through the per-record oracle in
 ## tests/oracle.py (the same CLI with the oracle's scalar decoder and
 ## replayers swapped in), and require byte-identical statistics output.
-## The printed replay summaries carry no timing, so `cmp` is the whole
-## check.
+## The attack driver and the loadgen composer each record a trace too:
+## their footers come from the same accountant as the production replay,
+## so the oracle's timing replay is the independent check of those
+## writers.  The printed replay summaries carry no timing, so `cmp` is
+## the whole check.
 kernel-smoke:
 	@$(DEMO_DIR_SETUP); \
 	$(PY) -m repro.traces record --scenario server-churn \
@@ -210,7 +213,17 @@ kernel-smoke:
 			--cores 2 > "$$dir/$$version-mc-oracle.txt"; \
 		cmp "$$dir/$$version-mc-kernel.txt" "$$dir/$$version-mc-oracle.txt"; \
 	done; \
-	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02"
+	$(PY) -m repro.traces record --scenario attack-replay \
+		--instructions 8000 --out "$$dir/attack-replay.trace"; \
+	$(PY) -m repro loadgen generate uniform-churn \
+		--out "$$dir/uniform-churn.trace"; \
+	for name in attack-replay uniform-churn; do \
+		trace="$$dir/$$name.trace"; \
+		$(PY) -m repro.traces replay "$$trace" > "$$dir/$$name-kernel.txt"; \
+		$(ORACLE) replay "$$trace" > "$$dir/$$name-oracle.txt"; \
+		cmp "$$dir/$$name-kernel.txt" "$$dir/$$name-oracle.txt"; \
+	done; \
+	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02, and on the attack and loadgen writers"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).

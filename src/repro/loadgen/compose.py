@@ -10,21 +10,25 @@ replayers and the multi-core engine unchanged:
    a ``0.55/0.25/0.20`` mix over 6 tenants is 3+2+1 deterministically);
 2. each tenant's arrival timeline is drawn from its private seeded
    stream (:mod:`repro.loadgen.arrivals`);
-3. each tenant runs its workload profile's own driver (the generator,
-   or the attack campaign for adversarial mixes) through a capture sink
-   that slices the event stream into per-burst operation chunks — one
-   chunk per arrival, the first chunk carrying the tenant's cold-start
-   working-set fault-in;
+3. each tenant's workload profile runs through its driver's emit-only
+   entry (the generator's :func:`~repro.workloads.generator.emit_trace`,
+   or the attack campaign's for adversarial mixes) with no accountant:
+   the record columns are captured and cut at burst ends into per-burst
+   operation chunks — one chunk per arrival, the first chunk carrying
+   the tenant's cold-start working-set fault-in;
 4. tenant addresses are offset into disjoint namespaces
    (``tenant * TENANT_ADDRESS_STRIDE``) and the chunks are merged by
-   arrival time into one open-loop stream, counted in a fresh tag-only
-   ladder with the replayer's exact accounting semantics — so the
-   recorded footer verifies bit-identically on replay.
+   arrival time into one open-loop stream, which goes through one
+   :class:`~repro.memory.kernel.RecordBuffer` to the same timing
+   accountant a replay uses — so the recorded footer verifies
+   bit-identically on replay.
 
-The capture sinks never consume a tenant generator's RNG and the merge
-is a pure function of the document, so two compositions of the same
-scenario are byte-identical — the determinism the corpus store's
-content addressing relies on.
+The composer counts only the instructions it models (each arrival's
+burst and the CFORM work its records carry); the accountant counts
+everything else.  Tenant capture never consumes a tenant generator's RNG
+and the merge is a pure function of the document, so two compositions
+of the same scenario are byte-identical — the determinism the corpus
+store's content addressing relies on.
 """
 
 from __future__ import annotations
@@ -33,24 +37,23 @@ import hashlib
 import heapq
 from dataclasses import replace
 
+import numpy as np
+
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.schema import LoadScenario
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
-from repro.memory.kernel import TouchBuffer
+from repro.memory.kernel import EV_CFORM, EV_WARM, RecordBuffer
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
-from repro.traces import recorder
+from repro.traces.attack_driver import emit_attack_trace
 from repro.traces.registry import TraceScenarioSpec, corpus_spec
 from repro.workloads.generator import (
     ALLOC_HOOK_INSTRUCTIONS,
     CFORM_SETUP_INSTRUCTIONS,
-    EV_ALLOC,
-    EV_CFORM,
-    EV_LOAD,
-    EV_STORE,
-    EV_WARM,
     RunResult,
     Scenario,
+    counted_run,
+    emit_trace,
 )
 
 #: Per-tenant address-space stride.  Above every address the tenant
@@ -120,44 +123,56 @@ def tenant_spec(
     )
 
 
-class _CaptureSink:
-    """Trace-engine sink slicing the event stream into per-burst chunks."""
+#: The emit-only entry of each tenant driver (tenants are registry
+#: scenarios, so never composed themselves).
+_EMITTERS = {"generator": emit_trace, "attacks": emit_attack_trace}
 
-    __slots__ = ("chunks", "_current")
+
+class _TenantCapture:
+    """Emit-only consumer: a tenant stream's record blocks and burst ends."""
+
+    __slots__ = ("blocks", "burst_ends")
 
     def __init__(self) -> None:
-        self.chunks: list[list[tuple[int, int, int]]] = []
-        self._current: list[tuple[int, int, int]] = []
+        self.blocks: list[tuple] = []
+        self.burst_ends: list[int] = []
 
-    def append(self, kind: int, address: int, arg: int) -> None:
-        self._current.append((kind, address, arg))
+    def consume(self, kinds, addresses, args) -> None:
+        self.blocks.append((kinds, addresses, args))
 
-    def burst(self) -> None:
-        self.chunks.append(self._current)
-        self._current = []
+    def burst(self, records: RecordBuffer) -> None:
+        self.burst_ends.append(records.count)
 
 
-def _tenant_chunks(
-    spec: TraceScenarioSpec, config: HierarchyConfig, ops: int
-) -> list[list[tuple[int, int, int]]]:
-    """Capture ``ops`` per-burst operation chunks of one tenant stream."""
-    sink = _CaptureSink()
-    recorder._driver_for(spec)(
+def _tenant_stream(spec: TraceScenarioSpec, ops: int, offset: int = 0):
+    """Capture the first ``ops`` bursts of one tenant's record stream.
+
+    Returns ``(kinds, addresses, args, bounds)``: the record columns,
+    addresses moved up by ``offset``, and the burst ends — chunk ``i``
+    is rows ``bounds[i]:bounds[i + 1]``.
+    """
+    capture = _TenantCapture()
+    records = RecordBuffer(capture)
+    _EMITTERS[spec.driver](
+        records,
         spec.profile,
         spec.build_scenario(),
         instructions=spec.instructions,
         seed=spec.seed,
-        config=config,
         warmup_fraction=spec.warmup_fraction,
-        sink=sink,
         quarantine_delay=spec.quarantine_delay,
     )
-    if len(sink.chunks) < ops:
+    records.flush()
+    if len(capture.burst_ends) < ops:
         raise RuntimeError(
-            f"tenant stream {spec.name!r} produced {len(sink.chunks)} "
+            f"tenant stream {spec.name!r} produced {len(capture.burst_ends)} "
             f"bursts for {ops} arrivals"
         )
-    return sink.chunks[:ops]
+    bounds = [0] + capture.burst_ends[:ops]
+    kinds, addresses, args = (
+        np.concatenate(column)[: bounds[-1]] for column in zip(*capture.blocks)
+    )
+    return kinds, addresses + offset, args, bounds
 
 
 def run_composed(
@@ -168,14 +183,13 @@ def run_composed(
 ) -> RunResult:
     """Compose and play one load scenario; ``run_trace``-shaped result.
 
-    Every tenant chunk is counted in merged arrival order in a fresh
-    tag-only ladder using the replayer's exact semantics (CFORM
-    expansion, warmup counter reset at the emitted ``EV_WARM``), so the
-    returned statistics — and hence the recorded footer — verify
-    bit-identically on replay.  ``sink`` receives the merged stream
-    (one ``burst()`` per chunk, so epoch markers land between arrivals
-    and shard splits never tear an allocation cluster); the accounting
-    is identical with or without it.
+    The merged stream (tenant chunks in arrival order, plus the
+    composition's ``EV_WARM`` boundary) is counted by the same timing
+    accountant a replay uses, so the returned statistics — and hence
+    the recorded footer — verify bit-identically on replay.  ``sink``
+    consumes the same record blocks; every chunk ends a burst, so epoch
+    markers land between arrivals and shard splits never tear an
+    allocation cluster.
     """
     with telemetry_span(
         "loadgen/compose",
@@ -197,23 +211,20 @@ def _run_composed(
 ) -> RunResult:
     tenant_profiles = apportion_tenants(load)
     tenant_times = timelines(load)
-    merged_streams = []
-    burst_cost: dict[int, float] = {}
+    streams: dict[int, tuple] = {}
+    arrivals = []
     for tenant, profile_name in enumerate(tenant_profiles):
         times = tenant_times[tenant]
         if not times:
             continue
         spec = tenant_spec(load, tenant, profile_name, len(times))
-        chunks = _tenant_chunks(spec, config, len(times))
-        burst_cost[tenant] = _burst_instructions(spec)
-        offset = tenant * TENANT_ADDRESS_STRIDE
-        merged_streams.append(
-            [
-                (time_s, tenant, index, offset, chunk)
-                for index, (time_s, chunk) in enumerate(zip(times, chunks))
-            ]
+        streams[tenant] = _tenant_stream(
+            spec, len(times), tenant * TENANT_ADDRESS_STRIDE
+        ) + (_burst_instructions(spec),)
+        arrivals.append(
+            [(time_s, tenant, index) for index, time_s in enumerate(times)]
         )
-    if not merged_streams:
+    if not arrivals:
         raise ValueError(
             f"load scenario {load.name!r} produced no arrivals "
             f"(rate {load.arrival.lambda_per_s:g}/s over "
@@ -223,77 +234,53 @@ def _run_composed(
     if tel is not None:
         tel.inc(
             "loadgen_arrivals_total",
-            sum(len(stream) for stream in merged_streams),
+            sum(len(stream) for stream in arrivals),
             scenario=load.name,
         )
 
-    ladder = TouchBuffer(config)
-    touch = ladder.touch
-    record = sink.append if sink is not None else None
-
-    app_instructions = 0.0
-    overhead_instructions = 0.0
-    cform_lines = 0
-    cform_records = 0
-    alloc_events = 0
-    warm_pending = load.warmup_s > 0.0
-
-    def discard_warmup() -> None:
-        nonlocal app_instructions, overhead_instructions, cform_lines
-        nonlocal cform_records, alloc_events
-        ladder.reset_counters()
+    def emit(records: RecordBuffer) -> int:
         app_instructions = 0.0
-        overhead_instructions = 0.0
         cform_lines = 0
         cform_records = 0
-        alloc_events = 0
-        if record is not None:
-            record(EV_WARM, 0, 0)
+        warm_pending = load.warmup_s > 0.0
+        # Tenants' timelines are sorted; (time, tenant, index) is a total
+        # order, so the merge is deterministic even on equal timestamps.
+        for time_s, tenant, index in heapq.merge(*arrivals):
+            if warm_pending and time_s >= load.warmup_s:
+                warm_pending = False
+                records.append(EV_WARM, 0, 0)
+                app_instructions = 0.0
+                cform_lines = cform_records = 0
+            kinds, addresses, args, bounds, burst_cost = streams[tenant]
+            start, stop = bounds[index], bounds[index + 1]
+            chunk_kinds, chunk_args = kinds[start:stop], args[start:stop]
+            records.extend(chunk_kinds, addresses[start:stop], chunk_args)
+            app_instructions += burst_cost
+            cform = chunk_args[chunk_kinds == EV_CFORM]
+            cform_lines += int(cform.sum())
+            cform_records += len(cform)
+            records.burst_end()
+        if warm_pending:
+            # Every arrival fell inside the warmup prefix: the boundary
+            # still lands (trailing), so replay agrees the run measured
+            # nothing past warmup.
+            records.append(EV_WARM, 0, 0)
+            app_instructions = 0.0
+            cform_lines = cform_records = 0
+        # One allocation hook per CFORM pair (free side + alloc side), as
+        # in the generator's accounting; attack tenants emit no CFORM.
+        overhead = (
+            cform_lines * (1 + CFORM_SETUP_INSTRUCTIONS)
+            + (cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
+        )
+        return int(app_instructions + overhead)
 
-    # Tenants' streams are time-sorted; (time, tenant, index) is a total
-    # order, so the merge is deterministic even on equal timestamps.
-    for time_s, tenant, index, offset, chunk in heapq.merge(
-        *merged_streams, key=lambda item: (item[0], item[1], item[2])
-    ):
-        if warm_pending and time_s >= load.warmup_s:
-            warm_pending = False
-            discard_warmup()
-        app_instructions += burst_cost[tenant]
-        for kind, address, arg in chunk:
-            address += offset
-            if record is not None:
-                record(kind, address, arg)
-            if kind == EV_LOAD or kind == EV_STORE:
-                touch(address)
-            elif kind == EV_CFORM:
-                cform_records += 1
-                cform_lines += arg
-                overhead_instructions += arg * (1 + CFORM_SETUP_INSTRUCTIONS)
-                for line_index in range(arg):
-                    touch(address + line_index * 64)
-            elif kind == EV_ALLOC:
-                alloc_events += 1
-            # EV_FREE carries no cache touches.
-        ladder.burst_end()
-        if sink is not None:
-            sink.burst()
-    if warm_pending:
-        # Every arrival fell inside the warmup prefix: the boundary
-        # still lands (trailing), so replay agrees the run measured
-        # nothing past warmup.
-        discard_warmup()
-
-    # One allocation hook per CFORM pair (free side + alloc side), as in
-    # the generator's accounting; attack tenants emit no CFORM records.
-    overhead_instructions += (cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
-
-    return RunResult(
-        benchmark=f"loadgen/{load.name}",
-        scenario=scenario if scenario is not None else Scenario.baseline(),
-        instructions=int(app_instructions + overhead_instructions),
-        events=ladder.events(),
-        cform_instructions=cform_lines,
-        alloc_events=alloc_events,
+    return counted_run(
+        f"loadgen/{load.name}",
+        scenario if scenario is not None else Scenario.baseline(),
+        config,
+        sink,
+        emit,
     )
 
 

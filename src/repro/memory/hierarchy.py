@@ -260,7 +260,7 @@ class MemoryHierarchy:
         work).
         """
         from repro.core.cform import CformRequest
-        from repro.memory.kernel import KIND_CFORM, KIND_LOAD, KIND_STORE
+        from repro.memory.kernel import EV_CFORM, EV_LOAD, EV_STORE
 
         l1_load = self.l1.load
         l1_store = self.l1.store
@@ -272,20 +272,20 @@ class MemoryHierarchy:
         for kind, address, arg in zip(
             kinds.tolist(), addresses.tolist(), args.tolist()
         ):
-            if kind == KIND_LOAD:
+            if kind == EV_LOAD:
                 if 0 < arg and (address & offset_mask) + arg <= line_size:
                     if l1_load(address, arg)[1] is not None:
                         violations += 1
                 else:
                     violations += len(self.load(address, arg)[1])
-            elif kind == KIND_STORE:
+            elif kind == EV_STORE:
                 data = bytes([address & 0xFF]) * arg
                 if 0 < arg <= line_size - (address & offset_mask):
                     if l1_store(address, data) is not None:
                         violations += 1
                 else:
                     violations += len(self.store(address, data))
-            elif kind == KIND_CFORM:
+            elif kind == EV_CFORM:
                 for line_index in range(arg):
                     line_address = (address + line_index * 64) & ~63
                     # Object churn re-califorms reused lines; CFORM-set

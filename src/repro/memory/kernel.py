@@ -1,14 +1,18 @@
 """Batched tag-hierarchy kernel: the one LRU simulator of the timing path.
 
 Every timing statistic (Figures 4 and 10–12) is a count of hits and
-misses of an access stream through tag-only L1/L2/L3 LRU caches.  This
-module computes those counts a column of addresses at a time: the trace
-layer decodes whole epochs into parallel numpy arrays
+misses of an access stream through tag-only L1/L2/L3 LRU caches.  The
+stream is a sequence of ``EV_*`` records, defined here.  The trace layer
+decodes whole epochs into parallel numpy columns
 (:class:`repro.traces.format.RecordColumns`), and the live writers (the
-workload generator, the attack driver and the loadgen composer) append
-their touches to a :class:`TouchBuffer` that hands them over in blocks.
-The kernel resolves set indices, tag matches, LRU victim selection and
-miss accounting over those arrays in vectorized batches.
+workload generator, the attack driver and the loadgen composer) emit
+their records into a :class:`RecordBuffer` that hands them over as the
+same columns in blocks.  Either way the columns reach one
+:class:`TimingAccountant` — the single rule that turns records into
+counts: warm reset, CFORM line expansion (:func:`expand_touches`), and
+the CFORM/ALLOC tallies.  The kernel under it resolves set indices, tag
+matches, LRU victim selection and miss accounting over those arrays in
+vectorized batches.
 
 Exactness is the design constraint, not an aspiration: every statistic a
 kernel produces is **bit-identical** to a one-access-at-a-time LRU
@@ -40,6 +44,7 @@ change LRU state:
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -47,30 +52,38 @@ from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig
 
-#: The trace event kinds, as the kernel's own vocabulary.  These mirror
-#: the ``EV_*`` constants of :mod:`repro.workloads.generator` (re-exported
-#: by :mod:`repro.traces.format`); the memory layer cannot import the
-#: workload engine without an import cycle, and the codes are frozen by
-#: the trace container magic anyway.  A unit test pins the two sets to
-#: each other so they cannot drift.
-KIND_LOAD = 0
-KIND_STORE = 1
-KIND_ALLOC = 2
-KIND_FREE = 3
-KIND_CFORM = 4
-KIND_WARM = 5
-KIND_EPOCH = 6
+# -- the record stream --------------------------------------------------------
+#
+# Every workload is a stream of ``(kind, address, arg)`` records, defined
+# here because this module interprets them (``repro.workloads.generator``
+# and ``repro.traces.format`` re-export them; the codes are frozen by the
+# trace container magic).  One LOAD/STORE record per cache touch; one
+# CFORM record per (de)allocation-side califorming (it expands to ``arg``
+# line touches); ALLOC/FREE carry the carved object size and touch
+# nothing; WARM marks the end-of-warmup counter reset; EPOCH markers sit
+# between bursts and delimit shard boundaries.
+EV_LOAD = 0
+EV_STORE = 1
+EV_ALLOC = 2
+EV_FREE = 3
+EV_CFORM = 4
+EV_WARM = 5
+EV_EPOCH = 6
 
 #: Byte stride of one CFORM line touch during replay (the trace format
 #: defines CFORM expansion as ``address + i * 64`` regardless of the
 #: simulated geometry's line size).
 CFORM_LINE_STRIDE = 64
 
-#: Touches a :class:`TouchBuffer` collects before it hands them to the
-#: kernel.  The buffer is flushed at the first burst end that reaches
+#: Records a :class:`RecordBuffer` collects before it hands them to its
+#: consumers.  The buffer is flushed at the first burst end that reaches
 #: this size, so a live run holds about one block of its stream at a
 #: time; the statistics do not depend on the value.
 TOUCH_BLOCK = 16384
+
+#: Records a :meth:`RecordBuffer.sweep` appends between flushes, so a
+#: long sweep reaches the consumers in bounded blocks (peak memory).
+SWEEP_BLOCK = TOUCH_BLOCK
 
 
 #: Below this many concurrently active sets, a vectorized round costs
@@ -428,44 +441,192 @@ class LadderKernel:
         return report
 
 
-class TouchBuffer:
-    """Buffered front end of a 3-level :class:`LadderKernel` for writers.
+class RecordBuffer:
+    """The writers' record stream, handed to its consumers in blocks.
 
-    A live writer calls :attr:`touch` once per cache touch: it is the
-    bound ``append`` of an ``array('q')``, so the hot loop does no cache
-    work.  :meth:`burst_end` hands the buffered touches to
-    :meth:`LadderKernel.touch_block` once :data:`TOUCH_BLOCK` of them
-    have accumulated; :meth:`reset_counters` (the warm boundary) and
-    :meth:`events` flush whatever is pending first, so counters always
-    describe the whole stream appended so far.
+    A live writer emits ``(kind, address, arg)`` records: :meth:`append`
+    for one record, :meth:`run` for a burst of same-kind touches (the
+    hot path: one ``array('q').extend`` of addresses plus one
+    ``(kind, arg, count)`` triple, expanded with ``np.repeat`` at flush),
+    :meth:`sweep` for a long same-kind run and :meth:`extend` for record
+    columns.
+    Every consumer is an object with ``consume(kinds, addresses, args)``
+    receiving each block as uint8/int64/int64 columns in stream order;
+    a consumer may also define ``burst(records)``, called at every
+    :meth:`burst_end` before the block check, where it may append marker
+    records (the recorder's EPOCH markers) or note :attr:`count`.
+
+    :meth:`burst_end` hands the pending records over once
+    :data:`TOUCH_BLOCK` of them have accumulated; :meth:`flush` hands
+    over whatever is pending.
     """
 
-    __slots__ = ("ladder", "touch", "_pending")
+    __slots__ = (
+        "_consumers", "_burst_hooks", "_addresses", "_runs", "flushed",
+    )
 
-    def __init__(self, config: HierarchyConfig):
-        self.ladder = LadderKernel(config, levels=3)
-        self._pending = array("q")
-        self.touch = self._pending.append
+    def __init__(self, *consumers):
+        self._consumers = [consumer.consume for consumer in consumers]
+        self._burst_hooks = [
+            consumer.burst
+            for consumer in consumers
+            if hasattr(consumer, "burst")
+        ]
+        self._addresses = array("q")
+        self._runs = array("q")  # (kind, arg, count) triples
+        #: Records already handed to the consumers.
+        self.flushed = 0
+
+    def append(self, kind: int, address: int, arg: int) -> None:
+        self._addresses.append(address)
+        self._runs.extend((kind, arg, 1))
+
+    def run(self, kind: int, addresses, arg: int) -> None:
+        """Append one record per address (a list or range), all of
+        ``kind`` and ``arg``."""
+        self._addresses.extend(addresses)
+        self._runs.extend((kind, arg, len(addresses)))
+
+    def sweep(self, kind: int, addresses, arg: int) -> None:
+        """:meth:`run` for a long iterable (a pre-warm sweep of a
+        multi-MB heap), flushed every :data:`SWEEP_BLOCK` records."""
+        addresses = iter(addresses)
+        pending = self._addresses
+        while True:
+            before = len(pending)
+            pending.extend(islice(addresses, SWEEP_BLOCK))
+            if len(pending) == before:
+                return
+            self._runs.extend((kind, arg, len(pending) - before))
+            if len(pending) >= TOUCH_BLOCK:
+                self.flush()
+
+    def extend(self, kinds, addresses, args) -> None:
+        """Append record columns (numpy arrays of equal length)."""
+        runs = np.ones((len(kinds), 3), dtype=np.int64)
+        runs[:, 0] = kinds
+        runs[:, 1] = args
+        self._addresses.frombytes(
+            np.asarray(addresses, dtype=np.int64).tobytes()
+        )
+        self._runs.frombytes(runs.tobytes())
+
+    @property
+    def count(self) -> int:
+        """Records emitted so far, handed over or pending."""
+        return self.flushed + len(self._addresses)
 
     def burst_end(self) -> None:
-        """Flush if a full block is pending."""
-        if len(self._pending) >= TOUCH_BLOCK:
+        """Run the burst hooks, then flush if a full block is pending."""
+        for burst in self._burst_hooks:
+            burst(self)
+        if len(self._addresses) >= TOUCH_BLOCK:
             self.flush()
 
     def flush(self) -> None:
-        pending = self._pending
-        if pending:
-            self.ladder.touch_block(np.frombuffer(pending, dtype=np.int64))
-            del pending[:]
+        pending = self._addresses
+        if not pending:
+            return
+        runs = np.frombuffer(self._runs, dtype=np.int64).reshape(-1, 3)
+        counts = runs[:, 2]
+        kinds = np.repeat(runs[:, 0].astype(np.uint8), counts)
+        args = np.repeat(runs[:, 1], counts)
+        addresses = np.frombuffer(pending, dtype=np.int64).copy()
+        del runs, counts  # release the buffer views before resizing
+        del pending[:]
+        del self._runs[:]
+        self.flushed += len(addresses)
+        for consume in self._consumers:
+            consume(kinds, addresses, args)
 
-    def reset_counters(self) -> None:
-        """End of warmup: simulate the pending touches, then zero."""
-        self.flush()
+
+def check_kinds(kinds) -> None:
+    """Reject a record column holding a kind beyond the ``EV_*`` codes."""
+    unknown = np.flatnonzero(kinds > EV_EPOCH)
+    if unknown.size:
+        # The trace layer imports this module, so its error is resolved
+        # late.
+        from repro.traces.format import TraceFormatError
+
+        raise TraceFormatError(f"unknown record kind {int(kinds[unknown[0]])}")
+
+
+class RecordAccountant:
+    """The one walk that turns record columns into run statistics.
+
+    :meth:`consume` rejects unknown kinds, splits each block at EV_WARM
+    records (only when ``honor_warm``: a whole trace or live run honours
+    its warmup boundary, a shard region counts every record), tallies
+    the touches, CFORM lines and ALLOC events of each segment, and hands
+    the segment to :meth:`segment`, the subclass's simulator.  At a
+    warm record the tallies restart and :meth:`warm` resets the
+    simulator's counters.
+    """
+
+    def __init__(self, honor_warm: bool = True):
+        self.honor_warm = honor_warm
+        self.touches = 0
+        self.cform_lines = 0
+        self.alloc_events = 0
+
+    def consume(self, kinds, addresses, args) -> None:
+        check_kinds(kinds)
+        end = len(kinds)
+        warm = []
+        if self.honor_warm:
+            warm = np.flatnonzero(kinds == EV_WARM).tolist()
+        start = 0
+        for stop in warm + [end]:
+            if stop > start:
+                segment_kinds = kinds[start:stop]
+                segment_args = args[start:stop]
+                lines = int(segment_args[segment_kinds == EV_CFORM].sum())
+                accesses = np.count_nonzero(
+                    (segment_kinds == EV_LOAD) | (segment_kinds == EV_STORE)
+                )
+                self.touches += lines + int(accesses)
+                self.cform_lines += lines
+                self.alloc_events += int(
+                    np.count_nonzero(segment_kinds == EV_ALLOC)
+                )
+                self.segment(
+                    start, segment_kinds, addresses[start:stop], segment_args
+                )
+            if stop < end:
+                self.warm(stop)
+                self.touches = 0
+                self.cform_lines = 0
+                self.alloc_events = 0
+            start = stop + 1
+
+    def segment(self, start: int, kinds, addresses, args) -> None:
+        """Simulate one warm-free segment starting at block index ``start``."""
+        raise NotImplementedError
+
+    def warm(self, position: int) -> None:
+        """The EV_WARM record at block index ``position``: reset counters."""
+        raise NotImplementedError
+
+
+class TimingAccountant(RecordAccountant):
+    """The accountant every timing ``RunResult`` comes from.
+
+    Expands each segment's touches (:func:`expand_touches`) into a cold
+    3-level :class:`LadderKernel`; live writers, whole-trace replay and
+    shard replay all read their events and tallies from it.
+    """
+
+    def __init__(self, config: HierarchyConfig, honor_warm: bool = True):
+        super().__init__(honor_warm)
+        self.ladder = LadderKernel(config, levels=3)
+
+    def segment(self, start, kinds, addresses, args) -> None:
+        self.ladder.touch_block(expand_touches(kinds, addresses, args)[0])
+
+    def warm(self, position) -> None:
         self.ladder.reset_counters()
 
     def events(self) -> MemoryEventCounts:
-        """Flush, then report the ladder's event counts."""
-        self.flush()
         return self.ladder.events()
 
 
@@ -480,19 +641,18 @@ def expand_touches(kinds, addresses, args):
     carries any per-record annotation (e.g. a multi-core slot) onto the
     touch column.
     """
-    counts = np.zeros(len(kinds), dtype=np.int64)
-    counts[(kinds == KIND_LOAD) | (kinds == KIND_STORE)] = 1
-    cform = kinds == KIND_CFORM
-    if cform.any():
-        counts[cform] = args[cform]
-    total = int(counts.sum())
-    base = np.repeat(addresses, counts)
-    if total and cform.any():
-        # Intra-record index: 0 for single touches, 0..arg-1 inside a
-        # CFORM line walk, stepping the touch address by 64 per line.
-        starts = np.cumsum(counts) - counts
-        intra = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        touch_addresses = base + intra * CFORM_LINE_STRIDE
-    else:
-        touch_addresses = base
+    single = (kinds == EV_LOAD) | (kinds == EV_STORE)
+    cform = kinds == EV_CFORM
+    if not cform.any():
+        return np.compress(single, addresses), single.astype(np.int64)
+    counts = np.where(cform, args, single)
+    touch_addresses = np.repeat(addresses, counts)
+    # Line walks: the i-th touch of a CFORM record steps 64 bytes per
+    # line.  Only the (few) CFORM touches are indexed.
+    lines = counts[cform]
+    first = (np.cumsum(counts) - counts)[cform]
+    walk = np.arange(int(lines.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(lines) - lines, lines
+    )
+    touch_addresses[np.repeat(first, lines) + walk] += walk * CFORM_LINE_STRIDE
     return touch_addresses, counts

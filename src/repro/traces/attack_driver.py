@@ -6,8 +6,10 @@ use-after-free, heap scans, ...) against the schemes' functional models.
 This driver turns the *memory behaviour* of that suite into a recordable
 workload with the same contract as
 :func:`repro.workloads.generator.run_trace`: a deterministic campaign of
-heap grooming plus attack probe bursts, counted in the tag-only cache
-ladder, with every touch optionally emitted to a trace-engine sink.  A
+heap grooming plus attack probe bursts, emitted as ``EV_*`` records
+(:func:`emit_attack_trace`) and counted by the same timing accountant as
+every other writer, with the record blocks optionally handed to a
+trace-engine sink too.  A
 recorded ``attack-replay`` trace therefore replays bit-identically
 through the standard replayers — the corpus can persist
 adversarial traffic next to the benign mixes, and cache-side studies
@@ -27,7 +29,8 @@ The campaign structure per burst:
 Instruction accounting mirrors the generator (``burst_length /
 mem_ratio`` application instructions per burst, warmup discarded at the
 ``EV_WARM`` boundary), so pipeline-model cycles are comparable across
-benign and adversarial traces.
+benign and adversarial traces; the driver counts only those
+instructions, the accountant everything else.
 """
 
 from __future__ import annotations
@@ -41,16 +44,15 @@ from repro.analysis.attacks import (
     ATTACK_NAMES,
 )
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
-from repro.memory.kernel import TouchBuffer
-from repro.workloads.generator import (
+from repro.memory.kernel import (
     EV_ALLOC,
     EV_FREE,
     EV_LOAD,
     EV_STORE,
     EV_WARM,
-    RunResult,
-    Scenario,
+    RecordBuffer,
 )
+from repro.workloads.generator import RunResult, Scenario, counted_run
 from repro.workloads.specs import BenchmarkProfile
 
 #: Heap placement mirrors the generator's synthetic address space.
@@ -81,30 +83,39 @@ def run_attack_trace(
 ) -> RunResult:
     """Simulate one attack campaign; same contract as ``run_trace``.
 
-    The sink never consumes ``rng``, so a recorded campaign is
-    bit-identical to an unrecorded one (the round-trip invariant).
-    ``scenario`` participates only through the result (attack traffic
-    probes raw memory; no layout inflation or CFORM work is modelled).
+    The sink consumes the same record blocks the accountant counts, so
+    a recorded campaign is bit-identical to an unrecorded one (the
+    round-trip invariant).  ``scenario`` participates only through the
+    result (attack traffic probes raw memory; no layout inflation or
+    CFORM work is modelled).
     """
+    return counted_run(
+        profile.name,
+        scenario,
+        config,
+        sink,
+        lambda records: emit_attack_trace(
+            records, profile, scenario, instructions, seed,
+            warmup_fraction, quarantine_delay,
+        ),
+    )
+
+
+def emit_attack_trace(
+    records: RecordBuffer,
+    profile: BenchmarkProfile,
+    scenario: Scenario,
+    instructions: int = 200_000,
+    seed: int = 0,
+    warmup_fraction: float = 1.0,
+    quarantine_delay: int = 16,
+) -> int:
+    """Emit one attack campaign's record stream; return its instructions."""
     rng = random.Random(f"{profile.name}:{seed}")
-
-    ladder = TouchBuffer(config)
-    touch = ladder.touch
-    burst_end = ladder.burst_end
-
-    if sink is None:
-        record = None
-        touch_load = touch_store = touch
-    else:
-        record = sink.append
-
-        def touch_load(address: int) -> None:
-            record(EV_LOAD, address, 8)
-            touch(address)
-
-        def touch_store(address: int) -> None:
-            record(EV_STORE, address, 8)
-            touch(address)
+    append = records.append
+    run = records.run
+    burst_end = records.burst_end
+    burst_length = profile.burst_length
 
     # -- victim population --------------------------------------------------
     # A fixed-stride arena of victim slots; grooming recycles them
@@ -119,15 +130,19 @@ def run_attack_trace(
 
     # Pre-warm every victim line once, like the generator's first-touch
     # sweep, so measured misses reflect probe behaviour, not cold starts.
-    for base in victims:
-        for line_offset in range(0, _VICTIM_SIZE, 64):
-            touch_load(base + line_offset)
-        burst_end()
+    records.sweep(
+        EV_LOAD,
+        (
+            line
+            for base in victims
+            for line in range(base, base + _VICTIM_SIZE, 64)
+        ),
+        8,
+    )
 
     skew_exponent = 1.0 / profile.locality_skew
-    burst_instructions = profile.burst_length / profile.mem_ratio
+    burst_instructions = burst_length / profile.mem_ratio
     app_instructions = 0.0
-    alloc_events = 0
     alloc_accumulator = 0.0
 
     attack_kinds = ATTACK_NAMES
@@ -139,12 +154,9 @@ def run_attack_trace(
     while app_instructions < total_budget:
         if not warm and app_instructions >= warmup_budget:
             warm = True
-            ladder.reset_counters()
             app_instructions -= warmup_budget
             total_budget -= warmup_budget
-            alloc_events = 0
-            if record is not None:
-                record(EV_WARM, 0, 0)
+            append(EV_WARM, 0, 0)
         app_instructions += burst_instructions
 
         index = int(victim_count * rng.random() ** skew_exponent)
@@ -152,42 +164,45 @@ def run_attack_trace(
         attack = attack_kinds[rng.randrange(len(attack_kinds))]
 
         if attack == "intra_overflow":
-            for probe in range(profile.burst_length):
-                touch_store(base + _ARRAY_END - 4 + probe)
+            probe = base + _ARRAY_END - 4
+            run(EV_STORE, range(probe, probe + burst_length), 8)
         elif attack == "intra_overread":
-            for probe in range(profile.burst_length):
-                touch_load(base + _ARRAY_END - 4 + probe)
+            probe = base + _ARRAY_END - 4
+            run(EV_LOAD, range(probe, probe + burst_length), 8)
         elif attack == "adjacent_overflow":
-            for probe in range(profile.burst_length):
-                touch_store(base + _VICTIM_SIZE + probe)
+            probe = base + _VICTIM_SIZE
+            run(EV_STORE, range(probe, probe + burst_length), 8)
         elif attack == "adjacent_overread":
-            for probe in range(profile.burst_length):
-                touch_load(base + _VICTIM_SIZE + probe)
+            probe = base + _VICTIM_SIZE
+            run(EV_LOAD, range(probe, probe + burst_length), 8)
         elif attack == "off_by_one":
-            touch_store(base + _VICTIM_SIZE)
+            append(EV_STORE, base + _VICTIM_SIZE, 8)
         elif attack == "jump_overflow":
-            touch_store(base + _JUMP_DISTANCE)
+            append(EV_STORE, base + _JUMP_DISTANCE, 8)
         elif attack == "underflow":
-            touch_store(base - 4)
+            append(EV_STORE, base - 4, 8)
         elif attack == "use_after_free":
             # Dereference a recently recycled victim when grooming has
             # produced one; otherwise fall back to the chosen victim.
-            stale = recently_freed[-1] if recently_freed else base
-            for probe in range(profile.burst_length):
-                touch_load(stale + 16 + probe * 8)
+            stale = (recently_freed[-1] if recently_freed else base) + 16
+            run(EV_LOAD, range(stale, stale + burst_length * 8, 8), 8)
         else:  # heap_scan
-            for _ in range(_SCAN_PROBES):
-                touch_load(base + rng.randrange(_VICTIM_SIZE))
+            run(
+                EV_LOAD,
+                [
+                    base + rng.randrange(_VICTIM_SIZE)
+                    for _ in range(_SCAN_PROBES)
+                ],
+                8,
+            )
 
         # Grooming churn at the profile's allocation rate.
         alloc_accumulator += profile.allocs_per_kinst * burst_instructions / 1000.0
         while alloc_accumulator >= 1.0:
             alloc_accumulator -= 1.0
-            alloc_events += 1
             victim_index = rng.randrange(victim_count)
             old = victims[victim_index]
-            if record is not None:
-                record(EV_FREE, old, _VICTIM_SIZE)
+            append(EV_FREE, old, _VICTIM_SIZE)
             quarantine.append(old)
             recently_freed.append(old)
             if len(quarantine) > quarantine_delay:
@@ -196,18 +211,8 @@ def run_attack_trace(
                 new_base = next_slot
                 next_slot += _VICTIM_STRIDE
             victims[victim_index] = new_base
-            if record is not None:
-                record(EV_ALLOC, new_base, _VICTIM_SIZE)
+            append(EV_ALLOC, new_base, _VICTIM_SIZE)
 
         burst_end()
-        if sink is not None:
-            sink.burst()
 
-    return RunResult(
-        benchmark=profile.name,
-        scenario=scenario,
-        instructions=int(app_instructions),
-        events=ladder.events(),
-        cform_instructions=0,
-        alloc_events=alloc_events,
-    )
+    return int(app_instructions)

@@ -365,10 +365,11 @@ def _decode_frames_fast(streams, record_counts):
 class CompressedTraceWriter(TraceWriterBase):
     """Streaming CALTRC02 writer; drop-in for :class:`TraceWriter`.
 
-    Identical interface (``append`` / ``set_footer`` / ``close`` /
-    ``abort`` / context manager / ``record_count``): the recorder, the
-    sharder and :func:`transcode` pick their writer by format version and
-    never look inside.  The target/preamble/abort plumbing is the shared
+    Identical interface (``append`` / ``append_columns`` /
+    ``set_footer`` / ``close`` / ``abort`` / context manager /
+    ``record_count``): the recorder, the sharder and :func:`transcode`
+    pick their writer by format version and never look inside.  The
+    target/preamble/abort plumbing is the shared
     :class:`~repro.traces.format.TraceWriterBase`; this class only owns
     the frame buffer.
     """
@@ -646,13 +647,7 @@ def transcode(source, target, version: int) -> int:
         if "format" in header:
             header["format"] = magic.decode("ascii")
         with trace_writer(target, header, version=version) as writer:
-            append = writer.append
             for batch in reader.column_batches():
-                for kind, address, arg in zip(
-                    batch.kind.tolist(),
-                    batch.address.tolist(),
-                    batch.arg.tolist(),
-                ):
-                    append(kind, address, arg)
+                writer.append_columns(batch.kind, batch.address, batch.arg)
             writer.set_footer(reader.read_footer())
     return writer.record_count

@@ -13,14 +13,14 @@ Layout (all integers little-endian)::
     record   terminator: kind=0xFF, address=0, arg=<footer length>
     JSON     footer: summary statistics of the recorded run
 
-Record kinds are the generator's ``EV_*`` event stream (re-exported
-here): LOAD/STORE are single cache touches (``arg`` = access size in
-bytes, informational for timing replay, load/store width for hierarchy
-replay); CFORM is one (de)allocation-side califorming that expands to
-``arg`` line touches at ``address + i*64``; ALLOC/FREE carry the carved
-object size and touch nothing; WARM marks the end-of-warmup counter
-reset; EPOCH markers sit between bursts and are the only legal shard
-split points.
+Record kinds are the ``EV_*`` record stream of
+:mod:`repro.memory.kernel` (re-exported here): LOAD/STORE are single
+cache touches (``arg`` = access size in bytes, informational for timing
+replay, load/store width for hierarchy replay); CFORM is one
+(de)allocation-side califorming that expands to ``arg`` line touches at
+``address + i*64``; ALLOC/FREE carry the carved object size and touch
+nothing; WARM marks the end-of-warmup counter reset; EPOCH markers sit
+between bursts and are the only legal shard split points.
 
 Both :class:`TraceWriter` and :class:`TraceReader` stream: the writer
 buffers a bounded number of packed records before flushing, the reader
@@ -52,7 +52,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from repro.telemetry.runtime import active as telemetry_active
-from repro.workloads.generator import (  # noqa: F401  (re-exported)
+from repro.memory.kernel import (  # noqa: F401  (re-exported)
     EV_ALLOC,
     EV_CFORM,
     EV_EPOCH,
@@ -191,6 +191,13 @@ class TraceWriterBase:
                 self._file.close()
             raise
 
+    def append_columns(self, kinds, addresses, args) -> None:
+        """Append a block of records given as columns (a writer's
+        :class:`~repro.memory.kernel.RecordBuffer` consumer)."""
+        append = self.append
+        for row in zip(kinds.tolist(), addresses.tolist(), args.tolist()):
+            append(*row)
+
     def set_footer(self, footer: dict) -> None:
         """Provide the summary written after the terminator."""
         self._footer = dict(footer)
@@ -253,7 +260,7 @@ class TraceWriter(TraceWriterBase):
         self._pack = RECORD.pack
 
     def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record.  This is the generator sink's hot call."""
+        """Append one record.  This is the recording hot call."""
         self._buffer.append(self._pack(kind, address, arg))
         self.record_count += 1
         if len(self._buffer) >= self.FLUSH_RECORDS:

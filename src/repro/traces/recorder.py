@@ -1,15 +1,16 @@
-"""Recorder: tap a live generator run and persist its event stream.
+"""Recorder: persist a live writer's record stream.
 
-The generator owns the workload logic; the recorder only listens.  A
-:class:`RecordingSink` is handed to :func:`run_trace` as its ``sink`` —
-it appends one record per cache touch / allocation event to a streaming
-:class:`~repro.traces.format.TraceWriter` and drops an EPOCH marker
-every ``epoch_bursts`` bursts (the shard split points).  The sink never
-consumes the generator's RNG, so a recorded run is bit-identical to an
-unrecorded one — :func:`record_spec` returns the live
-:class:`~repro.workloads.generator.RunResult` alongside the trace it
-wrote, and the footer stores that result's statistics for replay-time
-verification.
+The writers own the workload logic; the recorder only listens.  A
+:class:`RecordingSink` is handed to a writer (``run_trace``,
+``run_attack_trace`` or the loadgen composer) as its ``sink``: the
+writer's :class:`~repro.memory.kernel.RecordBuffer` hands every block of
+records to the streaming :class:`~repro.traces.format.TraceWriter` as
+well as to the timing accountant, and the sink drops an EPOCH marker
+into the stream every ``epoch_bursts`` bursts (the shard split points).
+The trace therefore holds exactly the stream the live
+:class:`~repro.workloads.generator.RunResult` was counted from;
+:func:`record_spec` returns that result alongside the trace it wrote,
+and the footer stores its statistics for replay-time verification.
 """
 
 from __future__ import annotations
@@ -24,29 +25,23 @@ from repro.workloads.generator import RunResult, run_trace
 
 
 class RecordingSink:
-    """The generator-side tap feeding a :class:`TraceWriter`."""
+    """A writer's recording tap: the trace writer plus EPOCH placement."""
 
-    __slots__ = ("append", "_writer", "_epoch_bursts", "_bursts", "_epochs")
+    __slots__ = ("consume", "epochs", "_epoch_bursts", "_bursts")
 
     def __init__(self, writer: TraceWriter, epoch_bursts: int):
-        self._writer = writer
-        #: Bound method exposed directly so the generator's hot wrappers
-        #: call the writer with no intermediate frame.
-        self.append = writer.append
+        #: The trace writer is a consumer of the writer's record blocks.
+        self.consume = writer.append_columns
         self._epoch_bursts = epoch_bursts
         self._bursts = 0
-        self._epochs = 0
+        self.epochs = 0
 
-    def burst(self) -> None:
-        """Generator signal: one burst (+ its churn) just finished."""
+    def burst(self, records) -> None:
+        """One burst (+ its churn) just finished: maybe mark an epoch."""
         self._bursts += 1
         if self._bursts % self._epoch_bursts == 0:
-            self.append(EV_EPOCH, self._epochs, 0)
-            self._epochs += 1
-
-    @property
-    def epochs(self) -> int:
-        return self._epochs
+            records.append(EV_EPOCH, self.epochs, 0)
+            self.epochs += 1
 
 
 def _geometry_dict(config: HierarchyConfig) -> dict:

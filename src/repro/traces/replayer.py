@@ -57,13 +57,10 @@ from repro.memory.hierarchy import (
     amat_cycles,
 )
 from repro.memory.kernel import (
-    KIND_ALLOC,
-    KIND_CFORM,
-    KIND_EPOCH,
-    KIND_LOAD,
-    KIND_STORE,
-    KIND_WARM,
     LadderKernel,
+    RecordAccountant,
+    TimingAccountant,
+    check_kinds,
     expand_touches,
 )
 from repro.memory.multicore import SharedL3Kernel
@@ -171,37 +168,10 @@ def _amat_cycles(config: HierarchyConfig, events: MemoryEventCounts) -> int:
     )
 
 
-def _first_unknown_kind(kinds):
-    """First out-of-range kind code in a batch, or None (one vectorized
-    scan per batch instead of a per-record ``unknown record kind``
-    check)."""
-    unknown = np.flatnonzero(kinds > KIND_EPOCH)
-    return int(kinds[unknown[0]]) if unknown.size else None
-
-
-def _warm_segments(kinds, honor_warm: bool):
-    """Split one batch into ``(start, stop, warm_position)`` segments.
-
-    With ``honor_warm``, the batch is split at every EV_WARM record so
-    the caller can reset its counters exactly where the live run did;
-    ``warm_position`` is the WARM record's batch index (``None``
-    for the final segment).  Without it the whole batch is one segment —
-    WARM expands to zero touches, so no split is needed.
-    """
-    if honor_warm:
-        start = 0
-        for position in np.flatnonzero(kinds == KIND_WARM).tolist():
-            yield start, position, position
-            start = position + 1
-        yield start, len(kinds), None
-    else:
-        yield 0, len(kinds), None
-
-
 def _replay_timing_columns(
     reader: TraceReader, honor_warm: bool = True
 ) -> ShardStats:
-    """Push one record stream through a cold 3-level :class:`LadderKernel`.
+    """Count one record stream with a :class:`TimingAccountant`.
 
     ``honor_warm`` replays EV_WARM as the live run's counter reset —
     required for bit-identical full-trace replay.  Shard (region) replay
@@ -210,40 +180,16 @@ def _replay_timing_columns(
     which shard happens to contain the warmup boundary.
     """
     config = _config_from_header(reader.header)
-    ladder = LadderKernel(config, levels=3)
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
+    accountant = TimingAccountant(config, honor_warm)
     for batch in reader.column_batches():
-        kinds = batch.kind
-        unknown = _first_unknown_kind(kinds)
-        if unknown is not None:
-            raise TraceFormatError(f"unknown record kind {unknown}")
-        for start, stop, warm in _warm_segments(kinds, honor_warm):
-            if stop > start:
-                segment_kinds = kinds[start:stop]
-                segment_args = batch.arg[start:stop]
-                touch_addresses, _ = expand_touches(
-                    segment_kinds, batch.address[start:stop], segment_args
-                )
-                ladder.touch_block(touch_addresses)
-                touches += len(touch_addresses)
-                cform_lines += int(
-                    segment_args[segment_kinds == KIND_CFORM].sum()
-                )
-                alloc_events += int((segment_kinds == KIND_ALLOC).sum())
-            if warm is not None:
-                ladder.reset_counters()
-                touches = 0
-                cform_lines = 0
-                alloc_events = 0
-    _report_ladder(ladder)
-    events = ladder.events()
+        accountant.consume(batch.kind, batch.address, batch.arg)
+    _report_ladder(accountant.ladder)
+    events = accountant.events()
     return ShardStats(
         events=events,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
+        touches=accountant.touches,
+        cform_lines=accountant.cform_lines,
+        alloc_events=accountant.alloc_events,
         violations=0,
         amat_cycles=_amat_cycles(config, events),
     )
@@ -340,53 +286,42 @@ def _footer_result(
         ) from None
 
 
+class _HierarchyAccountant(RecordAccountant):
+    """The accountant's segment walk driving the data-carrying hierarchy.
+
+    The hierarchy moves real bytes per access, so the per-access work
+    stays sequential: :meth:`MemoryHierarchy.replay_columns` consumes
+    whole column segments in record order.
+    """
+
+    def __init__(self, config: HierarchyConfig, honor_warm: bool):
+        super().__init__(honor_warm)
+        self.hierarchy = MemoryHierarchy(config)
+        self.violations = 0
+
+    def segment(self, start, kinds, addresses, args) -> None:
+        self.violations += self.hierarchy.replay_columns(
+            kinds, addresses, args, cform_offsets=CFORM_REPLAY_OFFSETS
+        )
+
+    def warm(self, position) -> None:
+        self.hierarchy.reset_stats()
+        self.violations = 0
+
+
 def _replay_hierarchy_columns(
     reader: TraceReader, honor_warm: bool = True
 ) -> ShardStats:
     """Drive the data-carrying hierarchy over the decoded columns.
 
-    The hierarchy moves real bytes per access, so the per-access work
-    stays sequential: :meth:`MemoryHierarchy.replay_columns` consumes
-    whole column segments in record order.  ``honor_warm`` as in
-    :func:`_replay_timing_columns`.
+    ``honor_warm`` as in :func:`_replay_timing_columns`.
     """
-    config = _config_from_header(reader.header)
-    hierarchy = MemoryHierarchy(config)
-    replay_columns = hierarchy.replay_columns
-    violations = 0
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
+    accountant = _HierarchyAccountant(
+        _config_from_header(reader.header), honor_warm
+    )
     for batch in reader.column_batches():
-        kinds = batch.kind
-        unknown = _first_unknown_kind(kinds)
-        if unknown is not None:
-            raise TraceFormatError(f"unknown record kind {unknown}")
-        for start, stop, warm in _warm_segments(kinds, honor_warm):
-            if stop > start:
-                segment_kinds = kinds[start:stop]
-                segment_args = batch.arg[start:stop]
-                violations += replay_columns(
-                    segment_kinds,
-                    batch.address[start:stop],
-                    segment_args,
-                    cform_offsets=CFORM_REPLAY_OFFSETS,
-                )
-                cform = int(segment_args[segment_kinds == KIND_CFORM].sum())
-                touches += cform + int(
-                    (
-                        (segment_kinds == KIND_LOAD)
-                        | (segment_kinds == KIND_STORE)
-                    ).sum()
-                )
-                cform_lines += cform
-                alloc_events += int((segment_kinds == KIND_ALLOC).sum())
-            if warm is not None:
-                hierarchy.reset_stats()
-                violations = 0
-                touches = 0
-                cform_lines = 0
-                alloc_events = 0
+        accountant.consume(batch.kind, batch.address, batch.arg)
+    hierarchy = accountant.hierarchy
     events = MemoryEventCounts(
         l1_accesses=hierarchy.l1.stats.accesses,
         l1_misses=hierarchy.l1.stats.misses,
@@ -395,10 +330,10 @@ def _replay_hierarchy_columns(
     )
     return ShardStats(
         events=events,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
-        violations=violations,
+        touches=accountant.touches,
+        cform_lines=accountant.cform_lines,
+        alloc_events=accountant.alloc_events,
+        violations=accountant.violations,
         amat_cycles=hierarchy.total_cycles(),
     )
 
@@ -455,9 +390,7 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
         segment = 0  # EPOCH markers seen before the current batch
         for batch in reader.column_batches():
             kinds = batch.kind
-            unknown = _first_unknown_kind(kinds)
-            if unknown is not None:
-                raise TraceFormatError(f"unknown record kind {unknown}")
+            check_kinds(kinds)
             # A record's segment counts the markers before it, so each
             # EPOCH marker closes the segment it belongs to.
             epochs = (kinds == EV_EPOCH).astype(np.int64)
@@ -465,16 +398,15 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
             segment += int(epochs.sum())
             shard_of = np.minimum(segments // per_shard, shards - 1)
             edges = np.searchsorted(shard_of, np.arange(shards + 1)).tolist()
-            rows = list(
-                zip(kinds.tolist(), batch.address.tolist(), batch.arg.tolist())
-            )
             for index in range(shards):
                 start, stop = edges[index], edges[index + 1]
                 if start == stop:
                     continue
-                append = writers[index].append
-                for kind, address, arg in rows[start:stop]:
-                    append(kind, address, arg)
+                writers[index].append_columns(
+                    kinds[start:stop],
+                    batch.address[start:stop],
+                    batch.arg[start:stop],
+                )
                 tally = np.bincount(kinds[start:stop]).tolist()
                 for kind, count in enumerate(tally):
                     if count:
@@ -631,6 +563,50 @@ class _CoreFilter:
     addresses: "object"  # numpy int64 array
 
 
+class _CoreFilterAccountant(RecordAccountant):
+    """Phase 1 of one core: the accountant's segment walk over a 2-level
+    :class:`LadderKernel`, capturing the residue that reaches the L3.
+
+    Surviving touches keep their record's global slot (``record index *
+    cores + core``) so phase 2 can merge the per-core residues into the
+    recorded interleaving; CFORM touches share their record's slot with
+    intra-record order preserved.  A warm record leaves a
+    ``_WARM_RESET`` entry at its own slot.
+    """
+
+    def __init__(self, config: HierarchyConfig, core: int, cores: int):
+        super().__init__()
+        self.ladder = LadderKernel(config, levels=2)
+        self.core = core
+        self.cores = cores
+        self.offset = core * _CORE_ADDRESS_STRIDE  # disjoint physical spaces
+        self.stream_index = 0  # records consumed before the current block
+        self.slot_blocks: list = []
+        self.address_blocks: list = []
+
+    def consume(self, kinds, addresses, args) -> None:
+        super().consume(kinds, addresses, args)
+        self.stream_index += len(kinds)
+
+    def _slots(self, start: int, count: int):
+        first = self.stream_index + start
+        stream = np.arange(first, first + count, dtype=np.int64)
+        return self.core + stream * self.cores
+
+    def segment(self, start, kinds, addresses, args) -> None:
+        touch_addresses, counts = expand_touches(kinds, addresses, args)
+        missed = self.ladder.touch_block(touch_addresses)
+        if missed.size:
+            touch_slots = np.repeat(self._slots(start, len(kinds)), counts)
+            self.slot_blocks.append(touch_slots[missed])
+            self.address_blocks.append(touch_addresses[missed] + self.offset)
+
+    def warm(self, position) -> None:
+        self.ladder.reset_counters()
+        self.slot_blocks.append(self._slots(position, 1))
+        self.address_blocks.append(np.full(1, _WARM_RESET, dtype=np.int64))
+
+
 def _filter_core_columns(
     core: int, cores: int, sources, config: HierarchyConfig | None
 ) -> _CoreFilter:
@@ -641,23 +617,9 @@ def _filter_core_columns(
     are honored for whole recorded traces (counter reset, as in
     :func:`replay_timing`) and ignored for shard files (region
     semantics, as in :func:`replay_shards`).
-
-    A 2-level :class:`LadderKernel` filters the expanded touch columns;
-    the surviving touches keep their record's global slot (``record
-    index * cores + core``) so phase 2 can merge the per-core residues
-    into the recorded interleaving.  CFORM touches share their record's
-    slot with intra-record order preserved.
     """
     explicit_config = config
-    ladder: LadderKernel | None = None
-    slot_blocks: list = []
-    address_blocks: list = []
-    touches = 0
-    cform_lines = 0
-    alloc_events = 0
-    offset = core * _CORE_ADDRESS_STRIDE  # disjoint physical spaces
-    stream_index = 0  # records consumed; this core's next slot is
-    #                   core + stream_index * cores
+    accountant: _CoreFilterAccountant | None = None
     for source in sources:
         with TraceReader(source) as reader:
             source_config = _config_from_header(reader.header)
@@ -672,59 +634,19 @@ def _filter_core_columns(
                     "trace files of one core stream were recorded under "
                     "different hierarchy configurations"
                 )
-            if ladder is None:
-                ladder = LadderKernel(config, levels=2)
-            honor_warm = "shard" not in reader.header
+            if accountant is None:
+                accountant = _CoreFilterAccountant(config, core, cores)
+            accountant.honor_warm = "shard" not in reader.header
             for batch in reader.column_batches():
-                kinds = batch.kind
-                unknown = _first_unknown_kind(kinds)
-                if unknown is not None:
-                    raise TraceFormatError(f"unknown record kind {unknown}")
-                record_slots = core + (
-                    stream_index + np.arange(len(kinds), dtype=np.int64)
-                ) * cores
-                for start, stop, warm in _warm_segments(kinds, honor_warm):
-                    if stop > start:
-                        segment_kinds = kinds[start:stop]
-                        segment_args = batch.arg[start:stop]
-                        touch_addresses, counts = expand_touches(
-                            segment_kinds,
-                            batch.address[start:stop],
-                            segment_args,
-                        )
-                        missed = ladder.touch_block(touch_addresses)
-                        if missed.size:
-                            touch_slots = np.repeat(
-                                record_slots[start:stop], counts
-                            )
-                            slot_blocks.append(touch_slots[missed])
-                            address_blocks.append(
-                                touch_addresses[missed] + offset
-                            )
-                        touches += len(touch_addresses)
-                        cform_lines += int(
-                            segment_args[segment_kinds == KIND_CFORM].sum()
-                        )
-                        alloc_events += int(
-                            (segment_kinds == KIND_ALLOC).sum()
-                        )
-                    if warm is not None:
-                        ladder.reset_counters()
-                        touches = 0
-                        cform_lines = 0
-                        alloc_events = 0
-                        slot_blocks.append(record_slots[warm : warm + 1])
-                        address_blocks.append(
-                            np.full(1, _WARM_RESET, dtype=np.int64)
-                        )
-                stream_index += len(kinds)
+                accountant.consume(batch.kind, batch.address, batch.arg)
             reader.read_footer()
-    if ladder is None:  # no sources for this core
+    if accountant is None:  # no sources for this core
         raise ValueError(f"core {core} has no trace sources")
+    ladder = accountant.ladder
     _report_ladder(ladder)
-    if slot_blocks:
-        slots = np.concatenate(slot_blocks)
-        addresses = np.concatenate(address_blocks)
+    if accountant.slot_blocks:
+        slots = np.concatenate(accountant.slot_blocks)
+        addresses = np.concatenate(accountant.address_blocks)
     else:
         slots = np.empty(0, dtype=np.int64)
         addresses = np.empty(0, dtype=np.int64)
@@ -733,9 +655,9 @@ def _filter_core_columns(
         l1_accesses=ladder.l1.accesses,
         l1_misses=ladder.l1.misses,
         l2_misses=ladder.l2.misses,
-        touches=touches,
-        cform_lines=cform_lines,
-        alloc_events=alloc_events,
+        touches=accountant.touches,
+        cform_lines=accountant.cform_lines,
+        alloc_events=accountant.alloc_events,
         slots=slots,
         addresses=addresses,
     )

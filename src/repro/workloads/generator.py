@@ -3,8 +3,8 @@
 This is the engine behind every timing figure (4, 10, 11, 12).  For one
 benchmark profile and one *scenario* (insertion policy + whether CFORM
 instructions are issued) it synthesises the benchmark's memory behaviour
-and counts its hits and misses in the tag-only L1/L2/L3 hierarchy (the
-touches reach :class:`repro.memory.kernel.TouchBuffer` in blocks):
+as a stream of ``EV_*`` records (defined in :mod:`repro.memory.kernel`
+and re-exported here):
 
 1. a heap population is built from the profile's object mix (structs from
    the corpus pool and raw buffers), laid out by a bump/free-list
@@ -14,18 +14,23 @@ touches reach :class:`repro.memory.kernel.TouchBuffer` in blocks):
 2. a seeded access stream walks the objects (zipf-style locality, scans
    vs. pointer-ish random field accesses, a hot stack region);
 3. allocation/free events occur at the profile's rate; when the scenario
-   says so, each event issues the CFORM work for its object (one
-   store-like access per to-be-califormed line plus setup instructions —
-   the same emulation the paper uses with dummy stores, Section 8.2).
+   says so, each event issues the CFORM work for its object (one CFORM
+   record whose lines the accountant expands into one store-like access
+   per to-be-califormed line, plus setup instructions — the same
+   emulation the paper uses with dummy stores, Section 8.2).
 
-The same seed produces the *same logical event stream* across scenarios,
-so two runs differ only through layout inflation and CFORM work — the two
-effects the paper decomposes in Figure 11.
+The generator only emits records (:func:`emit_trace`) and models its
+instruction count.  :func:`run_trace` hands the stream to a
+:class:`~repro.memory.kernel.TimingAccountant`, which counts the hits and
+misses in the tag-only L1/L2/L3 hierarchy exactly as a trace replay
+does.  The same seed produces the *same logical event stream* across
+scenarios, so two runs differ only through layout inflation and CFORM
+work — the two effects the paper decomposes in Figure 11.
 
 The generator is also the producer for the trace engine
 (:mod:`repro.traces`): pass a recording ``sink`` to :func:`run_trace`
-and the exact event stream (every cache touch, CFORM, alloc/free and
-the warmup boundary) is emitted as ``EV_*`` records, from which a
+and it consumes the same record blocks the accountant does (every cache
+touch, CFORM, alloc/free and the warmup boundary), from which a
 replayer reproduces this run's statistics bit-identically without the
 RNG or the heap.
 """
@@ -38,7 +43,17 @@ from dataclasses import dataclass, field
 
 from repro.cpu.pipeline import MemoryEventCounts, PipelineModel
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
-from repro.memory.kernel import TouchBuffer
+from repro.memory.kernel import (  # noqa: F401  (EV_* re-exported)
+    EV_ALLOC,
+    EV_CFORM,
+    EV_EPOCH,
+    EV_FREE,
+    EV_LOAD,
+    EV_STORE,
+    EV_WARM,
+    RecordBuffer,
+    TimingAccountant,
+)
 from repro.softstack.ctypes_model import Struct, align_up, is_blacklist_target
 from repro.softstack.insertion import (
     CaliformedLayout,
@@ -55,23 +70,6 @@ from repro.workloads.structs_corpus import HEAP_TYPE_POOL
 #: mask construction) — Section 8.2's "calculate the number of dummy
 #: stores and the address they access".
 CFORM_SETUP_INSTRUCTIONS = 6
-
-# -- recorded event stream ---------------------------------------------------
-#
-# The generator is the producer of the trace-engine event stream
-# (``repro.traces``), so the event kinds are defined here and re-exported
-# by ``repro.traces.format``.  One LOAD/STORE event per cache touch; one
-# CFORM event per (de)allocation-side califorming (it expands to
-# ``lines`` line touches at replay); ALLOC/FREE carry no touches; WARM
-# marks the end-of-warmup counter reset; EPOCH markers are inserted by
-# the recording sink between bursts and delimit shard boundaries.
-EV_LOAD = 0
-EV_STORE = 1
-EV_ALLOC = 2
-EV_FREE = 3
-EV_CFORM = 4
-EV_WARM = 5
-EV_EPOCH = 6
 
 #: Fixed per-allocation-event hook cost when CFORM support is compiled in
 #: (malloc interposition, type-info lookup, locating the padding bytes).
@@ -243,6 +241,33 @@ class _FastHeap:
             self._free.setdefault(old_carved, deque()).append(old_address)
 
 
+def counted_run(
+    benchmark: str, scenario: Scenario, config: HierarchyConfig, sink, emit
+) -> RunResult:
+    """Count one writer's record stream; the shared tail of every writer.
+
+    ``emit(records)`` appends the run's records to a
+    :class:`~repro.memory.kernel.RecordBuffer` and returns the
+    instructions it models.  The buffer's blocks go to a
+    :class:`~repro.memory.kernel.TimingAccountant` — the events, CFORM
+    lines and allocation events of the result — and, when ``sink`` is
+    given, to the sink as well (the recorder's trace writer).
+    """
+    accountant = TimingAccountant(config)
+    consumers = [accountant] if sink is None else [accountant, sink]
+    records = RecordBuffer(*consumers)
+    instructions = emit(records)
+    records.flush()
+    return RunResult(
+        benchmark=benchmark,
+        scenario=scenario,
+        instructions=instructions,
+        events=accountant.events(),
+        cform_instructions=accountant.cform_lines,
+        alloc_events=accountant.alloc_events,
+    )
+
+
 def run_trace(
     profile: BenchmarkProfile,
     scenario: Scenario,
@@ -264,16 +289,42 @@ def run_trace(
     than cold-start effects — the role SimPoint region selection plays in
     the paper's methodology (Section 8.1).
 
-    ``sink`` is the trace-engine tap (``repro.traces``): an object with
-    ``append(kind, address, arg)`` and ``burst()`` methods receiving the
-    ``EV_*`` event stream.  When ``None`` (the default) the un-instrumented
-    touch functions are used and the run costs nothing extra.  The sink
-    must not consume ``rng`` — the recorded run must be bit-identical to
+    ``sink`` is the trace-engine tap (``repro.traces``): a second
+    consumer of the record blocks (see
+    :class:`~repro.memory.kernel.RecordBuffer`).  It receives the same
+    stream the accountant counts, so a recorded run is bit-identical to
     an unrecorded one.
 
     ``quarantine_delay`` sizes the allocator's deallocation quarantine
     (events held before an address becomes reusable); the default matches
     the historical built-in.
+    """
+    return counted_run(
+        profile.name,
+        scenario,
+        config,
+        sink,
+        lambda records: emit_trace(
+            records, profile, scenario, instructions, seed,
+            warmup_fraction, quarantine_delay,
+        ),
+    )
+
+
+def emit_trace(
+    records: RecordBuffer,
+    profile: BenchmarkProfile,
+    scenario: Scenario,
+    instructions: int = 200_000,
+    seed: int = 0,
+    warmup_fraction: float = 1.0,
+    quarantine_delay: int = 16,
+) -> int:
+    """Emit one benchmark run's record stream; return its instructions.
+
+    The emit-only body of :func:`run_trace` (the loadgen composer
+    captures tenant streams with it): records go to ``records`` and
+    nothing is counted here but the instructions the run models.
     """
     rng = random.Random(f"{profile.name}:{seed}")
     catalog = build_type_catalog(scenario)
@@ -282,27 +333,9 @@ def run_trace(
         if scenario.policy is None
         else build_type_catalog(Scenario.baseline())
     )
-
-    ladder = TouchBuffer(config)
-    touch = ladder.touch
-    burst_end = ladder.burst_end
-
-    # Recording wrappers: when no sink is attached these *are* ``touch``,
-    # so the hot loops pay nothing; with a sink each touch first appends
-    # its event so a replayer can reproduce the exact access sequence.
-    if sink is None:
-        record = None
-        touch_load = touch_store = touch
-    else:
-        record = sink.append
-
-        def touch_load(address: int) -> None:
-            record(EV_LOAD, address, 8)
-            touch(address)
-
-        def touch_store(address: int) -> None:
-            record(EV_STORE, address, 8)
-            touch(address)
+    append = records.append
+    run = records.run
+    burst_end = records.burst_end
 
     # -- heap population ----------------------------------------------------
     # The live set targets ``heap_kb`` at *baseline* sizes, so every
@@ -331,14 +364,20 @@ def run_trace(
     # Pre-warm: touch every line of every live object once, so measured
     # misses reflect capacity and conflict behaviour rather than
     # first-touch cold misses (which the paper's 500M-instruction
-    # SimPoint windows amortise away, but a short trace would not).  Each
-    # object ends a burst, so a multi-MB heap's sweep reaches the kernel
-    # in bounded blocks rather than as one large one (peak memory).
-    for address, type_index, raw_size in objects:
-        size = raw_size if type_index < 0 else catalog[type_index].size
-        for line_offset in range(0, max(size, 1), 64):
-            touch_load(address + line_offset)
-        burst_end()
+    # SimPoint windows amortise away, but a short trace would not).
+    sizes = [
+        raw_size if type_index < 0 else catalog[type_index].size
+        for _, type_index, raw_size in objects
+    ]
+    records.sweep(
+        EV_LOAD,
+        (
+            line
+            for (address, _, _), size in zip(objects, sizes)
+            for line in range(address, address + max(size, 1), 64)
+        ),
+        8,
+    )
 
     object_count = len(objects)
     skew_exponent = 1.0 / profile.locality_skew
@@ -349,19 +388,14 @@ def run_trace(
     # measure extra work rather than displaced work.
     app_instructions = 0.0
     overhead_instructions = 0.0
-    cform_instructions = 0
-    alloc_events = 0
     alloc_accumulator = 0.0
-    burst_instructions = profile.burst_length / profile.mem_ratio
+    burst_length = profile.burst_length
+    burst_instructions = burst_length / profile.mem_ratio
 
     def cform_object(address: int, lines: int) -> None:
         """Issue the CFORM work for one (de)allocation of an object."""
-        nonlocal cform_instructions, overhead_instructions
-        if record is not None:
-            record(EV_CFORM, address, lines)
-        for line_index in range(lines):
-            touch(address + line_index * 64)
-        cform_instructions += lines
+        nonlocal overhead_instructions
+        append(EV_CFORM, address, lines)
         overhead_instructions += lines * (1 + CFORM_SETUP_INSTRUCTIONS)
 
     warmup_budget = instructions * warmup_fraction
@@ -373,56 +407,67 @@ def run_trace(
         if not warm and app_instructions >= warmup_budget:
             # Warmup ends: keep cache contents, discard all statistics.
             warm = True
-            ladder.reset_counters()
             app_instructions -= warmup_budget
             total_budget -= warmup_budget
             overhead_instructions = 0.0
-            cform_instructions = 0
-            alloc_events = 0
-            if record is not None:
-                record(EV_WARM, 0, 0)
+            append(EV_WARM, 0, 0)
         app_instructions += burst_instructions
 
         target = rng.random()
         if target < profile.stack_fraction:
             base = _STACK_BASE + int(rng.random() * _STACK_HOT_BYTES)
-            for access in range(profile.burst_length):
-                touch_store(base + access * 8)
+            run(EV_STORE, range(base, base + burst_length * 8, 8), 8)
         else:
             index = int(object_count * rng.random() ** skew_exponent)
             address, type_index, raw_size = objects[
                 min(index, object_count - 1)
             ]
             if rng.random() < profile.scan_fraction:
-                size = (
-                    raw_size if type_index < 0 else catalog[type_index].size
+                size = max(
+                    raw_size if type_index < 0 else catalog[type_index].size, 8
                 )
-                for access in range(profile.burst_length):
-                    touch_load(address + (access * 8) % max(size, 8))
+                run(
+                    EV_LOAD,
+                    [
+                        address + (access * 8) % size
+                        for access in range(burst_length)
+                    ],
+                    8,
+                )
+            elif type_index < 0:
+                span = max(raw_size - 8, 1)
+                run(
+                    EV_LOAD,
+                    [
+                        address + int(rng.random() * span)
+                        for _ in range(burst_length)
+                    ],
+                    8,
+                )
             else:
-                if type_index < 0:
-                    span = max(raw_size - 8, 1)
-                    for access in range(profile.burst_length):
-                        touch_load(address + int(rng.random() * span))
-                else:
-                    offsets = catalog[type_index].field_offsets
-                    for access in range(profile.burst_length):
-                        touch_load(address + offsets[rng.randrange(len(offsets))])
+                offsets = catalog[type_index].field_offsets
+                fields = len(offsets)
+                run(
+                    EV_LOAD,
+                    [
+                        address + offsets[rng.randrange(fields)]
+                        for _ in range(burst_length)
+                    ],
+                    8,
+                )
 
         # Allocation/free churn at the profile's rate.
         alloc_accumulator += profile.allocs_per_kinst * burst_instructions / 1000.0
         while alloc_accumulator >= 1.0:
             alloc_accumulator -= 1.0
-            alloc_events += 1
             victim = rng.randrange(object_count)
             address, type_index, raw_size = objects[victim]
             if type_index < 0:
                 carved = align_up(raw_size, 16)
                 heap.release(address, carved)
                 new_address = heap.place(carved)
-                if record is not None:
-                    record(EV_FREE, address, carved)
-                    record(EV_ALLOC, new_address, carved)
+                append(EV_FREE, address, carved)
+                append(EV_ALLOC, new_address, carved)
                 objects[victim] = (new_address, -1, raw_size)
                 continue
             info = catalog[type_index]
@@ -430,28 +475,17 @@ def run_trace(
             if run_hook:
                 overhead_instructions += ALLOC_HOOK_INSTRUCTIONS
                 cform_object(address, info.cform_lines)  # free side
-            if record is not None:
-                record(EV_FREE, address, info.carved)
+            append(EV_FREE, address, info.carved)
             heap.release(address, info.carved)
             new_address = heap.place(info.carved)
-            if record is not None:
-                record(EV_ALLOC, new_address, info.carved)
+            append(EV_ALLOC, new_address, info.carved)
             if run_hook:
                 cform_object(new_address, info.cform_lines)  # alloc side
             objects[victim] = (new_address, type_index, 0)
 
         burst_end()
-        if sink is not None:
-            sink.burst()
 
-    return RunResult(
-        benchmark=profile.name,
-        scenario=scenario,
-        instructions=int(app_instructions + overhead_instructions),
-        events=ladder.events(),
-        cform_instructions=cform_instructions,
-        alloc_events=alloc_events,
-    )
+    return int(app_instructions + overhead_instructions)
 
 
 def slowdown(

@@ -8,7 +8,7 @@ import oracle
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.compose import (
     TENANT_ADDRESS_STRIDE,
-    _tenant_chunks,
+    _tenant_stream,
     apportion_tenants,
     compose_spec,
     run_composed,
@@ -16,7 +16,7 @@ from repro.loadgen.compose import (
 )
 from repro.loadgen.schema import ArrivalSpec, LoadScenario, MixEntry
 from repro.loadgen.sets import load_scenarios
-from repro.memory.hierarchy import WESTMERE
+from repro.memory.kernel import LadderKernel
 from repro.traces.format import EV_EPOCH, TraceReader
 from repro.traces.recorder import record_spec
 from repro.traces.replayer import replay_timing
@@ -72,16 +72,27 @@ class TestApportionment:
 
 
 class _ChunkSink:
+    """A recording-shaped sink: keeps the merged stream and its bursts."""
+
     def __init__(self):
-        self.chunks = []
-        self._current = []
+        self.records = []
+        self.burst_ends = []
 
-    def append(self, kind, address, arg):
-        self._current.append((kind, address, arg))
+    def consume(self, kinds, addresses, args):
+        self.records.extend(
+            zip(kinds.tolist(), addresses.tolist(), args.tolist())
+        )
 
-    def burst(self):
-        self.chunks.append(self._current)
-        self._current = []
+    def burst(self, records):
+        self.burst_ends.append(records.count)
+
+    @property
+    def chunks(self):
+        starts = [0] + self.burst_ends[:-1]
+        return [
+            self.records[start:stop]
+            for start, stop in zip(starts, self.burst_ends)
+        ]
 
 
 class TestMerge:
@@ -137,11 +148,8 @@ class TestSingleTenantEquivalence:
         load = make(tenants=1, duration_s=0.3)
         (times,) = timelines(load)
         spec = tenant_spec(load, 0, "server-churn", len(times))
-        expected = [
-            record
-            for chunk in _tenant_chunks(spec, WESTMERE, len(times))
-            for record in chunk
-        ]
+        kinds, addresses, args, _ = _tenant_stream(spec, len(times))
+        expected = list(zip(kinds.tolist(), addresses.tolist(), args.tolist()))
         composed = [
             record
             for record in oracle.records(
@@ -183,6 +191,29 @@ class TestDeterminismAndReplay:
         sink = _ChunkSink()
         recorded = run_composed(load, sink=sink)
         assert recorded == unrecorded
+
+    def test_only_the_merged_stream_reaches_the_ladder(self, monkeypatch):
+        # Tenant streams are captured without an accountant: every cache
+        # access of a composed run is a touch of the merged stream.
+        accesses = []
+        touch_block = LadderKernel.touch_block
+
+        def counting(ladder, addresses):
+            accesses.append(len(addresses))
+            return touch_block(ladder, addresses)
+
+        monkeypatch.setattr(LadderKernel, "touch_block", counting)
+        buffer = BytesIO()
+        record_spec(compose_spec(make(warmup_s=0.05)), buffer)
+        monkeypatch.undo()
+        touches = sum(
+            arg if kind == EV_CFORM else 1
+            for kind, address, arg in oracle.records(
+                TraceReader(BytesIO(buffer.getvalue()))
+            )
+            if kind in MEMORY_EVENTS
+        )
+        assert sum(accesses) == touches > 0
 
     def test_warmup_resets_the_counters(self):
         cold = run_composed(make())

@@ -19,13 +19,6 @@ from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import WESTMERE
 from repro.memory.kernel import (
     CFORM_LINE_STRIDE,
-    LadderKernel,
-    LruTagKernel,
-    TouchBuffer,
-    expand_touches,
-)
-from repro.memory.multicore import SharedL3Kernel
-from repro.workloads.generator import (
     EV_ALLOC,
     EV_CFORM,
     EV_EPOCH,
@@ -33,7 +26,13 @@ from repro.workloads.generator import (
     EV_LOAD,
     EV_STORE,
     EV_WARM,
+    LadderKernel,
+    LruTagKernel,
+    RecordBuffer,
+    TimingAccountant,
+    expand_touches,
 )
+from repro.memory.multicore import SharedL3Kernel
 
 #: Tiny geometry so eviction/LRU paths are exercised by short streams.
 SMALL = CacheGeometry(size_bytes=4 * 1024, associativity=2)
@@ -54,19 +53,6 @@ def random_addresses(seed: int, count: int = 4000) -> "np.ndarray":
             cursor = rng.randrange(0, 1 << 18)
             addresses.append(cursor)
     return np.array(addresses[:count], dtype=np.int64)
-
-
-class TestKindConstants:
-    def test_pinned_to_the_trace_event_codes(self):
-        # The kernel defines its own copies to avoid an import cycle;
-        # this is the pin that keeps the two vocabularies identical.
-        assert kernel.KIND_LOAD == EV_LOAD
-        assert kernel.KIND_STORE == EV_STORE
-        assert kernel.KIND_ALLOC == EV_ALLOC
-        assert kernel.KIND_FREE == EV_FREE
-        assert kernel.KIND_CFORM == EV_CFORM
-        assert kernel.KIND_WARM == EV_WARM
-        assert kernel.KIND_EPOCH == EV_EPOCH
 
 
 class TestLruTagKernel:
@@ -156,41 +142,150 @@ class TestLadderKernel:
         )
 
 
-class TestTouchBuffer:
+class _Collect:
+    """A consumer keeping every block it is handed."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def consume(self, kinds, addresses, args):
+        self.blocks.append((kinds, addresses, args))
+
+    def records(self):
+        return [
+            row
+            for kinds, addresses, args in self.blocks
+            for row in zip(kinds.tolist(), addresses.tolist(), args.tolist())
+        ]
+
+
+class TestRecordBuffer:
     @pytest.mark.parametrize("block", [1, 7, 500, kernel.TOUCH_BLOCK])
     def test_any_flush_block_matches_the_serial_ladder(self, block, monkeypatch):
+        # A 600-touch sweep straddles the block boundaries of every size
+        # but the default, CFORM records expand inside blocks, and the
+        # warm boundary lands in the middle of a burst of 13 same-kind
+        # touches (so mid-block for every size but 1).
         monkeypatch.setattr(kernel, "TOUCH_BLOCK", block)
+        monkeypatch.setattr(kernel, "SWEEP_BLOCK", block)
         l1 = TagOnlyCache(WESTMERE.l1_geometry)
         l2 = TagOnlyCache(WESTMERE.l2_geometry)
         l3 = TagOnlyCache(WESTMERE.l3_geometry)
-        buffered = TouchBuffer(WESTMERE)
-        addresses = random_addresses(9).tolist()
-        for index, address in enumerate(addresses):
-            if index == 1500:  # a warm boundary mid-stream
-                for level in (l1, l2, l3):
-                    level.reset_counters()
-                buffered.reset_counters()
+
+        def touch(address):
             if not l1.access(address):
                 if not l2.access(address):
                     l3.access(address)
-            buffered.touch(address)
-            if index % 13 == 0:
-                buffered.burst_end()
-        events = buffered.events()
+
+        accountant = TimingAccountant(WESTMERE)
+        records = RecordBuffer(accountant)
+        addresses = random_addresses(9).tolist()
+        for address in addresses[:600]:
+            touch(address)
+        records.sweep(EV_LOAD, iter(addresses[:600]), 8)
+        addresses = addresses[600:]
+        cform_lines = alloc_events = 0
+        for burst, start in enumerate(range(0, len(addresses), 13)):
+            run = addresses[start : start + 13]
+            if burst == 80:  # the warm boundary, six touches in
+                for address in run[:6]:
+                    touch(address)
+                records.run(EV_STORE, run[:6], 8)
+                records.append(EV_WARM, 0, 0)
+                for level in (l1, l2, l3):
+                    level.reset_counters()
+                cform_lines = alloc_events = 0
+                run = run[6:]
+            for address in run:
+                touch(address)
+            records.run(EV_LOAD, run, 8)
+            if burst % 10 == 0:
+                records.append(EV_FREE, run[0], 96)
+                records.append(EV_ALLOC, run[0], 96)
+                records.append(EV_CFORM, run[0], 3)
+                for line in range(3):
+                    touch(run[0] + line * CFORM_LINE_STRIDE)
+                cform_lines += 3
+                alloc_events += 1
+            records.burst_end()
+        records.flush()
+        events = accountant.events()
         assert (events.l1_accesses, events.l1_misses) == (l1.accesses, l1.misses)
         assert (events.l2_misses, events.l3_misses) == (l2.misses, l3.misses)
+        assert accountant.touches == l1.accesses
+        assert accountant.cform_lines == cform_lines > 0
+        assert accountant.alloc_events == alloc_events > 0
 
     def test_burst_end_flushes_only_full_blocks(self, monkeypatch):
         monkeypatch.setattr(kernel, "TOUCH_BLOCK", 4)
-        buffered = TouchBuffer(WESTMERE)
-        for address in range(0, 3 * 64, 64):
-            buffered.touch(address)
-        buffered.burst_end()
-        assert buffered.ladder.l1.accesses == 0  # 3 pending < 4
-        buffered.touch(3 * 64)
-        buffered.burst_end()
-        assert buffered.ladder.l1.accesses == 4
-        assert buffered.events().l1_misses == 4
+        collect = _Collect()
+        records = RecordBuffer(collect)
+        records.run(EV_LOAD, range(0, 3 * 64, 64), 8)
+        records.burst_end()
+        assert collect.blocks == [] and records.count == 3  # 3 pending < 4
+        records.append(EV_STORE, 3 * 64, 8)
+        records.burst_end()
+        assert records.flushed == 4
+        assert collect.records() == [
+            (EV_LOAD, 0, 8), (EV_LOAD, 64, 8), (EV_LOAD, 128, 8),
+            (EV_STORE, 192, 8),
+        ]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_carry_the_appended_records_in_order(
+        self, block, monkeypatch
+    ):
+        monkeypatch.setattr(kernel, "TOUCH_BLOCK", block)
+        monkeypatch.setattr(kernel, "SWEEP_BLOCK", block)
+        collect = _Collect()
+        records = RecordBuffer(collect)
+        records.sweep(EV_LOAD, iter(range(0x100, 0x100 + 10 * 8, 8)), 8)
+        records.append(EV_CFORM, 0x800, 2)
+        records.extend(
+            np.array([EV_FREE, EV_ALLOC], dtype=np.uint8),
+            np.array([0x900, 0xA00], dtype=np.int64),
+            np.array([96, 96], dtype=np.int64),
+        )
+        records.run(EV_STORE, [], 8)  # an empty burst adds nothing
+        records.flush()
+        # The sweep flushes each full block; flush() takes the rest.
+        assert [len(kinds) for kinds, _, _ in collect.blocks] == (
+            [1] * 10 + [3] if block == 1 else [7, 6]
+        )
+        kinds, addresses, args = collect.blocks[0]
+        assert (kinds.dtype, addresses.dtype, args.dtype) == (
+            np.uint8, np.int64, np.int64
+        )
+        assert collect.records() == [
+            (EV_LOAD, 0x100 + index * 8, 8) for index in range(10)
+        ] + [(EV_CFORM, 0x800, 2), (EV_FREE, 0x900, 96), (EV_ALLOC, 0xA00, 96)]
+
+    def test_burst_hooks_run_before_the_block_check(self, monkeypatch):
+        monkeypatch.setattr(kernel, "TOUCH_BLOCK", 2)
+        collect = _Collect()
+
+        class Marker:
+            def __init__(self):
+                self.seen = []
+
+            def consume(self, kinds, addresses, args):
+                pass
+
+            def burst(self, records):
+                self.seen.append(records.count)
+                records.append(EV_EPOCH, len(self.seen), 0)
+
+        marker = Marker()
+        records = RecordBuffer(collect, marker)
+        records.append(EV_LOAD, 0x40, 8)
+        records.burst_end()  # LOAD + EPOCH reach the block size
+        records.append(EV_LOAD, 0x80, 8)
+        records.burst_end()
+        assert marker.seen == [1, 3]
+        assert collect.records() == [
+            (EV_LOAD, 0x40, 8), (EV_EPOCH, 1, 0),
+            (EV_LOAD, 0x80, 8), (EV_EPOCH, 2, 0),
+        ]
 
 
 class TestExpandTouches:

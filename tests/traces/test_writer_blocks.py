@@ -1,12 +1,13 @@
-"""The live writers' statistics do not depend on the kernel flush block.
+"""The live writers' statistics do not depend on the record block size.
 
 Every writer (the workload generator, the attack driver and the loadgen
-composer) appends its touches to a :class:`~repro.memory.kernel.TouchBuffer`
-that hands them to the kernel in blocks of at least
-:data:`~repro.memory.kernel.TOUCH_BLOCK` touches, cut at burst ends and
-at the warm boundary.  The kernel is exact LRU however the stream is
-cut, so the ``RunResult`` must be identical for any block size — down to
-one flush per burst.
+composer) emits its records into a
+:class:`~repro.memory.kernel.RecordBuffer`, which hands them to the
+timing accountant (and, when recording, to the trace writer) in blocks
+of at most :data:`~repro.memory.kernel.TOUCH_BLOCK` records, flushed at
+burst ends.  The accountant is exact however the stream is cut — the
+warm boundary may fall anywhere inside a block — so the ``RunResult``
+must be identical for any block size, down to one record per block.
 """
 
 from dataclasses import replace
@@ -21,8 +22,8 @@ from repro.traces.recorder import live_run
 
 INSTRUCTIONS = 3_000
 
-#: Blocks to compare against the default: one flush per burst end, and
-#: a size that cuts bursts at odd places.
+#: Blocks to compare against the default: one record per block, and a
+#: size that cuts bursts at odd places.
 BLOCKS = (1, 7)
 
 #: A composition whose warm boundary falls mid-stream.  Both profiles
