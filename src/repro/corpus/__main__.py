@@ -5,8 +5,9 @@ Subcommands::
     build   [--scenario NAME ...] [--instructions N]
             record any registry mixes missing from the store
     ls      manifest table: scenario, fingerprint, digest, sizes, ratio
-    verify  re-hash every object against its manifest digest; non-zero
-            exit on problems, ``--repair`` self-heals them (quarantine +
+    verify  re-hash every object against its manifest digest and stored
+            hash, and replay it against its footer; non-zero exit on
+            problems, ``--repair`` self-heals them (quarantine +
             re-record from the manifest-stored spec)
     gc      drop unreferenced objects, stale manifest entries and
             quarantined damage older than ``--keep-days``
@@ -147,7 +148,10 @@ def _cmd_verify(arguments: argparse.Namespace) -> int:
         )
         _print_heal_summary(store)
         return 1
-    print(f"ok: {entries} entries, every object hash verified")
+    print(
+        f"ok: {entries} entries, every object hash verified and every "
+        "footer replayed"
+    )
     _print_heal_summary(store)
     return 0
 
@@ -226,7 +230,9 @@ def main(argv: list[str] | None = None) -> int:
 
     commands.add_parser("ls", help="list manifest entries")
     verify = commands.add_parser(
-        "verify", help="re-hash objects against the manifest"
+        "verify",
+        help="re-hash objects against the manifest and replay them "
+        "against their footers",
     )
     verify.add_argument(
         "--repair", action="store_true",

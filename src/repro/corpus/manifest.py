@@ -4,11 +4,12 @@ The manifest is one JSON document at the store root.  Its ``entries``
 map a **spec fingerprint** (sha256 over the scenario-spec document plus
 the recording geometry — everything that determines the logical event
 stream) to the metadata of the recorded object: the content digest that
-names the object file, record/byte counts and the scenario name.  The
-fingerprint answers "have we recorded this workload?"; the digest
-answers "are the bytes on disk the ones we recorded?" — together they
-make the store reproducible (same spec → same fingerprint → same object)
-and verifiable (``python -m repro.corpus verify``).
+names the object file, the sha256 of its stored bytes, record/byte
+counts and the scenario name.  The fingerprint answers "have we
+recorded this workload?"; the stored hash answers "are the bytes on
+disk the ones we recorded?" — together they make the store reproducible
+(same spec → same fingerprint → same object) and verifiable
+(``python -m repro.corpus verify``).
 
 Writes are atomic (temp file + ``os.replace``) and serialised through an
 advisory file lock, so parallel experiment sections building overlapping
@@ -24,8 +25,10 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
-#: Bump when entry keys change shape.
-MANIFEST_VERSION = 1
+#: Bump when entry keys change shape.  A manifest of another version
+#: fails to load and heals like a corrupt one: the store quarantines it
+#: and rebuilds bindings on demand.
+MANIFEST_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = "manifest.lock"
@@ -64,6 +67,10 @@ class ManifestEntry:
     records: int
     raw_bytes: int  # canonical v1 stream length
     stored_bytes: int  # on-disk (compressed) object size
+    #: sha256 of the on-disk object bytes, taken before publishing: a
+    #: corpus hit trusts an object (and the run summary in its footer)
+    #: after one hash of what is stored, with no decode or replay.
+    stored_sha256: str
     #: The full spec document that recorded the object.  Optional so
     #: pre-reliability manifests still load; with it, a damaged object
     #: can be re-recorded from the manifest alone (``verify --repair``)
@@ -93,6 +100,10 @@ class Manifest:
 
     def put(self, entry: ManifestEntry) -> None:
         self.entries[entry.fingerprint] = entry
+
+    def copy(self) -> "Manifest":
+        """A manifest whose ``put``/``pop`` leave this one untouched."""
+        return Manifest(entries=dict(self.entries))
 
     def digests(self) -> set[str]:
         return {entry.digest for entry in self.entries.values()}

@@ -37,7 +37,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 from repro.corpus.manifest import ManifestEntry, manifest_lock, save_manifest
@@ -276,14 +276,19 @@ def unpack(path: str, store) -> tuple[list[str], list[str]]:
     entry is merged under the store lock — after unpacking, ``ensure``
     of any member's spec is a pure corpus hit.  Every written object is
     digest-verified against its entry (via the store's canonical-stream
-    hasher) before its binding lands; a corrupt member raises and
-    installs nothing further.  Returns ``(installed, skipped)`` digests.
+    hasher) before its binding lands, and the binding's
+    ``stored_sha256`` is taken from those verified bytes; a corrupt
+    member raises and installs nothing further.  Returns
+    ``(installed, skipped)`` digests.
     """
     from repro.corpus.store import canonical_digest
 
     info = read_pack(path)
     installed: list[str] = []
     skipped: list[str] = []
+    bindings = {
+        member.entry.fingerprint: member.entry for member in info.members
+    }
     with open(path, "rb") as pack:
         for member in info.members:
             target = store.object_path(member.entry.digest)
@@ -311,6 +316,13 @@ def unpack(path: str, store) -> tuple[list[str], list[str]]:
                         f"length {raw_bytes} != entry {member.entry.raw_bytes}",
                         path=path,
                     )
+                with open(temp_path, "rb") as handle:
+                    stored = handle.read()
+                bindings[member.entry.fingerprint] = replace(
+                    member.entry,
+                    stored_bytes=len(stored),
+                    stored_sha256=hashlib.sha256(stored).hexdigest(),
+                )
                 os.replace(temp_path, target)
             except BaseException:
                 try:
@@ -322,7 +334,7 @@ def unpack(path: str, store) -> tuple[list[str], list[str]]:
     with manifest_lock(store.root):
         manifest = store.manifest()
         for member in info.members:
-            manifest.put(member.entry)
+            manifest.put(bindings[member.entry.fingerprint])
         save_manifest(manifest, store.manifest_path)
     return installed, skipped
 

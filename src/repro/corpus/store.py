@@ -20,18 +20,29 @@ Identity is two-level:
   decoder every replay uses, and repacks each batch into the v1 record
   layout before hashing it.
 
-:meth:`CorpusStore.ensure` is the whole workflow: manifest hit → return
-the object path; miss → record the spec live (through its driver),
-store compressed, bind the fingerprint.  Recording is deterministic, so
+:meth:`CorpusStore.ensure` is the whole workflow: manifest hit → read
+the object once, check its sha256 against the ``stored_sha256`` taken
+when it was built, and parse the run summary from the footer of those
+same bytes; miss → record the spec live (through its driver), store
+compressed, bind the fingerprint.  Recording is deterministic, so
 concurrent builders racing on the same spec converge on byte-identical
 objects.  Figure sweeps resolve their workloads through
 :meth:`CorpusStore.slowdown` (see :mod:`repro.analysis.suite`), which
-replays corpus traces instead of re-synthesising per figure.
+reads corpus footers instead of re-synthesising per figure.
+
+The trust boundary: a hit trusts the footer of verified bytes — the
+counts the recorder's :class:`~repro.memory.kernel.TimingAccountant`
+wrote — without replaying them; ``verify`` is where a replay is checked
+against each footer.  Any change to what the recorder's footer, the
+``TimingAccountant`` or the ``LadderKernel`` compute must therefore bump
+:data:`FINGERPRINT_VERSION`, so stored footers of the old code are never
+trusted by the new.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
@@ -52,12 +63,13 @@ from repro.traces.format import (
 )
 from repro.traces.recorder import _geometry_dict, record_spec
 from repro.traces.registry import CORPUS, TraceScenarioSpec, policy_to_str
-from repro.traces.replayer import replay_timing
+from repro.traces.replayer import recorded_result, replay_timing
 from repro.workloads.generator import RunResult, Scenario
 from repro.workloads.specs import BenchmarkProfile
 
 from repro.corpus.manifest import (
     MANIFEST_NAME,
+    MANIFEST_VERSION,
     Manifest,
     ManifestEntry,
     load_manifest,
@@ -73,7 +85,9 @@ ENV_ROOT = "REPRO_CORPUS_DIR"
 #: runner's EXPERIMENTS.md output); CI caches this directory.
 DEFAULT_ROOT = ".repro-corpus"
 
-#: Bump when the fingerprint payload changes shape.
+#: Bump when the fingerprint payload changes shape — or when what the
+#: recorder's footer, the ``TimingAccountant`` or the ``LadderKernel``
+#: compute changes, since a corpus hit trusts stored footers.
 FINGERPRINT_VERSION = 1
 
 #: ``gc`` reaps unreferenced files only after this age: a younger
@@ -175,6 +189,23 @@ def canonical_digest(source) -> tuple[str, int, dict]:
     return digest.hexdigest(), length, footer
 
 
+def _stat_key(path: str) -> tuple[int, int, int] | None:
+    """``(inode, mtime_ns, size)`` of ``path``; ``None`` if absent."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+
+def _stored_mismatch(entry: ManifestEntry) -> str:
+    return (
+        f"object {entry.digest[:12]}… stored bytes do not match the "
+        f"manifest ({entry.stored_bytes} bytes, sha256 "
+        f"{entry.stored_sha256[:12]}…)"
+    )
+
+
 @dataclass(frozen=True)
 class CorpusObject:
     """Outcome of one :meth:`CorpusStore.ensure` resolution."""
@@ -182,19 +213,30 @@ class CorpusObject:
     path: str
     entry: ManifestEntry
     built: bool  # False: manifest hit, no recording happened
+    #: The spec's run summary: on a hit the verified footer's, on a
+    #: build the recording's own (``None`` from resolvers that do not
+    #: carry it).
+    result: RunResult | None = None
 
 
 class CorpusStore:
     """A content-addressed on-disk corpus of recorded traces.
 
-    The store is *self-healing*: every read path (``ensure`` hits,
-    ``run_result`` replays, ``verify --repair``) checks the bytes it is
-    about to trust, and on any damage — digest mismatch, truncation,
-    missing file, unreadable container, corrupt manifest — quarantines
-    the bad bytes under ``<root>/quarantine/``, drops the manifest
-    binding and re-records from the deterministic spec.  The spec, not
-    the stored bytes, is the source of truth; healing therefore always
-    converges on an object byte-identical to an undamaged build.
+    The store is *self-healing*: every read path (``ensure`` hits and
+    so ``run_result``, ``verify --repair``) checks the bytes it is about
+    to trust, and on any damage — hash mismatch, truncation, missing
+    file, unreadable container, corrupt manifest — quarantines the bad
+    bytes under ``<root>/quarantine/``, drops the manifest binding and
+    re-records from the deterministic spec.  The spec, not the stored
+    bytes, is the source of truth; healing therefore always converges on
+    an object byte-identical to an undamaged build.
+
+    A hit trusts the footer of verified bytes: one sha256 of the stored
+    object, then the footer's run summary, with no decode or replay.
+    ``verify`` re-derives what a hit trusts — the canonical digest, and
+    a replay checked against the footer.  A change to what the
+    recorder's footer, ``TimingAccountant`` or ``LadderKernel`` compute
+    must bump :data:`FINGERPRINT_VERSION`.
     """
 
     def __init__(self, root: str):
@@ -211,10 +253,10 @@ class CorpusStore:
         self.healed = 0
         #: Bytes freed by the most recent :meth:`gc` call.
         self.reclaimed_bytes = 0
-        #: Digests this handle already re-hashed successfully; a sweep
-        #: replaying one baseline object dozens of times pays the hash
-        #: once (replay-time damage is still caught by ``run_result``).
-        self._verified: set[str] = set()
+        #: The last parsed manifest and the :func:`_stat_key` of the
+        #: file it was parsed from.
+        self._manifest: Manifest | None = None
+        self._manifest_key: tuple[int, int, int] | None = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -222,15 +264,33 @@ class CorpusStore:
         return os.path.join(self.objects_dir, digest[:2], f"{digest}.trace")
 
     def manifest(self) -> Manifest:
-        """The manifest — healing a corrupt/unreadable manifest file.
+        """The manifest, parsed once per version of the file.
 
-        A manifest that fails to parse is quarantined (every binding is
-        lost, but the object files stay; re-``ensure`` rebuilds bindings
-        by re-recording, converging on the identical objects) rather
-        than wedging every consumer with a ``ValueError``.
+        The parse is cached against the file's ``(inode, mtime, size)``.
+        Every save is an ``os.replace``, so a write from any process
+        gives the file a new inode and the next call re-reads it.
+        Callers get a copy: their ``put``/``pop`` never reach the cache.
         """
+        if (
+            self._manifest is None
+            or _stat_key(self.manifest_path) != self._manifest_key
+        ):
+            return self._reread_manifest()
+        return self._manifest.copy()
+
+    def _reread_manifest(self) -> Manifest:
+        """Parse the manifest file now — healing a corrupt one.
+
+        Writers call this under the manifest lock, so a read-modify-write
+        never starts from a cached parse.  A manifest that fails to parse
+        is quarantined (every binding is lost, but the object files stay;
+        re-``ensure`` rebuilds bindings by re-recording, converging on
+        the identical objects) rather than wedging every consumer with a
+        ``ValueError``.
+        """
+        key = _stat_key(self.manifest_path)  # before the read: never stale
         try:
-            return load_manifest(self.manifest_path)
+            manifest = load_manifest(self.manifest_path)
         except ValueError as error:
             quarantined = self._quarantine_file(
                 self.manifest_path, "manifest.corrupt.json"
@@ -242,7 +302,10 @@ class CorpusStore:
                 action=f"quarantined manifest to {quarantined}; "
                 "starting empty (bindings rebuild on demand)",
             )
-            return Manifest()
+            manifest = Manifest()
+            key = _stat_key(self.manifest_path)
+        self._manifest, self._manifest_key = manifest, key
+        return manifest.copy()
 
     # -- the core workflow ---------------------------------------------------
 
@@ -253,39 +316,62 @@ class CorpusStore:
     ) -> CorpusObject:
         """Resolve a spec to a recorded trace, building on first use.
 
-        A manifest hit is trusted only after the on-disk object
-        re-hashes to the digest the manifest promises; any damage is
-        quarantined and healed by re-recording.
+        A manifest hit reads the object once and trusts it only if its
+        length and sha256 are the ``stored_bytes``/``stored_sha256`` the
+        manifest promises; its :attr:`CorpusObject.result` is then parsed
+        from the footer of those same bytes.  Any damage is quarantined
+        and healed by re-recording.
         """
         fingerprint = spec_fingerprint(spec, config)
         entry = self.manifest().get(fingerprint)
         if entry is not None:
             path = self.object_path(entry.digest)
-            problem = self._object_problem(path, entry)
-            if problem is None:
-                self.hits += 1
-                tel = telemetry_active()
-                if tel is not None:
-                    tel.inc("corpus_resolutions_total", outcome="hit")
-                return CorpusObject(path=path, entry=entry, built=False)
+            data = self._read_stored(path, entry)
+            if data is None:
+                # Only on damage: the canonical check names what broke.
+                problem = self._object_problem(path, entry)
+                problem = problem or _stored_mismatch(entry)
+            else:
+                try:
+                    result = recorded_result(io.BytesIO(data))
+                except DAMAGE_ERRORS as error:
+                    problem = (
+                        f"object {entry.digest[:12]}… footer unreadable: "
+                        f"{error}"
+                    )
+                else:
+                    self.hits += 1
+                    tel = telemetry_active()
+                    if tel is not None:
+                        tel.inc("corpus_resolutions_total", outcome="hit")
+                    return CorpusObject(
+                        path=path, entry=entry, built=False, result=result
+                    )
             self._heal(entry, problem)
         return self._build(fingerprint, spec, config)
 
     # -- self-healing --------------------------------------------------------
 
-    def _object_problem(
-        self, path: str, entry: ManifestEntry, force: bool = False
-    ) -> str | None:
-        """Why this object cannot be trusted, or ``None`` if it can.
+    @staticmethod
+    def _read_stored(path: str, entry: ManifestEntry) -> bytes | None:
+        """The object's bytes if they are the ones the manifest stored."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        if (
+            len(data) != entry.stored_bytes
+            or hashlib.sha256(data).hexdigest() != entry.stored_sha256
+        ):
+            return None
+        return data
 
-        ``force`` re-hashes even when the digest was already verified by
-        this handle (the bulk verify/repair paths always want fresh
-        evidence).
-        """
+    def _object_problem(self, path: str, entry: ManifestEntry) -> str | None:
+        """Why this object's canonical stream cannot be trusted, or
+        ``None`` if it re-hashes to the manifest's digest and length."""
         if not os.path.exists(path):
             return f"object {entry.digest[:12]}… missing ({path})"
-        if not force and entry.digest in self._verified:
-            return None
         try:
             digest, raw_bytes, _footer = canonical_digest(path)
         except DAMAGE_ERRORS as error:
@@ -299,8 +385,24 @@ class CorpusStore:
             return (
                 f"canonical length {raw_bytes} != manifest {entry.raw_bytes}"
             )
-        self._verified.add(entry.digest)
         return None
+
+    def _audit(self, path: str, entry: ManifestEntry) -> str | None:
+        """The full check of ``verify``/``repair``: the canonical stream,
+        the stored bytes a hit hashes, and a replay of the records
+        against the footer a hit trusts."""
+        problem = self._object_problem(path, entry)
+        if problem is None and self._read_stored(path, entry) is None:
+            problem = _stored_mismatch(entry)
+        if problem is None:
+            try:
+                replay_timing(path, verify=True)
+            except DAMAGE_ERRORS as error:
+                problem = (
+                    f"object {entry.digest[:12]}… replay disagrees with "
+                    f"its footer: {error}"
+                )
+        return problem
 
     def _quarantine_file(self, path: str, name: str) -> str | None:
         """Move ``path`` into the quarantine dir; returns the new path."""
@@ -391,7 +493,7 @@ class CorpusStore:
         path = self.object_path(entry.digest)
         quarantined = self._quarantine_file(path, f"{entry.digest}.trace")
         with manifest_lock(self.root):
-            manifest = self.manifest()
+            manifest = self._reread_manifest()
             current = manifest.get(entry.fingerprint)
             if current is not None and current.digest == entry.digest:
                 manifest.entries.pop(entry.fingerprint)
@@ -420,14 +522,19 @@ class CorpusStore:
         os.close(fd)
         try:
             with telemetry_span("corpus/record", scenario=spec.name) as tspan:
-                record_spec(spec, temp_path, config=config, compress=True)
+                result = record_spec(
+                    spec, temp_path, config=config, compress=True
+                )
                 # One decode pass over the fresh recording.  (A hashing
                 # tee inside the writer could fold this into the
                 # recording pass; the cold path runs once per workload
                 # ever, so the extra read is accepted for the recorder's
                 # simplicity.)
                 digest, raw_bytes, footer = canonical_digest(temp_path)
-                stored_bytes = os.path.getsize(temp_path)
+                with open(temp_path, "rb") as handle:
+                    stored = handle.read()
+                stored_bytes = len(stored)
+                stored_sha256 = hashlib.sha256(stored).hexdigest()
                 records = footer.get("records", 0)
                 tspan.set("records", records)
                 tspan.set("stored_bytes", stored_bytes)
@@ -451,44 +558,33 @@ class CorpusStore:
             records=records,
             raw_bytes=raw_bytes,
             stored_bytes=stored_bytes,
+            stored_sha256=stored_sha256,
             spec=spec.to_dict(),
         )
         with manifest_lock(self.root):
-            manifest = self.manifest()  # re-read under the lock: merge
+            manifest = self._reread_manifest()  # under the lock: merge
             manifest.put(entry)
             save_manifest(manifest, self.manifest_path)
         self.built += 1
-        self._verified.add(digest)  # we hashed exactly what we stored
         tel = telemetry_active()
         if tel is not None:
             tel.inc("corpus_resolutions_total", outcome="recorded")
-        return CorpusObject(path=path, entry=entry, built=True)
+        return CorpusObject(path=path, entry=entry, built=True, result=result)
 
-    # -- replay-side consumers ----------------------------------------------
+    # -- figure-side consumers ----------------------------------------------
 
     def run_result(
         self,
         spec: TraceScenarioSpec,
         config: HierarchyConfig = WESTMERE,
     ) -> RunResult:
-        """The spec's live statistics, from the corpus (replay-verified).
+        """The spec's live statistics, from the corpus.
 
-        Damage surfacing only at replay time — an object deleted or
-        truncated after ``ensure`` verified it, or stats contradicting
-        the footer — heals the same way the ensure path does: the bad
-        bytes are quarantined, the binding dropped, the spec re-recorded
-        and replayed once more.  A second failure propagates (the
-        problem is then not the bytes).
+        A hit's verified footer or a build's own recording (see
+        :meth:`ensure`); damage heals inside ``ensure``, and nothing is
+        replayed.
         """
-        resolved = self.ensure(spec, config)
-        try:
-            return replay_timing(resolved.path)
-        except DAMAGE_ERRORS as error:
-            self._verified.discard(resolved.entry.digest)
-            self._heal(resolved.entry, f"replay failed: {error}")
-            fingerprint = spec_fingerprint(spec, config)
-            rebuilt = self._build(fingerprint, spec, config)
-            return replay_timing(rebuilt.path)
+        return self.ensure(spec, config).result
 
     def slowdown(
         self,
@@ -501,10 +597,11 @@ class CorpusStore:
         """Corpus-resolved twin of :func:`repro.workloads.generator.slowdown`.
 
         Both the unprotected baseline and the scenario variant resolve
-        through the store; replay is bit-identical to the live runs, so
-        the returned figure quantity equals the live computation exactly
-        — while repeated invocations (and other figures sharing the
-        baseline) replay instead of re-synthesising.
+        through the store; a recording's footer holds the live run's
+        counts bit-identically, so the returned figure quantity equals
+        the live computation exactly — while repeated invocations (and
+        other figures sharing the baseline) read stored footers instead
+        of re-synthesising.
         """
         base = self.run_result(figure_spec(profile, Scenario.baseline(), instructions))
         variant = self.run_result(figure_spec(profile, scenario, instructions))
@@ -532,13 +629,16 @@ class CorpusStore:
         return outcomes
 
     def verify(self) -> list[str]:
-        """Re-hash every referenced object; returns problem descriptions."""
+        """Audit every referenced object; returns problem descriptions.
+
+        Each object's canonical stream must re-hash to its digest, its
+        stored bytes to ``stored_sha256``, and a replay of its records
+        must reproduce its footer — the footer every hit trusts.
+        """
         problems: list[str] = []
         tel = telemetry_active()
         for _fingerprint, entry in sorted(self.manifest().entries.items()):
-            problem = self._object_problem(
-                self.object_path(entry.digest), entry, force=True
-            )
+            problem = self._audit(self.object_path(entry.digest), entry)
             if tel is not None:
                 tel.inc(
                     "corpus_verifications_total",
@@ -570,13 +670,10 @@ class CorpusStore:
         problems: list[str] = []
         actions: list[str] = []
         for fingerprint, entry in sorted(self.manifest().entries.items()):
-            problem = self._object_problem(
-                self.object_path(entry.digest), entry, force=True
-            )
+            problem = self._audit(self.object_path(entry.digest), entry)
             if problem is None:
                 continue
             problems.append(f"{entry.scenario}: {problem}")
-            self._verified.discard(entry.digest)
             self._heal(entry, problem)
             spec = self._entry_spec(entry)
             if spec is None:
@@ -620,7 +717,7 @@ class CorpusStore:
         removed: list[str] = []
         self.reclaimed_bytes = 0
         with manifest_lock(self.root):
-            manifest = self.manifest()
+            manifest = self._reread_manifest()
             stale = [
                 fingerprint
                 for fingerprint, entry in manifest.entries.items()
@@ -709,11 +806,11 @@ def figure_spec(
 def registry_fingerprint(config: HierarchyConfig = WESTMERE) -> str:
     """One combined fingerprint over the whole scenario registry.
 
-    Changes whenever any registry spec (or the recording geometry or
-    fingerprint scheme) changes — the CI cache key for the corpus
-    directory.
+    Changes whenever any registry spec (or the recording geometry,
+    fingerprint scheme or manifest version) changes — the CI cache key
+    for the corpus directory.
     """
-    combined = hashlib.sha256()
+    combined = hashlib.sha256(f"manifest {MANIFEST_VERSION}\n".encode())
     for name in sorted(CORPUS):
         combined.update(spec_fingerprint(CORPUS[name], config).encode())
     return combined.hexdigest()

@@ -18,14 +18,12 @@ import tempfile
 from dataclasses import dataclass, replace
 
 from repro.corpus.store import CorpusStore
-from repro.cpu.pipeline import MemoryEventCounts
 from repro.experiments.context import RunContext
 from repro.experiments.registry import experiment, section
 from repro.experiments.results import SectionResult
 from repro.memory.hierarchy import WESTMERE
 from repro.traces.registry import CORPUS, TraceScenarioSpec
 from repro.traces.replayer import replay_timing
-from repro.workloads.generator import RunResult
 
 #: Registry slice exercised by the report section (kept small: the
 #: section runs inside the quick-mode experiment runner).
@@ -55,23 +53,13 @@ def _cycles(spec: TraceScenarioSpec, result) -> float:
 
 
 def _replay(store: CorpusStore, spec: TraceScenarioSpec):
-    """Resolve a spec through the store; returns (result, footer, object)."""
+    """Resolve a spec through the store; returns (replayed result, object).
+
+    The object's own ``result`` — the recording's, or on a hit its
+    footer's — is the comparison's other arm, independent of the replay.
+    """
     resolved = store.ensure(spec)
-    result, footer = replay_timing(resolved.path, with_footer=True)
-    return result, footer, resolved
-
-
-def _footer_result(spec: TraceScenarioSpec, footer: dict) -> RunResult:
-    """The recorded run's statistics, reconstructed from the footer alone
-    (independent of the replay — the comparison's other arm)."""
-    return RunResult(
-        benchmark=footer["benchmark"],
-        scenario=spec.build_scenario(),
-        instructions=footer["instructions"],
-        events=MemoryEventCounts(**footer["events"]),
-        cform_instructions=footer["cform_instructions"],
-        alloc_events=footer["alloc_events"],
-    )
+    return replay_timing(resolved.path), resolved
 
 
 def run(instructions: int = 20_000, store: CorpusStore | None = None) -> list[TraceCheck]:
@@ -87,13 +75,13 @@ def run(instructions: int = 20_000, store: CorpusStore | None = None) -> list[Tr
     checks: list[TraceCheck] = []
     for name in CHECK_SCENARIOS:
         spec = CORPUS[name].scaled(instructions)
-        replayed, footer, resolved = _replay(store, spec)
+        replayed, resolved = _replay(store, spec)
         # The slowdown figure's other trace: the same mix, unprotected —
         # the figure is then computed purely from persisted artifacts.
         baseline_spec = replace(
             spec, name=f"{name}-baseline", policy=None, with_cform=False
         )
-        baseline_replayed, _, _ = _replay(store, baseline_spec)
+        baseline_replayed, _ = _replay(store, baseline_spec)
         protected_cycles = _cycles(spec, replayed)
         baseline_cycles = _cycles(baseline_spec, baseline_replayed)
         checks.append(
@@ -103,7 +91,7 @@ def run(instructions: int = 20_000, store: CorpusStore | None = None) -> list[Tr
                 stored_bytes=resolved.entry.stored_bytes,
                 compression_ratio=resolved.entry.compression_ratio,
                 source="recorded" if resolved.built else "corpus hit",
-                recorded_cycles=_cycles(spec, _footer_result(spec, footer)),
+                recorded_cycles=_cycles(spec, resolved.result),
                 replayed_cycles=protected_cycles,
                 trace_slowdown=protected_cycles / baseline_cycles - 1.0,
             )

@@ -304,6 +304,7 @@ def inject_store_faults(store, plan: FaultPlan) -> list[str]:
                 records=0,
                 raw_bytes=0,
                 stored_bytes=0,
+                stored_sha256=hashlib.sha256(b"").hexdigest(),
             )
             with manifest_lock(store.root):
                 manifest = store.manifest()

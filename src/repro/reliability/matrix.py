@@ -92,7 +92,7 @@ def _corpus_case(
     inject_store_faults(
         CorpusStore(root), FaultPlan((FaultSpec(kind=kind, seed=1),))
     )
-    store = CorpusStore(root)  # fresh handle: no verified-digest cache
+    store = CorpusStore(root)  # a fresh handle, as a new run opens
     spec = _matrix_spec()
     try:
         if consumer == "ensure":

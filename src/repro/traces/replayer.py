@@ -11,6 +11,8 @@ Three consumers of the record stream, all decoding it as
     :class:`~repro.workloads.generator.RunResult` that is bit-identical
     to the live run's (verified against the footer unless disabled), so
     every timing figure can run from a persisted trace.
+    :func:`recorded_result` builds the same result from the footer alone,
+    for callers that have verified the bytes (corpus hits).
 
 :func:`replay_hierarchy`
     Drives the data-carrying :class:`MemoryHierarchy` through its
@@ -67,6 +69,7 @@ from repro.memory.multicore import SharedL3Kernel
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import flush as telemetry_flush
 from repro.telemetry.runtime import span as telemetry_span
+from repro.traces.compress import _iter_frames
 from repro.traces.format import (
     EV_EPOCH,
     KIND_NAMES,
@@ -219,14 +222,15 @@ def replay_timing(source, verify: bool = True, with_footer: bool = False):
 
 
 def _footer_result(
-    stats: ShardStats, header: dict, footer: dict, verify: bool = True
+    stats: ShardStats | None, header: dict, footer: dict, verify: bool = True
 ) -> RunResult:
-    """The :class:`RunResult` of a whole-trace replay's ``stats``.
+    """The :class:`RunResult` a whole recorded trace describes.
 
     The benchmark, instructions and scenario come from the recorded
-    footer and header.  With ``verify`` the replayed event counts and
-    the CFORM/allocation accounting must match the footer, or
-    :class:`TraceIntegrityError` is raised.
+    footer and header.  The counts come from a replay's ``stats`` or,
+    with ``stats`` None, from the footer itself.  With ``verify`` the
+    replayed event counts and the CFORM/allocation accounting must match
+    the footer, or :class:`TraceIntegrityError` is raised.
     """
     if "benchmark" not in footer:
         kind = footer.get("kind", "unknown")
@@ -243,13 +247,21 @@ def _footer_result(
         ) from None
     spec = TraceScenarioSpec.from_dict(spec_document)
     recorded_events = footer.get("events")
-    if verify and recorded_events is None:
+    if verify and stats is not None and recorded_events is None:
         raise TraceIntegrityError(
             "footer carries no recorded events to verify against; "
             "pass verify=False to replay anyway"
         )
     try:
-        if verify:
+        if stats is None:  # the recorder's counts, taken on trust
+            events = MemoryEventCounts(**footer["events"])
+            cform_lines = footer["cform_instructions"]
+            alloc_events = footer["alloc_events"]
+        else:
+            events = stats.events
+            cform_lines = stats.cform_lines
+            alloc_events = stats.alloc_events
+        if verify and stats is not None:
             replayed = {
                 "l1_accesses": stats.events.l1_accesses,
                 "l1_misses": stats.events.l1_misses,
@@ -275,15 +287,31 @@ def _footer_result(
             benchmark=footer["benchmark"],
             scenario=spec.build_scenario(),
             instructions=footer["instructions"],
-            events=stats.events,
-            cform_instructions=stats.cform_lines,
-            alloc_events=stats.alloc_events,
+            events=events,
+            cform_instructions=cform_lines,
+            alloc_events=alloc_events,
         )
     except KeyError as missing:
         raise TraceFormatError(
             f"trace footer missing {missing} — foreign or partially "
             "written recording"
         ) from None
+
+
+def recorded_result(source) -> RunResult:
+    """The :class:`RunResult` a whole trace's footer states, unreplayed.
+
+    A CALTRC02 trace's frame heads are walked to its footer without
+    inflating any payload; a CALTRC01 trace is drained to reach it.  The
+    counts are the recorder's, taken on trust: the caller vouches for
+    the bytes (the corpus store checks their sha256 first).
+    """
+    with TraceReader(source) as reader:
+        if reader.version == 2:
+            for _frame in _iter_frames(reader):
+                pass
+        footer = reader.read_footer()
+    return _footer_result(None, reader.header, footer)
 
 
 class _HierarchyAccountant(RecordAccountant):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.corpus.manifest import MANIFEST_VERSION
 from repro.corpus.store import (
     CorpusStore,
     canonical_digest,
@@ -16,7 +17,7 @@ from repro.memory.hierarchy import WESTMERE
 from repro.traces.registry import CORPUS
 from repro.traces.replayer import replay_timing
 from repro.workloads.generator import Scenario, slowdown
-from repro.workloads.specs import SPEC_PROFILES
+from repro.workloads.specs import FIG10_BENCHMARKS, SPEC_PROFILES
 
 INSTRUCTIONS = 3_000
 
@@ -89,6 +90,79 @@ class TestEnsure:
         second = store.ensure(_spec())
         assert second.built
         assert os.path.exists(second.path)
+
+
+class TestHitPath:
+    def test_hits_parse_the_manifest_once_per_handle(self, store, monkeypatch):
+        import repro.corpus.store as store_module
+
+        specs = [_spec(), _spec("dma-mixed")]
+        for spec in specs:
+            store.ensure(spec)
+        loads = []
+        real_load = store_module.load_manifest
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(store_module, "load_manifest", counting_load)
+        handle = CorpusStore(store.root)
+        for _ in range(19):
+            for spec in specs:
+                assert not handle.ensure(spec).built
+        assert handle.hits == 38
+        assert len(loads) == 1
+
+    def test_manifest_copies_do_not_reach_the_cache(self, store):
+        fingerprint = store.ensure(_spec()).entry.fingerprint
+        store.manifest()  # parse and cache the saved manifest
+        store.manifest().entries.pop(fingerprint)
+        assert store.manifest().get(fingerprint) is not None
+
+    def test_hit_and_build_carry_the_same_result(self, store):
+        built = store.ensure(_spec())
+        hit = CorpusStore(store.root).ensure(_spec())
+        assert built.result == hit.result == replay_timing(hit.path)
+
+    def test_warm_figure_cells_neither_replay_nor_decode(
+        self, store, monkeypatch
+    ):
+        import repro.corpus.store as store_module
+        from repro.traces.format import TraceReader
+
+        profiles = [SPEC_PROFILES[name] for name in FIG10_BENCHMARKS[:3]]
+        variant = WESTMERE.with_extra_latency(1)
+        live = [
+            slowdown(
+                profile,
+                Scenario.baseline(),
+                instructions=INSTRUCTIONS,
+                variant_config=variant,
+            )
+            for profile in profiles
+        ]
+        for profile in profiles:  # populate the corpus
+            store.slowdown(
+                profile, Scenario.baseline(), INSTRUCTIONS,
+                variant_config=variant,
+            )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a corpus hit replayed or decoded records")
+
+        monkeypatch.setattr(store_module, "replay_timing", refuse)
+        monkeypatch.setattr(TraceReader, "column_batches", refuse)
+        warm = CorpusStore(store.root)
+        via_corpus = [
+            warm.slowdown(
+                profile, Scenario.baseline(), INSTRUCTIONS,
+                variant_config=variant,
+            )
+            for profile in profiles
+        ]
+        assert via_corpus == live
+        assert (warm.built, warm.hits) == (0, 2 * len(profiles))
 
 
 class TestCanonicalDigest:
@@ -226,7 +300,7 @@ class TestMaintenance:
         store.ensure(_spec())
         with open(store.manifest_path) as handle:
             document = json.load(handle)
-        assert document["manifest_version"] == 1
+        assert document["manifest_version"] == MANIFEST_VERSION
         (entry,) = document["entries"].values()
         assert entry["scenario"] == "server-churn"
 

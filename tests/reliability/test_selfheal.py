@@ -1,9 +1,11 @@
 """Self-healing corpus store: every fault kind, every consumer."""
 
+import hashlib
 import json
 import multiprocessing
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +15,11 @@ from repro.corpus.manifest import (
     manifest_lock,
     save_manifest,
 )
-from repro.corpus.store import CorpusStore
+from repro.corpus.store import CorpusStore, canonical_digest
 from repro.reliability.faults import (
     FaultPlan,
     FaultSpec,
+    inject_object_fault,
     inject_store_faults,
 )
 from repro.reliability.matrix import (
@@ -111,11 +114,27 @@ class TestEnsureHeals:
     ):
         copy, _digest = _damaged_copy(template, tmp_path, "bitflip")
         store = CorpusStore(copy)
-        store.ensure(_spec())  # heals, marks digest verified
+        store.ensure(_spec())  # heals by re-recording
         healed_before = store.healed
-        store.ensure(_spec())  # cached digest: a pure hit, no re-hash
+        store.ensure(_spec())  # a pure hit: one stored-bytes hash
         assert store.healed == healed_before
         assert store.hits == 1
+
+    def test_damage_between_two_hits_heals_at_the_second(
+        self, template, tmp_path
+    ):
+        root, digest = template
+        copy = str(tmp_path / "corpus")
+        shutil.copytree(root, copy)
+        store = CorpusStore(copy)
+        first = store.ensure(_spec())
+        assert not first.built
+        inject_object_fault(first.path, digest, "bitflip", seed=1)
+        second = store.ensure(_spec())  # same handle: nothing memoised
+        assert second.built
+        assert second.entry.digest == digest
+        assert second.result == first.result
+        assert store.healed == 1
 
 
 
@@ -160,6 +179,71 @@ class TestOutOfLayoutRecords:
         assert CorpusStore(copy).verify() == []
 
 
+def _footer_tampered_copy(template, tmp_path):
+    """A store copy whose object's footer overstates its L1 accesses.
+
+    The object is rewritten with the same records and re-bound in the
+    manifest under its new digest and stored hash, so every hash check
+    passes and only a replay can tell the footer is wrong.
+    """
+    root, digest = template
+    copy = str(tmp_path / "corpus")
+    shutil.copytree(root, copy)
+    store = CorpusStore(copy)
+    pristine = store.object_path(digest)
+    with TraceReader(pristine) as reader:
+        header = reader.header
+        batches = list(reader.column_batches())
+        footer = dict(reader.footer)
+    events = footer["events"]
+    footer["events"] = dict(events, l1_accesses=events["l1_accesses"] + 1)
+    tampered = str(tmp_path / "tampered.trace")
+    with CompressedTraceWriter(tampered, header) as writer:
+        for batch in batches:
+            writer.append_columns(batch.kind, batch.address, batch.arg)
+        writer.set_footer(footer)
+    new_digest, raw_bytes, _footer = canonical_digest(tampered)
+    with open(tampered, "rb") as handle:
+        stored = handle.read()
+    target = store.object_path(new_digest)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    os.replace(tampered, target)
+    os.remove(pristine)
+    with manifest_lock(copy):
+        manifest = store.manifest()
+        (entry,) = manifest.entries.values()
+        manifest.put(
+            replace(
+                entry,
+                digest=new_digest,
+                raw_bytes=raw_bytes,
+                stored_bytes=len(stored),
+                stored_sha256=hashlib.sha256(stored).hexdigest(),
+            )
+        )
+        save_manifest(manifest, store.manifest_path)
+    return copy, digest, events["l1_accesses"]
+
+
+class TestFooterTrust:
+    def test_hit_trusts_the_footer_of_verified_bytes(self, template, tmp_path):
+        copy, _digest, l1_accesses = _footer_tampered_copy(template, tmp_path)
+        resolved = CorpusStore(copy).ensure(_spec())
+        assert not resolved.built
+        assert resolved.result.events.l1_accesses == l1_accesses + 1
+
+    def test_verify_reports_and_repair_restores(
+        self, template, tmp_path, capsys
+    ):
+        copy, digest, _l1 = _footer_tampered_copy(template, tmp_path)
+        assert corpus_cli.main(["--root", copy, "verify"]) == 1
+        assert "replay disagrees with its footer" in capsys.readouterr().err
+        assert corpus_cli.main(["--root", copy, "verify", "--repair"]) == 0
+        (entry,) = CorpusStore(copy).manifest().entries.values()
+        assert entry.digest == digest
+        assert CorpusStore(copy).verify() == []
+
+
 class TestReplayHeals:
     def test_run_result_survives_damage(self, template, tmp_path):
         copy, _digest = _damaged_copy(template, tmp_path, "truncate")
@@ -168,13 +252,13 @@ class TestReplayHeals:
         assert CorpusStore(copy).verify() == []
 
     def test_object_deleted_after_verification(self, template, tmp_path):
-        """Damage landing *between* ensure's verification and replay —
-        the deleted-mid-walk shape — heals on the replay path."""
+        """Damage landing after an ``ensure`` — the deleted-mid-walk
+        shape — heals at ``run_result``'s own resolution."""
         root, _digest = template
         copy = str(tmp_path / "corpus")
         shutil.copytree(root, copy)
         store = CorpusStore(copy)
-        resolved = store.ensure(_spec())  # verifies and caches the digest
+        resolved = store.ensure(_spec())
         os.remove(resolved.path)
         result = store.run_result(_spec())
         assert result.instructions > 0
@@ -198,6 +282,27 @@ class TestManifestHeals:
         assert events[-1]["scenario"] == "<manifest>"
         # Re-ensure rebuilds the binding, converging on the same object.
         assert store.ensure(_spec()).entry.digest == digest
+
+    def test_old_manifest_version_heals_like_a_corrupt_one(
+        self, template, tmp_path
+    ):
+        root, digest = template
+        copy = str(tmp_path / "corpus")
+        shutil.copytree(root, copy)
+        path = os.path.join(copy, "manifest.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["manifest_version"] = 1
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        store = CorpusStore(copy)
+        assert store.manifest().entries == {}
+        assert os.path.exists(
+            os.path.join(store.quarantine_dir, "manifest.corrupt.json")
+        )
+        resolved = store.ensure(_spec())
+        assert resolved.built
+        assert resolved.entry.digest == digest
 
     def test_corrupt_entry_heals_through_ensure(self, template, tmp_path):
         copy, digest = _damaged_copy(template, tmp_path, "corrupt-entry")
