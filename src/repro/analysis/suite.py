@@ -11,11 +11,13 @@ aggregation methodology:
 
 With a ``store`` (a :class:`repro.corpus.CorpusStore`), every
 (benchmark, scenario, seed) cell resolves through the content-addressed
-trace corpus — recorded on first use, replayed bit-identically
-thereafter — so repeated figure runs share one persisted corpus instead
-of re-synthesising their workloads.  The numbers are identical either
-way (the replay round-trip invariant); only where the event stream
-comes from changes.
+trace corpus — recorded on first use; thereafter a hit reads the
+verified footer of the stored object — so repeated figure runs share
+one persisted corpus instead of re-synthesising their workloads.  The
+footer holds the live run's counts bit-identically, and both paths
+price a cell with :func:`repro.workloads.generator.relative_slowdown`,
+so the numbers are identical either way; only where the counts come
+from changes.
 """
 
 from __future__ import annotations

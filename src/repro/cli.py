@@ -77,15 +77,19 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         arguments.reference = DEFAULT_REFERENCE_DIR
     profile = "full" if arguments.full else arguments.profile
     sets = tuple(arguments.set or ())
-    ctx = RunContext.create(
-        profile=profile,
-        corpus=arguments.corpus,
-        no_corpus=arguments.no_corpus,
-        jobs=arguments.jobs,
-        faults=arguments.faults,
-        sets=sets,
-        profile_sections=arguments.profile_sections,
-    )
+    try:
+        ctx = RunContext.create(
+            profile=profile,
+            corpus=arguments.corpus,
+            no_corpus=arguments.no_corpus,
+            jobs=arguments.jobs,
+            faults=arguments.faults,
+            sets=sets,
+            profile_sections=arguments.profile_sections,
+        )
+    except ValueError as error:
+        print(f"repro run: {error}", file=sys.stderr)
+        return 2
     names = list(arguments.names)
     if sets and "loadgen_contention" not in names:
         # --set targets the loadgen section; compose with any explicit

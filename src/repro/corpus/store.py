@@ -64,7 +64,7 @@ from repro.traces.format import (
 from repro.traces.recorder import _geometry_dict, record_spec
 from repro.traces.registry import CORPUS, TraceScenarioSpec, policy_to_str
 from repro.traces.replayer import recorded_result, replay_timing
-from repro.workloads.generator import RunResult, Scenario
+from repro.workloads.generator import RunResult, Scenario, relative_slowdown
 from repro.workloads.specs import BenchmarkProfile
 
 from repro.corpus.manifest import (
@@ -594,22 +594,20 @@ class CorpusStore:
         baseline_config: HierarchyConfig = WESTMERE,
         variant_config: HierarchyConfig | None = None,
     ) -> float:
-        """Corpus-resolved twin of :func:`repro.workloads.generator.slowdown`.
+        """:func:`repro.workloads.generator.slowdown` with both runs
+        resolved through the store.
 
-        Both the unprotected baseline and the scenario variant resolve
-        through the store; a recording's footer holds the live run's
-        counts bit-identically, so the returned figure quantity equals
-        the live computation exactly — while repeated invocations (and
-        other figures sharing the baseline) read stored footers instead
-        of re-synthesising.
+        The baseline and the variant are each a build's own recording or
+        a hit's verified footer, which holds the live run's counts
+        bit-identically, so the figure quantity equals the live one
+        exactly — while repeated invocations (and other figures sharing
+        the baseline) read stored footers instead of re-synthesising.
         """
         base = self.run_result(figure_spec(profile, Scenario.baseline(), instructions))
         variant = self.run_result(figure_spec(profile, scenario, instructions))
-        base_cycles = base.cycles(baseline_config, profile)
-        variant_cycles = variant.cycles(
-            variant_config or baseline_config, profile
+        return relative_slowdown(
+            profile, base, variant, baseline_config, variant_config
         )
-        return variant_cycles / base_cycles - 1.0
 
     # -- maintenance ---------------------------------------------------------
 

@@ -79,7 +79,9 @@ class RunContext:
         ``profile`` selects the workload scale; ``instructions``/
         ``seeds`` override it piecemeal.  Corpus resolution happens here
         and only here: ``no_corpus`` disables the store, ``corpus``
-        names a root, otherwise
+        names a local root (a URL is rejected: a remote corpus is a
+        :class:`repro.serve.client.RemoteStore` passed to an
+        experiment's ``run``), otherwise
         :func:`repro.corpus.store.default_store` decides
         (``$REPRO_CORPUS_DIR`` or ``./.repro-corpus``).
         """
@@ -88,6 +90,10 @@ class RunContext:
                 f"unknown profile {profile!r}; known: {', '.join(PROFILES)}"
             )
         default_instructions, default_seeds = PROFILES[profile]
+        if corpus is not None and "://" in corpus:
+            raise ValueError(
+                f"corpus must be a local directory, not a URL: {corpus!r}"
+            )
         if no_corpus:
             corpus_root = None
         elif corpus is not None:

@@ -9,6 +9,7 @@ the overall figure average.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.suite import SuiteResult, sweep
 from repro.experiments.context import RunContext
@@ -17,6 +18,9 @@ from repro.experiments.results import SectionResult
 from repro.softstack.insertion import Policy
 from repro.workloads.generator import Scenario
 from repro.workloads.specs import FIG11_BENCHMARKS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.corpus.store import CorpusStore
 
 PAPER = {
     "intelligent 1-7B": 0.2,
@@ -40,7 +44,10 @@ def run(
     instructions: int = 100_000,
     benchmarks: list[str] | None = None,
     binary_seeds: tuple[int, ...] = (0,),
+    store: "CorpusStore | None" = None,
 ) -> Fig12Result:
+    """``store`` resolves every cell through the recorded-trace corpus;
+    the baselines are Figure 11's objects, so only the variants are new."""
     benchmarks = benchmarks or FIG11_BENCHMARKS
     configurations: dict[str, SuiteResult] = {}
     for with_cform in (False, True):
@@ -58,6 +65,7 @@ def run(
                 instructions=instructions,
                 binary_seeds=binary_seeds,
                 label=label,
+                store=store,
             )
     return Fig12Result(configurations=configurations)
 
@@ -81,12 +89,14 @@ def render(result: Fig12Result) -> str:
 @experiment(
     name="fig12",
     title="Figure 12 — intelligent policy",
-    tags=("figure",),
-    needs=("instructions", "seeds"),
+    tags=("figure", "trace"),
+    needs=("instructions", "seeds", "corpus"),
     order=80,
 )
 def run_experiment(ctx: RunContext) -> SectionResult:
-    result = run(instructions=ctx.instructions, binary_seeds=ctx.seeds)
+    result = run(
+        instructions=ctx.instructions, binary_seeds=ctx.seeds, store=ctx.store
+    )
     data = {
         "paper": PAPER,
         "averages": result.averages(),

@@ -12,8 +12,9 @@ analogue of the paper's SPEC-co-runner interference arguments.
 
 Every trace resolves through the content-addressed corpus
 (:meth:`~repro.corpus.store.CorpusStore.ensure`): the first runner
-invocation records, later invocations replay pure corpus hits — the
-``source`` column makes that visible per row.
+invocation records and uses the recording's own counts; on a later
+invocation each trace is a corpus hit, whose counts are read from the
+verified footer — the ``source`` column makes that visible per row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.experiments.results import SectionResult
 from repro.loadgen.compose import apportion_tenants, compose_spec
 from repro.loadgen.schema import LoadScenario, MixEntry
 from repro.loadgen.sets import load_scenarios, resolve
-from repro.traces.replayer import replay_timing
 
 #: Set tokens used when the context carries no ``--set`` selection.
 DEFAULT_SETS = ("synthetic",)
@@ -57,13 +57,6 @@ def _solo_scenario(load: LoadScenario, profile_name: str) -> LoadScenario:
     )
 
 
-def _resolve_replay(store: CorpusStore, load: LoadScenario):
-    """Compose through the corpus; returns (result, entry, source)."""
-    resolved = store.ensure(compose_spec(load))
-    result, footer = replay_timing(resolved.path, with_footer=True)
-    return result, resolved, "recorded" if resolved.built else "corpus hit"
-
-
 def run(
     sets: tuple[str, ...] = DEFAULT_SETS,
     duration_scale: float = 1.0,
@@ -81,24 +74,24 @@ def run(
     rows: list[dict] = []
     for scenario in resolve(sets, load_scenarios()):
         load = scenario.scaled(duration_scale)
-        composed, resolved, source = _resolve_replay(store, load)
+        composed = store.ensure(compose_spec(load))
         tenants = apportion_tenants(load)
         solo_rates: dict[str, float] = {}
         for profile_name in dict.fromkeys(tenants):  # distinct, mix order
-            solo, _, _ = _resolve_replay(
-                store, _solo_scenario(load, profile_name)
+            solo = store.run_result(
+                compose_spec(_solo_scenario(load, profile_name))
             )
             solo_rates[profile_name] = _miss_rate(solo)
         weighted_solo = sum(
             solo_rates[name] for name in tenants
         ) / len(tenants)
-        composed_rate = _miss_rate(composed)
+        composed_rate = _miss_rate(composed.result)
         rows.append(
             {
                 "scenario": scenario.name,
                 "tenants": load.tenants,
-                "records": resolved.entry.records,
-                "source": source,
+                "records": composed.entry.records,
+                "source": "recorded" if composed.built else "corpus hit",
                 "composed_l3_rate": composed_rate,
                 "solo_l3_rate": weighted_solo,
                 "contention_pp": (composed_rate - weighted_solo) * 100.0,

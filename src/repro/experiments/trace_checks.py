@@ -24,6 +24,7 @@ from repro.experiments.results import SectionResult
 from repro.memory.hierarchy import WESTMERE
 from repro.traces.registry import CORPUS, TraceScenarioSpec
 from repro.traces.replayer import replay_timing
+from repro.workloads.generator import relative_slowdown
 
 #: Registry slice exercised by the report section (kept small: the
 #: section runs inside the quick-mode experiment runner).
@@ -82,8 +83,6 @@ def run(instructions: int = 20_000, store: CorpusStore | None = None) -> list[Tr
             spec, name=f"{name}-baseline", policy=None, with_cform=False
         )
         baseline_replayed, _ = _replay(store, baseline_spec)
-        protected_cycles = _cycles(spec, replayed)
-        baseline_cycles = _cycles(baseline_spec, baseline_replayed)
         checks.append(
             TraceCheck(
                 name=name,
@@ -92,8 +91,10 @@ def run(instructions: int = 20_000, store: CorpusStore | None = None) -> list[Tr
                 compression_ratio=resolved.entry.compression_ratio,
                 source="recorded" if resolved.built else "corpus hit",
                 recorded_cycles=_cycles(spec, resolved.result),
-                replayed_cycles=protected_cycles,
-                trace_slowdown=protected_cycles / baseline_cycles - 1.0,
+                replayed_cycles=_cycles(spec, replayed),
+                trace_slowdown=relative_slowdown(
+                    spec.profile, baseline_replayed, replayed
+                ),
             )
         )
     return checks

@@ -41,8 +41,6 @@ Scenario families:
     sockets against an in-process server: fetch-by-digest object reads
     on a keep-alive connection, and the results cache's 304
     revalidation path.
-``experiment_e2e``
-    A small end-to-end slice of the Figure 10 experiment pipeline.
 ``codec_reference``
     The retained pure-reference codec, measured with the same workload
     as ``codec_encode``/``codec_decode`` so every report carries its own
@@ -490,18 +488,6 @@ def _serve_results(quick: bool) -> Workload:
     return revalidate_all, count
 
 
-def _experiment_e2e(quick: bool) -> Workload:
-    from repro.experiments import fig10_extra_latency
-
-    instructions = 4000 if quick else 8000
-    benchmarks = fig10_extra_latency.FIG10_BENCHMARKS[:2]
-
-    def run_slice() -> None:
-        fig10_extra_latency.run(instructions=instructions, benchmarks=benchmarks)
-
-    return run_slice, 1
-
-
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
@@ -615,13 +601,6 @@ SCENARIOS: dict[str, Scenario] = {
             "revalidations)",
             _serve_results,
             default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "experiment_e2e",
-            "end-to-end Figure 10 slice (2 benchmarks, short trace)",
-            _experiment_e2e,
-            default_iterations=5,
             default_warmup=1,
         ),
     )

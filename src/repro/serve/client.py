@@ -4,8 +4,10 @@
 the corpus store's *read interface* — ``ensure`` → ``CorpusObject``,
 ``run_result``, ``slowdown``, ``manifest`` — so every consumer that
 resolves traces through a store handle (figure sweeps, trace checks,
-multi-core contention, ``repro run --corpus http://…``) works unchanged
-against a remote corpus.
+multi-core contention) works unchanged against a remote corpus.  The
+handle is passed programmatically, e.g.
+``fig12_intelligent.run(store=RemoteStore("http://host:port"))``;
+``repro run --corpus`` takes a local directory only.
 
 The contract mirrors the local store's exactly:
 
@@ -39,12 +41,16 @@ from urllib.parse import urlsplit
 
 from repro import package_version
 from repro.corpus.manifest import Manifest, ManifestEntry
-from repro.corpus.store import CorpusObject, canonical_digest, spec_fingerprint
+from repro.corpus.store import (
+    CorpusObject,
+    CorpusStore,
+    canonical_digest,
+    spec_fingerprint,
+)
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.traces.registry import TraceScenarioSpec
 from repro.traces.replayer import replay_timing
-from repro.workloads.generator import RunResult, Scenario
-from repro.workloads.specs import BenchmarkProfile
+from repro.workloads.generator import RunResult
 
 #: Seconds an HTTP request (including a streamed job) may take.
 DEFAULT_TIMEOUT = 300.0
@@ -333,28 +339,10 @@ class RemoteStore:
         resolved = self.ensure(spec, config)
         return replay_timing(resolved.path)
 
-    def slowdown(
-        self,
-        profile: BenchmarkProfile,
-        scenario: Scenario,
-        instructions: int,
-        baseline_config: HierarchyConfig = WESTMERE,
-        variant_config: HierarchyConfig | None = None,
-    ) -> float:
-        """Figure-quantity twin of :meth:`CorpusStore.slowdown`."""
-        from repro.corpus.store import figure_spec
-
-        base = self.run_result(
-            figure_spec(profile, Scenario.baseline(), instructions)
-        )
-        variant = self.run_result(
-            figure_spec(profile, scenario, instructions)
-        )
-        base_cycles = base.cycles(baseline_config, profile)
-        variant_cycles = variant.cycles(
-            variant_config or baseline_config, profile
-        )
-        return variant_cycles / base_cycles - 1.0
+    #: The local store's figure-cell pricing; it resolves both runs
+    #: through :meth:`run_result`, so a remote corpus prices a cell the
+    #: same way.
+    slowdown = CorpusStore.slowdown
 
 
 def _error_message(body: bytes) -> str:

@@ -198,16 +198,13 @@ def _replay_timing_columns(
     )
 
 
-def replay_timing(source, verify: bool = True, with_footer: bool = False):
+def replay_timing(source, verify: bool = True):
     """Replay a full trace through fresh tag caches; return its RunResult.
 
     With ``verify`` (the default) the recomputed event counts and the
     CFORM/allocation accounting are checked against the footer the
     recorder wrote; any divergence raises :class:`TraceIntegrityError`.
-    The returned result is bit-identical to the live run's.  With
-    ``with_footer`` the return value is ``(result, footer)`` so callers
-    needing footer metadata (record counts, ...) avoid a second pass
-    over the file.
+    The returned result is bit-identical to the live run's.
 
     Only whole recorded traces carry the run summary this reconstructs;
     for shard files use :func:`replay_shards` (region accounting).
@@ -217,8 +214,7 @@ def replay_timing(source, verify: bool = True, with_footer: bool = False):
         stats = _replay_timing_columns(reader)
         tspan.set("touches", stats.touches)
         footer = reader.read_footer()
-    result = _footer_result(stats, reader.header, footer, verify)
-    return (result, footer) if with_footer else result
+    return _footer_result(stats, reader.header, footer, verify)
 
 
 def _footer_result(

@@ -144,6 +144,24 @@ class RunResult:
         return model.cycles(self.instructions, self.events)
 
 
+def relative_slowdown(
+    profile: BenchmarkProfile,
+    base: RunResult,
+    variant: RunResult,
+    baseline_config: HierarchyConfig = WESTMERE,
+    variant_config: HierarchyConfig | None = None,
+) -> float:
+    """Price one figure cell, live or corpus-resolved: ``variant`` over
+    ``base`` by :meth:`PipelineModel.slowdown` on ``profile``'s core."""
+    model = PipelineModel(
+        baseline_config, base_cpi=profile.base_cpi, overlap=profile.overlap
+    )
+    return model.slowdown(
+        base.instructions, base.events,
+        variant.instructions, variant.events, variant_config,
+    )
+
+
 def _layout_for(
     struct: Struct, scenario: Scenario, rng: random.Random
 ) -> CaliformedLayout:
@@ -503,6 +521,6 @@ def slowdown(
     """
     base = run_trace(profile, Scenario.baseline(), instructions, seed)
     variant = run_trace(profile, scenario, instructions, seed)
-    base_cycles = base.cycles(baseline_config, profile)
-    variant_cycles = variant.cycles(variant_config or baseline_config, profile)
-    return variant_cycles / base_cycles - 1.0
+    return relative_slowdown(
+        profile, base, variant, baseline_config, variant_config
+    )

@@ -6,6 +6,9 @@ from repro.corpus.store import CorpusStore
 from repro.experiments import (
     fig04_padding_sweep,
     fig10_extra_latency,
+    fig11_policies,
+    fig12_intelligent,
+    loadgen_contention,
     mc_contention,
     trace_checks,
 )
@@ -54,6 +57,20 @@ class TestFiguresThroughTheCorpus:
         # Only the fixed-padding variants are new; the baselines hit.
         assert store.built == built + len(SMALL_SET)
 
+    def test_fig12_equals_live_and_shares_fig11_baselines(self, store):
+        fig11_policies.run(
+            instructions=QUICK, benchmarks=SMALL_SET, store=store
+        )
+        built = store.built
+        corpus = fig12_intelligent.run(
+            instructions=QUICK, benchmarks=SMALL_SET, store=store
+        )
+        # Six intelligent-policy variants per benchmark; the baselines
+        # are Figure 11's objects and hit.
+        assert store.built == built + 6 * len(SMALL_SET)
+        live = fig12_intelligent.run(instructions=QUICK, benchmarks=SMALL_SET)
+        assert corpus == live
+
 
 class TestTraceChecksSection:
     def test_records_then_hits(self, store):
@@ -74,6 +91,33 @@ class TestTraceChecksSection:
     def test_standalone_uses_ephemeral_store(self):
         checks = trace_checks.run(instructions=QUICK)
         assert all(check.bit_identical for check in checks)
+
+
+class TestLoadgenSection:
+    def test_second_run_reads_footers_without_replaying(
+        self, store, monkeypatch
+    ):
+        first = loadgen_contention.run(duration_scale=0.05, store=store)
+        assert all(row["source"] == "recorded" for row in first)
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a corpus hit must not be replayed")
+
+        # The body of every ``replay_timing`` call, under whichever name
+        # a module imported it.
+        monkeypatch.setattr(
+            "repro.traces.replayer._replay_timing_columns", no_replay
+        )
+        second = loadgen_contention.run(duration_scale=0.05, store=store)
+        assert all(row["source"] == "corpus hit" for row in second)
+
+        def without_source(rows):
+            return [
+                {key: value for key, value in row.items() if key != "source"}
+                for row in rows
+            ]
+
+        assert without_source(second) == without_source(first)
 
 
 class TestMulticoreSection:

@@ -58,7 +58,15 @@ class TestCompleteness:
             assert exp.needs <= KNOWN_NEEDS
 
     def test_trace_consuming_sections_declare_corpus(self):
-        for name in ("fig04", "fig10", "fig11", "traces", "multicore"):
+        for name in (
+            "fig04",
+            "fig10",
+            "fig11",
+            "fig12",
+            "traces",
+            "multicore",
+            "loadgen_contention",
+        ):
             assert "corpus" in get(name).needs
 
     def test_tags_cover_the_documented_axes(self):

@@ -90,6 +90,15 @@ class TestRunSubcommand:
         assert excinfo.value.code == 2
         assert "unknown tag" in capsys.readouterr().err
 
+    def test_url_corpus_exits_non_zero_with_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "table1", "--corpus", "http://localhost:1"]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1 and "not a URL" in error
+        assert list(tmp_path.iterdir()) == []
+
     def test_partial_selection_defaults_to_partial_artifacts(
         self, tmp_path, monkeypatch
     ):

@@ -64,6 +64,14 @@ class TestCorpusResolution:
         ctx = RunContext.create("quick")
         assert ctx.corpus_root == str(tmp_path / "env-corpus")
 
+    def test_url_corpus_is_rejected_and_creates_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="not a URL"):
+            RunContext.create("quick", corpus="http://localhost:8000")
+        assert list(tmp_path.iterdir()) == []
+
     def test_store_handle_is_cached(self, tmp_path):
         ctx = RunContext.create("quick", corpus=str(tmp_path))
         assert ctx.store is ctx.store

@@ -176,9 +176,9 @@ class TestDeterminismAndReplay:
         load = make(warmup_s=0.05)
         buffer = BytesIO()
         live = record_spec(compose_spec(load), buffer)
-        replayed, footer = replay_timing(
-            BytesIO(buffer.getvalue()), with_footer=True
-        )
+        replayed = replay_timing(BytesIO(buffer.getvalue()))
+        with TraceReader(BytesIO(buffer.getvalue())) as reader:
+            footer = reader.read_footer()
         assert replayed.events == live.events
         assert replayed.instructions == live.instructions
         assert replayed.cform_instructions == live.cform_instructions

@@ -583,13 +583,12 @@ def filter_core_stream(
 # -- the replay entry points ----------------------------------------------------
 
 
-def replay_timing(source, verify: bool = True, with_footer: bool = False):
+def replay_timing(source, verify: bool = True):
     """Per-record twin of :func:`repro.traces.replayer.replay_timing`."""
     with TraceReader(source) as reader:
         stats = replay_timing_stream(reader)
         footer = reader.read_footer()
-    result = _footer_result(stats, reader.header, footer, verify)
-    return (result, footer) if with_footer else result
+    return _footer_result(stats, reader.header, footer, verify)
 
 
 def replay_hierarchy(source) -> ShardStats:
