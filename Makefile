@@ -26,7 +26,7 @@ CORPUS_DIR ?= .repro-corpus
 .PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
         experiments experiments-full experiments-smoke faults-smoke \
         trace-demo trace-demo-mc corpus-demo loadgen-smoke kernel-smoke \
-        telemetry-smoke serve-smoke
+        telemetry-smoke serve-smoke live-check
 
 #: Scratch directory for the fault-injection matrix (wiped each run).
 FAULTS_DIR ?= .repro-faults
@@ -67,6 +67,15 @@ experiments-full:
 ## writes EXPERIMENTS.md and the results/*.json artifact set.
 experiments-smoke:
 	$(PY) -m repro run --profile quick --jobs 2
+
+## CI gate for the live (--no-corpus) figure path: regenerate Figures
+## 10 and 12 by synthesis, without the trace corpus, and diff them
+## against results/reference/ (--check exits non-zero on drift).  The
+## report and results land in a private mktemp dir removed on exit.
+live-check:
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(PY) -m repro run fig10 fig12 --no-corpus --check --jobs 1 \
+		--output "$$dir/EXPERIMENTS.partial.md" --results-dir "$$dir/results"
 
 ## CI gate: the fault-injection matrix — every fault kind against every
 ## consumer (ensure / replay / verify --repair / lock / runner), each

@@ -42,6 +42,7 @@ def main() -> None:
         print(f"  {policy:14s} +{overhead * 100:5.1f}% bytes")
     print()
 
+    runs: dict = {}  # one baseline run per benchmark, shared by the sweeps
     for policy in Policy:
         scenario = Scenario(policy=policy, with_cform=True)
         result = sweep(
@@ -49,6 +50,7 @@ def main() -> None:
             scenario,
             instructions=arguments.instructions,
             label=f"{policy.value} policy (+CFORM)",
+            runs=runs,
         )
         print(render_suite(result))
         print()

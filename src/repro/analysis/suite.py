@@ -9,12 +9,21 @@ aggregation methodology:
   (Section 8.2, footnote 5),
 * per-figure benchmark sets (19 for Figure 10, 16 for Figures 11/12).
 
-With a ``store`` (a :class:`repro.corpus.CorpusStore`), every
-(benchmark, scenario, seed) cell resolves through the content-addressed
-trace corpus — recorded on first use; thereafter a hit reads the
-verified footer of the stored object — so repeated figure runs share
-one persisted corpus instead of re-synthesising their workloads.  The
-footer holds the live run's counts bit-identically, and both paths
+Every configuration of a figure is priced against the same unprotected
+run of each benchmark (Section 8.2), and both ways of resolving a cell
+compute that run once:
+
+* **Live** (no store): the cell's two ``RunResult`` objects go into a
+  ``runs`` memo (a plain dict, see :func:`sweep`).  A figure passes one
+  memo to all of its sweeps, so each baseline is simulated once per
+  figure, not once per configuration.
+* **Corpus** (a :class:`repro.corpus.CorpusStore`): every (benchmark,
+  scenario, seed) cell resolves through the content-addressed trace
+  corpus — recorded on first use; thereafter a hit reads the verified
+  footer of the stored object — so the shared baseline is one object
+  and repeated figure runs share one persisted corpus.
+
+The footer holds the live run's counts bit-identically, and both paths
 price a cell with :func:`repro.workloads.generator.relative_slowdown`,
 so the numbers are identical either way; only where the counts come
 from changes.
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
@@ -76,6 +86,7 @@ def sweep(
     variant_config: HierarchyConfig | None = None,
     label: str | None = None,
     store: "CorpusStore | None" = None,
+    runs: dict | None = None,
 ) -> SuiteResult:
     """Run one configuration over a benchmark list.
 
@@ -86,8 +97,17 @@ def sweep(
     experiment layer resolves the default store in exactly one place —
     :attr:`repro.experiments.context.RunContext.store` — so this function
     never guesses a corpus root itself.
+
+    ``runs`` is the live path's ``RunResult`` memo, handed to
+    :func:`repro.workloads.generator.slowdown` for every cell: pass the
+    same dict to each sweep of a figure so the sweeps share one baseline
+    run per benchmark.  Without one, the sweep makes its own.  With a
+    ``store`` it is unused; the corpus already shares the baseline.
     """
-    compute = slowdown if store is None else store.slowdown
+    if store is None:
+        compute = partial(slowdown, runs={} if runs is None else runs)
+    else:
+        compute = store.slowdown
     entries = []
     for name in benchmarks:
         profile = SPEC_PROFILES[name]

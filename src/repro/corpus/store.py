@@ -785,7 +785,10 @@ def figure_spec(
 
     Mirrors :func:`repro.workloads.generator.slowdown`'s live-run
     parameters exactly (seed 0, full warmup, default quarantine), so the
-    corpus-resolved figure equals the live figure bit-for-bit.
+    corpus-resolved figure equals the live figure bit-for-bit.  The spec
+    is identified by what keys the live ``runs`` memo at seed 0 — the
+    profile, the scenario (binary seed included) and the instruction
+    count — so one spec and one memo entry name the same run.
     """
     return TraceScenarioSpec(
         name=f"fig/{profile.name}/{scenario.describe().replace(' ', '_')}"

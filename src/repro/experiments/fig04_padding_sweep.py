@@ -39,10 +39,12 @@ def run(
     sizes: tuple[int, ...] = PADDING_SIZES,
     store: "CorpusStore | None" = None,
 ) -> PaddingSweepResult:
-    """``store`` resolves every cell through the recorded-trace corpus
-    (:class:`repro.corpus.CorpusStore`); the seven padding sizes then
-    share one recorded baseline per benchmark instead of re-running it."""
+    """The padding sizes share one baseline run per benchmark: live, the
+    sweeps share one ``runs`` memo; with a ``store``
+    (:class:`repro.corpus.CorpusStore`) every cell resolves through the
+    recorded-trace corpus, where the baseline is one recorded object."""
     benchmarks = benchmarks or FIG10_BENCHMARKS
+    runs: dict = {}
     per_size = {
         size: sweep(
             benchmarks,
@@ -50,6 +52,7 @@ def run(
             instructions=instructions,
             label=f"fixed {size}B padding",
             store=store,
+            runs=runs,
         )
         for size in sizes
     }

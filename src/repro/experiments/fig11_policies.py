@@ -69,10 +69,12 @@ def run(
     binary_seeds: tuple[int, ...] = (0,),
     store: "CorpusStore | None" = None,
 ) -> Fig11Result:
-    """``store`` resolves every cell through the recorded-trace corpus;
-    the seven configurations then share one recorded baseline per
-    (benchmark, seed) instead of re-running it seven times."""
+    """The seven configurations share one baseline run per benchmark:
+    live, the sweeps share one ``runs`` memo; with a ``store`` every cell
+    resolves through the recorded-trace corpus, where the baseline is
+    one recorded object."""
     benchmarks = benchmarks or FIG11_BENCHMARKS
+    runs: dict = {}
     return Fig11Result(
         configurations={
             label: sweep(
@@ -82,6 +84,7 @@ def run(
                 binary_seeds=binary_seeds,
                 label=label,
                 store=store,
+                runs=runs,
             )
             for label, scenario in _configurations().items()
         }

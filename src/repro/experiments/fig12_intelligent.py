@@ -40,34 +40,46 @@ class Fig12Result:
         return {k: v.average for k, v in self.configurations.items()}
 
 
+def _configurations() -> dict[str, Scenario]:
+    configs: dict[str, Scenario] = {}
+    for with_cform in (False, True):
+        for low, high in SPAN_RANGES:
+            suffix = " +CFORM" if with_cform else ""
+            configs[f"intelligent {low}-{high}B{suffix}"] = Scenario(
+                policy=Policy.INTELLIGENT,
+                min_bytes=low,
+                max_bytes=high,
+                with_cform=with_cform,
+            )
+    return configs
+
+
 def run(
     instructions: int = 100_000,
     benchmarks: list[str] | None = None,
     binary_seeds: tuple[int, ...] = (0,),
     store: "CorpusStore | None" = None,
 ) -> Fig12Result:
-    """``store`` resolves every cell through the recorded-trace corpus;
-    the baselines are Figure 11's objects, so only the variants are new."""
+    """The six configurations share one baseline run per benchmark:
+    live, the sweeps share one ``runs`` memo; with a ``store`` every cell
+    resolves through the recorded-trace corpus, where the baselines are
+    Figure 11's objects, so only the variants are new."""
     benchmarks = benchmarks or FIG11_BENCHMARKS
-    configurations: dict[str, SuiteResult] = {}
-    for with_cform in (False, True):
-        for low, high in SPAN_RANGES:
-            suffix = " +CFORM" if with_cform else ""
-            label = f"intelligent {low}-{high}B{suffix}"
-            configurations[label] = sweep(
+    runs: dict = {}
+    return Fig12Result(
+        configurations={
+            label: sweep(
                 benchmarks,
-                Scenario(
-                    policy=Policy.INTELLIGENT,
-                    min_bytes=low,
-                    max_bytes=high,
-                    with_cform=with_cform,
-                ),
+                scenario,
                 instructions=instructions,
                 binary_seeds=binary_seeds,
                 label=label,
                 store=store,
+                runs=runs,
             )
-    return Fig12Result(configurations=configurations)
+            for label, scenario in _configurations().items()
+        }
+    )
 
 
 def render(result: Fig12Result) -> str:

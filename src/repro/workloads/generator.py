@@ -513,14 +513,29 @@ def slowdown(
     seed: int = 0,
     baseline_config: HierarchyConfig = WESTMERE,
     variant_config: HierarchyConfig | None = None,
+    runs: dict | None = None,
 ) -> float:
     """Relative slowdown of ``scenario`` over the unprotected baseline.
 
     0.03 means 3 % slower.  ``variant_config`` lets Figure 10 charge the
     variant different latencies for the *same* scenario.
+
+    ``runs`` memoises the cell's two :class:`RunResult` objects, keyed by
+    ``(profile, scenario, instructions, seed)`` — every :func:`run_trace`
+    input that varies here.  Pass one dict to every cell of a figure and
+    each benchmark's baseline is simulated once, not once per
+    configuration.  Without one, a cell whose variant *is* the baseline
+    (Figure 10) still simulates it only once.
     """
-    base = run_trace(profile, Scenario.baseline(), instructions, seed)
-    variant = run_trace(profile, scenario, instructions, seed)
+    runs = {} if runs is None else runs
+
+    def run(case: Scenario) -> RunResult:
+        key = (profile, case, instructions, seed)
+        if key not in runs:
+            runs[key] = run_trace(profile, case, instructions, seed)
+        return runs[key]
+
     return relative_slowdown(
-        profile, base, variant, baseline_config, variant_config
+        profile, run(Scenario.baseline()), run(scenario),
+        baseline_config, variant_config,
     )
