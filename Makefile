@@ -4,7 +4,8 @@
 PY := PYTHONPATH=src python
 
 #: The per-record reference replayer (tests/oracle.py) behind the
-#: `python -m repro.traces` CLI, for differential smoke checks.
+#: `python -m repro.traces` CLI, plus its `reencode` command, for
+#: differential smoke checks.
 ORACLE := PYTHONPATH=src:tests python -m oracle
 
 #: Scratch directory for the trace-demo targets.  Unset (the default),
@@ -26,7 +27,7 @@ CORPUS_DIR ?= .repro-corpus
 .PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
         experiments experiments-full experiments-smoke faults-smoke \
         trace-demo trace-demo-mc corpus-demo loadgen-smoke kernel-smoke \
-        telemetry-smoke serve-smoke live-check
+        encode-smoke telemetry-smoke serve-smoke live-check
 
 #: Scratch directory for the fault-injection matrix (wiped each run).
 FAULTS_DIR ?= .repro-faults
@@ -233,6 +234,29 @@ kernel-smoke:
 		cmp "$$dir/$$name-kernel.txt" "$$dir/$$name-oracle.txt"; \
 	done; \
 	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02, and on the attack and loadgen writers"
+
+## CI gate for the columnar trace writers: record CALTRC02 traces of
+## the workload generator (server-churn, and dma-mixed with CFORM
+## walks), a CALTRC01 trace of the attack driver and a composed
+## loadgen trace, then rewrite each through the per-record oracle
+## (tests/oracle.py: scalar decoder, one token probe per record, frames
+## cut by the same rule) and require byte-identical files.
+encode-smoke:
+	@$(DEMO_DIR_SETUP); \
+	$(PY) -m repro.traces record --scenario server-churn \
+		--instructions 8000 --compress --out "$$dir/server-churn.trace"; \
+	$(PY) -m repro.traces record --scenario dma-mixed \
+		--instructions 8000 --compress --out "$$dir/dma-mixed.trace"; \
+	$(PY) -m repro.traces record --scenario attack-replay \
+		--instructions 8000 --out "$$dir/attack-replay.trace"; \
+	$(PY) -m repro loadgen generate uniform-churn \
+		--out "$$dir/uniform-churn.trace"; \
+	for name in server-churn dma-mixed attack-replay uniform-churn; do \
+		$(ORACLE) reencode "$$dir/$$name.trace" \
+			--out "$$dir/$$name.oracle.trace"; \
+		cmp "$$dir/$$name.trace" "$$dir/$$name.oracle.trace"; \
+	done; \
+	echo "encode-smoke: the columnar writers and the per-record oracle write identical bytes"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).

@@ -49,8 +49,6 @@ import struct
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
@@ -58,8 +56,8 @@ from repro.traces.format import (
     EV_END,
     MAGIC,
     RECORD,
-    RECORD_DTYPE,
     TraceReader,
+    pack_records,
 )
 from repro.traces.recorder import _geometry_dict, record_spec
 from repro.traces.registry import CORPUS, TraceScenarioSpec, policy_to_str
@@ -143,9 +141,10 @@ def canonical_digest(source) -> tuple[str, int, dict]:
     its v1 serialisation would hold — header ``format`` normalised to
     ``CALTRC01`` so a transcoded twin hashes identically.  Records come
     from :meth:`TraceReader.column_batches`; each batch is repacked into
-    the packed ``<BQI`` layout and hashed in one update.  A record that
-    layout cannot hold (a negative address, an ``arg`` of 2**32 or more)
-    raises :class:`TraceFormatError`.  The footer is returned as well
+    the packed ``<BQI`` layout by :func:`~repro.traces.format.pack_records`
+    and hashed in one update.  A record that layout cannot hold (a
+    negative address, an ``arg`` outside ``[0, 2**32)``) raises
+    :class:`TraceFormatError`.  The footer is returned as well
     (the stream was fully drained to hash it, so callers wanting record
     counts need no second pass).
     """
@@ -167,20 +166,14 @@ def canonical_digest(source) -> tuple[str, int, dict]:
         feed(header_bytes)
         position = 0  # stream index of the batch's first record
         for batch in reader.column_batches():
-            address, arg = batch.address, batch.arg
-            bad = np.flatnonzero((address < 0) | (arg > 0xFFFFFFFF))
-            if bad.size:
-                row = int(bad[0])
-                raise reader.error(
-                    f"record {position + row} (address {int(address[row])}, "
-                    f"arg {int(arg[row])}) does not fit the canonical <BQI "
-                    "record layout"
+            try:
+                feed(
+                    pack_records(
+                        batch.kind, batch.address, batch.arg, first=position
+                    )
                 )
-            rows = np.empty(len(batch), dtype=RECORD_DTYPE)
-            rows["kind"] = batch.kind
-            rows["address"] = address
-            rows["arg"] = arg
-            feed(rows.tobytes())
+            except TraceFormatError as error:
+                raise error.located(reader.path) from None
             position += len(batch)
         footer = reader.read_footer()
         footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")

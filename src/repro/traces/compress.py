@@ -32,11 +32,12 @@ Tokens (``kind`` is the ``EV_*`` record kind, 0..6)::
 A run token expands to ``count`` records of the same kind and arg whose
 addresses step by ``stride``; the delta base resets to 0 at every frame
 boundary so frames decode independently.  Encode and decode are both
-fully streaming: the writer buffers at most one frame of records, the
-reader (:meth:`~repro.traces.format.TraceReader.column_batches`)
-decodes a bounded group of frames at a time into record columns —
-compression never changes what the replayers see, only how many bytes
-hold it.
+fully streaming and columnar: the writer buffers at most one frame of
+records and encodes the frames each record block completes in one
+vectorized pass (:func:`_encode_frames`), the reader
+(:meth:`~repro.traces.format.TraceReader.column_batches`) decodes a
+bounded group of frames at a time into record columns — compression
+never changes what the replayers see, only how many bytes hold it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from repro.memory.kernel import check_kinds
 from repro.telemetry.runtime import active as telemetry_active
 from repro.traces.format import (
     EV_EPOCH,
@@ -87,17 +89,6 @@ _FRAME_END_HEAD = struct.Struct("<BI")
 # -- varint primitives --------------------------------------------------------
 
 
-def _append_varint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _append_signed(out: bytearray, value: int) -> None:
-    _append_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
-
-
 def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
     value = 0
     shift = 0
@@ -118,48 +109,51 @@ def _read_signed(data: bytes, offset: int) -> tuple[int, int]:
     return ((zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1)), offset
 
 
-# -- frame codec --------------------------------------------------------------
+def _leb128(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LEB128 varint bytes of a uint64 column, value after value,
+    and the byte offset where each value starts.
+
+    Most values fit one byte, so the longer ones are filled in byte
+    column by byte column over a shrinking index set; every byte but
+    the last of each value then gets the continuation bit.
+    """
+    sizes = np.ones(len(values), dtype=np.int64)
+    wide = np.flatnonzero(values > 0x7F)
+    shift = 7
+    while wide.size:
+        sizes[wide] += 1
+        shift += 7
+        if shift > 63:
+            break
+        wide = wide[(values[wide] >> shift) != 0]
+    ends = np.cumsum(sizes)
+    offsets = ends - sizes
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    out[offsets] = values & 0x7F
+    longer = np.flatnonzero(sizes > 1)
+    for byte in range(1, 10):
+        if not longer.size:
+            break
+        out[offsets[longer] + byte] = (values[longer] >> (7 * byte)) & 0x7F
+        longer = longer[sizes[longer] > byte + 1]
+    out |= 0x80
+    out[ends - 1] &= 0x7F
+    return out, offsets
 
 
-def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
-    """Tokenise + deflate one frame's records (delta base starts at 0)."""
-    tokens = bytearray()
-    previous = 0
-    count = len(records)
-    index = 0
-    while index < count:
-        kind, address, arg = records[index]
-        # Probe for a constant-stride run of the same kind and arg.
-        run = index + 1
-        if run < count and records[run][0] == kind and records[run][2] == arg:
-            stride = records[run][1] - address
-            expected = records[run][1]
-            while run < count:
-                candidate = records[run]
-                if (
-                    candidate[0] != kind
-                    or candidate[2] != arg
-                    or candidate[1] != expected
-                ):
-                    break
-                expected += stride
-                run += 1
-        length = run - index
-        if length >= MIN_RUN:
-            tokens.append(kind | _RUN_FLAG)
-            _append_varint(tokens, length)
-            _append_signed(tokens, address - previous)
-            _append_signed(tokens, records[run - 1][1] - records[run - 2][1])
-            _append_varint(tokens, arg)
-            previous = records[run - 1][1]
-            index = run
-        else:
-            tokens.append(kind)
-            _append_signed(tokens, address - previous)
-            _append_varint(tokens, arg)
-            previous = address
-            index += 1
-    return zlib.compress(bytes(tokens), COMPRESSION_LEVEL)
+# -- frame decoding -----------------------------------------------------------
+
+
+def _int64_field(values: list[int], field: str) -> np.ndarray:
+    """One decoded token field as an int64 column, or a diagnosis
+    naming the field whose value the columnar engine cannot hold."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise TraceFormatError(
+            f"corrupt frame: {field} exceeds the columnar engine's int64 "
+            "range"
+        ) from None
 
 
 def _decode_frame_tokens(tokens: bytes, record_count: int):
@@ -212,20 +206,14 @@ def _decode_frame_tokens(tokens: bytes, record_count: int):
             f"corrupt frame: decoded {produced} records, "
             f"frame header promised {record_count}"
         )
-    try:
-        count_column = np.array(counts, dtype=np.int64)
-        kind_column = np.repeat(np.array(kinds, dtype=np.uint8), count_column)
-        arg_column = np.repeat(np.array(args, dtype=np.int64), count_column)
-        increments = np.repeat(np.array(strides, dtype=np.int64), count_column)
-        if counts:
-            starts = np.cumsum(count_column) - count_column
-            increments[starts] = np.array(first_deltas, dtype=np.int64)
-        address_column = np.cumsum(increments)
-    except OverflowError:
-        raise TraceFormatError(
-            "corrupt frame: address delta exceeds the columnar engine's "
-            "int64 range"
-        ) from None
+    count_column = _int64_field(counts, "run length")
+    kind_column = np.repeat(np.array(kinds, dtype=np.uint8), count_column)
+    arg_column = np.repeat(_int64_field(args, "arg"), count_column)
+    increments = np.repeat(_int64_field(strides, "run stride"), count_column)
+    if counts:
+        starts = np.cumsum(count_column) - count_column
+        increments[starts] = _int64_field(first_deltas, "address delta")
+    address_column = np.cumsum(increments)
     from repro.traces.format import RecordColumns
 
     return RecordColumns(
@@ -359,7 +347,121 @@ def _decode_frames_fast(streams, record_counts):
     )
 
 
+# -- columnar frame encoder ---------------------------------------------------
+
+
+def _encode_frames(kinds, addresses, args, lengths: list[int]) -> bytes:
+    """The wire bytes (heads + deflated tokens) of consecutive frames.
+
+    ``lengths`` cuts the record columns into frames.  Tokenising runs
+    once over all of them: pair ``j`` joins records ``j`` and ``j + 1``
+    of one frame when they share kind and arg, and maximal stretches of
+    pairs with one address step are the constant-stride segments.  A
+    greedy walk takes a run token wherever one reaches :data:`MIN_RUN`
+    records — a run starting at record ``i`` covers ``1 +`` the segment
+    pairs from ``i`` on, and a run ending on a segment's last record
+    leaves the next segment one record shorter — and every record no run
+    covers is a plain token.  All token fields are then varint-encoded
+    in one pass; only zlib runs per frame.
+    """
+    count = len(kinds)
+    frame_ends = np.cumsum(lengths)
+    frame_starts = frame_ends - lengths
+    steps = addresses[1:] - addresses[:-1]  # wraps where it overflows
+    inner = np.ones(count - 1, dtype=bool)
+    inner[frame_ends[:-1] - 1] = False
+    wrapped = ((addresses[1:] ^ addresses[:-1]) & (addresses[1:] ^ steps)) < 0
+    if (wrapped & inner).any():
+        row = int(np.flatnonzero(wrapped & inner)[0])
+        raise TraceFormatError(
+            f"address column: consecutive addresses {int(addresses[row])} "
+            f"and {int(addresses[row + 1])} of one frame are further apart "
+            "than a CALTRC02 address delta can hold"
+        )
+    paired = inner & (kinds[1:] == kinds[:-1]) & (args[1:] == args[:-1])
+    continues = paired[1:] & paired[:-1] & (steps[1:] == steps[:-1])
+    firsts = paired.copy()
+    firsts[1:] &= ~continues
+    lasts = paired.copy()
+    lasts[:-1] &= ~continues
+    segment_starts = np.flatnonzero(firsts)
+    segment_ends = np.flatnonzero(lasts) + 1  # the segment's last record
+    long = segment_ends - segment_starts + 1 >= MIN_RUN
+    run_starts: list[int] = []
+    run_stops: list[int] = []
+    free = 0  # the first record no run has taken yet
+    for start, end in zip(
+        segment_starts[long].tolist(), segment_ends[long].tolist()
+    ):
+        start = max(start, free)
+        if end - start + 1 >= MIN_RUN:
+            run_starts.append(start)
+            run_stops.append(end + 1)
+            free = end + 1
+    runs = np.array(run_starts, dtype=np.int64)
+    stops = np.array(run_stops, dtype=np.int64)
+    # Token starts: every record but the second-and-later of a run.
+    inside = np.zeros(count + 1, dtype=np.int64)
+    inside[runs + 1] += 1
+    inside[stops] -= 1
+    tokens = np.flatnonzero(np.cumsum(inside[:count]) == 0)
+    is_run = np.zeros(count, dtype=bool)
+    is_run[runs] = True
+    token_is_run = is_run[tokens]
+    deltas = np.empty(count, dtype=np.int64)
+    deltas[1:] = steps
+    deltas[frame_starts] = addresses[frame_starts]  # base 0 per frame
+    # Units: kind byte, then (plain) Δaddress, arg or (run) count,
+    # Δstart, stride, arg; zigzag makes the signed fields unsigned.
+    widths = 3 + 2 * token_is_run.astype(np.int64)
+    unit_starts = np.cumsum(widths) - widths
+    units = np.empty(int(widths.sum()), dtype=np.int64)
+    units[unit_starts] = kinds[tokens] | (token_is_run * _RUN_FLAG)
+    token_deltas = deltas[tokens]
+    units[unit_starts + 1 + token_is_run] = (token_deltas << 1) ^ (
+        token_deltas >> 63
+    )
+    units[unit_starts + widths - 1] = args[tokens]
+    run_units = unit_starts[token_is_run]
+    units[run_units + 1] = stops - runs
+    strides = steps[runs]
+    units[run_units + 3] = (strides << 1) ^ (strides >> 63)
+    encoded, unit_offsets = _leb128(units.view(np.uint64))
+    # A frame's first record starts a token (no run crosses frames).
+    frame_bytes = unit_offsets[
+        unit_starts[np.searchsorted(tokens, frame_starts)]
+    ].tolist()
+    frame_bytes.append(len(encoded))
+    view = memoryview(encoded)
+    pieces = []
+    for index, length in enumerate(lengths):
+        payload = zlib.compress(
+            view[frame_bytes[index] : frame_bytes[index + 1]],
+            COMPRESSION_LEVEL,
+        )
+        pieces.append(
+            _FRAME_RECORDS_HEAD.pack(FRAME_RECORDS, length, len(payload))
+        )
+        pieces.append(payload)
+    return b"".join(pieces)
+
+
 # -- streaming writer ---------------------------------------------------------
+
+
+def _int64_column(values, column: str) -> np.ndarray:
+    """``values`` as an int64 column, refusing what int64 cannot hold."""
+    try:
+        result = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        result = None
+    if result is None or (
+        getattr(values, "dtype", None) == np.uint64 and (result < 0).any()
+    ):
+        raise TraceFormatError(
+            f"{column} column holds a value outside the int64 range"
+        )
+    return result
 
 
 class CompressedTraceWriter(TraceWriterBase):
@@ -370,8 +472,11 @@ class CompressedTraceWriter(TraceWriterBase):
     ``record_count``): the recorder, the sharder and :func:`transcode`
     pick their writer by format version and never look inside.  The
     target/preamble/abort plumbing is the shared
-    :class:`~repro.traces.format.TraceWriterBase`; this class only owns
-    the frame buffer.
+    :class:`~repro.traces.format.TraceWriterBase`; this class owns the
+    unfinished frame, kept as the column blocks it arrived in.  Each
+    block is checked, cut into frames (after every EPOCH record, and
+    wherever a frame reaches :data:`MAX_FRAME_RECORDS`), and the frames
+    it completes are encoded together by :func:`_encode_frames`.
     """
 
     MAGIC_BYTES = MAGIC_V2
@@ -379,33 +484,60 @@ class CompressedTraceWriter(TraceWriterBase):
     def __init__(self, target: str | BinaryIO, header: dict):
         super().__init__(target, header)
         self.frame_count = 0
-        self._buffer: list[tuple[int, int, int]] = []
+        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pending_records = 0
 
-    def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record; flushes a frame at epoch boundaries."""
-        self._buffer.append((kind, address, arg))
-        self.record_count += 1
-        if kind == EV_EPOCH or len(self._buffer) >= MAX_FRAME_RECORDS:
-            self._flush_frame()
+    def append_columns(self, kinds, addresses, args) -> None:
+        """Append a block of records; writes every frame it completes.
 
-    def _flush_frame(self) -> None:
-        if not self._buffer:
-            return
-        payload = encode_frame(self._buffer)
-        self._file.write(
-            _FRAME_RECORDS_HEAD.pack(
-                FRAME_RECORDS, len(self._buffer), len(payload)
+        Refuses, naming the column, a record no CALTRC02 reader can
+        decode: an unknown kind, an address outside int64, an arg that
+        is negative or 2**63 or more, or (at encode time) two addresses
+        of one frame further apart than an int64 delta.
+        """
+        kinds = np.asarray(kinds, dtype=np.uint8)
+        check_kinds(kinds)
+        addresses = _int64_column(addresses, "address")
+        args = _int64_column(args, "arg")
+        if (args < 0).any():
+            raise TraceFormatError("arg column holds a negative value")
+        # Block-relative ends of the frames this block completes.
+        ends = []
+        start = -self._pending_records
+        cap = MAX_FRAME_RECORDS
+        for epoch_end in (np.flatnonzero(kinds == EV_EPOCH) + 1).tolist():
+            ends.extend(range(start + cap, epoch_end, cap))
+            ends.append(epoch_end)
+            start = epoch_end
+        ends.extend(range(start + cap, len(kinds) + 1, cap))
+        self.record_count += len(kinds)
+        if ends:
+            cut = ends[-1]
+            self._pending.append((kinds[:cut], addresses[:cut], args[:cut]))
+            self._write_frames(
+                np.diff([-self._pending_records, *ends]).tolist()
             )
+            kinds, addresses, args = kinds[cut:], addresses[cut:], args[cut:]
+        if len(kinds):
+            self._pending.append((kinds.copy(), addresses.copy(), args.copy()))
+            self._pending_records += len(kinds)
+
+    def _write_frames(self, lengths: list[int]) -> None:
+        """Encode the pending blocks as frames of ``lengths`` records."""
+        kinds, addresses, args = (
+            np.concatenate(column) for column in zip(*self._pending)
         )
-        self._file.write(payload)
-        self.frame_count += 1
-        self._buffer.clear()
+        self._file.write(_encode_frames(kinds, addresses, args, lengths))
+        self.frame_count += len(lengths)
+        self._discard_buffer()
 
     def _discard_buffer(self) -> None:
-        self._buffer.clear()
+        self._pending.clear()
+        self._pending_records = 0
 
     def close(self) -> None:
-        self._flush_frame()
+        if self._pending_records:
+            self._write_frames([self._pending_records])
         footer_bytes = self._footer_bytes()
         self._file.write(_FRAME_END_HEAD.pack(FRAME_END, len(footer_bytes)))
         self._file.write(footer_bytes)

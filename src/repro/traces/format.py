@@ -157,6 +157,31 @@ class RecordColumns:
         return len(self.kind)
 
 
+def pack_records(kinds, addresses, args, first: int = 0) -> bytes:
+    """Record columns as packed ``<BQI`` rows: the CALTRC01 record bytes.
+
+    Raises :class:`TraceFormatError` for a record the layout cannot
+    hold — a negative address, or an ``arg`` outside ``[0, 2**32)`` —
+    naming its stream index (``first`` is the index of the block's
+    first record).
+    """
+    addresses = np.asarray(addresses)
+    args = np.asarray(args)
+    bad = np.flatnonzero((addresses < 0) | (args < 0) | (args > 0xFFFFFFFF))
+    if bad.size:
+        row = int(bad[0])
+        raise TraceFormatError(
+            f"record {first + row} (address {int(addresses[row])}, "
+            f"arg {int(args[row])}) does not fit the canonical <BQI record "
+            "layout"
+        )
+    rows = np.empty(len(addresses), dtype=RECORD_DTYPE)
+    rows["kind"] = kinds
+    rows["address"] = addresses
+    rows["arg"] = args
+    return rows.tobytes()
+
+
 class TraceWriterBase:
     """Shared plumbing of the streaming trace writers.
 
@@ -166,7 +191,7 @@ class TraceWriterBase:
     header never leaves an empty file or a leaked descriptor behind),
     footer stashing, :meth:`abort` and the context-manager protocol.
     Subclasses define :attr:`MAGIC_BYTES`, the record buffer
-    (:meth:`append` / :meth:`_discard_buffer`) and :meth:`close`.
+    (:meth:`append_columns` / :meth:`_discard_buffer`) and :meth:`close`.
     """
 
     MAGIC_BYTES: bytes
@@ -194,9 +219,11 @@ class TraceWriterBase:
     def append_columns(self, kinds, addresses, args) -> None:
         """Append a block of records given as columns (a writer's
         :class:`~repro.memory.kernel.RecordBuffer` consumer)."""
-        append = self.append
-        for row in zip(kinds.tolist(), addresses.tolist(), args.tolist()):
-            append(*row)
+        raise NotImplementedError
+
+    def append(self, kind: int, address: int, arg: int) -> None:
+        """Append one record: the one-row case of :meth:`append_columns`."""
+        self.append_columns((kind,), (address,), (arg,))
 
     def set_footer(self, footer: dict) -> None:
         """Provide the summary written after the terminator."""
@@ -257,24 +284,28 @@ class TraceWriter(TraceWriterBase):
     def __init__(self, target: str | BinaryIO, header: dict):
         super().__init__(target, header)
         self._buffer: list[bytes] = []
-        self._pack = RECORD.pack
+        self._buffered = 0
 
-    def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record.  This is the recording hot call."""
-        self._buffer.append(self._pack(kind, address, arg))
-        self.record_count += 1
-        if len(self._buffer) >= self.FLUSH_RECORDS:
+    def append_columns(self, kinds, addresses, args) -> None:
+        """Append a block of records, packed by :func:`pack_records`."""
+        self._buffer.append(
+            pack_records(kinds, addresses, args, first=self.record_count)
+        )
+        self.record_count += len(kinds)
+        self._buffered += len(kinds)
+        if self._buffered >= self.FLUSH_RECORDS:
             self._file.write(b"".join(self._buffer))
-            self._buffer.clear()
+            self._discard_buffer()
 
     def _discard_buffer(self) -> None:
         self._buffer.clear()
+        self._buffered = 0
 
     def close(self) -> None:
         footer_bytes = self._footer_bytes()
-        self._buffer.append(self._pack(EV_END, 0, len(footer_bytes)))
+        self._buffer.append(RECORD.pack(EV_END, 0, len(footer_bytes)))
         self._file.write(b"".join(self._buffer))
-        self._buffer.clear()
+        self._discard_buffer()
         self._file.write(footer_bytes)
         self._finish()
 

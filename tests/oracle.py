@@ -11,6 +11,12 @@ implementations they must agree with:
   container versions (a ``struct`` walk of CALTRC01 records, and
   :func:`decode_frame`'s token walk of CALTRC02 frames, sharing only the
   frame walk and the varint primitives with production);
+* :func:`encode_frame`, :class:`FrameWriter` and :class:`RecordWriter`
+  — the scalar encoder twin of
+  :class:`~repro.traces.compress.CompressedTraceWriter` (one token
+  probe per record, one frame cut after every EPOCH record and at
+  ``MAX_FRAME_RECORDS``) and the one-``struct``-per-record CALTRC01
+  writer; :func:`reencode` rewrites a trace through them;
 * :func:`canonical_digest` — the corpus identity hash, one packed
   record at a time over :func:`records`;
 * :class:`TagOnlyCache` — one LRU tag array, an ``OrderedDict`` per set;
@@ -24,13 +30,17 @@ implementations they must agree with:
 
 Run as a script, it is the ``python -m repro.traces`` CLI with these
 replayers swapped in, so its summaries can be compared byte for byte
-with the production CLI's::
+with the production CLI's, plus a ``reencode`` command that rewrites a
+trace through the scalar decoder and writers, so the file can be
+compared byte for byte with the production writer's::
 
     PYTHONPATH=src:tests python -m oracle replay sc.trace --mode timing
+    PYTHONPATH=src:tests python -m oracle reencode sc.trace --out re.trace
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import heapq
 import json
@@ -48,8 +58,14 @@ from repro.memory.hierarchy import (
     MemoryHierarchy,
     amat_cycles,
 )
+from repro.traces import compress
 from repro.traces.compress import (
     _RUN_FLAG,
+    COMPRESSION_LEVEL,
+    FRAME_END,
+    FRAME_RECORDS,
+    MAGIC_V2,
+    MIN_RUN,
     _iter_frames,
     _read_signed,
     _read_varint,
@@ -68,6 +84,7 @@ from repro.traces.format import (
     RECORD_SIZE,
     TraceFormatError,
     TraceReader,
+    TraceWriterBase,
 )
 from repro.traces.replayer import (
     _CORE_ADDRESS_STRIDE,
@@ -189,6 +206,135 @@ def decode_frame(payload: bytes, record_count: int):
             f"corrupt frame: decoded {produced} records, "
             f"frame header promised {record_count}"
         )
+
+
+# -- scalar encoding ------------------------------------------------------------
+
+
+def _append_varint(out: bytearray, value: int) -> None:
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _append_signed(out: bytearray, value: int) -> None:
+    _append_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
+
+
+def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
+    """Tokenise + deflate one frame's records (delta base starts at 0)."""
+    tokens = bytearray()
+    previous = 0
+    count = len(records)
+    index = 0
+    while index < count:
+        kind, address, arg = records[index]
+        # Probe for a constant-stride run of the same kind and arg.
+        run = index + 1
+        if run < count and records[run][0] == kind and records[run][2] == arg:
+            stride = records[run][1] - address
+            expected = records[run][1]
+            while run < count:
+                candidate = records[run]
+                if (
+                    candidate[0] != kind
+                    or candidate[2] != arg
+                    or candidate[1] != expected
+                ):
+                    break
+                expected += stride
+                run += 1
+        length = run - index
+        if length >= MIN_RUN:
+            tokens.append(kind | _RUN_FLAG)
+            _append_varint(tokens, length)
+            _append_signed(tokens, address - previous)
+            _append_signed(tokens, records[run - 1][1] - records[run - 2][1])
+            _append_varint(tokens, arg)
+            previous = records[run - 1][1]
+            index = run
+        else:
+            tokens.append(kind)
+            _append_signed(tokens, address - previous)
+            _append_varint(tokens, arg)
+            previous = address
+            index += 1
+    return zlib.compress(bytes(tokens), COMPRESSION_LEVEL)
+
+
+class FrameWriter(TraceWriterBase):
+    """The per-record CALTRC02 writer: one frame of record tuples is
+    buffered, cut after every EPOCH record and whenever it reaches
+    ``compress.MAX_FRAME_RECORDS`` (read at each append, so a test may
+    monkeypatch it), and encoded by :func:`encode_frame`."""
+
+    MAGIC_BYTES = MAGIC_V2
+
+    def __init__(self, target, header: dict):
+        super().__init__(target, header)
+        self._frame: list[tuple[int, int, int]] = []
+
+    def append(self, kind: int, address: int, arg: int) -> None:
+        self._frame.append((kind, address, arg))
+        self.record_count += 1
+        if kind == EV_EPOCH or len(self._frame) >= compress.MAX_FRAME_RECORDS:
+            self._flush_frame()
+
+    def _flush_frame(self) -> None:
+        if not self._frame:
+            return
+        payload = encode_frame(self._frame)
+        self._file.write(
+            struct.pack("<BII", FRAME_RECORDS, len(self._frame), len(payload))
+        )
+        self._file.write(payload)
+        self._frame.clear()
+
+    def _discard_buffer(self) -> None:
+        self._frame.clear()
+
+    def close(self) -> None:
+        self._flush_frame()
+        footer_bytes = self._footer_bytes()
+        self._file.write(struct.pack("<BI", FRAME_END, len(footer_bytes)))
+        self._file.write(footer_bytes)
+        self._finish()
+
+
+class RecordWriter(TraceWriterBase):
+    """The per-record CALTRC01 writer: one ``struct`` pack per record."""
+
+    MAGIC_BYTES = MAGIC
+
+    def append(self, kind: int, address: int, arg: int) -> None:
+        self._file.write(RECORD.pack(kind, address, arg))
+        self.record_count += 1
+
+    def _discard_buffer(self) -> None:
+        pass
+
+    def close(self) -> None:
+        footer_bytes = self._footer_bytes()
+        self._file.write(RECORD.pack(EV_END, 0, len(footer_bytes)))
+        self._file.write(footer_bytes)
+        self._finish()
+
+
+def reencode(source, target) -> int:
+    """Rewrite ``source`` into ``target`` through :func:`records` and the
+    scalar writer of its container version; returns the record count.
+
+    The header and footer are carried over, so for a trace a production
+    writer wrote, ``target`` must equal ``source`` byte for byte.
+    """
+    with TraceReader(source) as reader:
+        writer_class = FrameWriter if reader.version == 2 else RecordWriter
+        with writer_class(target, reader.header) as writer:
+            for record in records(reader):
+                writer.append(*record)
+            writer.set_footer(reader.footer)
+    return writer.record_count
 
 
 def canonical_digest(source) -> tuple[str, int, dict]:
@@ -674,8 +820,23 @@ def replay_multicore(
 
 
 def main(argv: list[str] | None = None) -> int:
-    """The ``python -m repro.traces`` CLI, replaying through this oracle."""
+    """The ``python -m repro.traces`` CLI, replaying through this oracle,
+    plus ``reencode SOURCE --out TARGET`` (:func:`reencode`)."""
     from repro.traces import __main__ as cli
+
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["reencode"]:
+        parser = argparse.ArgumentParser(
+            prog="python -m oracle reencode",
+            description="rewrite a trace through the scalar decoder and "
+            "the per-record writer of its container version",
+        )
+        parser.add_argument("source")
+        parser.add_argument("--out", required=True)
+        arguments = parser.parse_args(argv[1:])
+        count = reencode(arguments.source, arguments.out)
+        print(f"re-encoded {count} records to {arguments.out}")
+        return 0
 
     cli.replay_timing = replay_timing
     cli.replay_hierarchy = replay_hierarchy

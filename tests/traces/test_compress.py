@@ -11,9 +11,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from repro.traces import CORPUS, record_spec, replay_timing
+from oracle import encode_frame
+from repro.memory import kernel
+from repro.traces import CORPUS, compress, record_spec, replay_timing
 from repro.traces.compress import (
     MAGIC_V2,
     MAX_FRAME_RECORDS,
@@ -21,7 +25,6 @@ from repro.traces.compress import (
     _decode_frame_tokens,
     _decode_frames_fast,
     compression_summary,
-    encode_frame,
     frame_stats,
     transcode,
 )
@@ -106,6 +109,50 @@ class TestFrameCodec:
         payload = encode_frame([(EV_LOAD, 2**64 - 1, 8)])
         with pytest.raises(TraceFormatError, match="int64"):
             _columnar_decode(payload, 1)
+        # The production writer refuses such records up front, naming
+        # the column, instead of writing a trace no reader can decode.
+        refused = [
+            ((200, 64, 8), "kind"),
+            ((EV_LOAD, 2**64 - 1, 8), "address"),
+            ((EV_LOAD, -(2**63) - 1, 8), "address"),
+            ((EV_LOAD, 64, -1), "arg"),
+            ((EV_LOAD, 64, 2**63), "arg"),
+            ((EV_LOAD, 64, 2**63 + 5), "arg"),
+        ]
+        for record, column in refused:
+            writer = CompressedTraceWriter(io.BytesIO(), {})
+            with pytest.raises(TraceFormatError, match=column):
+                writer.append(*record)
+            with pytest.raises(TraceFormatError, match=column):
+                writer.append_columns(
+                    np.array([record[0]], dtype=np.uint8),
+                    np.array([record[1]], dtype=object),
+                    np.array([record[2]], dtype=object),
+                )
+            assert writer.record_count == 0
+        writer = CompressedTraceWriter(io.BytesIO(), {})
+        with pytest.raises(TraceFormatError, match="address"):
+            writer.append_columns(
+                np.array([EV_LOAD], dtype=np.uint8),
+                np.array([2**63], dtype=np.uint64),
+                np.array([8]),
+            )
+        # Two int64 addresses of one frame whose delta int64 cannot hold.
+        writer = CompressedTraceWriter(io.BytesIO(), {})
+        writer.append(EV_LOAD, -(2**62) - 1, 8)
+        writer.append(EV_STORE, 2**62, 8)
+        with pytest.raises(TraceFormatError, match="address"):
+            writer.close()
+        payload = encode_frame(
+            [(EV_LOAD, -(2**62) - 1, 8), (EV_STORE, 2**62, 8)]
+        )
+        with pytest.raises(TraceFormatError, match="address delta"):
+            _columnar_decode(payload, 2)
+
+    def test_arg_overflow_is_named(self):
+        payload = encode_frame([(EV_LOAD, 64, 2**63 + 5)])
+        with pytest.raises(TraceFormatError, match="arg"):
+            _columnar_decode(payload, 1)
 
     def test_negative_addresses_and_wide_args_decode(self):
         # Out of the canonical <BQI layout, but well-formed tokens: the
@@ -139,6 +186,131 @@ class TestFrameCodec:
         assert _decode_frames_fast([zlib.decompress(payload)], [11]) is None
         with pytest.raises(TraceFormatError, match="promised"):
             _columnar_decode(payload, 11)
+
+
+# -- columnar encoder vs the per-record oracle --------------------------------
+
+
+def _production_bytes(records, block):
+    """The stream written by :class:`CompressedTraceWriter`, handed over
+    in ``append_columns`` blocks of ``block`` records."""
+    buffer = io.BytesIO()
+    columns = list(zip(*records)) or [(), (), ()]
+    kinds = np.array(columns[0], dtype=np.uint8)
+    addresses = np.array(columns[1], dtype=np.int64)
+    args = np.array(columns[2], dtype=np.int64)
+    with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
+        for start in range(0, len(records), block):
+            stop = start + block
+            writer.append_columns(
+                kinds[start:stop], addresses[start:stop], args[start:stop]
+            )
+        writer.set_footer({"records": writer.record_count})
+    return buffer.getvalue()
+
+
+def _oracle_bytes(records):
+    buffer = io.BytesIO()
+    with oracle.FrameWriter(buffer, {"kind": "test"}) as writer:
+        for record in records:
+            writer.append(*record)
+        writer.set_footer({"records": writer.record_count})
+    return buffer.getvalue()
+
+
+#: One constant-stride stretch of records: kind, arg, whether it keeps
+#: the previous stretch's kind and arg, whether it continues from the
+#: previous stretch's last address (so that record ends one stride and
+#: starts the next), the stride, the length, and a fresh start address.
+#: Lengths 1-6 straddle MIN_RUN; strides cover zero, negative, large
+#: and arbitrary steps; starts reach 9-byte varints.
+STRETCHES = st.lists(
+    st.tuples(
+        st.sampled_from([EV_LOAD, EV_STORE, EV_CFORM, EV_ALLOC, EV_EPOCH]),
+        st.sampled_from([0, 1, 8, 64, 300]),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(
+            st.sampled_from([0, 8, -8, 64, -4096, 1 << 40]),
+            st.integers(-(2**20), 2**20),
+        ),
+        st.integers(1, 6),
+        st.one_of(st.integers(0, 2**48), st.integers(-(2**61), 2**61)),
+    ),
+    max_size=60,
+)
+
+
+def _stretch_records(stretches):
+    records = []
+    kind, arg = EV_LOAD, 8
+    for new_kind, new_arg, keep, carry, stride, length, fresh in stretches:
+        if not keep:
+            kind, arg = new_kind, new_arg
+        start = records[-1][1] + stride if carry and records else fresh
+        records.extend(
+            (kind, start + index * stride, arg) for index in range(length)
+        )
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    STRETCHES,
+    st.sampled_from([3, 5, 16, MAX_FRAME_RECORDS]),
+)
+def test_columnar_encoder_matches_the_oracle(stretches, frame_cap):
+    records = _stretch_records(stretches)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compress, "MAX_FRAME_RECORDS", frame_cap)
+        expected = _oracle_bytes(records)
+        for block in (1, 7, kernel.TOUCH_BLOCK):
+            assert _production_bytes(records, block) == expected
+
+
+def test_two_runs_sharing_a_boundary_record():
+    # Records 0-4 step by 8 and records 4-9 by 64: the first run takes
+    # record 4, so the second starts at record 5, one record shorter.
+    records = [(EV_LOAD, index * 8, 8) for index in range(5)]
+    records += [(EV_LOAD, 32 + index * 64, 8) for index in range(1, 6)]
+    expected = _oracle_bytes(records)
+    assert _production_bytes(records, len(records)) == expected
+    run = EV_LOAD | compress._RUN_FLAG
+    tokens = zlib.decompress(encode_frame(records))
+    assert tokens[0:2] == bytes([run, 5]) and tokens[5:7] == bytes([run, 5])
+
+
+@pytest.mark.parametrize(
+    "name, compressed",
+    [
+        ("dma-mixed", True),
+        ("attack-replay", True),
+        ("attack-replay", False),
+        ("uniform-churn", True),
+    ],
+)
+def test_recorded_trace_matches_its_oracle_reencode(
+    name, compressed, tmp_path
+):
+    if name == "uniform-churn":
+        from repro.loadgen.compose import compose_spec
+        from repro.loadgen.sets import load_scenarios
+
+        spec = compose_spec(load_scenarios()[name].scaled(0.2))
+    else:
+        spec = CORPUS[name].scaled(INSTRUCTIONS)
+    path = str(tmp_path / f"{name}.trace")
+    record_spec(spec, path, compress=compressed)
+    if name == "dma-mixed":
+        with TraceReader(path) as reader:
+            assert any(
+                (batch.kind == EV_CFORM).any()
+                for batch in reader.column_batches()
+            )
+    again = str(tmp_path / "again.trace")
+    assert oracle.reencode(path, again) > 0
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 
 # -- container round-trip -----------------------------------------------------
