@@ -27,7 +27,7 @@ CORPUS_DIR ?= .repro-corpus
 .PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
         experiments experiments-full experiments-smoke faults-smoke \
         trace-demo trace-demo-mc corpus-demo loadgen-smoke kernel-smoke \
-        encode-smoke telemetry-smoke serve-smoke live-check
+        encode-smoke synth-smoke telemetry-smoke serve-smoke live-check
 
 #: Scratch directory for the fault-injection matrix (wiped each run).
 FAULTS_DIR ?= .repro-faults
@@ -70,12 +70,12 @@ experiments-smoke:
 	$(PY) -m repro run --profile quick --jobs 2
 
 ## CI gate for the live (--no-corpus) figure path: regenerate Figures
-## 10 and 12 by synthesis, without the trace corpus, and diff them
-## against results/reference/ (--check exits non-zero on drift).  The
-## report and results land in a private mktemp dir removed on exit.
+## 4, 10, 11 and 12 by synthesis, without the trace corpus, and diff
+## them against results/reference/ (--check exits non-zero on drift).
+## The report and results land in a private mktemp dir removed on exit.
 live-check:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(PY) -m repro run fig10 fig12 --no-corpus --check --jobs 1 \
+	$(PY) -m repro run fig04 fig10 fig11 fig12 --no-corpus --check --jobs 1 \
 		--output "$$dir/EXPERIMENTS.partial.md" --results-dir "$$dir/results"
 
 ## CI gate: the fault-injection matrix — every fault kind against every
@@ -257,6 +257,30 @@ encode-smoke:
 		cmp "$$dir/$$name.trace" "$$dir/$$name.oracle.trace"; \
 	done; \
 	echo "encode-smoke: the columnar writers and the per-record oracle write identical bytes"
+
+## CI gate for the columnar workload synthesis: record CALTRC02 traces
+## of server-churn and dma-mixed (CFORM walks) and a composed loadgen
+## trace, once through the production writers and once through the
+## per-record generator and per-arrival merge of tests/oracle.py
+## (`python -m oracle record`), and require byte-identical files, so
+## the record streams, EPOCH placement and the composer's burst cuts
+## all agree.
+synth-smoke:
+	@$(DEMO_DIR_SETUP); \
+	for name in server-churn dma-mixed; do \
+		$(PY) -m repro.traces record --scenario $$name \
+			--instructions 8000 --compress --out "$$dir/$$name.trace"; \
+		$(ORACLE) record --scenario $$name \
+			--instructions 8000 --compress --out "$$dir/$$name.oracle.trace"; \
+	done; \
+	$(PY) -m repro loadgen generate uniform-churn \
+		--out "$$dir/uniform-churn.trace"; \
+	$(ORACLE) record --load uniform-churn --compress \
+		--out "$$dir/uniform-churn.oracle.trace"; \
+	for name in server-churn dma-mixed uniform-churn; do \
+		cmp "$$dir/$$name.trace" "$$dir/$$name.oracle.trace"; \
+	done; \
+	echo "synth-smoke: the columnar generator and the per-record oracle record identical bytes"
 
 ## Multi-core trace engine end-to-end: record a pair, replay it against
 ## the shared L3 (2 homogeneous cores, then a named antagonist mix).

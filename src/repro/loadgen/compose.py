@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.loadgen.arrivals import timelines
 from repro.loadgen.schema import LoadScenario
+from repro.memory import kernel
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.memory.kernel import EV_CFORM, EV_WARM, RecordBuffer
 from repro.telemetry.runtime import active as telemetry_active
@@ -140,8 +141,8 @@ class _TenantCapture:
     def consume(self, kinds, addresses, args) -> None:
         self.blocks.append((kinds, addresses, args))
 
-    def burst(self, records: RecordBuffer) -> None:
-        self.burst_ends.append(records.count)
+    def bursts(self, ends) -> None:
+        self.burst_ends.extend(ends.tolist())
 
 
 def _tenant_stream(spec: TraceScenarioSpec, ops: int, offset: int = 0):
@@ -238,50 +239,84 @@ def _run_composed(
             scenario=load.name,
         )
 
-    def emit(records: RecordBuffer) -> int:
-        app_instructions = 0.0
-        cform_lines = 0
-        cform_records = 0
-        warm_pending = load.warmup_s > 0.0
-        # Tenants' timelines are sorted; (time, tenant, index) is a total
-        # order, so the merge is deterministic even on equal timestamps.
-        for time_s, tenant, index in heapq.merge(*arrivals):
-            if warm_pending and time_s >= load.warmup_s:
-                warm_pending = False
-                records.append(EV_WARM, 0, 0)
-                app_instructions = 0.0
-                cform_lines = cform_records = 0
-            kinds, addresses, args, bounds, burst_cost = streams[tenant]
-            start, stop = bounds[index], bounds[index + 1]
-            chunk_kinds, chunk_args = kinds[start:stop], args[start:stop]
-            records.extend(chunk_kinds, addresses[start:stop], chunk_args)
-            app_instructions += burst_cost
-            cform = chunk_args[chunk_kinds == EV_CFORM]
-            cform_lines += int(cform.sum())
-            cform_records += len(cform)
-            records.burst_end()
-        if warm_pending:
-            # Every arrival fell inside the warmup prefix: the boundary
-            # still lands (trailing), so replay agrees the run measured
-            # nothing past warmup.
-            records.append(EV_WARM, 0, 0)
-            app_instructions = 0.0
-            cform_lines = cform_records = 0
-        # One allocation hook per CFORM pair (free side + alloc side), as
-        # in the generator's accounting; attack tenants emit no CFORM.
-        overhead = (
-            cform_lines * (1 + CFORM_SETUP_INSTRUCTIONS)
-            + (cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
-        )
-        return int(app_instructions + overhead)
-
     return counted_run(
         f"loadgen/{load.name}",
         scenario if scenario is not None else Scenario.baseline(),
         config,
         sink,
-        emit,
+        lambda records: merge_arrivals(records, load, arrivals, streams),
     )
+
+
+def merge_arrivals(
+    records: RecordBuffer, load: LoadScenario, arrivals, streams
+) -> int:
+    """Play the tenant chunks into ``records`` in arrival order.
+
+    ``arrivals`` holds each tenant's ``(time_s, tenant, index)`` list and
+    ``streams`` each tenant's ``(kinds, addresses, args, bounds,
+    burst_cost)``.  Chunks go to the buffer as blocks of whole bursts,
+    one burst per arrival, with the composition's ``EV_WARM`` record
+    between the last warmup arrival and the first measured one.  Returns
+    the instructions the composition models.
+    """
+    app_instructions = 0.0
+    cform_lines = 0
+    cform_records = 0
+    warm_pending = load.warmup_s > 0.0
+    # Arrival chunks waiting to go to the buffer as one block of
+    # whole bursts (one burst per arrival).
+    chunks: list[tuple] = []
+    pending = 0
+
+    def hand_over() -> None:
+        nonlocal cform_lines, cform_records, pending
+        if not chunks:
+            return
+        kinds, addresses, args = (
+            np.concatenate(column) for column in zip(*chunks)
+        )
+        ends = np.cumsum([len(chunk[0]) for chunk in chunks])
+        cform = args[kinds == EV_CFORM]
+        cform_lines += int(cform.sum())
+        cform_records += len(cform)
+        records.extend(kinds, addresses, args, ends)
+        chunks.clear()
+        pending = 0
+
+    # Tenants' timelines are sorted; (time, tenant, index) is a total
+    # order, so the merge is deterministic even on equal timestamps.
+    for time_s, tenant, index in heapq.merge(*arrivals):
+        if warm_pending and time_s >= load.warmup_s:
+            hand_over()
+            warm_pending = False
+            records.append(EV_WARM, 0, 0)
+            app_instructions = 0.0
+            cform_lines = cform_records = 0
+        kinds, addresses, args, bounds, burst_cost = streams[tenant]
+        start, stop = bounds[index], bounds[index + 1]
+        chunks.append(
+            (kinds[start:stop], addresses[start:stop], args[start:stop])
+        )
+        pending += stop - start
+        app_instructions += burst_cost
+        if pending >= kernel.TOUCH_BLOCK:
+            hand_over()
+    hand_over()
+    if warm_pending:
+        # Every arrival fell inside the warmup prefix: the boundary
+        # still lands (trailing), so replay agrees the run measured
+        # nothing past warmup.
+        records.append(EV_WARM, 0, 0)
+        app_instructions = 0.0
+        cform_lines = cform_records = 0
+    # One allocation hook per CFORM pair (free side + alloc side), as
+    # in the generator's accounting; attack tenants emit no CFORM.
+    overhead = (
+        cform_lines * (1 + CFORM_SETUP_INSTRUCTIONS)
+        + (cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
+    )
+    return int(app_instructions + overhead)
 
 
 def compose_spec(load: LoadScenario) -> TraceScenarioSpec:

@@ -76,9 +76,10 @@ EV_EPOCH = 6
 CFORM_LINE_STRIDE = 64
 
 #: Records a :class:`RecordBuffer` collects before it hands them to its
-#: consumers.  The buffer is flushed at the first burst end that reaches
-#: this size, so a live run holds about one block of its stream at a
-#: time; the statistics do not depend on the value.
+#: consumers.  The buffer is flushed at the first burst end or column
+#: block that reaches this size, and the column writers cut their blocks
+#: at about this size, so a live run holds about one block of its stream
+#: at a time; the statistics do not depend on the value.
 TOUCH_BLOCK = 16384
 
 #: Records a :meth:`RecordBuffer.sweep` appends between flushes, so a
@@ -444,34 +445,47 @@ class LadderKernel:
 class RecordBuffer:
     """The writers' record stream, handed to its consumers in blocks.
 
-    A live writer emits ``(kind, address, arg)`` records: :meth:`append`
-    for one record, :meth:`run` for a burst of same-kind touches (the
-    hot path: one ``array('q').extend`` of addresses plus one
-    ``(kind, arg, count)`` triple, expanded with ``np.repeat`` at flush),
-    :meth:`sweep` for a long same-kind run and :meth:`extend` for record
-    columns.
-    Every consumer is an object with ``consume(kinds, addresses, args)``
-    receiving each block as uint8/int64/int64 columns in stream order;
-    a consumer may also define ``burst(records)``, called at every
-    :meth:`burst_end` before the block check, where it may append marker
-    records (the recorder's EPOCH markers) or note :attr:`count`.
+    A live writer emits ``(kind, address, arg)`` records in one of two
+    ways.  Column writers (the workload renderer and the loadgen
+    composer's merge) hand over whole blocks with :meth:`extend`, kept
+    as the arrays they arrived in.  Scalar writers (the attack driver)
+    use :meth:`append` for one record, :meth:`run` for a burst of
+    same-kind touches (one ``array('q').extend`` of addresses plus one
+    ``(kind, arg, count)`` triple, expanded with ``np.repeat`` when the
+    records join the block list) and :meth:`sweep` for a long same-kind
+    run, and end each burst with :meth:`burst_end`.
 
-    :meth:`burst_end` hands the pending records over once
-    :data:`TOUCH_BLOCK` of them have accumulated; :meth:`flush` hands
+    Every consumer is an object with ``consume(kinds, addresses, args)``
+    receiving each block as uint8/int64/int64 columns in stream order.
+    A consumer may also define ``bursts(ends)``, called with a batch of
+    burst ends: an int64 array of stream positions, each the
+    :attr:`count` at the end of one burst.  It returns ``None``, or
+    marker records to insert after some of those bursts as
+    ``(which, kinds, addresses, args)``: ``which`` indexes ``ends``, the
+    rest are the markers' columns (the recorder's EPOCH markers).  A
+    later hook sees the ends moved past an earlier hook's markers, as if
+    each burst's markers were appended at its end.
+
+    Blocks reach the consumers once :data:`TOUCH_BLOCK` records are
+    pending, at a burst end or an :meth:`extend`; :meth:`flush` hands
     over whatever is pending.
     """
 
     __slots__ = (
-        "_consumers", "_burst_hooks", "_addresses", "_runs", "flushed",
+        "_consumers", "_burst_hooks", "_blocks", "_block_records",
+        "_addresses", "_runs", "flushed",
     )
 
     def __init__(self, *consumers):
         self._consumers = [consumer.consume for consumer in consumers]
         self._burst_hooks = [
-            consumer.burst
+            consumer.bursts
             for consumer in consumers
-            if hasattr(consumer, "burst")
+            if hasattr(consumer, "bursts")
         ]
+        #: Pending column blocks, oldest first, then the scalar records.
+        self._blocks: list[tuple] = []
+        self._block_records = 0
         self._addresses = array("q")
         self._runs = array("q")  # (kind, arg, count) triples
         #: Records already handed to the consumers.
@@ -498,32 +512,64 @@ class RecordBuffer:
             if len(pending) == before:
                 return
             self._runs.extend((kind, arg, len(pending) - before))
-            if len(pending) >= TOUCH_BLOCK:
+            if self._pending >= TOUCH_BLOCK:
                 self.flush()
 
-    def extend(self, kinds, addresses, args) -> None:
-        """Append record columns (numpy arrays of equal length)."""
-        runs = np.ones((len(kinds), 3), dtype=np.int64)
-        runs[:, 0] = kinds
-        runs[:, 1] = args
-        self._addresses.frombytes(
-            np.asarray(addresses, dtype=np.int64).tobytes()
-        )
-        self._runs.frombytes(runs.tobytes())
+    def extend(self, kinds, addresses, args, ends=None) -> None:
+        """Append record columns: uint8 kinds, int64 addresses and args.
+
+        ``ends``, when given, says the block is whole bursts: an int64
+        array of block positions, each the exclusive end of one burst,
+        ascending, the last equal to the block's length.  The burst
+        hooks run on it before the block joins the pending ones.
+        """
+        kinds = np.asarray(kinds, dtype=np.uint8)
+        addresses = np.asarray(addresses, dtype=np.int64)
+        args = np.asarray(args, dtype=np.int64)
+        if ends is not None:
+            base = self.count
+            for hook in self._burst_hooks:
+                markers = hook(base + ends)
+                if markers is None:
+                    continue
+                which, marker_kinds, marker_addresses, marker_args = markers
+                at = ends[which]
+                kinds = np.insert(kinds, at, marker_kinds)
+                addresses = np.insert(addresses, at, marker_addresses)
+                args = np.insert(args, at, marker_args)
+                ends = ends + np.searchsorted(at, ends, side="right")
+        if len(kinds):
+            self._seal()
+            self._blocks.append((kinds, addresses, args))
+            self._block_records += len(kinds)
+        if self._pending >= TOUCH_BLOCK:
+            self.flush()
+
+    @property
+    def _pending(self) -> int:
+        """Records emitted but not yet handed over."""
+        return self._block_records + len(self._addresses)
 
     @property
     def count(self) -> int:
         """Records emitted so far, handed over or pending."""
-        return self.flushed + len(self._addresses)
+        return self.flushed + self._pending
 
     def burst_end(self) -> None:
-        """Run the burst hooks, then flush if a full block is pending."""
-        for burst in self._burst_hooks:
-            burst(self)
-        if len(self._addresses) >= TOUCH_BLOCK:
+        """A scalar writer's burst ends: run the burst hooks on it, then
+        flush if a full block is pending."""
+        for hook in self._burst_hooks:
+            markers = hook(np.array([self.count], dtype=np.int64))
+            if markers is not None:
+                for kind, address, arg in zip(
+                    *(column.tolist() for column in markers[1:])
+                ):
+                    self.append(kind, address, arg)
+        if self._pending >= TOUCH_BLOCK:
             self.flush()
 
-    def flush(self) -> None:
+    def _seal(self) -> None:
+        """Move the pending scalar records to the block list as columns."""
         pending = self._addresses
         if not pending:
             return
@@ -535,7 +581,23 @@ class RecordBuffer:
         del runs, counts  # release the buffer views before resizing
         del pending[:]
         del self._runs[:]
-        self.flushed += len(addresses)
+        self._blocks.append((kinds, addresses, args))
+        self._block_records += len(addresses)
+
+    def flush(self) -> None:
+        self._seal()
+        blocks = self._blocks
+        if not blocks:
+            return
+        if len(blocks) == 1:
+            kinds, addresses, args = blocks[0]
+        else:
+            kinds, addresses, args = (
+                np.concatenate(column) for column in zip(*blocks)
+            )
+        self._blocks = []
+        self._block_records = 0
+        self.flushed += len(kinds)
         for consume in self._consumers:
             consume(kinds, addresses, args)
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.traces.compress import MAGIC_V2
 from repro.traces.format import EV_EPOCH, MAGIC, trace_writer
@@ -36,12 +38,29 @@ class RecordingSink:
         self._bursts = 0
         self.epochs = 0
 
-    def burst(self, records) -> None:
-        """One burst (+ its churn) just finished: maybe mark an epoch."""
-        self._bursts += 1
-        if self._bursts % self._epoch_bursts == 0:
-            records.append(EV_EPOCH, self.epochs, 0)
-            self.epochs += 1
+    def bursts(self, ends):
+        """A batch of bursts (+ their churn) just finished: an EPOCH
+        marker after every ``epoch_bursts``-th burst of the run."""
+        before = self._bursts
+        self._bursts += len(ends)
+        # Bursts are numbered from 1; burst n ends an epoch when n is a
+        # multiple of epoch_bursts.
+        marked = np.arange(
+            before // self._epoch_bursts + 1,
+            self._bursts // self._epoch_bursts + 1,
+            dtype=np.int64,
+        )
+        if not len(marked):
+            return None
+        which = marked * self._epoch_bursts - before - 1
+        epochs = np.arange(self.epochs, self.epochs + len(which), dtype=np.int64)
+        self.epochs += len(which)
+        return (
+            which,
+            np.full(len(which), EV_EPOCH, dtype=np.uint8),
+            epochs,
+            np.zeros(len(which), dtype=np.int64),
+        )
 
 
 def _geometry_dict(config: HierarchyConfig) -> dict:

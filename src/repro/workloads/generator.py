@@ -19,13 +19,24 @@ and re-exported here):
    per to-be-califormed line, plus setup instructions — the same
    emulation the paper uses with dummy stores, Section 8.2).
 
-The generator only emits records (:func:`emit_trace`) and models its
-instruction count.  :func:`run_trace` hands the stream to a
+Every scenario of a benchmark runs the *same logical event stream*, so
+synthesis is two steps.  :func:`draw` makes every random choice of a run
+once — the population's types and sizes, each burst's kind and target,
+each touch's field or offset, the churn victims — into a scenario-free
+:class:`Script`.  :func:`render` lays that script out under one scenario
+with numpy: population addresses, touches and the churn records, in
+blocks of whole bursts; only the allocator runs one churn event at a
+time.  Two runs of one seed therefore differ only through layout
+inflation and CFORM work — the two effects the paper decomposes in
+Figure 11 — and a figure draws each benchmark once for all of its
+configurations (the :func:`slowdown` memo).
+
+:func:`emit_trace` is render-of-draw and models the instruction count;
+it only emits records.  :func:`run_trace` hands the stream to a
 :class:`~repro.memory.kernel.TimingAccountant`, which counts the hits and
 misses in the tag-only L1/L2/L3 hierarchy exactly as a trace replay
-does.  The same seed produces the *same logical event stream* across
-scenarios, so two runs differ only through layout inflation and CFORM
-work — the two effects the paper decomposes in Figure 11.
+does.  The per-record generator this replaced is the differential
+oracle in ``tests/oracle.py``.
 
 The generator is also the producer for the trace engine
 (:mod:`repro.traces`): pass a recording ``sink`` to :func:`run_trace`
@@ -38,10 +49,15 @@ RNG or the heap.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from repro.cpu.pipeline import MemoryEventCounts, PipelineModel
+from repro.memory import kernel
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.memory.kernel import (  # noqa: F401  (EV_* re-exported)
     EV_ALLOC,
@@ -63,6 +79,7 @@ from repro.softstack.insertion import (
     opportunistic,
 )
 from repro.softstack.layout import layout_struct
+from repro.telemetry.runtime import span as telemetry_span
 from repro.workloads.specs import BenchmarkProfile
 from repro.workloads.structs_corpus import HEAP_TYPE_POOL
 
@@ -295,6 +312,7 @@ def run_trace(
     warmup_fraction: float = 1.0,
     sink=None,
     quarantine_delay: int = 16,
+    script: Script | None = None,
 ) -> RunResult:
     """Simulate one benchmark run under one scenario.
 
@@ -316,6 +334,10 @@ def run_trace(
     ``quarantine_delay`` sizes the allocator's deallocation quarantine
     (events held before an address becomes reusable); the default matches
     the historical built-in.
+
+    ``script`` is :func:`draw` of this run's profile, instructions, seed
+    and warmup, drawn once to share between scenarios (the live
+    :func:`slowdown` memo); without one the run draws its own.
     """
     return counted_run(
         profile.name,
@@ -324,9 +346,371 @@ def run_trace(
         sink,
         lambda records: emit_trace(
             records, profile, scenario, instructions, seed,
-            warmup_fraction, quarantine_delay,
+            warmup_fraction, quarantine_delay, script,
         ),
     )
+
+
+#: Burst kinds of a :class:`Script`: a run of stores to the hot stack
+#: region, a sequential scan of one object, random offsets into one raw
+#: buffer, or random fields of one struct.
+BURST_STACK, BURST_SCAN, BURST_RAW, BURST_FIELD = range(4)
+
+
+@dataclass(frozen=True, eq=False)
+class Script:
+    """One benchmark run's draw: every choice the RNG makes, no layout.
+
+    The same seed draws the same script under every scenario; a
+    scenario only changes how :func:`render` lays it out.  Per object:
+    ``types`` (an index into ``HEAP_TYPE_POOL``, -1 for a raw buffer)
+    and ``raw_sizes`` (bytes, 0 for a struct).  Per burst: ``kinds``
+    (``BURST_*``) and ``targets`` (the object index, or the stack
+    offset).  Per touch of a raw burst, ``raw_offsets``; per touch of a
+    field burst, ``fields`` (the struct's field index).  Per churn event,
+    in order: ``victims`` (the object freed and reallocated) and
+    ``victim_bursts`` (the burst it follows).  ``warm_burst`` is the
+    burst the ``EV_WARM`` record precedes (-1 for none), and
+    ``app_instructions`` the measured region's application work.
+    """
+
+    profile: BenchmarkProfile
+    instructions: int
+    seed: int
+    warmup_fraction: float
+    types: np.ndarray
+    raw_sizes: np.ndarray
+    kinds: np.ndarray
+    targets: np.ndarray
+    raw_offsets: np.ndarray
+    fields: np.ndarray
+    victims: np.ndarray
+    victim_bursts: np.ndarray
+    warm_burst: int
+    app_instructions: float
+
+
+def draw(
+    profile: BenchmarkProfile,
+    instructions: int = 200_000,
+    seed: int = 0,
+    warmup_fraction: float = 1.0,
+) -> Script:
+    """Draw one benchmark run's :class:`Script`: the only RNG loop.
+
+    The live set targets ``heap_kb`` at *baseline* sizes, so every
+    scenario simulates the same logical objects; protected layouts then
+    inflate the same population.  Application instructions are the
+    *fixed logical workload*: every scenario executes the same bursts
+    and allocation events, and CFORM and hook work ride on top as
+    overhead instructions (see :func:`render`), so slowdowns measure
+    extra work rather than displaced work.
+    """
+    rng = random.Random(f"{profile.name}:{seed}")
+    r = rng.random
+    randrange = rng.randrange
+    baseline_carved = [
+        info.carved for info in build_type_catalog(Scenario.baseline())
+    ]
+
+    # -- heap population ------------------------------------------------------
+    types = array("h")
+    raw_sizes = array("i")
+    baseline_bytes = 0
+    target_bytes = profile.heap_kb * 1024
+    while baseline_bytes < target_bytes:
+        if r() < profile.struct_fraction:
+            pool = (
+                _PTR_ARRAY_TYPE_INDICES
+                if r() < profile.ptr_array_fraction
+                else _PLAIN_TYPE_INDICES
+            )
+            type_index = pool[randrange(len(pool))]
+            types.append(type_index)
+            raw_sizes.append(0)
+            baseline_bytes += baseline_carved[type_index]
+        else:
+            raw = max(int(profile.raw_buffer_bytes * (0.5 + r())), 16)
+            types.append(-1)
+            raw_sizes.append(raw)
+            baseline_bytes += align_up(raw, 16)
+
+    # -- bursts and churn -------------------------------------------------------
+    object_count = len(types)
+    skew_exponent = 1.0 / profile.locality_skew
+    field_counts = [len(struct.fields) for struct in HEAP_TYPE_POOL]
+    burst_length = profile.burst_length
+    touches = range(burst_length)
+    burst_instructions = burst_length / profile.mem_ratio
+    allocs_per_burst = profile.allocs_per_kinst * burst_instructions / 1000.0
+    kinds = array("b")
+    targets = array("i")
+    raw_offsets = array("i")
+    fields = array("B")
+    victims = array("i")
+    victim_bursts = array("i")
+    app_instructions = 0.0
+    alloc_accumulator = 0.0
+    warmup_budget = instructions * warmup_fraction
+    total_budget = warmup_budget + instructions
+    warm = warmup_fraction == 0.0
+    warm_burst = -1
+    burst = 0
+    while app_instructions < total_budget:
+        if not warm and app_instructions >= warmup_budget:
+            # Warmup ends: keep cache contents, discard all statistics.
+            warm = True
+            warm_burst = burst
+            app_instructions -= warmup_budget
+            total_budget -= warmup_budget
+        app_instructions += burst_instructions
+
+        if r() < profile.stack_fraction:
+            kinds.append(BURST_STACK)
+            targets.append(int(r() * _STACK_HOT_BYTES))
+        else:
+            index = min(int(object_count * r() ** skew_exponent),
+                        object_count - 1)
+            targets.append(index)
+            type_index = types[index]
+            if r() < profile.scan_fraction:
+                kinds.append(BURST_SCAN)
+            elif type_index < 0:
+                kinds.append(BURST_RAW)
+                span = max(raw_sizes[index] - 8, 1)
+                raw_offsets.extend([int(r() * span) for _ in touches])
+            else:
+                kinds.append(BURST_FIELD)
+                count = field_counts[type_index]
+                fields.extend([randrange(count) for _ in touches])
+
+        # Allocation/free churn at the profile's rate.
+        alloc_accumulator += allocs_per_burst
+        while alloc_accumulator >= 1.0:
+            alloc_accumulator -= 1.0
+            victims.append(randrange(object_count))
+            victim_bursts.append(burst)
+        burst += 1
+
+    return Script(
+        profile=profile,
+        instructions=instructions,
+        seed=seed,
+        warmup_fraction=warmup_fraction,
+        types=np.frombuffer(types, dtype=np.int16),
+        raw_sizes=np.frombuffer(raw_sizes, dtype=np.int32),
+        kinds=np.frombuffer(kinds, dtype=np.int8),
+        targets=np.frombuffer(targets, dtype=np.int32),
+        raw_offsets=np.frombuffer(raw_offsets, dtype=np.int32),
+        fields=np.frombuffer(fields, dtype=np.uint8),
+        victims=np.frombuffer(victims, dtype=np.int32),
+        victim_bursts=np.frombuffer(victim_bursts, dtype=np.int32),
+        warm_burst=warm_burst,
+        app_instructions=app_instructions,
+    )
+
+
+def render(script: Script, scenario: Scenario, quarantine_delay: int = 16):
+    """Lay one :class:`Script` out under one scenario.
+
+    Returns ``(instructions, blocks)``: the instructions the run models,
+    and an iterator of record blocks ``(kinds, addresses, args, ends)``
+    in stream order.  The pre-warm sweep comes first, in blocks with
+    ``ends`` ``None``; the bursts follow in blocks of whole bursts,
+    about :data:`~repro.memory.kernel.TOUCH_BLOCK` records each, with
+    ``ends`` the block positions where each burst (its touches, then its
+    churn) ends.  Only the allocator runs one churn event at a time;
+    every other address comes from the population layout and the
+    relocations before it.
+    """
+    catalog = build_type_catalog(scenario)
+    types = script.types.astype(np.intp)
+    raw_sizes = script.raw_sizes.astype(np.int64)
+    struct = types >= 0
+    type_carved = np.array([info.carved for info in catalog], dtype=np.int64)
+    type_size = np.array([info.size for info in catalog], dtype=np.int64)
+    carved = np.where(struct, type_carved[types], (raw_sizes + 15) & ~15)
+    sizes = np.where(struct, type_size[types], raw_sizes)
+    # The population is laid out by the bump allocator, in draw order.
+    homes = _HEAP_BASE + np.cumsum(carved) - carved
+
+    # -- churn: the allocator, over the victims only -------------------------
+    heap = _FastHeap(
+        cursor=_HEAP_BASE + int(carved.sum()), quarantine_delay=quarantine_delay
+    )
+    victims = script.victims.astype(np.intp)
+    victim_carved = carved[victims]
+    moved: dict[int, int] = {}
+    old_addresses = []
+    new_addresses = []
+    for victim, home, size in zip(
+        script.victims.tolist(), homes[victims].tolist(), victim_carved.tolist()
+    ):
+        address = moved.get(victim, home)
+        old_addresses.append(address)
+        heap.release(address, size)
+        moved[victim] = heap.place(size)
+        new_addresses.append(moved[victim])
+    old_addresses = np.array(old_addresses, dtype=np.int64)
+    new_addresses = np.array(new_addresses, dtype=np.int64)
+    victim_types = types[victims]
+    type_lines = np.array([info.cform_lines for info in catalog], dtype=np.int64)
+    type_hooked = np.array([info.hooked for info in catalog], dtype=bool)
+    hooked = (victim_types >= 0) & type_hooked[victim_types] & scenario.with_cform
+    lines = np.where(hooked, type_lines[victim_types], 0)
+
+    # CFORM and hook work counts from the warm boundary on: per hooked
+    # event, the hook plus one CFORM walk on each side.
+    measured = script.victim_bursts >= max(script.warm_burst, 0)
+    overhead = int(
+        (hooked & measured).sum() * ALLOC_HOOK_INSTRUCTIONS
+        + 2 * lines[measured].sum() * (1 + CFORM_SETUP_INSTRUCTIONS)
+    )
+
+    # Each event's records, [CFORM] FREE ALLOC [CFORM], in event order.
+    always = np.ones_like(hooked)
+    present = np.stack([hooked, always, always, hooked], 1)
+    churn = (
+        np.tile(np.array([EV_CFORM, EV_FREE, EV_ALLOC, EV_CFORM], np.uint8),
+                (len(victims), 1))[present],
+        np.stack([old_addresses, old_addresses, new_addresses, new_addresses],
+                 1)[present],
+        np.stack([lines, victim_carved, victim_carved, lines], 1)[present],
+        np.repeat(script.victim_bursts, present.sum(axis=1)),
+    )
+    blocks = chain(
+        _sweep_blocks(homes, sizes),
+        _burst_blocks(script, catalog, types, sizes, homes, new_addresses, churn),
+    )
+    return int(script.app_instructions + overhead), blocks
+
+
+def _sweep_blocks(homes, sizes):
+    """Pre-warm: touch every line of every live object once, so measured
+    misses reflect capacity and conflict behaviour rather than
+    first-touch cold misses (which the paper's 500M-instruction SimPoint
+    windows amortise away, but a short trace would not)."""
+    lines = (np.maximum(sizes, 1) + 63) // 64
+    line_ends = np.cumsum(lines)
+    line_starts = line_ends - lines
+    total = int(line_ends[-1])
+    for start in range(0, total, kernel.TOUCH_BLOCK):
+        line = np.arange(start, min(start + kernel.TOUCH_BLOCK, total))
+        owner = np.searchsorted(line_ends, line, side="right")
+        yield (
+            np.full(len(line), EV_LOAD, dtype=np.uint8),
+            homes[owner] + (line - line_starts[owner]) * 64,
+            np.full(len(line), 8, dtype=np.int64),
+            None,
+        )
+
+
+def _burst_blocks(script, catalog, types, sizes, homes, new_addresses, churn):
+    """The bursts of :func:`render`, in blocks of whole bursts."""
+    churn_kinds, churn_addresses, churn_args, churn_bursts = churn
+    burst_count = len(script.kinds)
+    burst_length = script.profile.burst_length
+    steps = np.arange(burst_length, dtype=np.int64)
+    targets = script.targets.astype(np.int64)
+
+    # Where an object lives during a burst: its home, or where its last
+    # relocation in an earlier burst put it (a burst's own churn follows
+    # its touches).  Relocations sort by (object, burst).
+    relocation_keys = (
+        script.victims.astype(np.int64) * (burst_count + 1)
+        + script.victim_bursts
+    )
+    order = np.argsort(relocation_keys, kind="stable")
+    relocation_keys = relocation_keys[order]
+    relocation_objects = script.victims[order]
+    relocation_addresses = new_addresses[order]
+
+    # The scenario's offset of every (type, field) pair.
+    field_offsets = np.zeros(
+        (len(catalog), max(len(info.field_offsets) for info in catalog)),
+        dtype=np.int64,
+    )
+    for index, info in enumerate(catalog):
+        field_offsets[index, : len(info.field_offsets)] = info.field_offsets
+
+    per_burst = burst_length + np.bincount(churn_bursts, minlength=burst_count)
+    if script.warm_burst >= 0:
+        per_burst[script.warm_burst] += 1
+    burst_ends = np.cumsum(per_burst)
+    raw_cursor = field_cursor = 0
+    first = 0
+    while first < burst_count:
+        base = int(burst_ends[first - 1]) if first else 0
+        stop = min(
+            int(np.searchsorted(burst_ends, base + kernel.TOUCH_BLOCK)) + 1,
+            burst_count,
+        )
+        kinds = script.kinds[first:stop]
+
+        # Touches: one row of burst_length addresses per burst.
+        touches = np.empty((stop - first, burst_length), dtype=np.int64)
+        stack = kinds == BURST_STACK
+        touches[stack] = _STACK_BASE + targets[first:stop][stack, None] + steps * 8
+        heap = ~stack
+        objects = targets[first:stop][heap]
+        addresses = homes[objects]
+        if len(relocation_keys):
+            keys = objects * (burst_count + 1) + np.arange(first, stop)[heap]
+            last = np.searchsorted(relocation_keys, keys, side="left") - 1
+            relocated = last >= 0
+            last[~relocated] = 0
+            relocated &= relocation_objects[last] == objects
+            addresses = np.where(relocated, relocation_addresses[last], addresses)
+        offsets = np.empty((len(objects), burst_length), dtype=np.int64)
+        heap_kinds = kinds[heap]
+        scan = heap_kinds == BURST_SCAN
+        offsets[scan] = steps * 8 % np.maximum(sizes[objects[scan]], 8)[:, None]
+        raw = heap_kinds == BURST_RAW
+        count = int(raw.sum()) * burst_length
+        offsets[raw] = script.raw_offsets[
+            raw_cursor : raw_cursor + count
+        ].reshape(-1, burst_length)
+        raw_cursor += count
+        field = heap_kinds == BURST_FIELD
+        count = int(field.sum()) * burst_length
+        offsets[field] = field_offsets[
+            types[objects[field]][:, None],
+            script.fields[field_cursor : field_cursor + count].reshape(
+                -1, burst_length
+            ),
+        ]
+        field_cursor += count
+        touches[heap] = addresses[:, None] + offsets
+
+        # Records, burst by burst: [WARM], the touches, then the churn,
+        # which fills every position the first two leave.
+        ends = burst_ends[first:stop] - base
+        starts = ends - per_burst[first:stop]
+        size = int(ends[-1])
+        record_kinds = np.empty(size, dtype=np.uint8)
+        record_addresses = np.empty(size, dtype=np.int64)
+        record_args = np.empty(size, dtype=np.int64)
+        churn_slots = np.ones(size, dtype=bool)
+        if first <= script.warm_burst < stop:
+            warm_at = int(starts[script.warm_burst - first])
+            record_kinds[warm_at] = EV_WARM
+            record_addresses[warm_at] = record_args[warm_at] = 0
+            churn_slots[warm_at] = False
+            starts[script.warm_burst - first] += 1
+        positions = (starts[:, None] + steps).ravel()
+        record_kinds[positions] = np.where(stack, EV_STORE, EV_LOAD).repeat(
+            burst_length
+        )
+        record_addresses[positions] = touches.ravel()
+        record_args[positions] = 8
+        churn_slots[positions] = False
+        low, high = np.searchsorted(churn_bursts, (first, stop))
+        positions = np.flatnonzero(churn_slots)
+        record_kinds[positions] = churn_kinds[low:high]
+        record_addresses[positions] = churn_addresses[low:high]
+        record_args[positions] = churn_args[low:high]
+        yield record_kinds, record_addresses, record_args, ends
+        first = stop
 
 
 def emit_trace(
@@ -337,173 +721,37 @@ def emit_trace(
     seed: int = 0,
     warmup_fraction: float = 1.0,
     quarantine_delay: int = 16,
+    script: Script | None = None,
 ) -> int:
     """Emit one benchmark run's record stream; return its instructions.
 
-    The emit-only body of :func:`run_trace` (the loadgen composer
-    captures tenant streams with it): records go to ``records`` and
-    nothing is counted here but the instructions the run models.
+    :func:`render` of :func:`draw`: the emit-only body of
+    :func:`run_trace` (the loadgen composer captures tenant streams with
+    it).  Records go to ``records`` block by block and nothing is
+    counted here but the instructions the run models.  ``script`` is a
+    :func:`draw` of the same inputs drawn earlier, to share between
+    scenarios; without one the run draws its own.
     """
-    rng = random.Random(f"{profile.name}:{seed}")
-    catalog = build_type_catalog(scenario)
-    baseline_catalog = (
-        catalog
-        if scenario.policy is None
-        else build_type_catalog(Scenario.baseline())
-    )
-    append = records.append
-    run = records.run
-    burst_end = records.burst_end
-
-    # -- heap population ----------------------------------------------------
-    # The live set targets ``heap_kb`` at *baseline* sizes, so every
-    # scenario simulates the same logical objects; protected layouts then
-    # inflate the same population.
-    heap = _FastHeap(quarantine_delay=quarantine_delay)
-    objects: list[tuple[int, int, int]] = []  # (address, type_index, raw_size)
-    baseline_bytes = 0
-    target_bytes = profile.heap_kb * 1024
-    while baseline_bytes < target_bytes:
-        if rng.random() < profile.struct_fraction:
-            pool = (
-                _PTR_ARRAY_TYPE_INDICES
-                if rng.random() < profile.ptr_array_fraction
-                else _PLAIN_TYPE_INDICES
-            )
-            type_index = pool[rng.randrange(len(pool))]
-            objects.append((heap.place(catalog[type_index].carved), type_index, 0))
-            baseline_bytes += baseline_catalog[type_index].carved
-        else:
-            raw = int(profile.raw_buffer_bytes * (0.5 + rng.random()))
-            raw = max(raw, 16)
-            objects.append((heap.place(align_up(raw, 16)), -1, raw))
-            baseline_bytes += align_up(raw, 16)
-
-    # Pre-warm: touch every line of every live object once, so measured
-    # misses reflect capacity and conflict behaviour rather than
-    # first-touch cold misses (which the paper's 500M-instruction
-    # SimPoint windows amortise away, but a short trace would not).
-    sizes = [
-        raw_size if type_index < 0 else catalog[type_index].size
-        for _, type_index, raw_size in objects
-    ]
-    records.sweep(
-        EV_LOAD,
-        (
-            line
-            for (address, _, _), size in zip(objects, sizes)
-            for line in range(address, address + max(size, 1), 64)
-        ),
-        8,
-    )
-
-    object_count = len(objects)
-    skew_exponent = 1.0 / profile.locality_skew
-
-    # Application instructions are the *fixed logical workload*: every
-    # scenario executes the same bursts and allocation events.  CFORM and
-    # hook work rides on top as overhead instructions, so slowdowns
-    # measure extra work rather than displaced work.
-    app_instructions = 0.0
-    overhead_instructions = 0.0
-    alloc_accumulator = 0.0
-    burst_length = profile.burst_length
-    burst_instructions = burst_length / profile.mem_ratio
-
-    def cform_object(address: int, lines: int) -> None:
-        """Issue the CFORM work for one (de)allocation of an object."""
-        nonlocal overhead_instructions
-        append(EV_CFORM, address, lines)
-        overhead_instructions += lines * (1 + CFORM_SETUP_INSTRUCTIONS)
-
-    warmup_budget = instructions * warmup_fraction
-    total_budget = warmup_budget + instructions
-    warm = warmup_fraction == 0.0
-
-    # -- main loop --------------------------------------------------------------
-    while app_instructions < total_budget:
-        if not warm and app_instructions >= warmup_budget:
-            # Warmup ends: keep cache contents, discard all statistics.
-            warm = True
-            app_instructions -= warmup_budget
-            total_budget -= warmup_budget
-            overhead_instructions = 0.0
-            append(EV_WARM, 0, 0)
-        app_instructions += burst_instructions
-
-        target = rng.random()
-        if target < profile.stack_fraction:
-            base = _STACK_BASE + int(rng.random() * _STACK_HOT_BYTES)
-            run(EV_STORE, range(base, base + burst_length * 8, 8), 8)
-        else:
-            index = int(object_count * rng.random() ** skew_exponent)
-            address, type_index, raw_size = objects[
-                min(index, object_count - 1)
-            ]
-            if rng.random() < profile.scan_fraction:
-                size = max(
-                    raw_size if type_index < 0 else catalog[type_index].size, 8
-                )
-                run(
-                    EV_LOAD,
-                    [
-                        address + (access * 8) % size
-                        for access in range(burst_length)
-                    ],
-                    8,
-                )
-            elif type_index < 0:
-                span = max(raw_size - 8, 1)
-                run(
-                    EV_LOAD,
-                    [
-                        address + int(rng.random() * span)
-                        for _ in range(burst_length)
-                    ],
-                    8,
-                )
-            else:
-                offsets = catalog[type_index].field_offsets
-                fields = len(offsets)
-                run(
-                    EV_LOAD,
-                    [
-                        address + offsets[rng.randrange(fields)]
-                        for _ in range(burst_length)
-                    ],
-                    8,
-                )
-
-        # Allocation/free churn at the profile's rate.
-        alloc_accumulator += profile.allocs_per_kinst * burst_instructions / 1000.0
-        while alloc_accumulator >= 1.0:
-            alloc_accumulator -= 1.0
-            victim = rng.randrange(object_count)
-            address, type_index, raw_size = objects[victim]
-            if type_index < 0:
-                carved = align_up(raw_size, 16)
-                heap.release(address, carved)
-                new_address = heap.place(carved)
-                append(EV_FREE, address, carved)
-                append(EV_ALLOC, new_address, carved)
-                objects[victim] = (new_address, -1, raw_size)
-                continue
-            info = catalog[type_index]
-            run_hook = scenario.with_cform and info.hooked
-            if run_hook:
-                overhead_instructions += ALLOC_HOOK_INSTRUCTIONS
-                cform_object(address, info.cform_lines)  # free side
-            append(EV_FREE, address, info.carved)
-            heap.release(address, info.carved)
-            new_address = heap.place(info.carved)
-            append(EV_ALLOC, new_address, info.carved)
-            if run_hook:
-                cform_object(new_address, info.cform_lines)  # alloc side
-            objects[victim] = (new_address, type_index, 0)
-
-        burst_end()
-
-    return int(app_instructions + overhead_instructions)
+    shared = script is not None
+    if shared and (
+        script.profile, script.instructions, script.seed,
+        script.warmup_fraction,
+    ) != (profile, instructions, seed, warmup_fraction):
+        raise ValueError("script was drawn for a different run")
+    with telemetry_span(
+        "workloads.synthesize",
+        benchmark=profile.name,
+        scenario=scenario.describe(),
+        shared=shared,
+    ) as tspan:
+        if script is None:
+            script = draw(profile, instructions, seed, warmup_fraction)
+        start = records.count
+        total, blocks = render(script, scenario, quarantine_delay)
+        for kinds, addresses, args, ends in blocks:
+            records.extend(kinds, addresses, args, ends)
+        tspan.set("records", records.count - start)
+    return total
 
 
 def slowdown(
@@ -522,17 +770,24 @@ def slowdown(
 
     ``runs`` memoises the cell's two :class:`RunResult` objects, keyed by
     ``(profile, scenario, instructions, seed)`` — every :func:`run_trace`
-    input that varies here.  Pass one dict to every cell of a figure and
-    each benchmark's baseline is simulated once, not once per
-    configuration.  Without one, a cell whose variant *is* the baseline
-    (Figure 10) still simulates it only once.
+    input that varies here — and the benchmark's :class:`Script`, keyed
+    by ``(profile, instructions, seed)``.  Pass one dict to every cell of
+    a figure and each benchmark's workload is drawn once and its baseline
+    simulated once, not once per configuration.  Without one, a cell
+    whose variant *is* the baseline (Figure 10) still simulates it only
+    once.
     """
     runs = {} if runs is None else runs
 
     def run(case: Scenario) -> RunResult:
         key = (profile, case, instructions, seed)
         if key not in runs:
-            runs[key] = run_trace(profile, case, instructions, seed)
+            drawn = (profile, instructions, seed)
+            if drawn not in runs:
+                runs[drawn] = draw(profile, instructions, seed)
+            runs[key] = run_trace(
+                profile, case, instructions, seed, script=runs[drawn]
+            )
         return runs[key]
 
     return relative_slowdown(

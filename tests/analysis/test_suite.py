@@ -118,9 +118,14 @@ class TestSharedBaseline:
         baselines = [call for call in run_trace_calls
                      if call[1] == Scenario.baseline()]
         assert len(baselines) == len(SMALL)
-        assert len(runs) == len(run_trace_calls)
-        assert all(isinstance(run, generator.RunResult)
-                   for run in runs.values())
+        # One RunResult per simulation and one Script per benchmark.
+        results = [run for run in runs.values()
+                   if isinstance(run, generator.RunResult)]
+        scripts = [run for run in runs.values()
+                   if isinstance(run, generator.Script)]
+        assert len(results) == len(run_trace_calls)
+        assert len(scripts) == len(SMALL)
+        assert len(runs) == len(results) + len(scripts)
 
     def test_fig10_cell_simulates_once(self, run_trace_calls):
         sweep(SMALL, Scenario.baseline(), instructions=QUICK,

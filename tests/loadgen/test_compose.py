@@ -83,8 +83,8 @@ class _ChunkSink:
             zip(kinds.tolist(), addresses.tolist(), args.tolist())
         )
 
-    def burst(self, records):
-        self.burst_ends.append(records.count)
+    def bursts(self, ends):
+        self.burst_ends.extend(ends.tolist())
 
     @property
     def chunks(self):

@@ -271,9 +271,10 @@ class TestRecordBuffer:
             def consume(self, kinds, addresses, args):
                 pass
 
-            def burst(self, records):
-                self.seen.append(records.count)
-                records.append(EV_EPOCH, len(self.seen), 0)
+            def bursts(self, ends):
+                self.seen.extend(ends.tolist())
+                marker = np.array([len(self.seen)])
+                return [0], np.array([EV_EPOCH]), marker, np.array([0])
 
         marker = Marker()
         records = RecordBuffer(collect, marker)

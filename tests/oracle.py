@@ -19,6 +19,12 @@ implementations they must agree with:
   writer; :func:`reencode` rewrites a trace through them;
 * :func:`canonical_digest` — the corpus identity hash, one packed
   record at a time over :func:`records`;
+* :func:`emit_trace` and :func:`run_trace` — the workload generator with one
+  RNG draw and one buffer call per record or burst, with the heap
+  simulated for every object and one burst end per burst (the twin of
+  :func:`repro.workloads.generator.emit_trace`'s draw and render), and
+  :func:`merge_arrivals`, the loadgen merge one arrival at a time;
+  :func:`record` records through them;
 * :class:`TagOnlyCache` — one LRU tag array, an ``OrderedDict`` per set;
 * :class:`PrivateLadder`, :class:`SharedL3`, :class:`MultiCoreHierarchy`
   — per-core L1/L2 pairs in front of one shared L3;
@@ -31,11 +37,17 @@ implementations they must agree with:
 Run as a script, it is the ``python -m repro.traces`` CLI with these
 replayers swapped in, so its summaries can be compared byte for byte
 with the production CLI's, plus a ``reencode`` command that rewrites a
-trace through the scalar decoder and writers, so the file can be
-compared byte for byte with the production writer's::
+trace through the scalar decoder and writers, and a ``record`` command
+that records a registry scenario or a composed load scenario through
+the per-record generator, so either file can be compared byte for byte
+with the production writer's::
 
     PYTHONPATH=src:tests python -m oracle replay sc.trace --mode timing
     PYTHONPATH=src:tests python -m oracle reencode sc.trace --out re.trace
+    PYTHONPATH=src:tests python -m oracle record --scenario server-churn \
+        --compress --out sc.trace
+    PYTHONPATH=src:tests python -m oracle record --load uniform-churn \
+        --compress --out uc.trace
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ import argparse
 import hashlib
 import heapq
 import json
+import random
 import struct
 import sys
 import zlib
@@ -58,6 +71,7 @@ from repro.memory.hierarchy import (
     MemoryHierarchy,
     amat_cycles,
 )
+from repro.memory.kernel import RecordBuffer
 from repro.traces import compress
 from repro.traces.compress import (
     _RUN_FLAG,
@@ -86,6 +100,7 @@ from repro.traces.format import (
     TraceReader,
     TraceWriterBase,
 )
+from repro.traces.registry import corpus_spec
 from repro.traces.replayer import (
     _CORE_ADDRESS_STRIDE,
     _WARM_RESET,
@@ -97,6 +112,17 @@ from repro.traces.replayer import (
     _config_from_header,
     _footer_result,
 )
+from repro.softstack.ctypes_model import align_up
+from repro.workloads import generator
+from repro.workloads.generator import (
+    ALLOC_HOOK_INSTRUCTIONS,
+    CFORM_SETUP_INSTRUCTIONS,
+    RunResult,
+    Scenario,
+    build_type_catalog,
+    counted_run,
+)
+from repro.workloads.specs import BenchmarkProfile
 
 #: Ops accumulated before one ``replay_trace`` batch in hierarchy mode.
 HIERARCHY_BATCH_OPS = 2048
@@ -819,9 +845,275 @@ def replay_multicore(
     return MulticoreReplay(cores=cores, per_core=tuple(per_core), merged=merged)
 
 
+# -- per-record synthesis -------------------------------------------------------
+
+
+def run_trace(
+    profile: BenchmarkProfile,
+    scenario: Scenario,
+    instructions: int = 200_000,
+    seed: int = 0,
+    config: HierarchyConfig = WESTMERE,
+    warmup_fraction: float = 1.0,
+    sink=None,
+    quarantine_delay: int = 16,
+) -> RunResult:
+    """:func:`repro.workloads.generator.run_trace` over :func:`emit_trace`."""
+    return counted_run(
+        profile.name,
+        scenario,
+        config,
+        sink,
+        lambda records: emit_trace(
+            records, profile, scenario, instructions, seed,
+            warmup_fraction, quarantine_delay,
+        ),
+    )
+
+
+def emit_trace(
+    records: RecordBuffer,
+    profile: BenchmarkProfile,
+    scenario: Scenario,
+    instructions: int = 200_000,
+    seed: int = 0,
+    warmup_fraction: float = 1.0,
+    quarantine_delay: int = 16,
+) -> int:
+    """Emit one benchmark run's record stream; return its instructions.
+
+    The per-record twin of :func:`repro.workloads.generator.emit_trace`:
+    one RNG draw and one buffer call per record or burst, the heap
+    simulated for every object, and one :meth:`RecordBuffer.burst_end`
+    per burst.
+    """
+    rng = random.Random(f"{profile.name}:{seed}")
+    catalog = build_type_catalog(scenario)
+    baseline_catalog = (
+        catalog
+        if scenario.policy is None
+        else build_type_catalog(Scenario.baseline())
+    )
+    append = records.append
+    run = records.run
+    burst_end = records.burst_end
+
+    # -- heap population ----------------------------------------------------
+    # The live set targets ``heap_kb`` at *baseline* sizes, so every
+    # scenario simulates the same logical objects; protected layouts then
+    # inflate the same population.
+    heap = generator._FastHeap(quarantine_delay=quarantine_delay)
+    objects: list[tuple[int, int, int]] = []  # (address, type_index, raw_size)
+    baseline_bytes = 0
+    target_bytes = profile.heap_kb * 1024
+    while baseline_bytes < target_bytes:
+        if rng.random() < profile.struct_fraction:
+            pool = (
+                generator._PTR_ARRAY_TYPE_INDICES
+                if rng.random() < profile.ptr_array_fraction
+                else generator._PLAIN_TYPE_INDICES
+            )
+            type_index = pool[rng.randrange(len(pool))]
+            objects.append((heap.place(catalog[type_index].carved), type_index, 0))
+            baseline_bytes += baseline_catalog[type_index].carved
+        else:
+            raw = int(profile.raw_buffer_bytes * (0.5 + rng.random()))
+            raw = max(raw, 16)
+            objects.append((heap.place(align_up(raw, 16)), -1, raw))
+            baseline_bytes += align_up(raw, 16)
+
+    # Pre-warm: touch every line of every live object once, so measured
+    # misses reflect capacity and conflict behaviour rather than
+    # first-touch cold misses (which the paper's 500M-instruction
+    # SimPoint windows amortise away, but a short trace would not).
+    sizes = [
+        raw_size if type_index < 0 else catalog[type_index].size
+        for _, type_index, raw_size in objects
+    ]
+    records.sweep(
+        EV_LOAD,
+        (
+            line
+            for (address, _, _), size in zip(objects, sizes)
+            for line in range(address, address + max(size, 1), 64)
+        ),
+        8,
+    )
+
+    object_count = len(objects)
+    skew_exponent = 1.0 / profile.locality_skew
+
+    # Application instructions are the *fixed logical workload*: every
+    # scenario executes the same bursts and allocation events.  CFORM and
+    # hook work rides on top as overhead instructions, so slowdowns
+    # measure extra work rather than displaced work.
+    app_instructions = 0.0
+    overhead_instructions = 0.0
+    alloc_accumulator = 0.0
+    burst_length = profile.burst_length
+    burst_instructions = burst_length / profile.mem_ratio
+
+    def cform_object(address: int, lines: int) -> None:
+        """Issue the CFORM work for one (de)allocation of an object."""
+        nonlocal overhead_instructions
+        append(EV_CFORM, address, lines)
+        overhead_instructions += lines * (1 + CFORM_SETUP_INSTRUCTIONS)
+
+    warmup_budget = instructions * warmup_fraction
+    total_budget = warmup_budget + instructions
+    warm = warmup_fraction == 0.0
+
+    # -- main loop --------------------------------------------------------------
+    while app_instructions < total_budget:
+        if not warm and app_instructions >= warmup_budget:
+            # Warmup ends: keep cache contents, discard all statistics.
+            warm = True
+            app_instructions -= warmup_budget
+            total_budget -= warmup_budget
+            overhead_instructions = 0.0
+            append(EV_WARM, 0, 0)
+        app_instructions += burst_instructions
+
+        target = rng.random()
+        if target < profile.stack_fraction:
+            base = generator._STACK_BASE + int(rng.random() * generator._STACK_HOT_BYTES)
+            run(EV_STORE, range(base, base + burst_length * 8, 8), 8)
+        else:
+            index = int(object_count * rng.random() ** skew_exponent)
+            address, type_index, raw_size = objects[
+                min(index, object_count - 1)
+            ]
+            if rng.random() < profile.scan_fraction:
+                size = max(
+                    raw_size if type_index < 0 else catalog[type_index].size, 8
+                )
+                run(
+                    EV_LOAD,
+                    [
+                        address + (access * 8) % size
+                        for access in range(burst_length)
+                    ],
+                    8,
+                )
+            elif type_index < 0:
+                span = max(raw_size - 8, 1)
+                run(
+                    EV_LOAD,
+                    [
+                        address + int(rng.random() * span)
+                        for _ in range(burst_length)
+                    ],
+                    8,
+                )
+            else:
+                offsets = catalog[type_index].field_offsets
+                fields = len(offsets)
+                run(
+                    EV_LOAD,
+                    [
+                        address + offsets[rng.randrange(fields)]
+                        for _ in range(burst_length)
+                    ],
+                    8,
+                )
+
+        # Allocation/free churn at the profile's rate.
+        alloc_accumulator += profile.allocs_per_kinst * burst_instructions / 1000.0
+        while alloc_accumulator >= 1.0:
+            alloc_accumulator -= 1.0
+            victim = rng.randrange(object_count)
+            address, type_index, raw_size = objects[victim]
+            if type_index < 0:
+                carved = align_up(raw_size, 16)
+                heap.release(address, carved)
+                new_address = heap.place(carved)
+                append(EV_FREE, address, carved)
+                append(EV_ALLOC, new_address, carved)
+                objects[victim] = (new_address, -1, raw_size)
+                continue
+            info = catalog[type_index]
+            run_hook = scenario.with_cform and info.hooked
+            if run_hook:
+                overhead_instructions += ALLOC_HOOK_INSTRUCTIONS
+                cform_object(address, info.cform_lines)  # free side
+            append(EV_FREE, address, info.carved)
+            heap.release(address, info.carved)
+            new_address = heap.place(info.carved)
+            append(EV_ALLOC, new_address, info.carved)
+            if run_hook:
+                cform_object(new_address, info.cform_lines)  # alloc side
+            objects[victim] = (new_address, type_index, 0)
+
+        burst_end()
+
+    return int(app_instructions + overhead_instructions)
+
+
+
+
+def merge_arrivals(records: RecordBuffer, load, arrivals, streams) -> int:
+    """The per-arrival twin of
+    :func:`repro.loadgen.compose.merge_arrivals`: one ``extend`` and one
+    :meth:`RecordBuffer.burst_end` per arrival."""
+    app_instructions = 0.0
+    cform_lines = 0
+    cform_records = 0
+    warm_pending = load.warmup_s > 0.0
+    for time_s, tenant, index in heapq.merge(*arrivals):
+        if warm_pending and time_s >= load.warmup_s:
+            warm_pending = False
+            records.append(EV_WARM, 0, 0)
+            app_instructions = 0.0
+            cform_lines = cform_records = 0
+        kinds, addresses, args, bounds, burst_cost = streams[tenant]
+        start, stop = bounds[index], bounds[index + 1]
+        chunk_kinds, chunk_args = kinds[start:stop], args[start:stop]
+        records.extend(chunk_kinds, addresses[start:stop], chunk_args)
+        app_instructions += burst_cost
+        cform = chunk_args[chunk_kinds == EV_CFORM]
+        cform_lines += int(cform.sum())
+        cform_records += len(cform)
+        records.burst_end()
+    if warm_pending:
+        records.append(EV_WARM, 0, 0)
+        app_instructions = 0.0
+        cform_lines = cform_records = 0
+    overhead = (
+        cform_lines * (1 + CFORM_SETUP_INSTRUCTIONS)
+        + (cform_records // 2) * ALLOC_HOOK_INSTRUCTIONS
+    )
+    return int(app_instructions + overhead)
+
+
+def record(spec, target, compress: bool = False) -> RunResult:
+    """:func:`repro.traces.recorder.record_spec` with this module's
+    per-record generator (:func:`run_trace`, and :func:`emit_trace` for
+    the loadgen composer's tenants) and per-arrival
+    :func:`merge_arrivals` in place of the columnar ones."""
+    from repro.loadgen import compose
+    from repro.traces import recorder
+
+    saved = (
+        recorder.run_trace, compose._EMITTERS["generator"],
+        compose.merge_arrivals,
+    )
+    recorder.run_trace = run_trace
+    compose._EMITTERS["generator"] = emit_trace
+    compose.merge_arrivals = merge_arrivals
+    try:
+        return recorder.record_spec(spec, target, compress=compress)
+    finally:
+        (
+            recorder.run_trace, compose._EMITTERS["generator"],
+            compose.merge_arrivals,
+        ) = saved
+
+
 def main(argv: list[str] | None = None) -> int:
     """The ``python -m repro.traces`` CLI, replaying through this oracle,
-    plus ``reencode SOURCE --out TARGET`` (:func:`reencode`)."""
+    plus ``reencode SOURCE --out TARGET`` (:func:`reencode`) and
+    ``record (--scenario NAME | --load NAME) --out TARGET``
+    (:func:`record`)."""
     from repro.traces import __main__ as cli
 
     argv = sys.argv[1:] if argv is None else argv
@@ -836,6 +1128,35 @@ def main(argv: list[str] | None = None) -> int:
         arguments = parser.parse_args(argv[1:])
         count = reencode(arguments.source, arguments.out)
         print(f"re-encoded {count} records to {arguments.out}")
+        return 0
+
+    if argv[:1] == ["record"]:
+        parser = argparse.ArgumentParser(
+            prog="python -m oracle record",
+            description="record a registry scenario, or compose and "
+            "record a load scenario, through the per-record generator",
+        )
+        source = parser.add_mutually_exclusive_group(required=True)
+        source.add_argument("--scenario", help="trace registry scenario")
+        source.add_argument("--load", help="loadgen scenario to compose")
+        parser.add_argument("--instructions", type=int)
+        parser.add_argument("--compress", action="store_true")
+        parser.add_argument("--out", required=True)
+        arguments = parser.parse_args(argv[1:])
+        if arguments.load:
+            from repro.loadgen.compose import compose_spec
+            from repro.loadgen.sets import load_scenarios
+
+            spec = compose_spec(load_scenarios()[arguments.load])
+        else:
+            spec = corpus_spec(arguments.scenario)
+        if arguments.instructions is not None:
+            spec = spec.scaled(arguments.instructions)
+        result = record(spec, arguments.out, compress=arguments.compress)
+        print(
+            f"recorded {spec.name} -> {arguments.out} "
+            f"({result.instructions} instructions)"
+        )
         return 0
 
     cli.replay_timing = replay_timing

@@ -86,3 +86,28 @@ def test_disabled_run_writes_nothing(tmp_path):
     assert runtime.active() is None
     replay_timing(trace)  # must not create any sink
     assert not os.path.exists(str(tmp_path / "tel"))
+
+
+def test_live_figure_emits_one_synthesis_span_per_run(tmp_path, monkeypatch):
+    from repro.experiments import fig12_intelligent
+    from repro.workloads import generator
+
+    calls = []
+    run_trace = generator.run_trace
+
+    def counted(profile, scenario, *arguments, **keywords):
+        calls.append((profile.name, scenario.describe()))
+        return run_trace(profile, scenario, *arguments, **keywords)
+
+    monkeypatch.setattr(generator, "run_trace", counted)
+    handle = runtime.configure(str(tmp_path / "tel"))
+    fig12_intelligent.run(instructions=INSTRUCTIONS, benchmarks=["gobmk", "mcf"])
+    handle.flush()
+    log = read_span_log(os.path.join(handle.directory, runtime.SPAN_LOG_NAME))
+    spans = [r for r in log.spans if r["name"] == "workloads.synthesize"]
+    assert len(calls) == 14  # two benchmarks x (baseline + six variants)
+    assert sorted(
+        (r["attrs"]["benchmark"], r["attrs"]["scenario"]) for r in spans
+    ) == sorted(calls)
+    assert all(r["attrs"]["shared"] for r in spans)
+    assert all(r["attrs"]["records"] > 0 for r in spans)
