@@ -198,8 +198,12 @@ loadgen-smoke:
 ## The attack driver and the loadgen composer each record a trace too:
 ## their footers come from the same accountant as the production replay,
 ## so the oracle's timing replay is the independent check of those
-## writers.  The printed replay summaries carry no timing, so `cmp` is
-## the whole check.
+## writers.  The dma-mixed recording's pre-warm sweep spans several
+## SWEEP_BLOCKs, which its live accountant applies as ascending blocks
+## (the kernel's closed form, into cold and into half-filled L3 sets);
+## both replays check their counts against that recorded footer.  The
+## printed replay summaries carry no timing, so `cmp` is the whole
+## check.
 kernel-smoke:
 	@$(DEMO_DIR_SETUP); \
 	$(PY) -m repro.traces record --scenario server-churn \
@@ -227,13 +231,15 @@ kernel-smoke:
 		--instructions 8000 --out "$$dir/attack-replay.trace"; \
 	$(PY) -m repro loadgen generate uniform-churn \
 		--out "$$dir/uniform-churn.trace"; \
-	for name in attack-replay uniform-churn; do \
+	$(PY) -m repro.traces record --scenario dma-mixed \
+		--instructions 8000 --compress --out "$$dir/dma-mixed.trace"; \
+	for name in attack-replay uniform-churn dma-mixed; do \
 		trace="$$dir/$$name.trace"; \
 		$(PY) -m repro.traces replay "$$trace" > "$$dir/$$name-kernel.txt"; \
 		$(ORACLE) replay "$$trace" > "$$dir/$$name-oracle.txt"; \
 		cmp "$$dir/$$name-kernel.txt" "$$dir/$$name-oracle.txt"; \
 	done; \
-	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02, and on the attack and loadgen writers"
+	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02, on the attack and loadgen writers, and on a pre-warm sweep of several ascending blocks"
 
 ## CI gate for the columnar trace writers: record CALTRC02 traces of
 ## the workload generator (server-churn, and dma-mixed with CFORM

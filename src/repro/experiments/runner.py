@@ -293,6 +293,7 @@ def write_report(results: list[SectionResult], path: str) -> None:
     for result in results:
         parts.append(f"## {result.title}\n\n```text\n{result.markdown}\n```\n")
     parts.append(_DIVERGENCES)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:
         handle.write("\n".join(parts))
 

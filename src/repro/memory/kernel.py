@@ -38,7 +38,16 @@ change LRU state:
   of line/timestamp arrays — exact LRU, because a per-round timestamp
   is strictly increasing along every set's stream and the victim is the
   minimum-stamp way.  Skewed tails (a few hot sets with long streams
-  left) finish in a tight per-set Python loop over the same state.
+  left) finish in a tight per-set Python loop over the same state;
+* a block whose lines, after the MRU collapse, are **strictly ascending
+  and start above every resident line** misses on every access: no line
+  of it is resident at entry, and none recurs within the block to be
+  inserted earlier, so each set's accesses are one run of distinct
+  absent lines.  Such a run's LRU update has a closed form — its last
+  ``min(k, assoc)`` lines replace the set's oldest ways, stamped in
+  stream order — so the block skips the line sort, the residency probe
+  and the rounds.  Every pre-warm sweep block has this shape at every
+  level (a level below passes on the ascending misses of the one above).
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import numpy as np
 from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig
+from repro.telemetry.runtime import active as telemetry_active
 
 # -- the record stream --------------------------------------------------------
 #
@@ -91,6 +101,11 @@ SWEEP_BLOCK = TOUCH_BLOCK
 #: more in numpy dispatch than the per-set Python tail loop it replaces.
 _ROUND_MIN_SETS = 12
 
+#: Largest set count whose set indices fit the int16 sort key that
+#: numpy sorts by radix (``set * associativity`` would not fit, so the
+#: narrow copy is the sort key only).
+_NARROW_SETS = int(np.iinfo(np.int16).max)
+
 #: Sentinel stored in the line slot of an empty way.  No address can
 #: floor-divide (line size ≥ 2) to the int64 minimum, so a plain
 #: equality match can never hit an empty way and liveness checks drop
@@ -111,8 +126,8 @@ class LruTagKernel:
     """
 
     __slots__ = (
-        "geometry", "accesses", "hits", "misses",
-        "rounds", "tail_accesses",
+        "geometry", "accesses", "hits", "misses", "total_accesses",
+        "rounds", "tail_accesses", "ascending_accesses",
         "_line_size", "_num_sets", "_associativity",
         "_way_lines", "_way_stamps", "_clock",
     )
@@ -134,13 +149,20 @@ class LruTagKernel:
         self.accesses = 0
         self.hits = 0
         self.misses = 0
+        #: Accesses since construction (``accesses`` restarts at each
+        #: :meth:`reset_counters`).
+        self.total_accesses = 0
         #: Instrumentation: cumulative vectorized (rank, kind) round
         #: groups executed, and accesses that fell to the per-set Python
-        #: tail — their ratio is the batch algorithm's "tail fraction",
-        #: the telemetry layer's vectorization-health signal.  Two int
-        #: adds per batch; kept unconditional.
+        #: tail — their share of :attr:`total_accesses` is the batch
+        #: algorithm's "tail fraction", the telemetry layer's
+        #: vectorization-health signal.  A few int adds per batch; kept
+        #: unconditional.
         self.rounds = 0
         self.tail_accesses = 0
+        #: Accesses of ascending blocks, applied in closed form (the
+        #: pre-warm sweep's share of the stream).
+        self.ascending_accesses = 0
 
     def access_block(self, addresses):
         """Touch every address in order; return the miss mask.
@@ -154,11 +176,15 @@ class LruTagKernel:
 
         1. collapse MRU repeats (global, then per set after the stable
            set sort) — guaranteed hits with no state effect;
-        2. classify every **first batch occurrence of a line that is not
+        2. an **ascending block** — lines strictly increasing after the
+           global collapse, the first above every resident line — is all
+           guaranteed misses, each set's stream one run: step 4's closed
+           form applies to every set at once and steps 3–4 are skipped;
+        3. classify every **first batch occurrence of a line that is not
            resident at batch entry** as a *guaranteed miss*: nothing but
            an access to that line can insert it, so whatever happened
            earlier in the batch, the line is absent when reached;
-        3. cut each set's stream into segments — maximal guaranteed-miss
+        4. cut each set's stream into segments — maximal guaranteed-miss
            runs and single *unknown* accesses — and process segment
            round ``r`` of every set as one vectorized step.  A
            guaranteed-miss run of ``k`` distinct lines has a closed-form
@@ -173,6 +199,7 @@ class LruTagKernel:
         """
         n = len(addresses)
         self.accesses += n
+        self.total_accesses += n
         miss_mask = np.zeros(n, dtype=bool)
         if n == 0:
             return miss_mask
@@ -187,11 +214,20 @@ class LruTagKernel:
         set_column = work_lines % self._num_sets
         # Stable sort by set: each set's accesses stay in stream order,
         # different sets are independent, so processing grouped-by-set
-        # cannot change any outcome.
-        order = np.argsort(set_column, kind="stable")
+        # cannot change any outcome.  A narrow key sorts by radix.
+        set_key = (
+            set_column.astype(np.int16)
+            if self._num_sets <= _NARROW_SETS
+            else set_column
+        )
+        order = np.argsort(set_key, kind="stable")
         grouped_sets = set_column[order]
         grouped_lines = work_lines[order]
         grouped_positions = work_idx[order]
+        clock = self._clock
+        way_lines = self._way_lines
+        way_stamps = self._way_stamps
+
         # Per-set MRU collapse: a repeat of the previous access *to the
         # same set* is likewise a guaranteed hit on that set's MRU way.
         m = len(grouped_sets)
@@ -209,9 +245,26 @@ class LruTagKernel:
         set_boundary[0] = True
         np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=set_boundary[1:])
 
-        way_lines = self._way_lines
-        way_stamps = self._way_stamps
-        associativity = self._associativity
+        if (work_lines[1:] > work_lines[:-1]).all() and (
+            work_lines[0] > way_lines.max()
+        ):
+            # Ascending block: every line is new to the batch and above
+            # every resident line, so every access is a guaranteed miss
+            # and each set's stream is a single guaranteed-miss run.
+            set_starts = np.flatnonzero(set_boundary)
+            self._fill_oldest(
+                grouped_sets[set_starts],
+                set_starts,
+                np.append(set_starts[1:], m),
+                grouped_lines,
+                clock,
+            )
+            miss_mask[work_idx] = True
+            self.ascending_accesses += n
+            self._clock = clock + m
+            self.misses += m
+            self.hits += n - m
+            return miss_mask
 
         # First batch occurrence of each line (same line ⇒ same set, so
         # a stable sort by line keeps every line's accesses in order).
@@ -223,23 +276,16 @@ class LruTagKernel:
         first_occurrence = np.empty(m, dtype=bool)
         first_occurrence[by_line] = new_line
         # Guaranteed miss: first occurrence of a line absent at entry.
-        # A line value pins its set (line mod sets), so a sorted global
-        # list of resident lines answers per-set residency in one
-        # searchsorted — and a fully cold cache skips the probe.
-        live = way_stamps >= 0
-        if live.any():
-            resident_lines = np.sort(way_lines[live])
-            first_idx = np.flatnonzero(first_occurrence)
-            first_lines = grouped_lines[first_idx]
-            slot = np.minimum(
-                np.searchsorted(resident_lines, first_lines),
-                resident_lines.size - 1,
-            )
-            resident = resident_lines[slot] == first_lines
-            guaranteed = np.zeros(m, dtype=bool)
-            guaranteed[first_idx[~resident]] = True
-        else:
-            guaranteed = first_occurrence.copy()
+        # A line value pins its set (line mod sets), so each first
+        # occurrence is probed against its own set's row only; an empty
+        # way's sentinel matches nothing.
+        first_idx = np.flatnonzero(first_occurrence)
+        first_lines = grouped_lines[first_idx]
+        resident = (
+            way_lines[grouped_sets[first_idx]] == first_lines[:, None]
+        ).any(axis=1)
+        guaranteed = np.zeros(m, dtype=bool)
+        guaranteed[first_idx[~resident]] = True
         miss_mask[grouped_positions[guaranteed]] = True
         miss_count = int(guaranteed.sum())
 
@@ -268,7 +314,6 @@ class LruTagKernel:
         thin = rank_counts < _ROUND_MIN_SETS
         cutoff = int(np.argmax(thin)) if thin.any() else len(rank_counts)
 
-        clock = self._clock
         in_rounds = seg_rank < cutoff
         round_segments = np.flatnonzero(in_rounds)
         if round_segments.size:
@@ -282,9 +327,6 @@ class LruTagKernel:
             group_starts = np.append(0, bounds).tolist()
             group_ends = np.append(bounds, key_sorted.size).tolist()
             self.rounds += len(group_starts)
-            way_columns = np.arange(associativity)
-            flat_lines = way_lines.reshape(-1)
-            flat_stamps = way_stamps.reshape(-1)
             for group_start, group_end in zip(group_starts, group_ends):
                 segments = round_order[group_start:group_end]
                 set_ids = seg_sets[segments]
@@ -302,17 +344,10 @@ class LruTagKernel:
                     way_stamps[set_ids, way] = clock + starts
                     unknown_hit[starts[hit]] = True
                 else:  # guaranteed-miss runs: closed-form LRU update
-                    ends = seg_ends[segments]
-                    fill = np.minimum(ends - starts, associativity)
-                    oldest_first = np.argsort(way_stamps[set_ids], axis=1)
-                    chosen = way_columns < fill[:, None]
-                    source = ends[:, None] - fill[:, None] + way_columns
-                    new_lines = grouped_lines[np.where(chosen, source, 0)]
-                    flat = (set_ids[:, None] * associativity + oldest_first)[
-                        chosen
-                    ]
-                    flat_lines[flat] = new_lines[chosen]
-                    flat_stamps[flat] = clock + source[chosen]
+                    self._fill_oldest(
+                        set_ids, starts, seg_ends[segments], grouped_lines,
+                        clock,
+                    )
         if cutoff < len(rank_counts):
             # Tail: per set, every access from its first thin-rank
             # segment to the end of its stream, simulated sequentially.
@@ -353,6 +388,32 @@ class LruTagKernel:
         self.misses += miss_count
         self.hits += n - miss_count
         return miss_mask
+
+    def _fill_oldest(self, set_ids, starts, ends, lines, clock) -> None:
+        """Apply one guaranteed-miss run per set in closed form.
+
+        ``set_ids`` are distinct sets; set ``i``'s run is ``lines[
+        starts[i]:ends[i]]``, distinct lines absent from the set.  Its
+        last ``min(k, assoc)`` lines replace the set's ``min(k, assoc)``
+        least-recently-stamped ways, stamped ``clock`` plus their index.
+        Which of those ways takes which line cannot matter: the new
+        stamps exceed every old one, and a lookup matches by line.
+        """
+        associativity = self._associativity
+        stamps = self._way_stamps[set_ids]
+        fill = np.minimum(ends - starts, associativity)
+        if (fill == 1).all():
+            way = stamps.argmin(axis=1)
+            self._way_lines[set_ids, way] = lines[ends - 1]
+            self._way_stamps[set_ids, way] = clock + ends - 1
+            return
+        way_columns = np.arange(associativity)
+        oldest_first = np.argsort(stamps, axis=1)
+        chosen = way_columns < fill[:, None]
+        source = (ends - fill)[:, None] + way_columns
+        flat = (set_ids[:, None] * associativity + oldest_first)[chosen]
+        self._way_lines.reshape(-1)[flat] = lines[source[chosen]]
+        self._way_stamps.reshape(-1)[flat] = clock + source[chosen]
 
     def reset_counters(self) -> None:
         """Zero the counters, keep the tag contents warm (end of warmup)."""
@@ -421,25 +482,30 @@ class LadderKernel:
         return tuple(pairs)
 
     def instrumentation(self) -> dict:
-        """Per-level batch-algorithm health: rounds and tail fraction.
-
-        ``tail_accesses`` / ``accesses`` is the share of the touch
-        stream that fell out of the vectorized rounds into the per-set
-        Python tail (``accesses`` here counts from the last counter
-        reset, so a warmed replay reports the measured region — the
-        fraction is a health signal, not an accounting quantity).
-        """
-        report = {}
-        for name, level in self.levels:
-            accesses = level.accesses
-            report[name] = {
+        """Per-level batch-algorithm health, as counts over the ladder's
+        life (warm-up included): vectorized rounds, accesses that fell
+        to the per-set Python tail, accesses of ascending blocks applied
+        in closed form, and all accesses — the denominator of the tail
+        and ascending shares."""
+        return {
+            name: {
                 "rounds": level.rounds,
                 "tail_accesses": level.tail_accesses,
-                "tail_fraction": (
-                    level.tail_accesses / accesses if accesses else 0.0
-                ),
+                "ascending_accesses": level.ascending_accesses,
+                "accesses": level.total_accesses,
             }
-        return report
+            for name, level in self.levels
+        }
+
+    def report(self) -> None:
+        """Add :meth:`instrumentation` to the active telemetry sink as
+        ``kernel_<field>_total{level=}`` counters; a no-op without one."""
+        tel = telemetry_active()
+        if tel is None:
+            return
+        for name, fields in self.instrumentation().items():
+            for field, value in fields.items():
+                tel.inc(f"kernel_{field}_total", value, level=name)
 
 
 class RecordBuffer:

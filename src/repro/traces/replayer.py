@@ -66,7 +66,6 @@ from repro.memory.kernel import (
     expand_touches,
 )
 from repro.memory.multicore import SharedL3Kernel
-from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import flush as telemetry_flush
 from repro.telemetry.runtime import span as telemetry_span
 from repro.traces.compress import _iter_frames
@@ -145,22 +144,6 @@ class MergedReplay:
     stats: ShardStats
 
 
-def _report_ladder(ladder) -> None:
-    """Feed a finished ladder's batch-algorithm health into telemetry.
-
-    Reported per level: vectorized rounds executed, accesses that fell
-    to the per-set Python tail, and total accesses (the tail-fraction
-    denominator).  No-op without an active telemetry sink.
-    """
-    tel = telemetry_active()
-    if tel is None:
-        return
-    for name, level in ladder.levels:
-        tel.inc("kernel_rounds_total", level.rounds, level=name)
-        tel.inc("kernel_tail_accesses_total", level.tail_accesses, level=name)
-        tel.inc("kernel_accesses_total", level.accesses, level=name)
-
-
 def _amat_cycles(config: HierarchyConfig, events: MemoryEventCounts) -> int:
     return amat_cycles(
         config,
@@ -186,7 +169,7 @@ def _replay_timing_columns(
     accountant = TimingAccountant(config, honor_warm)
     for batch in reader.column_batches():
         accountant.consume(batch.kind, batch.address, batch.arg)
-    _report_ladder(accountant.ladder)
+    accountant.ladder.report()
     events = accountant.events()
     return ShardStats(
         events=events,
@@ -667,7 +650,7 @@ def _filter_core_columns(
     if accountant is None:  # no sources for this core
         raise ValueError(f"core {core} has no trace sources")
     ladder = accountant.ladder
-    _report_ladder(ladder)
+    ladder.report()
     if accountant.slot_blocks:
         slots = np.concatenate(accountant.slot_blocks)
         addresses = np.concatenate(accountant.address_blocks)

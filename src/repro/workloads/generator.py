@@ -286,13 +286,16 @@ def counted_run(
     instructions it models.  The buffer's blocks go to a
     :class:`~repro.memory.kernel.TimingAccountant` — the events, CFORM
     lines and allocation events of the result — and, when ``sink`` is
-    given, to the sink as well (the recorder's trace writer).
+    given, to the sink as well (the recorder's trace writer).  The
+    kernel's instrumentation goes to the active telemetry sink, as a
+    replay's does.
     """
     accountant = TimingAccountant(config)
     consumers = [accountant] if sink is None else [accountant, sink]
     records = RecordBuffer(*consumers)
     instructions = emit(records)
     records.flush()
+    accountant.ladder.report()
     return RunResult(
         benchmark=benchmark,
         scenario=scenario,
@@ -515,8 +518,9 @@ def render(script: Script, scenario: Scenario, quarantine_delay: int = 16):
 
     Returns ``(instructions, blocks)``: the instructions the run models,
     and an iterator of record blocks ``(kinds, addresses, args, ends)``
-    in stream order.  The pre-warm sweep comes first, in blocks with
-    ``ends`` ``None``; the bursts follow in blocks of whole bursts,
+    in stream order.  The pre-warm sweep comes first, in blocks of
+    :data:`~repro.memory.kernel.SWEEP_BLOCK` records with ``ends``
+    ``None``; the bursts follow in blocks of whole bursts,
     about :data:`~repro.memory.kernel.TOUCH_BLOCK` records each, with
     ``ends`` the block positions where each burst (its touches, then its
     churn) ends.  Only the allocator runs one churn event at a time;
@@ -594,8 +598,8 @@ def _sweep_blocks(homes, sizes):
     line_ends = np.cumsum(lines)
     line_starts = line_ends - lines
     total = int(line_ends[-1])
-    for start in range(0, total, kernel.TOUCH_BLOCK):
-        line = np.arange(start, min(start + kernel.TOUCH_BLOCK, total))
+    for start in range(0, total, kernel.SWEEP_BLOCK):
+        line = np.arange(start, min(start + kernel.SWEEP_BLOCK, total))
         owner = np.searchsorted(line_ends, line, side="right")
         yield (
             np.full(len(line), EV_LOAD, dtype=np.uint8),

@@ -120,6 +120,15 @@ class TestRunSubcommand:
         assert code == 0
         assert (tmp_path / "EXPERIMENTS.md").exists()
 
+    def test_output_into_a_missing_directory_creates_it(self, tmp_path):
+        output = tmp_path / "new" / "sub" / "EXPERIMENTS.partial.md"
+        code = main(
+            ["run", "table1", "--no-corpus", "--no-results",
+             "--output", str(output)]
+        )
+        assert code == 0
+        assert "## Table 1" in output.read_text()
+
     def test_nonpositive_jobs_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "table1", "--no-corpus", "--jobs", "0"])

@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import PrivateLadder, SharedL3, TagOnlyCache
 from repro.memory import kernel
@@ -36,6 +38,12 @@ from repro.memory.multicore import SharedL3Kernel
 
 #: Tiny geometry so eviction/LRU paths are exercised by short streams.
 SMALL = CacheGeometry(size_bytes=4 * 1024, associativity=2)
+#: 16 sets of 4 ways: a run shorter than the associativity replaces
+#: only part of its set.
+FOUR_WAY = CacheGeometry(size_bytes=16 * 4 * 64, associativity=4)
+#: More sets than a 16-bit set index can tell apart (the kernel's narrow
+#: radix-sort key is int16).
+WIDE = CacheGeometry(size_bytes=70_000 * 2 * 64, associativity=2)
 
 
 def random_addresses(seed: int, count: int = 4000) -> "np.ndarray":
@@ -98,6 +106,162 @@ class TestLruTagKernel:
         batched = LruTagKernel(SMALL)
         assert len(batched.access_block(np.empty(0, dtype=np.int64))) == 0
         assert batched.accesses == 0
+
+
+def line_addresses(lines) -> "np.ndarray":
+    """Byte addresses of ``lines``, at varying offsets inside each line."""
+    lines = np.asarray(lines, dtype=np.int64)
+    return lines * 64 + (np.arange(len(lines)) % 8) * 8
+
+
+def kernel_sets(batched: LruTagKernel) -> list:
+    """Each set's resident lines, least recently used first."""
+    order = np.argsort(batched._way_stamps, axis=1, kind="stable")
+    lines = np.take_along_axis(batched._way_lines, order, axis=1)
+    live = np.take_along_axis(batched._way_stamps, order, axis=1) >= 0
+    return [row[keep].tolist() for row, keep in zip(lines, live)]
+
+
+def oracle_sets(reference: TagOnlyCache) -> list:
+    """The oracle's sets in the same form (its entries are tags, oldest
+    first)."""
+    sets = reference.geometry.num_sets
+    return [
+        [tag * sets + index for tag in entries]
+        for index, entries in enumerate(reference._sets)
+    ]
+
+
+def drive(geometry, blocks, reset_before=()) -> LruTagKernel:
+    """Feed ``blocks`` to a kernel and to the oracle; after every block,
+    compare the miss masks, the counters, and every set's contents in
+    LRU order.  Both reset their counters before the blocks whose
+    indices are in ``reset_before``."""
+    reference = TagOnlyCache(geometry)
+    batched = LruTagKernel(geometry)
+    for index, block in enumerate(blocks):
+        if index in reset_before:
+            reference.reset_counters()
+            batched.reset_counters()
+        expected = [not reference.access(address) for address in block.tolist()]
+        assert batched.access_block(block).tolist() == expected
+        assert (batched.accesses, batched.hits, batched.misses) == (
+            reference.accesses, reference.hits, reference.misses
+        )
+        assert kernel_sets(batched) == oracle_sets(reference)
+    return batched
+
+
+class TestAscendingBlocks:
+    """Blocks applied in closed form, checked state-for-state against the
+    oracle after every block."""
+
+    @pytest.mark.parametrize("geometry", [SMALL, FOUR_WAY])
+    def test_ascending_blocks_into_a_cold_level(self, geometry):
+        blocks = [line_addresses(range(start, start + 150))
+                  for start in range(1000, 1750, 150)]
+        batched = drive(geometry, blocks)
+        assert batched.ascending_accesses == 750
+
+    def test_non_decreasing_raw_lines_with_repeats(self):
+        rng = np.random.default_rng(3)
+        blocks = [
+            line_addresses(np.sort(rng.integers(base, base + 90, 200)))
+            for base in range(0, 500, 100)
+        ]
+        batched = drive(SMALL, blocks)
+        assert batched.ascending_accesses == 1000
+        assert batched.hits > 0  # the repeats
+
+    def test_sets_short_of_the_associativity_evict_their_oldest_ways(self):
+        # Random lines below 200 leave every set with ways of mixed ages;
+        # each sparse ascending block then gives a set 0 to 3 of its 4
+        # ways, which must go to that set's oldest residents.
+        rng = np.random.default_rng(4)
+        blocks = []
+        top = 200
+        for _ in range(6):
+            blocks.append(line_addresses(rng.integers(0, top, 120)))
+            lines = top + 1 + np.sort(
+                rng.choice(16 * 3, size=20, replace=False)
+            )
+            blocks.append(line_addresses(lines))
+            top = int(lines[-1])
+        batched = drive(FOUR_WAY, blocks)
+        assert batched.ascending_accesses == 6 * 20
+
+    def test_ascending_block_after_reset_counters(self):
+        blocks = [
+            random_addresses(13, count=500),
+            line_addresses(range(5000, 5300)),
+            line_addresses(range(5300, 5600)),
+        ]
+        batched = drive(SMALL, blocks, reset_before=(1, 2))
+        assert batched.ascending_accesses == 600
+        assert (batched.accesses, batched.misses) == (300, 300)
+
+    @pytest.mark.parametrize("first", [99, 50, 0])
+    def test_ascending_shape_from_a_resident_line_takes_the_general_path(
+        self, first
+    ):
+        # Line 99 is resident (the last one inserted); so may 50 be.
+        blocks = [
+            line_addresses(range(0, 100)),
+            line_addresses(range(first, first + 60)),
+        ]
+        batched = drive(SMALL, blocks)
+        assert batched.ascending_accesses == 100
+        assert batched.hits >= (first == 99)
+
+    def test_more_sets_than_an_int16_key(self):
+        rng = np.random.default_rng(5)
+        top = 150_000
+        blocks = [
+            line_addresses(range(0, 100_000)),
+            line_addresses(rng.integers(0, top, 20_000)),
+            line_addresses(np.arange(top + 1, top + 30_000, 3)),
+            line_addresses(rng.integers(0, top, 20_000)),
+        ]
+        batched = drive(WIDE, blocks)
+        assert batched.ascending_accesses == 100_000 + 10_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        geometry=st.sampled_from([SMALL, FOUR_WAY]),
+        plan=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("ascending"),
+                    st.integers(-8, 40),
+                    st.lists(st.integers(0, 3), min_size=1, max_size=120),
+                ),
+                st.tuples(
+                    st.just("random"),
+                    st.just(0),
+                    st.lists(st.integers(0, 300), min_size=1, max_size=120),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_mixed_ascending_and_random_blocks(self, geometry, plan):
+        # ``top`` is the highest line fed so far, so an ascending block
+        # that starts above it must take the closed form; one starting
+        # at or below it may take either path.
+        blocks = []
+        top = 0
+        sure = 0
+        for kind, delta, steps in plan:
+            if kind == "ascending":
+                lines = top + delta + np.cumsum(steps) - steps[0]
+                sure += len(lines) if delta > 0 else 0
+            else:
+                lines = np.maximum(top - np.array(steps), 0)
+            blocks.append(line_addresses(lines))
+            top = max(top, int(lines.max()))
+        batched = drive(geometry, blocks)
+        assert batched.ascending_accesses >= sure
 
 
 class TestLadderKernel:

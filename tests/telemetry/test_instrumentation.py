@@ -53,6 +53,19 @@ def test_replay_span_carries_touches(tmp_path):
     assert record["attrs"]["touches"] > 0
 
 
+def test_recording_reports_its_sweep_as_the_ascending_share(tmp_path):
+    # dma-mixed's pre-warm sweep spans several SWEEP_BLOCKs: the live
+    # accountant under the recorder applies them in closed form at every
+    # level; the bursts after them take the general path.
+    spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
+    handle = runtime.configure(str(tmp_path / "tel"))
+    record_spec(spec, str(tmp_path / "t.trace"), compress=True)
+    counters = exported(handle)["counters"]
+    for level in ("l1", "l2", "l3"):
+        ascending = counters[f'kernel_ascending_accesses_total{{level="{level}"}}']
+        assert 0 < ascending < counters[f'kernel_accesses_total{{level="{level}"}}']
+
+
 def test_corpus_resolutions_count_recorded_then_hit(tmp_path):
     handle = runtime.configure(str(tmp_path / "tel"))
     store = CorpusStore(str(tmp_path / "corpus"))
