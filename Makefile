@@ -27,7 +27,8 @@ CORPUS_DIR ?= .repro-corpus
 .PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
         experiments experiments-full experiments-smoke faults-smoke \
         trace-demo trace-demo-mc corpus-demo loadgen-smoke kernel-smoke \
-        encode-smoke synth-smoke telemetry-smoke serve-smoke live-check
+        encode-smoke synth-smoke telemetry-smoke serve-smoke live-check \
+        cold-check
 
 #: Scratch directory for the fault-injection matrix (wiped each run).
 FAULTS_DIR ?= .repro-faults
@@ -77,6 +78,30 @@ live-check:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(PY) -m repro run fig04 fig10 fig11 fig12 --no-corpus --check --jobs 1 \
 		--output "$$dir/EXPERIMENTS.partial.md" --results-dir "$$dir/results"
+
+## CI gate for the cold corpus path: record Figures 10 and 11 into a
+## fresh mktemp corpus and diff them against results/reference/, then
+## `corpus verify` (re-derives every digest by decoding each object and
+## replays every footer), then rerun both figures warm and require that
+## the rerun wrote nothing into the corpus: no object published, no
+## manifest line appended, so it built nothing.
+cold-check:
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for pass in cold warm; do \
+		if [ $$pass = warm ]; then touch "$$dir/cold.done"; fi; \
+		REPRO_CORPUS_DIR="$$dir/corpus" $(PY) -m repro run fig10 fig11 \
+			--check --jobs 1 --output "$$dir/$$pass.md" \
+			--results-dir "$$dir/$$pass"; \
+		if [ $$pass = cold ]; then \
+			$(PY) -m repro.corpus --root "$$dir/corpus" verify; \
+		fi; \
+	done; \
+	written=$$(find "$$dir/corpus" -newer "$$dir/cold.done"); \
+	if [ -n "$$written" ]; then \
+		echo "cold-check: the warm rerun wrote into the corpus:"; \
+		echo "$$written"; exit 1; \
+	fi; \
+	echo "cold-check: cold build matches the reference, verifies, and reruns warm with nothing built"
 
 ## CI gate: the fault-injection matrix — every fault kind against every
 ## consumer (ensure / replay / verify --repair / lock / runner), each

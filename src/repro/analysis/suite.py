@@ -14,14 +14,18 @@ run of each benchmark (Section 8.2), and both ways of resolving a cell
 compute that run once:
 
 * **Live** (no store): the cell's two ``RunResult`` objects go into a
-  ``runs`` memo (a plain dict, see :func:`sweep`).  A figure passes one
+  ``runs`` memo (a plain dict, see :func:`sweep`).  A run passes one
   memo to all of its sweeps, so each baseline is simulated once per
-  figure, not once per configuration.
+  run, not once per configuration.
 * **Corpus** (a :class:`repro.corpus.CorpusStore`): every (benchmark,
   scenario, seed) cell resolves through the content-addressed trace
   corpus — recorded on first use; thereafter a hit reads the verified
   footer of the stored object — so the shared baseline is one object
   and repeated figure runs share one persisted corpus.
+
+Either way the ``runs`` memo also holds each benchmark's drawn
+:class:`~repro.workloads.generator.Script`, so every live run and every
+corpus build of one benchmark renders the one draw.
 
 The footer holds the live run's counts bit-identically, and both paths
 price a cell with :func:`repro.workloads.generator.relative_slowdown`,
@@ -98,16 +102,16 @@ def sweep(
     :attr:`repro.experiments.context.RunContext.store` — so this function
     never guesses a corpus root itself.
 
-    ``runs`` is the live path's ``RunResult`` memo, handed to
-    :func:`repro.workloads.generator.slowdown` for every cell: pass the
-    same dict to each sweep of a figure so the sweeps share one baseline
-    run per benchmark.  Without one, the sweep makes its own.  With a
-    ``store`` it is unused; the corpus already shares the baseline.
+    ``runs`` is the run's memo, handed to every cell's
+    :func:`repro.workloads.generator.slowdown` (or the store's): pass
+    the same dict to each sweep of a run so the sweeps share one draw
+    per benchmark and, live, one baseline run.  Without one, the sweep
+    makes its own.
     """
-    if store is None:
-        compute = partial(slowdown, runs={} if runs is None else runs)
-    else:
-        compute = store.slowdown
+    compute = partial(
+        slowdown if store is None else store.slowdown,
+        runs={} if runs is None else runs,
+    )
     entries = []
     for name in benchmarks:
         profile = SPEC_PROFILES[name]

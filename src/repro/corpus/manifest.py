@@ -1,20 +1,35 @@
 """The corpus manifest: spec fingerprints bound to trace objects.
 
-The manifest is one JSON document at the store root.  Its ``entries``
-map a **spec fingerprint** (sha256 over the scenario-spec document plus
-the recording geometry — everything that determines the logical event
-stream) to the metadata of the recorded object: the content digest that
-names the object file, the sha256 of its stored bytes, record/byte
-counts and the scenario name.  The fingerprint answers "have we
-recorded this workload?"; the stored hash answers "are the bytes on
-disk the ones we recorded?" — together they make the store reproducible
-(same spec → same fingerprint → same object) and verifiable
-(``python -m repro.corpus verify``).
+The manifest maps a **spec fingerprint** (sha256 over the scenario-spec
+document plus the recording geometry — everything that determines the
+logical event stream) to the metadata of the recorded object: the
+content digest that names the object file, the sha256 of its stored
+bytes, record/byte counts and the scenario name.  The fingerprint
+answers "have we recorded this workload?"; the stored hash answers "are
+the bytes on disk the ones we recorded?" — together they make the store
+reproducible (same spec → same fingerprint → same object) and
+verifiable (``python -m repro.corpus verify``).
 
-Writes are atomic (temp file + ``os.replace``) and serialised through an
-advisory file lock, so parallel experiment sections building overlapping
-corpora converge instead of clobbering each other; a lost race costs at
-worst one redundant re-recording, never a corrupt manifest.
+On disk the manifest is two files at the store root:
+
+* ``manifest.json`` — the **snapshot**, one JSON document
+  ``{"manifest_version": 3, "entries": {fingerprint: entry}}``, written
+  atomically (temp file + ``os.replace``);
+* ``manifest.journal`` — the **journal**, one JSON object per line:
+  a header line ``{"manifest_journal": 3}``, then ``{"put": entry}`` or
+  ``{"drop": fingerprint}`` per change, in the order they were made.
+
+The manifest is the snapshot with the journal's lines applied in order
+(:func:`load_manifest`).  A write appends lines under the advisory
+manifest lock (:func:`append_journal`), so recording one workload costs
+a write of one entry, whatever the size of the corpus; when the journal
+outgrows the snapshot the writer folds it in (:func:`save_manifest`
+replaces the snapshot, then removes the journal).  A reader never
+writes.  A writer killed mid-append leaves a torn final line, which
+readers ignore and the next writer cuts off before appending: a killed
+build loses at most its own entry.  Parallel builders converge instead
+of clobbering each other; a lost race costs at worst one redundant
+re-recording, never a corrupt manifest.
 """
 
 from __future__ import annotations
@@ -23,14 +38,16 @@ import contextlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-#: Bump when entry keys change shape.  A manifest of another version
-#: fails to load and heals like a corrupt one: the store quarantines it
-#: and rebuilds bindings on demand.
-MANIFEST_VERSION = 2
+#: Bump when entry keys or the on-disk layout change shape.  A manifest
+#: of another version fails to load and heals like a corrupt one: the
+#: store quarantines it and rebuilds bindings on demand.  Version 3 added
+#: the journal beside the snapshot.
+MANIFEST_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
+JOURNAL_NAME = "manifest.journal"
 LOCK_NAME = "manifest.lock"
 
 #: Default seconds a writer waits for the manifest lock before raising
@@ -82,7 +99,8 @@ class ManifestEntry:
         return self.raw_bytes / self.stored_bytes if self.stored_bytes else 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow: the values are JSON already (``spec`` is a document).
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, document: dict) -> "ManifestEntry":
@@ -94,6 +112,11 @@ class Manifest:
     """All recorded workloads of one store."""
 
     entries: dict[str, ManifestEntry] = field(default_factory=dict)
+    #: ``(inode, offset)`` of the journal lines folded into ``entries``:
+    #: the journal file's inode and the end of its last complete line
+    #: read (``None`` when no journal was read).  A later read resumes
+    #: at ``offset`` while the inode is the same.
+    journal: tuple[int, int] | None = field(default=None, compare=False)
 
     def get(self, fingerprint: str) -> ManifestEntry | None:
         return self.entries.get(fingerprint)
@@ -103,36 +126,144 @@ class Manifest:
 
     def copy(self) -> "Manifest":
         """A manifest whose ``put``/``pop`` leave this one untouched."""
-        return Manifest(entries=dict(self.entries))
+        return Manifest(entries=dict(self.entries), journal=self.journal)
 
     def digests(self) -> set[str]:
         return {entry.digest for entry in self.entries.values()}
 
 
+def journal_path(path: str) -> str:
+    """The journal beside the snapshot at ``path``."""
+    return os.path.join(os.path.dirname(path), JOURNAL_NAME)
+
+
 def load_manifest(path: str) -> Manifest:
-    """Load the manifest, tolerating a missing file (empty store)."""
+    """The manifest whose snapshot is ``path``, journal folded in.
+
+    A missing snapshot is an empty one (a new store, or one whose
+    entries are all still in the journal).  Never writes: a torn final
+    journal line is left for the next writer to cut off.
+    """
     try:
         with open(path) as handle:
             document = json.load(handle)
     except FileNotFoundError:
-        return Manifest()
+        manifest = Manifest()
     except json.JSONDecodeError as error:
         raise ValueError(f"corrupt corpus manifest {path}: {error}") from None
-    version = document.get("manifest_version")
-    if version != MANIFEST_VERSION:
-        raise ValueError(
-            f"corpus manifest {path} has version {version!r} "
-            f"(expected {MANIFEST_VERSION})"
+    else:
+        version = document.get("manifest_version")
+        if version != MANIFEST_VERSION:
+            raise ValueError(
+                f"corpus manifest {path} has version {version!r} "
+                f"(expected {MANIFEST_VERSION})"
+            )
+        manifest = Manifest(
+            entries={
+                fingerprint: ManifestEntry.from_dict(entry)
+                for fingerprint, entry in document.get("entries", {}).items()
+            }
         )
-    entries = {
-        fingerprint: ManifestEntry.from_dict(entry)
-        for fingerprint, entry in document.get("entries", {}).items()
-    }
-    return Manifest(entries=entries)
+    fold_journal(manifest, journal_path(path))
+    return manifest
+
+
+def fold_journal(manifest: Manifest, path: str, offset: int = 0) -> None:
+    """Apply the journal's complete lines from byte ``offset`` on.
+
+    Updates ``manifest.entries`` and ``manifest.journal`` in place; a
+    missing journal changes nothing.  A final line without its newline
+    (a writer killed mid-append) is not read.  A complete line that does
+    not parse, or a journal of another version, raises ``ValueError``.
+    """
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with handle:
+        inode = os.fstat(handle.fileno()).st_ino
+        handle.seek(offset)
+        data = handle.read()
+    complete = data.rfind(b"\n") + 1
+    position = offset
+    for line in data[:complete].splitlines():
+        try:
+            record = json.loads(line)
+            if position == 0:
+                version = record["manifest_journal"]
+                if version != MANIFEST_VERSION:
+                    raise ValueError(
+                        f"journal version {version!r} "
+                        f"(expected {MANIFEST_VERSION})"
+                    )
+            elif "put" in record:
+                manifest.put(ManifestEntry.from_dict(record["put"]))
+            else:
+                manifest.entries.pop(record["drop"], None)
+        except (ValueError, KeyError, TypeError) as error:
+            raise ValueError(
+                f"corrupt corpus manifest journal {path} at byte "
+                f"{position}: {error}"
+            ) from None
+        position += len(line) + 1
+    manifest.journal = (inode, position)
+
+
+def journal_line(
+    put: ManifestEntry | None = None, drop: str | None = None
+) -> bytes:
+    """One journal line: bind ``put``, or unbind fingerprint ``drop``."""
+    record = {"put": put.to_dict()} if put is not None else {"drop": drop}
+    return json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+
+
+_JOURNAL_HEADER = (
+    json.dumps({"manifest_journal": MANIFEST_VERSION}).encode("utf-8") + b"\n"
+)
+
+
+def append_journal(path: str, lines: bytes) -> tuple[int, bytes]:
+    """Append complete ``lines`` to the journal of the snapshot ``path``.
+
+    Call it holding :func:`manifest_lock`.  A torn final line (a writer
+    killed mid-append) is cut off first; a new or emptied journal gets
+    its header line.  Returns the journal's size after the append and
+    the torn bytes that were cut off (empty if none).
+    """
+    flags = os.O_RDWR | os.O_APPEND | (os.O_CREAT if lines else 0)
+    try:
+        fd = os.open(journal_path(path), flags, 0o644)
+    except FileNotFoundError:  # nothing to append, nothing to heal
+        return 0, b""
+    try:
+        size = os.fstat(fd).st_size
+        torn = b""
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = os.pread(fd, size, 0)
+            cut = data.rfind(b"\n") + 1
+            torn = data[cut:]
+            os.ftruncate(fd, cut)
+            size = cut
+        if size == 0 and lines:
+            lines = _JOURNAL_HEADER + lines
+        view = memoryview(lines)
+        while view:
+            view = view[os.write(fd, view):]
+        return size + len(lines), torn
+    finally:
+        os.close(fd)
 
 
 def save_manifest(manifest: Manifest, path: str) -> None:
-    """Atomically write the manifest (temp file + rename)."""
+    """Replace the whole manifest: write the snapshot, drop the journal.
+
+    The compaction step of the write path (the store calls it under the
+    lock once the journal outgrows the snapshot); any caller replacing
+    the manifest wholesale must hold the lock too.  The snapshot is
+    written atomically (temp file + rename) before the journal goes, so
+    a crash in between leaves the journal's lines to be applied to a
+    snapshot that already holds them, which changes nothing.
+    """
     document = {
         "manifest_version": MANIFEST_VERSION,
         "entries": {
@@ -145,6 +276,10 @@ def save_manifest(manifest: Manifest, path: str) -> None:
         json.dump(document, handle, indent=1, sort_keys=True)
         handle.write("\n")
     os.replace(temp_path, path)
+    try:
+        os.remove(journal_path(path))
+    except FileNotFoundError:
+        pass
 
 
 def _lock_diagnostics(lock_path: str) -> str:

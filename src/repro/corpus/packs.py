@@ -40,7 +40,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import BinaryIO
 
-from repro.corpus.manifest import ManifestEntry, manifest_lock, save_manifest
+from repro.corpus.manifest import ManifestEntry, manifest_lock
 from repro.traces.format import TraceFormatError
 
 #: Container magic; bump the trailing digit on layout changes.
@@ -332,10 +332,9 @@ def unpack(path: str, store) -> tuple[list[str], list[str]]:
                 raise
             installed.append(member.entry.digest)
     with manifest_lock(store.root):
-        manifest = store.manifest()
-        for member in info.members:
-            manifest.put(bindings[member.entry.fingerprint])
-        save_manifest(manifest, store.manifest_path)
+        store.commit(
+            puts=[bindings[member.entry.fingerprint] for member in info.members]
+        )
     return installed, skipped
 
 

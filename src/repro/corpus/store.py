@@ -3,6 +3,7 @@
 The store is a directory::
 
     <root>/manifest.json            fingerprints → object metadata
+    <root>/manifest.journal         changes since the snapshot above
     <root>/objects/<aa>/<sha256>.trace   CALTRC02 compressed traces
 
 Identity is two-level:
@@ -15,16 +16,19 @@ Identity is two-level:
   names the object file.  Hashing the canonical stream rather than the
   on-disk bytes makes identity independent of the storage codec: a
   recompressed or transcoded object keeps its name, and ``verify`` can
-  check a CALTRC02 file against the digest its v1 twin would have.  The
-  digest decodes through :meth:`TraceReader.column_batches`, the same
-  decoder every replay uses, and repacks each batch into the v1 record
-  layout before hashing it.
+  check a CALTRC02 file against the digest its v1 twin would have.  A
+  build hashes that stream while it records (a
+  :class:`~repro.traces.format.CanonicalHash` fed the same record blocks
+  as the writer); :func:`canonical_digest` re-derives it from a finished
+  file, decoding through :meth:`TraceReader.column_batches`, the same
+  decoder every replay uses.
 
 :meth:`CorpusStore.ensure` is the whole workflow: manifest hit → read
 the object once, check its sha256 against the ``stored_sha256`` taken
 when it was built, and parse the run summary from the footer of those
 same bytes; miss → record the spec live (through its driver), store
-compressed, bind the fingerprint.  Recording is deterministic, so
+compressed, bind the fingerprint with one appended manifest journal line
+(see :mod:`repro.corpus.manifest`).  Recording is deterministic, so
 concurrent builders racing on the same spec converge on byte-identical
 objects.  Figure sweeps resolve their workloads through
 :meth:`CorpusStore.slowdown` (see :mod:`repro.analysis.suite`), which
@@ -45,31 +49,34 @@ import hashlib
 import io
 import json
 import os
-import struct
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
 from repro.telemetry.runtime import span as telemetry_span
-from repro.traces.format import (
-    EV_END,
-    MAGIC,
-    RECORD,
-    TraceReader,
-    pack_records,
-)
+from repro.traces.format import CanonicalHash, TraceReader
 from repro.traces.recorder import _geometry_dict, record_spec
 from repro.traces.registry import CORPUS, TraceScenarioSpec, policy_to_str
 from repro.traces.replayer import recorded_result, replay_timing
-from repro.workloads.generator import RunResult, Scenario, relative_slowdown
+from repro.workloads.generator import (
+    RunResult,
+    Scenario,
+    relative_slowdown,
+    script_for,
+)
 from repro.workloads.specs import BenchmarkProfile
 
 from repro.corpus.manifest import (
+    JOURNAL_NAME,
     MANIFEST_NAME,
     MANIFEST_VERSION,
     Manifest,
     ManifestEntry,
+    append_journal,
+    fold_journal,
+    journal_line,
     load_manifest,
     manifest_lock,
     save_manifest,
@@ -137,49 +144,30 @@ def spec_fingerprint(
 def canonical_digest(source) -> tuple[str, int, dict]:
     """sha256, length and footer of a trace's canonical CALTRC01 stream.
 
-    Streams the file (any container version) and hashes the exact bytes
-    its v1 serialisation would hold — header ``format`` normalised to
-    ``CALTRC01`` so a transcoded twin hashes identically.  Records come
-    from :meth:`TraceReader.column_batches`; each batch is repacked into
-    the packed ``<BQI`` layout by :func:`~repro.traces.format.pack_records`
-    and hashed in one update.  A record that layout cannot hold (a
-    negative address, an ``arg`` outside ``[0, 2**32)``) raises
-    :class:`TraceFormatError`.  The footer is returned as well
+    Streams the file (any container version) through a
+    :class:`~repro.traces.format.CanonicalHash`, which hashes the exact
+    bytes its v1 serialisation would hold — header ``format`` normalised
+    to ``CALTRC01`` so a transcoded twin hashes identically.  Records
+    come from :meth:`TraceReader.column_batches`, each batch packed into
+    the ``<BQI`` layout and hashed in one update.  A record that layout
+    cannot hold (a negative address, an ``arg`` outside ``[0, 2**32)``)
+    raises :class:`TraceFormatError`.  The footer is returned as well
     (the stream was fully drained to hash it, so callers wanting record
     counts need no second pass).
+
+    The decode-path check of ``verify``, ``repair`` and damage
+    diagnosis: a build takes the same hash while it records.
     """
-    digest = hashlib.sha256()
-    length = 0
-
-    def feed(data: bytes) -> None:
-        nonlocal length
-        digest.update(data)
-        length += len(data)
-
+    canonical = CanonicalHash()
     with TraceReader(source) as reader:
-        header = dict(reader.header)
-        if "format" in header:
-            header["format"] = MAGIC.decode("ascii")
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        feed(MAGIC)
-        feed(struct.pack("<I", len(header_bytes)))
-        feed(header_bytes)
-        position = 0  # stream index of the batch's first record
+        canonical.begin(reader.header)
         for batch in reader.column_batches():
             try:
-                feed(
-                    pack_records(
-                        batch.kind, batch.address, batch.arg, first=position
-                    )
-                )
+                canonical.consume(batch.kind, batch.address, batch.arg)
             except TraceFormatError as error:
                 raise error.located(reader.path) from None
-            position += len(batch)
         footer = reader.read_footer()
-        footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
-        feed(RECORD.pack(EV_END, 0, len(footer_bytes)))
-        feed(footer_bytes)
-    return digest.hexdigest(), length, footer
+    return canonical.end(footer), canonical.length, footer
 
 
 def _stat_key(path: str) -> tuple[int, int, int] | None:
@@ -189,6 +177,25 @@ def _stat_key(path: str) -> tuple[int, int, int] | None:
     except OSError:
         return None
     return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+
+class _HashedFile:
+    """A binary file that hashes and counts the bytes written through it:
+    a build's ``stored_sha256`` and ``stored_bytes``, taken as the
+    recorder writes them."""
+
+    def __init__(self, file):
+        self._file = file
+        self.sha256 = hashlib.sha256()
+        self.length = 0
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        self.length += len(data)
+        return self._file.write(data)
+
+    def flush(self) -> None:
+        self._file.flush()
 
 
 def _stored_mismatch(entry: ManifestEntry) -> str:
@@ -236,6 +243,7 @@ class CorpusStore:
         self.root = root
         self.objects_dir = os.path.join(root, "objects")
         self.manifest_path = os.path.join(root, MANIFEST_NAME)
+        self.journal_path = os.path.join(root, JOURNAL_NAME)
         self.quarantine_dir = os.path.join(root, QUARANTINE_DIR)
         self.heal_log_path = os.path.join(self.quarantine_dir, HEAL_LOG_NAME)
         #: Resolution counters for this store instance (reporting; the
@@ -246,8 +254,9 @@ class CorpusStore:
         self.healed = 0
         #: Bytes freed by the most recent :meth:`gc` call.
         self.reclaimed_bytes = 0
-        #: The last parsed manifest and the :func:`_stat_key` of the
-        #: file it was parsed from.
+        #: The last parsed manifest (its ``journal`` says how much of
+        #: the journal it holds) and the :func:`_stat_key` of the
+        #: snapshot it was parsed from.
         self._manifest: Manifest | None = None
         self._manifest_key: tuple[int, int, int] | None = None
 
@@ -257,26 +266,37 @@ class CorpusStore:
         return os.path.join(self.objects_dir, digest[:2], f"{digest}.trace")
 
     def manifest(self) -> Manifest:
-        """The manifest, parsed once per version of the file.
+        """The manifest, parsed once per version of its files.
 
-        The parse is cached against the file's ``(inode, mtime, size)``.
-        Every save is an ``os.replace``, so a write from any process
-        gives the file a new inode and the next call re-reads it.
-        Callers get a copy: their ``put``/``pop`` never reach the cache.
+        The snapshot's parse is cached against its ``(inode, mtime,
+        size)``; every snapshot write is an ``os.replace``, so a
+        compaction from any process gives it a new inode and the next
+        call re-reads everything.  Journal lines appended since the
+        cached read (by this or any process) are read from where that
+        read stopped, so a hit after a build parses one line, not the
+        corpus.  Callers get a copy: their ``put``/``pop`` never reach
+        the cache.
         """
-        if (
-            self._manifest is None
-            or _stat_key(self.manifest_path) != self._manifest_key
-        ):
+        cached = self._manifest
+        snapshot = _stat_key(self.manifest_path)
+        if cached is None or snapshot != self._manifest_key:
             return self._reread_manifest()
-        return self._manifest.copy()
+        journal = _stat_key(self.journal_path)
+        if journal is not None and cached.journal != (journal[0], journal[2]):
+            inode, offset = cached.journal or (journal[0], 0)
+            if inode != journal[0] or journal[2] < offset:
+                return self._reread_manifest()  # not the journal we read
+            try:
+                fold_journal(cached, self.journal_path, offset)
+            except ValueError:
+                return self._reread_manifest()
+        return cached.copy()
 
     def _reread_manifest(self) -> Manifest:
-        """Parse the manifest file now — healing a corrupt one.
+        """Parse the manifest files now — healing corrupt ones.
 
-        Writers call this under the manifest lock, so a read-modify-write
-        never starts from a cached parse.  A manifest that fails to parse
-        is quarantined (every binding is lost, but the object files stay;
+        A manifest that fails to parse (snapshot or journal) is
+        quarantined (every binding is lost, but the object files stay;
         re-``ensure`` rebuilds bindings by re-recording, converging on
         the identical objects) rather than wedging every consumer with a
         ``ValueError``.
@@ -285,14 +305,19 @@ class CorpusStore:
         try:
             manifest = load_manifest(self.manifest_path)
         except ValueError as error:
-            quarantined = self._quarantine_file(
-                self.manifest_path, "manifest.corrupt.json"
-            )
+            quarantined = [
+                self._quarantine_file(path, name)
+                for path, name in (
+                    (self.manifest_path, "manifest.corrupt.json"),
+                    (self.journal_path, "manifest.corrupt.journal"),
+                )
+            ]
             self._log_heal(
                 scenario="<manifest>",
                 digest="",
                 reason=str(error),
-                action=f"quarantined manifest to {quarantined}; "
+                action="quarantined manifest to "
+                f"{', '.join(str(path) for path in quarantined if path)}; "
                 "starting empty (bindings rebuild on demand)",
             )
             manifest = Manifest()
@@ -300,12 +325,69 @@ class CorpusStore:
         self._manifest, self._manifest_key = manifest, key
         return manifest.copy()
 
+    def commit(
+        self, puts: Sequence[ManifestEntry] = (), drops: Sequence[str] = ()
+    ) -> str | None:
+        """The store's one manifest write path: bind ``puts``, then
+        unbind the fingerprints in ``drops``.
+
+        Call it holding ``manifest_lock(self.root)``.  Each change is one
+        appended journal line, so a write costs the size of what it
+        changes; once the journal outgrows the snapshot it is folded in
+        (the snapshot is rewritten and the journal removed).  A torn
+        final line, left by a writer killed mid-append, is cut off first
+        and quarantined; the heal action is returned (``None`` when the
+        journal was whole).
+        """
+        lines = b"".join(
+            [journal_line(put=entry) for entry in puts]
+            + [journal_line(drop=fingerprint) for fingerprint in drops]
+        )
+        with telemetry_span(
+            "corpus.manifest", op="append", lines=len(puts) + len(drops)
+        ):
+            size, torn = append_journal(self.manifest_path, lines)
+        action = self._heal_torn_journal(torn) if torn else None
+        snapshot = _stat_key(self.manifest_path)
+        if size > (snapshot[2] if snapshot is not None else 0):
+            with telemetry_span("corpus.manifest", op="compact") as tspan:
+                manifest = self.manifest()
+                tspan.set("entries", len(manifest.entries))
+                save_manifest(manifest, self.manifest_path)
+                manifest.journal = None
+                self._manifest = manifest
+                self._manifest_key = _stat_key(self.manifest_path)
+        return action
+
+    def _heal_torn_journal(self, torn: bytes) -> str:
+        """Keep the bytes of a torn journal line in quarantine and log
+        the heal; returns the action taken."""
+        os.makedirs(self.quarantine_dir, exist_ok=True)
+        fd, quarantined = tempfile.mkstemp(
+            dir=self.quarantine_dir, prefix="manifest.torn.", suffix=".journal"
+        )
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(torn)
+        action = (
+            f"cut the torn line off the journal, bytes quarantined to "
+            f"{quarantined}; its workload re-records on demand"
+        )
+        self._log_heal(
+            scenario="<manifest>",
+            digest="",
+            reason=f"torn final journal line ({len(torn)} bytes): a writer "
+            "was killed mid-append",
+            action=action,
+        )
+        return action
+
     # -- the core workflow ---------------------------------------------------
 
     def ensure(
         self,
         spec: TraceScenarioSpec,
         config: HierarchyConfig = WESTMERE,
+        runs: dict | None = None,
     ) -> CorpusObject:
         """Resolve a spec to a recorded trace, building on first use.
 
@@ -314,6 +396,12 @@ class CorpusStore:
         manifest promises; its :attr:`CorpusObject.result` is then parsed
         from the footer of those same bytes.  Any damage is quarantined
         and healed by re-recording.
+
+        ``runs`` is the run's memo (see
+        :func:`repro.workloads.generator.script_for`): a build of a
+        generator spec takes its :class:`~repro.workloads.generator.Script`
+        from it, so every scenario of one benchmark records from one
+        draw.  A hit draws nothing.
         """
         fingerprint = spec_fingerprint(spec, config)
         entry = self.manifest().get(fingerprint)
@@ -341,7 +429,7 @@ class CorpusStore:
                         path=path, entry=entry, built=False, result=result
                     )
             self._heal(entry, problem)
-        return self._build(fingerprint, spec, config)
+        return self._build(fingerprint, spec, config, runs)
 
     # -- self-healing --------------------------------------------------------
 
@@ -486,11 +574,9 @@ class CorpusStore:
         path = self.object_path(entry.digest)
         quarantined = self._quarantine_file(path, f"{entry.digest}.trace")
         with manifest_lock(self.root):
-            manifest = self._reread_manifest()
-            current = manifest.get(entry.fingerprint)
+            current = self.manifest().get(entry.fingerprint)
             if current is not None and current.digest == entry.digest:
-                manifest.entries.pop(entry.fingerprint)
-                save_manifest(manifest, self.manifest_path)
+                self.commit(drops=[entry.fingerprint])
         self._log_heal(
             scenario=entry.scenario,
             digest=entry.digest,
@@ -507,31 +593,34 @@ class CorpusStore:
         fingerprint: str,
         spec: TraceScenarioSpec,
         config: HierarchyConfig,
+        runs: dict | None = None,
     ) -> CorpusObject:
+        """Record ``spec`` once: the canonical digest, its length and the
+        stored bytes' sha256 are all taken while the recorder writes, so
+        the fresh object is never read back."""
         os.makedirs(self.objects_dir, exist_ok=True)
         fd, temp_path = tempfile.mkstemp(
             dir=self.objects_dir, suffix=".recording"
         )
-        os.close(fd)
+        canonical = CanonicalHash()
         try:
-            with telemetry_span("corpus/record", scenario=spec.name) as tspan:
+            with telemetry_span(
+                "corpus/record", scenario=spec.name
+            ) as tspan, os.fdopen(fd, "wb") as handle:
+                script = None
+                if runs is not None and spec.driver == "generator":
+                    script = script_for(
+                        runs, spec.profile, spec.instructions, spec.seed,
+                        spec.warmup_fraction,
+                    )
+                stored = _HashedFile(handle)
                 result = record_spec(
-                    spec, temp_path, config=config, compress=True
+                    spec, stored, config=config, compress=True,
+                    canonical=canonical, script=script,
                 )
-                # One decode pass over the fresh recording.  (A hashing
-                # tee inside the writer could fold this into the
-                # recording pass; the cold path runs once per workload
-                # ever, so the extra read is accepted for the recorder's
-                # simplicity.)
-                digest, raw_bytes, footer = canonical_digest(temp_path)
-                with open(temp_path, "rb") as handle:
-                    stored = handle.read()
-                stored_bytes = len(stored)
-                stored_sha256 = hashlib.sha256(stored).hexdigest()
-                records = footer.get("records", 0)
-                tspan.set("records", records)
-                tspan.set("stored_bytes", stored_bytes)
-            path = self.object_path(digest)
+                tspan.set("records", canonical.records)
+                tspan.set("stored_bytes", stored.length)
+            path = self.object_path(canonical.hexdigest)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             # Atomic publish; racing builders of a deterministic spec
             # produce byte-identical objects, so last-write-wins is safe.
@@ -547,17 +636,15 @@ class CorpusStore:
             scenario=spec.name,
             driver=spec.driver,
             instructions=spec.instructions,
-            digest=digest,
-            records=records,
-            raw_bytes=raw_bytes,
-            stored_bytes=stored_bytes,
-            stored_sha256=stored_sha256,
+            digest=canonical.hexdigest,
+            records=canonical.records,
+            raw_bytes=canonical.length,
+            stored_bytes=stored.length,
+            stored_sha256=stored.sha256.hexdigest(),
             spec=spec.to_dict(),
         )
         with manifest_lock(self.root):
-            manifest = self._reread_manifest()  # under the lock: merge
-            manifest.put(entry)
-            save_manifest(manifest, self.manifest_path)
+            self.commit(puts=[entry])
         self.built += 1
         tel = telemetry_active()
         if tel is not None:
@@ -570,14 +657,15 @@ class CorpusStore:
         self,
         spec: TraceScenarioSpec,
         config: HierarchyConfig = WESTMERE,
+        runs: dict | None = None,
     ) -> RunResult:
         """The spec's live statistics, from the corpus.
 
         A hit's verified footer or a build's own recording (see
-        :meth:`ensure`); damage heals inside ``ensure``, and nothing is
-        replayed.
+        :meth:`ensure`, which takes ``runs``); damage heals inside
+        ``ensure``, and nothing is replayed.
         """
-        return self.ensure(spec, config).result
+        return self.ensure(spec, config, runs).result
 
     def slowdown(
         self,
@@ -586,6 +674,7 @@ class CorpusStore:
         instructions: int,
         baseline_config: HierarchyConfig = WESTMERE,
         variant_config: HierarchyConfig | None = None,
+        runs: dict | None = None,
     ) -> float:
         """:func:`repro.workloads.generator.slowdown` with both runs
         resolved through the store.
@@ -595,9 +684,17 @@ class CorpusStore:
         bit-identically, so the figure quantity equals the live one
         exactly — while repeated invocations (and other figures sharing
         the baseline) read stored footers instead of re-synthesising.
+        ``runs`` is the run's memo, as for the live ``slowdown``: the
+        builds of one benchmark share its one draw.  Without one, the
+        cell's two builds still share theirs.
         """
-        base = self.run_result(figure_spec(profile, Scenario.baseline(), instructions))
-        variant = self.run_result(figure_spec(profile, scenario, instructions))
+        runs = {} if runs is None else runs
+        base = self.run_result(
+            figure_spec(profile, Scenario.baseline(), instructions), runs=runs
+        )
+        variant = self.run_result(
+            figure_spec(profile, scenario, instructions), runs=runs
+        )
         return relative_slowdown(
             profile, base, variant, baseline_config, variant_config
         )
@@ -655,11 +752,18 @@ class CorpusStore:
         """Bulk self-heal: every damaged entry is quarantined and, when
         its manifest-recorded spec still fingerprints to the entry,
         re-recorded; unrecoverable entries (no spec, foreign geometry)
-        are dropped with a diagnostic.  Returns ``(problems, actions)``
-        — one action per problem.
+        are dropped with a diagnostic.  A torn final manifest journal
+        line is cut off and quarantined first (its entry's workload
+        re-records on demand).  Returns ``(problems, actions)`` — one
+        action per problem.
         """
         problems: list[str] = []
         actions: list[str] = []
+        with manifest_lock(self.root):
+            torn = self.commit()  # appends nothing; cuts a torn line off
+        if torn is not None:
+            problems.append("<manifest>: torn final journal line")
+            actions.append(f"<manifest>: {torn}")
         for fingerprint, entry in sorted(self.manifest().entries.items()):
             problem = self._audit(self.object_path(entry.digest), entry)
             if problem is None:
@@ -708,7 +812,7 @@ class CorpusStore:
         removed: list[str] = []
         self.reclaimed_bytes = 0
         with manifest_lock(self.root):
-            manifest = self._reread_manifest()
+            manifest = self.manifest()
             stale = [
                 fingerprint
                 for fingerprint, entry in manifest.entries.items()
@@ -718,7 +822,7 @@ class CorpusStore:
                 entry = manifest.entries.pop(fingerprint)
                 removed.append(f"entry {entry.scenario} ({fingerprint[:12]}…)")
             if stale:
-                save_manifest(manifest, self.manifest_path)
+                self.commit(drops=stale)
             referenced = manifest.digests()
         if os.path.isdir(self.objects_dir):
             import time

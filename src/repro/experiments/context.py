@@ -135,6 +135,22 @@ class RunContext:
 
         return CorpusStore(self.corpus_root)
 
+    @cached_property
+    def runs(self) -> dict:
+        """The run's memo: each benchmark's drawn script and live results
+        (see :func:`repro.workloads.generator.script_for`), shared by
+        every figure this process runs from this context.
+
+        It belongs to the process: a pickled context (a ``--jobs N``
+        worker's) arrives without it and starts its own.
+        """
+        return {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("runs", None)
+        return state
+
     # -- RNG namespace -------------------------------------------------------
 
     def seed_for(self, namespace: str) -> int:

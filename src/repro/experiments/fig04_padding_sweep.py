@@ -38,13 +38,15 @@ def run(
     benchmarks: list[str] | None = None,
     sizes: tuple[int, ...] = PADDING_SIZES,
     store: "CorpusStore | None" = None,
+    runs: dict | None = None,
 ) -> PaddingSweepResult:
     """The padding sizes share one baseline run per benchmark: live, the
-    sweeps share one ``runs`` memo; with a ``store``
+    sweeps share one ``runs`` memo (the run's, when given, so figures of
+    one run share draws and baselines); with a ``store``
     (:class:`repro.corpus.CorpusStore`) every cell resolves through the
     recorded-trace corpus, where the baseline is one recorded object."""
     benchmarks = benchmarks or FIG10_BENCHMARKS
-    runs: dict = {}
+    runs = {} if runs is None else runs
     per_size = {
         size: sweep(
             benchmarks,
@@ -77,7 +79,9 @@ def render(result: PaddingSweepResult) -> str:
     order=20,
 )
 def run_experiment(ctx: RunContext) -> SectionResult:
-    result = run(instructions=ctx.instructions, store=ctx.store)
+    result = run(
+        instructions=ctx.instructions, store=ctx.store, runs=ctx.runs
+    )
     data = {
         "paper": PAPER,
         "averages": result.averages(),

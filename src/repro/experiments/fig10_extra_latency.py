@@ -30,10 +30,12 @@ def run(
     benchmarks: list[str] | None = None,
     extra_cycles: int = 1,
     store: "CorpusStore | None" = None,
+    runs: dict | None = None,
 ) -> SuiteResult:
     """``store`` resolves the per-benchmark baselines through the
     recorded-trace corpus; both latency configurations price the same
-    recorded event stream (one trace per benchmark serves both)."""
+    recorded event stream (one trace per benchmark serves both).
+    ``runs`` is the run's memo (see :func:`repro.analysis.suite.sweep`)."""
     return sweep(
         benchmarks or FIG10_BENCHMARKS,
         Scenario.baseline(),
@@ -41,6 +43,7 @@ def run(
         variant_config=WESTMERE.with_extra_latency(extra_cycles),
         label=f"+{extra_cycles} cycle L2/L3 latency",
         store=store,
+        runs=runs,
     )
 
 
@@ -60,6 +63,8 @@ def render(result: SuiteResult) -> str:
     order=60,
 )
 def run_experiment(ctx: RunContext) -> SectionResult:
-    result = run(instructions=ctx.instructions, store=ctx.store)
+    result = run(
+        instructions=ctx.instructions, store=ctx.store, runs=ctx.runs
+    )
     data = {"paper": PAPER, "average": result.average, "suite": result}
     return section("fig10", data, render(result))

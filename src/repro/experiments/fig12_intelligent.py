@@ -59,13 +59,15 @@ def run(
     benchmarks: list[str] | None = None,
     binary_seeds: tuple[int, ...] = (0,),
     store: "CorpusStore | None" = None,
+    runs: dict | None = None,
 ) -> Fig12Result:
     """The six configurations share one baseline run per benchmark:
-    live, the sweeps share one ``runs`` memo; with a ``store`` every cell
+    live, the sweeps share one ``runs`` memo (the run's, when given, so
+    figures of one run share draws and baselines); with a ``store`` every cell
     resolves through the recorded-trace corpus, where the baselines are
     Figure 11's objects, so only the variants are new."""
     benchmarks = benchmarks or FIG11_BENCHMARKS
-    runs: dict = {}
+    runs = {} if runs is None else runs
     return Fig12Result(
         configurations={
             label: sweep(
@@ -107,7 +109,10 @@ def render(result: Fig12Result) -> str:
 )
 def run_experiment(ctx: RunContext) -> SectionResult:
     result = run(
-        instructions=ctx.instructions, binary_seeds=ctx.seeds, store=ctx.store
+        instructions=ctx.instructions,
+        binary_seeds=ctx.seeds,
+        store=ctx.store,
+        runs=ctx.runs,
     )
     data = {
         "paper": PAPER,

@@ -53,13 +53,15 @@ def _cycles(spec: TraceScenarioSpec, result) -> float:
     return result.cycles(WESTMERE, spec.profile)
 
 
-def _replay(store: CorpusStore, spec: TraceScenarioSpec):
+def _replay(store: CorpusStore, spec: TraceScenarioSpec, runs: dict):
     """Resolve a spec through the store; returns (replayed result, object).
 
     The object's own ``result`` — the recording's, or on a hit its
     footer's — is the comparison's other arm, independent of the replay.
+    ``runs`` is the section's script memo: a mix and its unprotected
+    twin record from one draw.
     """
-    resolved = store.ensure(spec)
+    resolved = store.ensure(spec, runs=runs)
     return replay_timing(resolved.path), resolved
 
 
@@ -74,15 +76,16 @@ def run(instructions: int = 20_000, store: CorpusStore | None = None) -> list[Tr
         with tempfile.TemporaryDirectory(prefix="repro-corpus-") as workdir:
             return run(instructions, CorpusStore(workdir))
     checks: list[TraceCheck] = []
+    runs: dict = {}
     for name in CHECK_SCENARIOS:
         spec = CORPUS[name].scaled(instructions)
-        replayed, resolved = _replay(store, spec)
+        replayed, resolved = _replay(store, spec, runs)
         # The slowdown figure's other trace: the same mix, unprotected —
         # the figure is then computed purely from persisted artifacts.
         baseline_spec = replace(
             spec, name=f"{name}-baseline", policy=None, with_cform=False
         )
-        baseline_replayed, _ = _replay(store, baseline_spec)
+        baseline_replayed, _ = _replay(store, baseline_spec, runs)
         checks.append(
             TraceCheck(
                 name=name,

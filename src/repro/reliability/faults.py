@@ -25,6 +25,11 @@ Corpus fault kinds (applied to a store's on-disk state):
 ``orphan-entry``
     Insert a manifest entry (fingerprint and digest both synthetic)
     whose object was never recorded and whose spec is unknown.
+``torn-journal``
+    Leave a matching entry's binding as a build killed mid-append
+    leaves it: the entry is dropped and the manifest journal ends in a
+    seeded prefix of the line that would have bound it (its object
+    stays published).
 
 Runner fault kinds (tripped by :func:`trip_section_fault` inside the
 executor, once per stamp budget):
@@ -69,6 +74,7 @@ CORPUS_FAULT_KINDS = (
     "delete",
     "corrupt-entry",
     "orphan-entry",
+    "torn-journal",
 )
 SECTION_FAULT_KINDS = ("fail-section", "kill-section")
 FAULT_KINDS = CORPUS_FAULT_KINDS + SECTION_FAULT_KINDS + ("hold-lock",)
@@ -282,10 +288,12 @@ def inject_store_faults(store, plan: FaultPlan) -> list[str]:
     """Apply a plan's corpus faults to ``store``'s on-disk state now.
 
     Deterministic: which entries match is the manifest order, which
-    byte a flip or truncation hits is seeded per object digest.
+    byte a flip or truncation (or where a journal line tears) hits is
+    seeded per object digest.  Manifest changes go through the store's
+    one write path, :meth:`~repro.corpus.store.CorpusStore.commit`.
     Returns human-readable descriptions of every mutation made.
     """
-    from repro.corpus.manifest import ManifestEntry, manifest_lock, save_manifest
+    from repro.corpus.manifest import ManifestEntry, journal_line, manifest_lock
 
     actions: list[str] = []
     for spec in plan.specs:
@@ -307,9 +315,7 @@ def inject_store_faults(store, plan: FaultPlan) -> list[str]:
                 stored_sha256=hashlib.sha256(b"").hexdigest(),
             )
             with manifest_lock(store.root):
-                manifest = store.manifest()
-                manifest.put(entry)
-                save_manifest(manifest, store.manifest_path)
+                store.commit(puts=[entry])
             actions.append(
                 f"orphaned manifest entry {entry.fingerprint} "
                 f"(object {fake[:12]}… never recorded)"
@@ -326,14 +332,27 @@ def inject_store_faults(store, plan: FaultPlan) -> list[str]:
                     f"{entry.digest}:{spec.seed}".encode()
                 ).hexdigest()
                 with manifest_lock(store.root):
-                    manifest = store.manifest()
-                    current = manifest.get(fingerprint)
+                    current = store.manifest().get(fingerprint)
                     if current is not None:
-                        manifest.put(replace(current, digest=bogus))
-                        save_manifest(manifest, store.manifest_path)
+                        store.commit(puts=[replace(current, digest=bogus)])
                 actions.append(
                     f"corrupted manifest entry for {entry.scenario}: "
                     f"digest {entry.digest[:12]}… -> {bogus[:12]}…"
+                )
+                continue
+            if spec.kind == "torn-journal":
+                line = journal_line(put=entry)
+                # 1 .. len - 1 bytes: never the whole line with its newline.
+                keep = 1 + _object_rng_offset(
+                    entry.digest, spec.seed, len(line) - 1
+                )
+                with manifest_lock(store.root):
+                    store.commit(drops=[fingerprint])
+                    with open(store.journal_path, "ab") as handle:
+                        handle.write(line[:keep])
+                actions.append(
+                    f"tore the journal line binding {entry.scenario}: "
+                    f"{keep} of {len(line)} bytes written"
                 )
                 continue
             path = store.object_path(entry.digest)

@@ -9,7 +9,8 @@ contract:
 
 * the consumer completes instead of crashing,
 * the store converges back to the *byte-identical* object (content
-  addressing makes this checkable: healed digest == pristine digest),
+  addressing makes this checkable: healed digest == pristine digest)
+  and to the pristine manifest entries,
 * the damage is quarantined and recorded in the heal ledger, and
 * a follow-up ``verify`` is clean.
 
@@ -20,6 +21,7 @@ matrix``) and the engine behind ``tests/reliability/test_selfheal.py``
 
 from __future__ import annotations
 
+import filecmp
 import multiprocessing
 import os
 import shutil
@@ -45,7 +47,9 @@ MATRIX_INSTRUCTIONS = 4_000
 
 #: (fault kind, consumer) cells.  ``orphan-entry`` is invisible to
 #: ``ensure``/``run_result`` by construction (its fingerprint belongs to
-#: no real spec), so only the bulk repair path owns it.
+#: no real spec), so only the bulk repair path owns it.  A
+#: ``torn-journal`` store heals at its next manifest write: a rebuild's
+#: append, or ``repair``'s cut.
 CORPUS_CASES: tuple[tuple[str, str], ...] = (
     ("bitflip", "ensure"),
     ("bitflip", "run_result"),
@@ -59,6 +63,9 @@ CORPUS_CASES: tuple[tuple[str, str], ...] = (
     ("corrupt-entry", "ensure"),
     ("corrupt-entry", "repair"),
     ("orphan-entry", "repair"),
+    ("torn-journal", "ensure"),
+    ("torn-journal", "run_result"),
+    ("torn-journal", "repair"),
 )
 
 
@@ -120,11 +127,17 @@ def _corpus_case(
     remaining = CorpusStore(root).verify()
     if remaining:
         return FaultCase(name, False, f"still damaged: {remaining[0]}")
-    if consumer != "repair":
-        # ensure/run_result must have restored the binding in place.
-        resolved = CorpusStore(root).ensure(spec)
-        if resolved.built or resolved.entry.digest != digest:
-            return FaultCase(name, False, "store did not converge")
+    # ensure/run_result must have restored the binding in place; repair
+    # leaves a lost binding (a torn journal line's) to the next ensure.
+    resolved = CorpusStore(root).ensure(spec)
+    if consumer != "repair" and resolved.built:
+        return FaultCase(name, False, "store did not converge")
+    if resolved.entry.digest != digest:
+        return FaultCase(name, False, "store did not converge")
+    if not _same_state(template, root, digest):
+        return FaultCase(
+            name, False, "healed store differs from the pristine one"
+        )
     if not os.path.isdir(os.path.join(root, "quarantine")) and kind not in (
         "corrupt-entry",
         "orphan-entry",
@@ -132,6 +145,18 @@ def _corpus_case(
     ):
         return FaultCase(name, False, "damaged bytes were not quarantined")
     return FaultCase(name, True, f"healed after {kind}")
+
+
+def _same_state(template: str, root: str, digest: str) -> bool:
+    """Whether ``root`` holds the template's manifest entries and the
+    template's object bytes."""
+    pristine, healed = CorpusStore(template), CorpusStore(root)
+    return pristine.manifest().entries == healed.manifest().entries and (
+        filecmp.cmp(
+            pristine.object_path(digest), healed.object_path(digest),
+            shallow=False,
+        )
+    )
 
 
 def _lock_case(root: str) -> FaultCase:

@@ -333,9 +333,11 @@ class RemoteStore:
         self,
         spec: TraceScenarioSpec,
         config: HierarchyConfig = WESTMERE,
+        runs: dict | None = None,
     ) -> RunResult:
         """The spec's statistics, replayed from the fetched object —
-        bit-identical to a local-store replay of the same spec."""
+        bit-identical to a local-store replay of the same spec.  ``runs``
+        (the local store's script memo) is unused: the service records."""
         resolved = self.ensure(spec, config)
         return replay_timing(resolved.path)
 

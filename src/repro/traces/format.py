@@ -44,6 +44,7 @@ are chosen per version through :func:`trace_writer`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -180,6 +181,59 @@ def pack_records(kinds, addresses, args, first: int = 0) -> bytes:
     rows["address"] = addresses
     rows["arg"] = args
     return rows.tobytes()
+
+
+class CanonicalHash:
+    """sha256 and length of a trace's canonical CALTRC01 byte stream.
+
+    Fed in stream order — :meth:`begin` with the header, :meth:`consume`
+    with each block of record columns, :meth:`end` with the footer — it
+    hashes the exact bytes a v1 serialisation of the trace would hold:
+    the magic, the header with ``format`` normalised to ``CALTRC01`` (so
+    a transcoded twin hashes identically), the packed ``<BQI`` rows of
+    :func:`pack_records`, the terminator and the footer.  A recorder
+    feeds it while writing (its :meth:`consume` is a record-stream
+    consumer); :func:`repro.corpus.store.canonical_digest` feeds it from
+    a decode of a finished file.  Header and footer go through one JSON
+    round trip, so both feeders hash what a reader would parse.
+    """
+
+    __slots__ = ("_sha", "length", "records", "hexdigest")
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+        self.length = 0
+        self.records = 0
+        #: The digest once :meth:`end` has hashed the footer.
+        self.hexdigest: str | None = None
+
+    def _feed(self, data: bytes) -> None:
+        self._sha.update(data)
+        self.length += len(data)
+
+    def begin(self, header: dict) -> None:
+        header = json.loads(json.dumps(header))
+        if "format" in header:
+            header["format"] = MAGIC.decode("ascii")
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        self._feed(MAGIC)
+        self._feed(_HEADER_LEN.pack(len(header_bytes)))
+        self._feed(header_bytes)
+
+    def consume(self, kinds, addresses, args) -> None:
+        """Hash a block of records; raises :class:`TraceFormatError` for
+        one the ``<BQI`` layout cannot hold (see :func:`pack_records`)."""
+        self._feed(pack_records(kinds, addresses, args, first=self.records))
+        self.records += len(kinds)
+
+    def end(self, footer: dict) -> str:
+        footer_bytes = json.dumps(
+            json.loads(json.dumps(footer)), sort_keys=True
+        ).encode("utf-8")
+        self._feed(RECORD.pack(EV_END, 0, len(footer_bytes)))
+        self._feed(footer_bytes)
+        self.hexdigest = self._sha.hexdigest()
+        return self.hexdigest
 
 
 class TraceWriterBase:

@@ -10,7 +10,10 @@ into the stream every ``epoch_bursts`` bursts (the shard split points).
 The trace therefore holds exactly the stream the live
 :class:`~repro.workloads.generator.RunResult` was counted from;
 :func:`record_spec` returns that result alongside the trace it wrote,
-and the footer stores its statistics for replay-time verification.
+and the footer stores its statistics for replay-time verification.  A
+:class:`~repro.traces.format.CanonicalHash` handed to the sink is fed
+the same blocks, so a recording's canonical digest is taken in the one
+pass that writes it.
 """
 
 from __future__ import annotations
@@ -21,22 +24,40 @@ import numpy as np
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.traces.compress import MAGIC_V2
-from repro.traces.format import EV_EPOCH, MAGIC, trace_writer
+from repro.traces.format import (
+    EV_EPOCH,
+    MAGIC,
+    CanonicalHash,
+    TraceWriterBase,
+    trace_writer,
+)
 from repro.traces.registry import SPEC_VERSION, TraceScenarioSpec
-from repro.workloads.generator import RunResult, run_trace
+from repro.workloads.generator import RunResult, Script, run_trace
 
 
 class RecordingSink:
-    """A writer's recording tap: the trace writer plus EPOCH placement."""
+    """A writer's recording tap: the trace writer plus EPOCH placement,
+    and optionally a :class:`CanonicalHash` of the same stream."""
 
-    __slots__ = ("consume", "epochs", "_epoch_bursts", "_bursts")
+    __slots__ = ("_append", "_canonical", "epochs", "_epoch_bursts", "_bursts")
 
-    def __init__(self, writer: TraceWriter, epoch_bursts: int):
-        #: The trace writer is a consumer of the writer's record blocks.
-        self.consume = writer.append_columns
+    def __init__(
+        self,
+        writer: TraceWriterBase,
+        epoch_bursts: int,
+        canonical: CanonicalHash | None = None,
+    ):
+        self._append = writer.append_columns
+        self._canonical = canonical
         self._epoch_bursts = epoch_bursts
         self._bursts = 0
         self.epochs = 0
+
+    def consume(self, kinds, addresses, args) -> None:
+        """A block of the writer's records: hashed, then written."""
+        if self._canonical is not None:
+            self._canonical.consume(kinds, addresses, args)
+        self._append(kinds, addresses, args)
 
     def bursts(self, ends):
         """A batch of bursts (+ their churn) just finished: an EPOCH
@@ -119,6 +140,8 @@ def record_spec(
     target,
     config: HierarchyConfig = WESTMERE,
     compress: bool = False,
+    canonical: CanonicalHash | None = None,
+    script: Script | None = None,
 ) -> RunResult:
     """Record one registry scenario to ``target`` (path or file object).
 
@@ -128,6 +151,13 @@ def record_spec(
     recording.  ``compress`` selects the CALTRC02 frame-compressed
     container (the logical record stream — and hence every replay
     statistic — is identical either way).
+
+    ``canonical``, a fresh :class:`CanonicalHash`, is fed the header,
+    every record block and the footer as they are written: afterwards
+    it holds what :func:`repro.corpus.store.canonical_digest` of the
+    finished file computes.  ``script`` is the
+    :func:`~repro.workloads.generator.draw` of a generator spec, drawn
+    once and shared (the run's memo); without one the driver draws.
     """
     header = {
         "format": (MAGIC_V2 if compress else MAGIC).decode("ascii"),
@@ -136,7 +166,9 @@ def record_spec(
         "geometry": _geometry_dict(config),
     }
     try:
-        return _record_to_writer(spec, target, config, header, compress)
+        return _record_to_writer(
+            spec, target, config, header, compress, canonical, script
+        )
     except BaseException:
         # A failed/interrupted recording must not leave a terminator-less
         # file behind for a later replay glob to choke on.
@@ -148,9 +180,14 @@ def record_spec(
         raise
 
 
-def _record_to_writer(spec, target, config, header, compress) -> RunResult:
+def _record_to_writer(
+    spec, target, config, header, compress, canonical, script
+) -> RunResult:
+    shared = {} if script is None else {"script": script}
+    if canonical is not None:
+        canonical.begin(header)
     with trace_writer(target, header, version=2 if compress else 1) as writer:
-        sink = RecordingSink(writer, spec.epoch_bursts)
+        sink = RecordingSink(writer, spec.epoch_bursts, canonical)
         result = _driver_for(spec)(
             spec.profile,
             spec.build_scenario(),
@@ -160,21 +197,23 @@ def _record_to_writer(spec, target, config, header, compress) -> RunResult:
             warmup_fraction=spec.warmup_fraction,
             sink=sink,
             quarantine_delay=spec.quarantine_delay,
+            **shared,
         )
-        writer.set_footer(
-            {
-                "benchmark": result.benchmark,
-                "instructions": result.instructions,
-                "cform_instructions": result.cform_instructions,
-                "alloc_events": result.alloc_events,
-                "events": {
-                    "l1_accesses": result.events.l1_accesses,
-                    "l1_misses": result.events.l1_misses,
-                    "l2_misses": result.events.l2_misses,
-                    "l3_misses": result.events.l3_misses,
-                },
-                "records": writer.record_count,
-                "epochs": sink.epochs,
-            }
-        )
+        footer = {
+            "benchmark": result.benchmark,
+            "instructions": result.instructions,
+            "cform_instructions": result.cform_instructions,
+            "alloc_events": result.alloc_events,
+            "events": {
+                "l1_accesses": result.events.l1_accesses,
+                "l1_misses": result.events.l1_misses,
+                "l2_misses": result.events.l2_misses,
+                "l3_misses": result.events.l3_misses,
+            },
+            "records": writer.record_count,
+            "epochs": sink.epochs,
+        }
+        writer.set_footer(footer)
+        if canonical is not None:
+            canonical.end(footer)
     return result

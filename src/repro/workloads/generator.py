@@ -290,12 +290,14 @@ def counted_run(
     kernel's instrumentation goes to the active telemetry sink, as a
     replay's does.
     """
-    accountant = TimingAccountant(config)
-    consumers = [accountant] if sink is None else [accountant, sink]
-    records = RecordBuffer(*consumers)
-    instructions = emit(records)
-    records.flush()
-    accountant.ladder.report()
+    with telemetry_span("workloads.run_trace", benchmark=benchmark) as tspan:
+        accountant = TimingAccountant(config)
+        consumers = [accountant] if sink is None else [accountant, sink]
+        records = RecordBuffer(*consumers)
+        instructions = emit(records)
+        records.flush()
+        accountant.ladder.report()
+        tspan.set("records", records.count)
     return RunResult(
         benchmark=benchmark,
         scenario=scenario,
@@ -409,6 +411,37 @@ def draw(
     overhead instructions (see :func:`render`), so slowdowns measure
     extra work rather than displaced work.
     """
+    with telemetry_span(
+        "workloads.draw", benchmark=profile.name, instructions=instructions
+    ) as tspan:
+        script = _draw(profile, instructions, seed, warmup_fraction)
+        tspan.set("bursts", len(script.kinds))
+    return script
+
+
+def script_for(
+    runs: dict,
+    profile: BenchmarkProfile,
+    instructions: int,
+    seed: int = 0,
+    warmup_fraction: float = 1.0,
+) -> Script:
+    """The run memo's :class:`Script` for these inputs, drawn on first use.
+
+    ``runs`` is one run's memo (a plain dict; a
+    :class:`~repro.experiments.context.RunContext` holds one per process):
+    scripts under ``(profile, instructions, seed, warmup_fraction)``, next
+    to the live :func:`slowdown`'s results under ``(profile, scenario,
+    instructions, seed)``.  Every live run and every corpus build of one
+    benchmark shares the one draw.
+    """
+    key = (profile, instructions, seed, warmup_fraction)
+    if key not in runs:
+        runs[key] = draw(profile, instructions, seed, warmup_fraction)
+    return runs[key]
+
+
+def _draw(profile, instructions, seed, warmup_fraction) -> Script:
     rng = random.Random(f"{profile.name}:{seed}")
     r = rng.random
     randrange = rng.randrange
@@ -774,23 +807,20 @@ def slowdown(
 
     ``runs`` memoises the cell's two :class:`RunResult` objects, keyed by
     ``(profile, scenario, instructions, seed)`` — every :func:`run_trace`
-    input that varies here — and the benchmark's :class:`Script`, keyed
-    by ``(profile, instructions, seed)``.  Pass one dict to every cell of
-    a figure and each benchmark's workload is drawn once and its baseline
-    simulated once, not once per configuration.  Without one, a cell
-    whose variant *is* the baseline (Figure 10) still simulates it only
-    once.
+    input that varies here — and the benchmark's :class:`Script` (see
+    :func:`script_for`).  Pass one dict to every cell of a run and each
+    benchmark's workload is drawn once and its baseline simulated once,
+    not once per configuration.  Without one, a cell whose variant *is*
+    the baseline (Figure 10) still simulates it only once.
     """
     runs = {} if runs is None else runs
 
     def run(case: Scenario) -> RunResult:
         key = (profile, case, instructions, seed)
         if key not in runs:
-            drawn = (profile, instructions, seed)
-            if drawn not in runs:
-                runs[drawn] = draw(profile, instructions, seed)
             runs[key] = run_trace(
-                profile, case, instructions, seed, script=runs[drawn]
+                profile, case, instructions, seed,
+                script=script_for(runs, profile, instructions, seed),
             )
         return runs[key]
 

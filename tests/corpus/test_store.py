@@ -114,6 +114,25 @@ class TestHitPath:
         assert handle.hits == 38
         assert len(loads) == 1
 
+    def test_another_handles_build_is_read_from_the_journal(
+        self, store, monkeypatch
+    ):
+        import repro.corpus.store as store_module
+
+        for name in ("server-churn", "dma-mixed", "pointer-chase"):
+            store.ensure(_spec(name))  # the third append folds the journal
+        other = CorpusStore(store.root)
+        assert other.ensure(_spec("scan-heavy")).built
+        loads = []
+        real_load = store_module.load_manifest
+        monkeypatch.setattr(
+            store_module, "load_manifest",
+            lambda path: loads.append(path) or real_load(path),
+        )
+        assert not store.ensure(_spec("scan-heavy")).built
+        assert loads == []  # the new line was folded in, nothing re-parsed
+        assert store.manifest().entries == other.manifest().entries
+
     def test_manifest_copies_do_not_reach_the_cache(self, store):
         fingerprint = store.ensure(_spec()).entry.fingerprint
         store.manifest()  # parse and cache the saved manifest

@@ -80,6 +80,50 @@ class TestConcurrentEnsure:
         assert all(not built for _name, _digest, built in results)
 
 
+def _ensure_all_in_child(root, names, start, out):
+    """Process entry point: ensure several specs in order."""
+    start.wait()
+    store = CorpusStore(root)
+    for name in names:
+        store.ensure(_spec(name))
+    out.put(store.built)
+
+
+class TestConcurrentBuilders:
+    def test_interleaved_builders_converge_on_one_manifest(self, tmp_path):
+        """Two builders append to one journal in turn (folding it into
+        the snapshot as it grows); a fresh reader sees exactly the
+        entries one builder alone would have written."""
+        names = sorted(CORPUS)[:5]
+        root = str(tmp_path / "corpus")
+        start = multiprocessing.Event()
+        out = multiprocessing.Queue()
+        workers = [
+            multiprocessing.Process(
+                target=_ensure_all_in_child, args=(root, order, start, out)
+            )
+            for order in (names, names[::-1])
+        ]
+        for worker in workers:
+            worker.start()
+        start.set()
+        built = [out.get(timeout=120) for _ in workers]
+        for worker in workers:
+            worker.join()
+            assert worker.exitcode == 0
+        assert sum(built) >= len(names)
+        alone = CorpusStore(str(tmp_path / "alone"))
+        for name in names:
+            alone.ensure(_spec(name))
+        store = CorpusStore(root)
+        assert store.manifest().entries == alone.manifest().entries
+        assert store.verify() == []
+        assert store.heal_events() == []
+        if os.path.exists(store.journal_path):
+            with open(store.journal_path, "rb") as handle:
+                assert handle.read().endswith(b"\n")
+
+
 class TestDeletedMidWalk:
     def test_object_deleted_between_resolution_and_replay_heals(
         self, tmp_path

@@ -311,6 +311,72 @@ class TestManifestHeals:
         assert CorpusStore(copy).verify() == []
 
 
+def _files(root):
+    """Every file under ``root`` with its bytes."""
+    found = {}
+    for dirpath, _dirnames, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+class TestTornJournal:
+    """A build killed mid-append leaves a torn final journal line."""
+
+    def test_readers_skip_the_torn_line_and_write_nothing(
+        self, template, tmp_path
+    ):
+        copy, _digest = _damaged_copy(template, tmp_path, "torn-journal")
+        before = _files(copy)
+        with open(os.path.join(copy, "manifest.journal"), "rb") as handle:
+            assert not handle.read().endswith(b"\n")
+        store = CorpusStore(copy)
+        assert store.manifest().entries == {}  # only that entry is lost
+        assert _files(copy) == before
+        assert store.heal_events() == []
+
+    def test_the_next_build_cuts_it_and_converges(self, template, tmp_path):
+        root, digest = template
+        copy, _digest = _damaged_copy(template, tmp_path, "torn-journal")
+        with open(os.path.join(copy, "manifest.journal"), "rb") as handle:
+            torn = handle.read().rsplit(b"\n", 1)[-1]
+        store = CorpusStore(copy)
+        resolved = store.ensure(_spec())
+        assert resolved.built and resolved.entry.digest == digest
+        (event,) = store.heal_events()
+        assert "torn final journal line" in event["reason"]
+        (kept,) = [
+            name
+            for name in os.listdir(store.quarantine_dir)
+            if name.startswith("manifest.torn.")
+        ]
+        with open(os.path.join(store.quarantine_dir, kept), "rb") as handle:
+            assert handle.read() == torn
+        with open(store.journal_path, "rb") as handle:
+            assert handle.read().endswith(b"\n")
+        assert (
+            CorpusStore(copy).manifest().entries
+            == CorpusStore(root).manifest().entries
+        )
+
+    def test_a_corrupt_complete_line_quarantines_the_manifest(
+        self, template, tmp_path
+    ):
+        root, digest = template
+        copy = str(tmp_path / "corpus")
+        shutil.copytree(root, copy)
+        with open(os.path.join(copy, "manifest.journal"), "ab") as handle:
+            handle.write(b'{"manifest_journal": 3}\n{not json}\n')
+        store = CorpusStore(copy)
+        assert store.manifest().entries == {}
+        assert os.path.exists(
+            os.path.join(store.quarantine_dir, "manifest.corrupt.journal")
+        )
+        assert store.ensure(_spec()).entry.digest == digest
+
+
 class TestRepair:
     def test_repair_restores_byte_identically(self, template, tmp_path):
         copy, digest = _damaged_copy(template, tmp_path, "bitflip")

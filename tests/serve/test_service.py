@@ -336,6 +336,16 @@ class TestRemoteReplayIdentity:
         # The recording happened on the service's store, not ours.
         assert set(store.manifest().entries) > before
 
+    def test_remote_slowdown_equals_the_live_one(self, served, remote):
+        from repro.workloads.generator import Scenario, slowdown
+        from repro.workloads.specs import SPEC_PROFILES
+
+        profile = SPEC_PROFILES["mcf"]
+        scenario = Scenario(policy=("fixed", 2))
+        assert remote.slowdown(profile, scenario, INSTRUCTIONS) == slowdown(
+            profile, scenario, instructions=INSTRUCTIONS
+        )
+
     def test_corrupt_cache_entry_is_refetched(self, served, remote):
         _server, store, _corpus, _results = served
         entry = next(iter(store.manifest().entries.values()))

@@ -124,3 +124,57 @@ def test_live_figure_emits_one_synthesis_span_per_run(tmp_path, monkeypatch):
     ) == sorted(calls)
     assert all(r["attrs"]["shared"] for r in spans)
     assert all(r["attrs"]["records"] > 0 for r in spans)
+
+
+def _covered(parent, children):
+    """Seconds of ``parent`` covered by the union of ``children``."""
+    low, high = parent["ts"], parent["ts"] + parent["duration_s"]
+    covered, reach = 0.0, low
+    for start, end in sorted(
+        (max(child["ts"], low), min(child["ts"] + child["duration_s"], high))
+        for child in children
+    ):
+        if end > reach:
+            covered += end - max(start, reach)
+            reach = end
+    return covered
+
+
+def test_a_cold_build_is_covered_by_its_phase_spans(tmp_path):
+    from repro.softstack.insertion import Policy
+    from repro.workloads.generator import Scenario
+    from repro.workloads.specs import SPEC_PROFILES
+
+    handle = runtime.configure(str(tmp_path / "tel"))
+    store = CorpusStore(str(tmp_path / "corpus"))
+    runs = {}
+    scenario = Scenario(policy=Policy.FULL, min_bytes=1, max_bytes=7)
+    for name in ("mcf", "gobmk"):
+        store.slowdown(SPEC_PROFILES[name], scenario, INSTRUCTIONS, runs=runs)
+    handle.flush()
+    spans = read_span_log(
+        os.path.join(handle.directory, runtime.SPAN_LOG_NAME)
+    ).spans
+    records = [span for span in spans if span["name"] == "corpus/record"]
+    assert len(records) == store.built == 4
+    children = {
+        span["id"]: [
+            child for child in spans if child["parent"] == span["id"]
+        ]
+        for span in records
+    }
+    # The draw, then the writer run (synthesis, simulation and the
+    # streamed encode and hash) under each build: one draw per benchmark.
+    names = [child["name"] for kids in children.values() for child in kids]
+    assert names.count("workloads.draw") == 2
+    assert names.count("workloads.run_trace") == 4
+    covered = sum(_covered(span, children[span["id"]]) for span in records)
+    total = sum(span["duration_s"] for span in records)
+    assert covered >= 0.9 * total
+    # Each build appends its entry; the first append into an empty
+    # store also folds the journal into the snapshot.
+    manifest = [span for span in spans if span["name"] == "corpus.manifest"]
+    ops = [span["attrs"]["op"] for span in manifest]
+    assert ops.count("append") == 4
+    assert ops.count("compact") >= 1
+    assert all(span["parent"] is None for span in manifest)
