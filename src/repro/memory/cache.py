@@ -36,7 +36,7 @@ class LineStore(Protocol):
     def write_line(self, address: int, line: SentinelLine) -> None: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheGeometry:
     """Size/associativity description of one cache level."""
 

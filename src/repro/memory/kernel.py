@@ -19,8 +19,8 @@ kernel produces is **bit-identical** to a one-access-at-a-time LRU
 ladder's, for any ordered stream cut into any blocks.  The per-record
 ladder survives as the differential-test oracle (``tests/oracle.py``),
 and ``replay_timing`` verifies replayed counts against recorded footers.
-The vectorization therefore only removes work that provably cannot
-change LRU state:
+The vectorization therefore rests only on facts that hold access for
+access:
 
 * address → ``(set, tag)`` resolution is pure arithmetic → vectorized;
 * an access to the **same line as the previous access to the same set**
@@ -30,24 +30,35 @@ change LRU state:
   count changes neither contents nor order (consecutive global repeats
   — scans, CFORM line walks, pre-warm sweeps — are a subset);
 * cache **sets are independent**: an access only reads and writes its
-  own set's state, so accesses to *different* sets may be processed in
+  own set's state, so accesses to *different* sets may be decided in
   any order without changing any per-access hit/miss outcome.  The
-  kernel sorts each batch by set (stably, so a set's own accesses stay
-  in stream order) and then simulates **one access per set per round**
-  as whole-matrix operations over a ``(num_sets, associativity)`` pair
-  of line/timestamp arrays — exact LRU, because a per-round timestamp
-  is strictly increasing along every set's stream and the victim is the
-  minimum-stamp way.  Skewed tails (a few hot sets with long streams
-  left) finish in a tight per-set Python loop over the same state;
+  kernel sorts each batch by set, stably, so a set's own accesses stay
+  in stream order;
+* LRU has the **inclusion property** (Mattson et al., "Evaluation
+  techniques for storage hierarchies", 1970): an access hits iff fewer
+  than ``assoc`` distinct other lines of its set were used since its
+  line's previous use, its *stack distance*.  So every access of a
+  block is decided at once, with no per-access simulation.  A repeat
+  inside the block counts the distinct lines of its window (the
+  accesses since its line's previous use); a first touch of a line
+  absent at block entry misses; a first touch of a line resident at
+  column ``col`` has distance ``q + f − c``, where ``q = assoc − 1 −
+  col`` residents are more recent, ``f`` first touches came earlier in
+  the set's block, and ``c`` of those re-touched one of the ``q``.
+  Cheap bounds decide nearly all of them; the rest walk their windows,
+  about ``assoc·m`` work at most for ``m`` accesses;
+* each set's row is kept in **recency order** (column 0 least recently
+  used, the last column most recently used, empty ways at the least
+  recent end), so the end of a block rewrites a touched row with slot
+  arithmetic: the last ``assoc`` of its untouched residents, in order,
+  then the block's distinct lines in last-use order;
 * a block whose lines, after the MRU collapse, are **strictly ascending
   and start above every resident line** misses on every access: no line
-  of it is resident at entry, and none recurs within the block to be
-  inserted earlier, so each set's accesses are one run of distinct
-  absent lines.  Such a run's LRU update has a closed form — its last
-  ``min(k, assoc)`` lines replace the set's oldest ways, stamped in
-  stream order — so the block skips the line sort, the residency probe
-  and the rounds.  Every pre-warm sweep block has this shape at every
-  level (a level below passes on the ascending misses of the one above).
+  of it is resident at entry, and none recurs within the block.  Such a
+  block skips the line sort and the residency probe: each set's row
+  takes its last ``min(k, assoc)`` lines above its residents.  Every
+  pre-warm sweep block has this shape at every level (a level below
+  passes on the ascending misses of the one above).
 """
 
 from __future__ import annotations
@@ -97,10 +108,6 @@ TOUCH_BLOCK = 16384
 SWEEP_BLOCK = TOUCH_BLOCK
 
 
-#: Below this many concurrently active sets, a vectorized round costs
-#: more in numpy dispatch than the per-set Python tail loop it replaces.
-_ROUND_MIN_SETS = 12
-
 #: Largest set count whose set indices fit the int16 sort key that
 #: numpy sorts by radix (``set * associativity`` would not fit, so the
 #: narrow copy is the sort key only).
@@ -116,20 +123,18 @@ _EMPTY_LINE = int(np.iinfo(np.int64).min)
 class LruTagKernel:
     """One LRU tag array, accessed a column of addresses at a time.
 
-    State is a pair of ``(num_sets, associativity)`` arrays: the
-    resident line per way (:data:`_EMPTY_LINE` marks an empty way,
-    unmatched by any real address) and a strictly increasing last-use
-    timestamp per way (``-1`` for empty ways, so they fill before any
-    resident line is evicted).  A victim is the minimum-stamp way — exactly the least
-    recently used — so hit/miss outcomes and retained contents are
-    identical to sequential per-access LRU.
+    State is one ``(num_sets, associativity)`` array of resident lines,
+    each row in recency order: column 0 holds the least recently used
+    line, the last column the most recently used, and empty ways
+    (:data:`_EMPTY_LINE`, unmatched by any real address) sit at the
+    least-recently-used end.  A line resident at column ``col`` has
+    ``associativity - 1 - col`` more recently used lines above it.
     """
 
     __slots__ = (
         "geometry", "accesses", "hits", "misses", "total_accesses",
-        "rounds", "tail_accesses", "ascending_accesses",
-        "_line_size", "_num_sets", "_associativity",
-        "_way_lines", "_way_stamps", "_clock",
+        "walk_accesses", "ascending_accesses",
+        "_line_size", "_num_sets", "_associativity", "_way_lines",
     )
 
     def __init__(self, geometry: CacheGeometry):
@@ -142,24 +147,16 @@ class LruTagKernel:
             _EMPTY_LINE,
             dtype=np.int64,
         )
-        self._way_stamps = np.full(
-            (geometry.num_sets, geometry.associativity), -1, dtype=np.int64
-        )
-        self._clock = 0
         self.accesses = 0
         self.hits = 0
         self.misses = 0
         #: Accesses since construction (``accesses`` restarts at each
         #: :meth:`reset_counters`).
         self.total_accesses = 0
-        #: Instrumentation: cumulative vectorized (rank, kind) round
-        #: groups executed, and accesses that fell to the per-set Python
-        #: tail — their share of :attr:`total_accesses` is the batch
-        #: algorithm's "tail fraction", the telemetry layer's
-        #: vectorization-health signal.  A few int adds per batch; kept
-        #: unconditional.
-        self.rounds = 0
-        self.tail_accesses = 0
+        #: Instrumentation: accesses whose stack distance needed the
+        #: window walk (no cheap bound decided them).  A few int adds
+        #: per batch; kept unconditional.
+        self.walk_accesses = 0
         #: Accesses of ascending blocks, applied in closed form (the
         #: pre-warm sweep's share of the stream).
         self.ascending_accesses = 0
@@ -169,33 +166,39 @@ class LruTagKernel:
 
         ``addresses`` is an int64 array; the returned boolean array marks
         the accesses that missed this level (the residual stream a lower
-        level must see, in order).  Counters update exactly as ``len(
-        addresses)`` sequential per-access LRU lookups would.
+        level must see, in order).  Counters and contents update exactly
+        as ``len(addresses)`` sequential per-access LRU lookups would.
 
-        The batch algorithm, each step exactness-preserving:
+        An access hits iff fewer than ``assoc`` distinct other lines of
+        its set were used since its line's previous use (LRU's inclusion
+        property), so every access of the block is decided at once:
 
         1. collapse MRU repeats (global, then per set after the stable
-           set sort) — guaranteed hits with no state effect;
-        2. an **ascending block** — lines strictly increasing after the
-           global collapse, the first above every resident line — is all
-           guaranteed misses, each set's stream one run: step 4's closed
-           form applies to every set at once and steps 3–4 are skipped;
-        3. classify every **first batch occurrence of a line that is not
-           resident at batch entry** as a *guaranteed miss*: nothing but
-           an access to that line can insert it, so whatever happened
-           earlier in the batch, the line is absent when reached;
-        4. cut each set's stream into segments — maximal guaranteed-miss
-           runs and single *unknown* accesses — and process segment
-           round ``r`` of every set as one vectorized step.  A
-           guaranteed-miss run of ``k`` distinct lines has a closed-form
-           LRU update: its last ``min(k, assoc)`` lines replace the
-           ``min(k, assoc)`` least-recently-stamped ways; an unknown
-           access is resolved against the live state.  Stamps are the
-           batch stream position, strictly increasing along every set's
-           stream, so victim selection stays exact LRU.
-
-        Skewed leftovers (a few sets with many more segments than the
-        rest) finish in a per-set Python loop over the same state.
+           set sort): guaranteed hits with no state effect;
+        2. an **ascending block** (lines strictly increasing after the
+           global collapse, the first above every resident line) misses
+           on every access and skips to step 5;
+        3. one stable sort by line gives each access its previous
+           same-line access in the set-grouped stream, and each line
+           its last access.  A **repeat** hits if its window (the
+           accesses since that previous use) is shorter than ``assoc``;
+           otherwise its distance is the number of window positions
+           whose own previous use lies before the window.  Cheap bounds
+           decide most windows; a vectorized walk counts the rest,
+           dropping each window once it reaches ``assoc``.  A position
+           lies in at most ``assoc`` windows still undecided there, so
+           the walk's work is about ``assoc·m`` at most, and one exact
+           ``reduceat``, no longer than the block, counts what it
+           leaves;
+        4. a **first touch** of a line that is not resident misses.  One
+           resident at column ``col`` has distance ``q + f − c``:
+           ``q = assoc − 1 − col`` more recent residents, ``f`` first
+           touches earlier in the set's block, less the ``c`` of those
+           that re-touched one of the ``q``.  ``q + f < assoc`` hits and
+           ``f ≥ assoc`` misses without ``c``;
+        5. each touched row becomes the last ``assoc`` of its untouched
+           residents, in order, then the block's distinct lines in
+           last-use order.
         """
         n = len(addresses)
         self.accesses += n
@@ -213,7 +216,7 @@ class LruTagKernel:
         work_lines = lines[work_idx]
         set_column = work_lines % self._num_sets
         # Stable sort by set: each set's accesses stay in stream order,
-        # different sets are independent, so processing grouped-by-set
+        # different sets are independent, so deciding grouped-by-set
         # cannot change any outcome.  A narrow key sorts by radix.
         set_key = (
             set_column.astype(np.int16)
@@ -224,9 +227,6 @@ class LruTagKernel:
         grouped_sets = set_column[order]
         grouped_lines = work_lines[order]
         grouped_positions = work_idx[order]
-        clock = self._clock
-        way_lines = self._way_lines
-        way_stamps = self._way_stamps
 
         # Per-set MRU collapse: a repeat of the previous access *to the
         # same set* is likewise a guaranteed hit on that set's MRU way.
@@ -244,176 +244,228 @@ class LruTagKernel:
         set_boundary = np.empty(m, dtype=bool)
         set_boundary[0] = True
         np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=set_boundary[1:])
+        set_starts = np.flatnonzero(set_boundary)
+        set_ids = grouped_sets[set_starts]
 
         if (work_lines[1:] > work_lines[:-1]).all() and (
-            work_lines[0] > way_lines.max()
+            work_lines[0] > self._way_lines.max()
         ):
-            # Ascending block: every line is new to the batch and above
-            # every resident line, so every access is a guaranteed miss
-            # and each set's stream is a single guaranteed-miss run.
-            set_starts = np.flatnonzero(set_boundary)
-            self._fill_oldest(
-                grouped_sets[set_starts],
-                set_starts,
-                np.append(set_starts[1:], m),
-                grouped_lines,
-                clock,
+            # Ascending block: every line is new to the block and above
+            # every resident line, so every access misses and is its
+            # line's last use.
+            self._rewrite_rows(
+                set_ids, None, np.diff(set_starts, append=m), grouped_lines
             )
             miss_mask[work_idx] = True
             self.ascending_accesses += n
-            self._clock = clock + m
             self.misses += m
             self.hits += n - m
             return miss_mask
 
-        # First batch occurrence of each line (same line ⇒ same set, so
-        # a stable sort by line keeps every line's accesses in order).
-        by_line = np.argsort(grouped_lines, kind="stable")
-        lines_by_line = grouped_lines[by_line]
+        # Previous same-line access of every access (-1 for a line's
+        # first touch in the block).  A line pins its set, so a stable
+        # sort by line keeps each line's accesses in stream order.  The
+        # sort is of unique ``(line, position)`` keys when they fit an
+        # int64 (always, for real address spaces).
+        low = grouped_lines.min()
+        if grouped_lines.max() - low < (1 << 62) // m:
+            key = (grouped_lines - low) * m
+            key += np.arange(m)
+            key.sort()
+            sorted_lines, by_line = np.divmod(key, m)
+        else:
+            by_line = np.argsort(grouped_lines, kind="stable")
+            sorted_lines = grouped_lines[by_line]
         new_line = np.empty(m, dtype=bool)
         new_line[0] = True
-        np.not_equal(lines_by_line[1:], lines_by_line[:-1], out=new_line[1:])
-        first_occurrence = np.empty(m, dtype=bool)
-        first_occurrence[by_line] = new_line
-        # Guaranteed miss: first occurrence of a line absent at entry.
-        # A line value pins its set (line mod sets), so each first
-        # occurrence is probed against its own set's row only; an empty
-        # way's sentinel matches nothing.
-        first_idx = np.flatnonzero(first_occurrence)
-        first_lines = grouped_lines[first_idx]
-        resident = (
-            way_lines[grouped_sets[first_idx]] == first_lines[:, None]
-        ).any(axis=1)
-        guaranteed = np.zeros(m, dtype=bool)
-        guaranteed[first_idx[~resident]] = True
-        miss_mask[grouped_positions[guaranteed]] = True
-        miss_count = int(guaranteed.sum())
+        np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=new_line[1:])
+        previous_sorted = np.empty(m, dtype=np.int64)
+        previous_sorted[1:] = by_line[:-1]
+        previous_sorted[new_line] = -1
+        previous = np.empty(m, dtype=np.int64)
+        previous[by_line] = previous_sorted
+        first = previous < 0
+        first_idx = np.flatnonzero(first)
+        repeat_idx = np.flatnonzero(~first)
+        # A set's first access is a first touch, so each set's first
+        # touches are one run of ``first_idx``: ``distinct`` long, from
+        # ``set_first`` on.
+        set_first = np.searchsorted(first_idx, set_starts)
+        distinct = np.diff(set_first, append=first_idx.size)
 
-        # Segments: maximal guaranteed-miss runs; unknowns stand alone.
-        # Unknown accesses record their *hits* here as they resolve; a
-        # single vectorized pass at the end books the complement as
-        # misses.
-        unknown = ~guaranteed
-        unknown_hit = np.zeros(m, dtype=bool)
-        seg_start = set_boundary | unknown
-        seg_start[1:] |= unknown[:-1]
-        seg_starts = np.flatnonzero(seg_start)
-        seg_count = seg_starts.size
-        seg_ends = np.append(seg_starts[1:], m)
-        seg_sets = grouped_sets[seg_starts]
-        seg_unknown = unknown[seg_starts]
-        first_seg = np.flatnonzero(set_boundary[seg_starts])
-        per_set_segments = np.diff(np.append(first_seg, seg_count))
-        seg_rank = np.arange(seg_count) - np.repeat(
-            first_seg, per_set_segments
+        touched, first_hits = self._first_touches(
+            first_idx, grouped_sets, grouped_lines, set_first
         )
-        # Ranks are consecutive per set, so the per-rank population is
-        # non-increasing: vectorize the well-populated rounds, leave the
-        # skewed tail ranks to the Python loop below.
-        rank_counts = np.bincount(seg_rank)
-        thin = rank_counts < _ROUND_MIN_SETS
-        cutoff = int(np.argmax(thin)) if thin.any() else len(rank_counts)
+        first_missed = np.ones(first_idx.size, dtype=bool)
+        first_missed[first_hits] = False
+        missed = first_idx[first_missed]
+        last_use = np.ones(m, dtype=bool)
+        if repeat_idx.size:
+            starts = previous[repeat_idx]
+            last_use[starts] = False
+            missed = np.concatenate([missed, self._repeat_misses(
+                repeat_idx, starts, previous, first_idx, set_starts,
+                set_first,
+            )])
 
-        in_rounds = seg_rank < cutoff
-        round_segments = np.flatnonzero(in_rounds)
-        if round_segments.size:
-            # Group by (rank, kind): each group holds distinct sets, so
-            # one fancy-indexed update per group is conflict-free.
-            key = seg_rank[round_segments] * 2 + seg_unknown[round_segments]
-            key_order = np.argsort(key, kind="stable")
-            round_order = round_segments[key_order]
-            key_sorted = key[key_order]
-            bounds = np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1
-            group_starts = np.append(0, bounds).tolist()
-            group_ends = np.append(bounds, key_sorted.size).tolist()
-            self.rounds += len(group_starts)
-            for group_start, group_end in zip(group_starts, group_ends):
-                segments = round_order[group_start:group_end]
-                set_ids = seg_sets[segments]
-                starts = seg_starts[segments]
-                if key_sorted[group_start] & 1:  # unknown singletons
-                    line = grouped_lines[starts]
-                    match = way_lines[set_ids] == line[:, None]
-                    hit = match.any(axis=1)
-                    way = np.where(
-                        hit,
-                        match.argmax(axis=1),
-                        way_stamps[set_ids].argmin(axis=1),
-                    )
-                    way_lines[set_ids, way] = line
-                    way_stamps[set_ids, way] = clock + starts
-                    unknown_hit[starts[hit]] = True
-                else:  # guaranteed-miss runs: closed-form LRU update
-                    self._fill_oldest(
-                        set_ids, starts, seg_ends[segments], grouped_lines,
-                        clock,
-                    )
-        if cutoff < len(rank_counts):
-            # Tail: per set, every access from its first thin-rank
-            # segment to the end of its stream, simulated sequentially.
-            tail_segments = np.flatnonzero(~in_rounds)
-            tail_sets = seg_sets[tail_segments]
-            head = np.empty(tail_segments.size, dtype=bool)
-            head[0] = True
-            np.not_equal(tail_sets[1:], tail_sets[:-1], out=head[1:])
-            heads = np.flatnonzero(head)
-            first_of_set = tail_segments[heads]
-            last_of_set = tail_segments[
-                np.append(heads[1:] - 1, tail_segments.size - 1)
-            ]
-            for first_segment, last_segment in zip(
-                first_of_set.tolist(), last_of_set.tolist()
-            ):
-                set_id = int(seg_sets[first_segment])
-                start = int(seg_starts[first_segment])
-                self.tail_accesses += int(seg_ends[last_segment]) - start
-                row = way_lines[set_id].tolist()
-                stamps = way_stamps[set_id].tolist()
-                for offset, line in enumerate(
-                    grouped_lines[start : int(seg_ends[last_segment])].tolist()
-                ):
-                    if line in row:  # hits are unknowns by construction
-                        way = row.index(line)
-                        unknown_hit[start + offset] = True
-                    else:
-                        way = stamps.index(min(stamps))
-                        row[way] = line
-                    stamps[way] = clock + start + offset
-                way_lines[set_id] = row
-                way_stamps[set_id] = stamps
-        unknown_miss = unknown & ~unknown_hit
-        miss_count += int(unknown_miss.sum())
-        miss_mask[grouped_positions[unknown_miss]] = True
-        self._clock = clock + m
+        self._rewrite_rows(
+            set_ids, touched, distinct, grouped_lines[last_use]
+        )
+        miss_count = missed.size
+        miss_mask[grouped_positions[missed]] = True
         self.misses += miss_count
         self.hits += n - miss_count
         return miss_mask
 
-    def _fill_oldest(self, set_ids, starts, ends, lines, clock) -> None:
-        """Apply one guaranteed-miss run per set in closed form.
+    def _first_touches(self, first_idx, grouped_sets, grouped_lines,
+                       set_first):
+        """Decide the first touch of each line in the block.
 
-        ``set_ids`` are distinct sets; set ``i``'s run is ``lines[
-        starts[i]:ends[i]]``, distinct lines absent from the set.  Its
-        last ``min(k, assoc)`` lines replace the set's ``min(k, assoc)``
-        least-recently-stamped ways, stamped ``clock`` plus their index.
-        Which of those ways takes which line cannot matter: the new
-        stamps exceed every old one, and a lookup matches by line.
+        Returns ``((set, column), hits)``: the set ordinal and column of
+        every resident line the block touches, and the first touches
+        that hit, as indices into ``first_idx``.
         """
         associativity = self._associativity
-        stamps = self._way_stamps[set_ids]
-        fill = np.minimum(ends - starts, associativity)
-        if (fill == 1).all():
-            way = stamps.argmin(axis=1)
-            self._way_lines[set_ids, way] = lines[ends - 1]
-            self._way_stamps[set_ids, way] = clock + ends - 1
-            return
-        way_columns = np.arange(associativity)
-        oldest_first = np.argsort(stamps, axis=1)
-        chosen = way_columns < fill[:, None]
-        source = (ends - fill)[:, None] + way_columns
-        flat = (set_ids[:, None] * associativity + oldest_first)[chosen]
-        self._way_lines.reshape(-1)[flat] = lines[source[chosen]]
-        self._way_stamps.reshape(-1)[flat] = clock + source[chosen]
+        rows = np.take(self._way_lines, grouped_sets[first_idx], axis=0)
+        which, column = np.divmod(
+            np.flatnonzero(rows == grouped_lines[first_idx, None]),
+            associativity,
+        )
+        set_ordinal = np.searchsorted(set_first, which, side="right") - 1
+        touched = (set_ordinal, column)
+        # f: first touches earlier in the same set's block.
+        earlier = which - set_first[set_ordinal]
+        above = associativity - 1 - column
+        hit = above + earlier < associativity
+        pending = np.flatnonzero(~hit & (earlier < associativity))
+        if pending.size:
+            # c: earlier first touches that found their line resident
+            # above this one; there are at most assoc − 1 first touches
+            # before it in its set.
+            columns = np.full(first_idx.size, -1, dtype=np.int64)
+            columns[which] = column
+            back = np.arange(1, associativity)
+            prior = columns[np.maximum(which[pending, None] - back, 0)]
+            retouched = np.count_nonzero(
+                (back <= earlier[pending, None])
+                & (prior > column[pending, None]),
+                axis=1,
+            )
+            hit[pending] = (
+                above[pending] + earlier[pending] - retouched < associativity
+            )
+        return touched, which[hit]
+
+    def _repeat_misses(self, repeat_idx, starts, previous, first_idx,
+                       set_starts, set_first):
+        """The repeats (grouped-stream indices) that miss.
+
+        ``starts`` holds each repeat's previous same-line access, and
+        ``previous`` every access's.  A repeat's window is the accesses
+        strictly between the two; it misses iff at least ``assoc``
+        distinct lines fill it, and a window position brings a line new
+        to the window iff its own previous use lies before the window.
+        """
+        associativity = self._associativity
+        long = repeat_idx - starts - 1 >= associativity
+        ends = repeat_idx[long]
+        starts = starts[long]
+        if ends.size == 0:
+            return ends
+        # Bounds: the window's first touches are distinct lines, and the
+        # window holds no other line than those and the lines its set's
+        # block used up to the window (less the repeat's own line).
+        upto = np.searchsorted(first_idx, starts, side="right")
+        fresh = np.searchsorted(first_idx, ends) - upto
+        seen = upto - 1 - set_first[
+            np.searchsorted(set_starts, starts, side="right") - 1
+        ]
+        miss = fresh >= associativity
+        walk = np.flatnonzero(~miss & (fresh + seen >= associativity))
+        self.walk_accesses += walk.size
+        if walk.size:
+            miss[walk] = self._window_reaches(
+                previous, starts[walk], ends[walk]
+            )
+        return ends[miss]
+
+    def _window_reaches(self, previous, starts, ends):
+        """Whether each window ``(starts[i], ends[i])`` (both exclusive)
+        holds at least ``assoc`` distinct lines.
+
+        Walks the windows ``assoc`` positions per step, dropping each
+        that reaches ``assoc`` or runs out, until what is left of them
+        is no longer than the block; one exact ``reduceat`` counts that.
+        """
+        associativity = self._associativity
+        reaches = np.zeros(ends.size, dtype=bool)
+        active = np.arange(ends.size)
+        cursor = starts + 1
+        count = np.zeros(ends.size, dtype=np.int64)
+        step = np.arange(associativity)
+        while (ends[active] - cursor).sum() > previous.size:
+            position = cursor[:, None] + step
+            stop = ends[active, None]
+            count += np.count_nonzero(
+                (previous[np.minimum(position, stop - 1)]
+                 <= starts[active, None])
+                & (position < stop),
+                axis=1,
+            )
+            cursor += associativity
+            full = count >= associativity
+            reaches[active[full]] = True
+            going = ~full & (cursor < ends[active])
+            active = active[going]
+            cursor = cursor[going]
+            count = count[going]
+        if active.size:
+            lengths = ends[active] - cursor
+            offsets = np.cumsum(lengths) - lengths
+            position = np.arange(int(lengths.sum())) + np.repeat(
+                cursor - offsets, lengths
+            )
+            inside = previous[position] <= np.repeat(starts[active], lengths)
+            count += np.add.reduceat(inside, offsets, dtype=np.int64)
+            reaches[active] = count >= associativity
+        return reaches
+
+    def _rewrite_rows(self, set_ids, touched, distinct, lines):
+        """Write the block's effect into the rows of ``set_ids``.
+
+        ``set_ids`` are the touched sets in grouped order; ``touched`` is
+        ``(set ordinal, column)`` of each resident line the block touched
+        (``None``: none); ``lines`` holds the block's distinct lines set
+        by set, ``distinct`` of them per set, each set's in last-use
+        order.  Each row becomes the last ``assoc`` of: its untouched
+        residents in order, then the block's lines.
+        """
+        associativity = self._associativity
+        count = len(set_ids)
+        rows = np.take(self._way_lines, set_ids, axis=0)
+        kept = rows != _EMPTY_LINE
+        if touched is not None:
+            kept[touched] = False
+        # Slot arithmetic over the flattened rows: the block's lines
+        # fill a row from its most recent end down, the untouched
+        # residents sit right below them, the rest of the row is empty.
+        base = np.arange(0, count * associativity, associativity)
+        rank = np.cumsum(kept).reshape(count, associativity)
+        target = rank + (base + associativity - 1 - distinct - rank[:, -1])[
+            :, None
+        ]
+        place = kept & (target >= base[:, None])
+        out = np.full(count * associativity, _EMPTY_LINE, dtype=np.int64)
+        out[target[place]] = rows[place]
+        placed = np.minimum(distinct, associativity)
+        first_placed = np.cumsum(placed) - placed
+        offset = np.arange(first_placed[-1] + placed[-1])
+        out[offset + np.repeat(
+            base + associativity - placed - first_placed, placed
+        )] = lines[offset + np.repeat(
+            np.cumsum(distinct) - placed - first_placed, placed
+        )]
+        self._way_lines[set_ids] = out.reshape(count, associativity)
 
     def reset_counters(self) -> None:
         """Zero the counters, keep the tag contents warm (end of warmup)."""
@@ -483,14 +535,13 @@ class LadderKernel:
 
     def instrumentation(self) -> dict:
         """Per-level batch-algorithm health, as counts over the ladder's
-        life (warm-up included): vectorized rounds, accesses that fell
-        to the per-set Python tail, accesses of ascending blocks applied
-        in closed form, and all accesses — the denominator of the tail
-        and ascending shares."""
+        life (warm-up included): accesses whose stack distance needed
+        the window walk, accesses of ascending blocks applied in closed
+        form, and all accesses — the denominator of the walk and
+        ascending shares."""
         return {
             name: {
-                "rounds": level.rounds,
-                "tail_accesses": level.tail_accesses,
+                "walk_accesses": level.walk_accesses,
                 "ascending_accesses": level.ascending_accesses,
                 "accesses": level.total_accesses,
             }

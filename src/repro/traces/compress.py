@@ -621,6 +621,43 @@ def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
             )
 
 
+def tail_footer(reader: TraceReader) -> dict:
+    """A CALTRC02 trace's footer, found from the end of its bytes.
+
+    No frame is walked.  The footer is ``json.dumps`` output with
+    ``ensure_ascii`` on, so it holds no 0xFF byte: the terminator
+    frame's type byte (``FRAME_END``) is the last 0xFF before the
+    footer, and only the four bytes of its length field can hold a
+    later one.  So of the last five 0xFF bytes, the type byte is the one
+    whose ``<BI`` head's length equals the bytes after the head; if none
+    is, the tail is damaged and :class:`TraceFormatError` is raised.
+    """
+    import json
+
+    data = reader._file.read()
+    position = len(data)
+    for _ in range(_FRAME_END_HEAD.size):
+        position = data.rfind(bytes((FRAME_END,)), 0, position)
+        if position < 0:
+            break
+        head_end = position + _FRAME_END_HEAD.size
+        if head_end <= len(data) and (
+            _FRAME_END_HEAD.unpack_from(data, position)[1]
+            == len(data) - head_end
+        ):
+            try:
+                return json.loads(data[head_end:])
+            except ValueError as error:
+                raise reader.error(
+                    f"corrupt trace footer JSON: {error}",
+                    offset=reader.data_offset + position,
+                ) from None
+    raise reader.error(
+        "compressed trace ends without a terminator frame",
+        offset=reader.data_offset + len(data),
+    )
+
+
 #: Records accumulated before one grouped columnar decode.  Epoch frames
 #: are a few hundred records each; decoding a group of them as one
 #: vectorized pass amortises the array-op overhead that would otherwise

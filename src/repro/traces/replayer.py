@@ -68,7 +68,7 @@ from repro.memory.kernel import (
 from repro.memory.multicore import SharedL3Kernel
 from repro.telemetry.runtime import flush as telemetry_flush
 from repro.telemetry.runtime import span as telemetry_span
-from repro.traces.compress import _iter_frames
+from repro.traces.compress import tail_footer
 from repro.traces.format import (
     EV_EPOCH,
     KIND_NAMES,
@@ -280,16 +280,17 @@ def _footer_result(
 def recorded_result(source) -> RunResult:
     """The :class:`RunResult` a whole trace's footer states, unreplayed.
 
-    A CALTRC02 trace's frame heads are walked to its footer without
-    inflating any payload; a CALTRC01 trace is drained to reach it.  The
-    counts are the recorder's, taken on trust: the caller vouches for
-    the bytes (the corpus store checks their sha256 first).
+    A CALTRC02 trace's footer is found from the end of its bytes
+    (:func:`~repro.traces.compress.tail_footer`), with no frame walked;
+    a CALTRC01 trace is drained to reach it.  The counts are the
+    recorder's, taken on trust: the caller vouches for the bytes (the
+    corpus store checks their sha256 first).
     """
     with TraceReader(source) as reader:
         if reader.version == 2:
-            for _frame in _iter_frames(reader):
-                pass
-        footer = reader.read_footer()
+            footer = tail_footer(reader)
+        else:
+            footer = reader.read_footer()
     return _footer_result(None, reader.header, footer)
 
 

@@ -52,6 +52,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -205,8 +206,13 @@ def _security_line_count(layout: CaliformedLayout, counts: bool) -> int:
     return len(lines)
 
 
-def build_type_catalog(scenario: Scenario) -> list[_TypeInfo]:
-    """Materialise the heap type pool under one scenario."""
+@lru_cache(maxsize=256)
+def build_type_catalog(scenario: Scenario) -> tuple[_TypeInfo, ...]:
+    """Materialise the heap type pool under one scenario.
+
+    Memoized on the frozen scenario: the catalog depends on nothing
+    else, and it is an immutable tuple of frozen records.
+    """
     rng = random.Random(f"catalog:{scenario.binary_seed}")
     catalog: list[_TypeInfo] = []
     for struct in HEAP_TYPE_POOL:
@@ -231,7 +237,7 @@ def build_type_catalog(scenario: Scenario) -> list[_TypeInfo]:
                 hooked=hooked,
             )
         )
-    return catalog
+    return tuple(catalog)
 
 
 #: Indices into HEAP_TYPE_POOL of types containing arrays/pointers.

@@ -115,11 +115,13 @@ def line_addresses(lines) -> "np.ndarray":
 
 
 def kernel_sets(batched: LruTagKernel) -> list:
-    """Each set's resident lines, least recently used first."""
-    order = np.argsort(batched._way_stamps, axis=1, kind="stable")
-    lines = np.take_along_axis(batched._way_lines, order, axis=1)
-    live = np.take_along_axis(batched._way_stamps, order, axis=1) >= 0
-    return [row[keep].tolist() for row, keep in zip(lines, live)]
+    """Each set's resident lines, least recently used first (a row is
+    kept in recency order, its empty ways at the least recent end)."""
+    rows = batched._way_lines
+    live = rows != kernel._EMPTY_LINE
+    for row in live:
+        assert not (row[:-1] & ~row[1:]).any()  # no empty way above a line
+    return [row[keep].tolist() for row, keep in zip(rows, live)]
 
 
 def oracle_sets(reference: TagOnlyCache) -> list:
@@ -262,6 +264,145 @@ class TestAscendingBlocks:
             top = max(top, int(lines.max()))
         batched = drive(geometry, blocks)
         assert batched.ascending_accesses >= sure
+
+
+def set_lines(geometry, set_index, tags) -> "np.ndarray":
+    """Addresses of the lines with ``tags`` in one set of ``geometry``."""
+    return line_addresses(
+        np.asarray(tags, dtype=np.int64) * geometry.num_sets + set_index
+    )
+
+
+#: Direct-mapped: every repeat with anything between misses.
+DIRECT = CacheGeometry(size_bytes=8 * 64, associativity=1)
+#: Eight ways in three sets (a set count that is no power of two).
+EIGHT_WAY = CacheGeometry(size_bytes=3 * 8 * 64, associativity=8)
+
+
+class TestStackDistance:
+    """The general path: every access decided by its LRU stack distance,
+    checked state-for-state against the oracle after every block."""
+
+    @pytest.mark.parametrize("set_index", [0, 5])
+    def test_retouched_residents_straddling_the_associativity(
+        self, set_index
+    ):
+        # Set residents 0..3 (0 least recent).  Each block re-touches
+        # some of them after some new lines, so a first touch of a
+        # resident has q + f >= assoc and only the count c of residents
+        # above it re-touched earlier in the block decides it.
+        def block(*tags):
+            return set_lines(FOUR_WAY, set_index, tags)
+
+        fill = block(0, 1, 2, 3)
+        blocks = [
+            fill, block(2, 3, 1),  # q=2, f=2, c=2: hit
+            fill, block(3, 10, 1),  # q=2, f=2, c=1: hit
+            fill, block(10, 11, 1),  # q=2, f=2, c=0: miss
+            fill, block(3, 10, 1, 0),  # 0: q=3, f=3, c=2: miss
+            fill, block(3, 2, 1, 0),  # 0: q=3, f=3, c=3: hit
+            fill, block(2, 10, 0),  # 0: q=3, f=2, c=1: miss
+            fill, block(1, 2, 3, 0, 12, 13, 14, 1),  # a repeat too
+        ]
+        drive(FOUR_WAY, blocks)
+
+    def test_long_windows_with_few_distinct_lines(self):
+        # Eight lines, then three with windows of 1,500 accesses over
+        # three hot lines: five distinct lines, so hits, and no bound
+        # decides them (eight lines were seen before each window), so
+        # the walk runs and its reduceat finishes them.
+        tags = list(range(8)) + [20, 21, 22] + [0, 1, 2] * 500 + [20, 21, 22]
+        batched = drive(EIGHT_WAY, [set_lines(EIGHT_WAY, 1, tags)])
+        assert batched.walk_accesses >= 3
+        assert batched.hits >= 3 + 1497
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_windows_around_the_associativity(self, seed):
+        # Hot lines with rare others, in one set: many overlapping long
+        # windows whose distinct count lands near eight, so the walk
+        # takes several steps before its reduceat.
+        rng = np.random.default_rng(seed)
+        tags = np.where(
+            rng.random(3_000) < 0.03,
+            rng.integers(5, 12, 3_000),
+            rng.integers(0, 5, 3_000),
+        )
+        blocks = [set_lines(EIGHT_WAY, 0, range(12))]
+        blocks += [set_lines(EIGHT_WAY, 0, tags)]
+        assert drive(EIGHT_WAY, blocks).walk_accesses > 20
+
+    def test_cyclic_sweeps_one_line_past_the_associativity(self):
+        # Nine lines cycled through an eight-way set: every repeat's
+        # window holds exactly eight distinct lines, so each misses, and
+        # the walk decides each at its first step.
+        cycle = set_lines(EIGHT_WAY, 2, np.resize(np.arange(9), 900))
+        near = set_lines(EIGHT_WAY, 0, np.resize(np.arange(8), 800))
+        batched = drive(EIGHT_WAY, [cycle[:300], np.concatenate([cycle, near])])
+        assert batched.walk_accesses > 0
+        assert batched.hits >= 800 - 8
+
+    @pytest.mark.parametrize("geometry", [DIRECT, SMALL])
+    def test_one_and_two_ways(self, geometry):
+        rng = np.random.default_rng(geometry.associativity)
+        blocks = [
+            line_addresses(rng.integers(0, geometry.num_sets * 3, size))
+            for size in (1, 2, 40, 300, 7, 500)
+        ]
+        drive(geometry, blocks)
+
+    def test_more_sets_than_an_int16_key(self):
+        rng = np.random.default_rng(6)
+        hot = rng.integers(0, 200_000, 3_000)
+        blocks = [
+            line_addresses(rng.integers(0, 200_000, 30_000)),
+            line_addresses(rng.choice(hot, 20_000)),
+            line_addresses(np.concatenate([hot, hot[::-1], hot])),
+        ]
+        drive(WIDE, blocks)
+
+    @pytest.mark.parametrize("far", [1 << 40, 1 << 56])
+    def test_lines_far_apart(self, far):
+        # The line sort packs (line, position) into one int64 key while
+        # the block's line span allows; 2**56 lines apart it does not,
+        # and the stable argsort takes over.
+        rng = np.random.default_rng(9)
+        lines = rng.integers(0, 40, 600) + far * rng.integers(0, 2, 600)
+        drive(FOUR_WAY, [line_addresses(lines[:100]), line_addresses(lines)])
+
+    @pytest.mark.parametrize("geometry", [SMALL, FOUR_WAY, EIGHT_WAY])
+    def test_an_ascending_prefix_then_bursts(self, geometry):
+        # The block starts like a pre-warm sweep, so it is not ascending
+        # as a whole: the general path sees a run of absent lines, then
+        # re-touches of them and of older residents.
+        rng = np.random.default_rng(8)
+        warm = line_addresses(rng.integers(0, 400, 300))
+        sweep = np.arange(1_000, 1_200)
+        bursts = np.concatenate([
+            rng.choice(sweep, 150), rng.integers(0, 400, 100), sweep[-20:]
+        ])
+        drive(geometry, [warm, line_addresses(np.concatenate([sweep, bursts]))])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sets=st.sampled_from([1, 2, 3, 16]),
+        associativity=st.sampled_from([1, 2, 3, 4, 8]),
+        data=st.data(),
+    )
+    def test_random_geometries_and_blocks(self, sets, associativity, data):
+        geometry = CacheGeometry(
+            size_bytes=sets * associativity * 64, associativity=associativity
+        )
+        # A universe a little larger than the cache, so blocks mix hits,
+        # misses and evictions of every kind.
+        universe = sets * associativity + data.draw(st.integers(0, 24))
+        blocks = data.draw(
+            st.lists(
+                st.lists(st.integers(0, universe), max_size=150),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        drive(geometry, [line_addresses(block) for block in blocks])
 
 
 class TestLadderKernel:

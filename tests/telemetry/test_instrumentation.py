@@ -32,8 +32,10 @@ def test_replay_emits_decode_kernel_counters_and_spans(tmp_path):
     counters = document["counters"]
     assert counters["decode_frames_total"] > 0
     assert counters["decode_records_total"] > 0
-    assert counters['kernel_accesses_total{level="l1"}'] > 0
-    assert counters['kernel_rounds_total{level="l1"}'] > 0
+    accesses = counters['kernel_accesses_total{level="l1"}']
+    assert accesses > 0
+    # Reported even when no window needed the walk (a short replay).
+    assert 0 <= counters['kernel_walk_accesses_total{level="l1"}'] <= accesses
     span_row = document["spans"]["replay/timing"]
     assert span_row["count"] == 1
 

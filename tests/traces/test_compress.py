@@ -7,6 +7,7 @@ the on-disk footprint by well over the 4x target on compressible mixes.
 """
 
 import io
+import json
 import zlib
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.traces.compress import (
     _decode_frames_fast,
     compression_summary,
     frame_stats,
+    tail_footer,
     transcode,
 )
 from repro.traces.format import (
@@ -549,3 +551,49 @@ class TestMalformedCompressed:
         assert reader.footer is None
         assert reader.read_footer() == {"records": 505}
         assert list(reader.column_batches()) == []
+
+
+class TestTailFooter:
+    """A corpus hit reads its footer from the end of the stored bytes;
+    it must be the footer the frame walk reaches."""
+
+    @staticmethod
+    def _trace(footer):
+        # Addresses and args whose varint tokens hold 0xFF bytes.
+        buffer = io.BytesIO()
+        with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
+            for index in range(300):
+                writer.append(EV_LOAD, index * 0xFF7F, 0xFF)
+                if index % 100 == 99:
+                    writer.append(EV_EPOCH, index // 100, 0)
+            writer.set_footer(footer)
+        return buffer.getvalue()
+
+    @pytest.mark.parametrize(
+        # Footer lengths whose <BI head holds 0xFF bytes after the type
+        # byte, and ones longer than the first read from the end.
+        "length", [2, 20, 255, 511, 767, 0xFF05, 5000, 0x1FFFF],
+    )
+    def test_matches_the_frame_walk(self, length):
+        footer = {} if length == 2 else {"pad": "é" * ((length - 11) // 6)}
+        footer_length = len(json.dumps(footer, sort_keys=True))
+        if length != 2:
+            footer["pad"] += "x" * (length - footer_length)
+        data = self._trace(footer)
+        walked = TraceReader(io.BytesIO(data)).read_footer()
+        assert len(json.dumps(walked, sort_keys=True)) == length
+        assert tail_footer(TraceReader(io.BytesIO(data))) == walked == footer
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[:-1],  # footer cut short
+            lambda data: data + b"}",  # a byte past the footer
+            lambda data: data[: data.rindex(b"\xff")],  # terminator cut off
+            lambda data: data[:-1] + b"!",  # footer no longer JSON
+        ],
+    )
+    def test_a_damaged_tail_is_a_format_error(self, damage):
+        data = damage(self._trace({"records": 303}))
+        with pytest.raises(TraceFormatError):
+            tail_footer(TraceReader(io.BytesIO(data)))
