@@ -52,7 +52,6 @@ import os
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
@@ -65,6 +64,7 @@ from repro.workloads.generator import (
     RunResult,
     Scenario,
     relative_slowdown,
+    repr_memo,
     script_for,
 )
 from repro.workloads.specs import BenchmarkProfile
@@ -123,7 +123,7 @@ QUARANTINE_KEEP_DAYS = 7.0
 DAMAGE_ERRORS = (TraceFormatError, TraceIntegrityError, OSError, ValueError)
 
 
-@lru_cache(maxsize=4096)
+@repr_memo
 def spec_fingerprint(
     spec: TraceScenarioSpec, config: HierarchyConfig = WESTMERE
 ) -> str:
@@ -132,9 +132,8 @@ def spec_fingerprint(
     Covers everything that determines the logical record stream: the
     full spec document (profile, policy, seeds, lengths, driver) and the
     recording geometry.  Deliberately excludes the storage codec — a
-    format migration does not orphan the corpus.  Memoized: a spec and
-    a config are frozen and hashable, and the fingerprint is a function
-    of their values.
+    format migration does not orphan the corpus.  Memoized by
+    :func:`~repro.workloads.generator.repr_memo`.
     """
     payload = {
         "fingerprint_version": FINGERPRINT_VERSION,

@@ -169,36 +169,20 @@ class LruTagKernel:
         level must see, in order).  Counters and contents update exactly
         as ``len(addresses)`` sequential per-access LRU lookups would.
 
-        An access hits iff fewer than ``assoc`` distinct other lines of
-        its set were used since its line's previous use (LRU's inclusion
-        property), so every access of the block is decided at once:
+        The inclusion property (module docstring) decides the whole
+        block at once:
 
         1. collapse MRU repeats (global, then per set after the stable
-           set sort): guaranteed hits with no state effect;
-        2. an **ascending block** (lines strictly increasing after the
-           global collapse, the first above every resident line) misses
-           on every access and skips to step 5;
+           set sort);
+        2. an ascending block misses on every access; skip to step 5;
         3. one stable sort by line gives each access its previous
-           same-line access in the set-grouped stream, and each line
-           its last access.  A **repeat** hits if its window (the
-           accesses since that previous use) is shorter than ``assoc``;
-           otherwise its distance is the number of window positions
-           whose own previous use lies before the window.  Cheap bounds
-           decide most windows; a vectorized walk counts the rest,
-           dropping each window once it reaches ``assoc``.  A position
-           lies in at most ``assoc`` windows still undecided there, so
-           the walk's work is about ``assoc·m`` at most, and one exact
-           ``reduceat``, no longer than the block, counts what it
-           leaves;
-        4. a **first touch** of a line that is not resident misses.  One
-           resident at column ``col`` has distance ``q + f − c``:
-           ``q = assoc − 1 − col`` more recent residents, ``f`` first
-           touches earlier in the set's block, less the ``c`` of those
-           that re-touched one of the ``q``.  ``q + f < assoc`` hits and
-           ``f ≥ assoc`` misses without ``c``;
-        5. each touched row becomes the last ``assoc`` of its untouched
-           residents, in order, then the block's distinct lines in
-           last-use order.
+           same-line access; a repeat hits iff its window holds fewer
+           than ``assoc`` distinct lines (:meth:`_repeat_misses`, at
+           most ``assoc·m`` work);
+        4. a first touch misses unless resident; a resident one at
+           column ``col`` has distance ``q + f − c``
+           (:meth:`_first_touches`);
+        5. :meth:`_rewrite_rows` rewrites each touched row.
         """
         n = len(addresses)
         self.accesses += n
@@ -264,18 +248,9 @@ class LruTagKernel:
 
         # Previous same-line access of every access (-1 for a line's
         # first touch in the block).  A line pins its set, so a stable
-        # sort by line keeps each line's accesses in stream order.  The
-        # sort is of unique ``(line, position)`` keys when they fit an
-        # int64 (always, for real address spaces).
-        low = grouped_lines.min()
-        if grouped_lines.max() - low < (1 << 62) // m:
-            key = (grouped_lines - low) * m
-            key += np.arange(m)
-            key.sort()
-            sorted_lines, by_line = np.divmod(key, m)
-        else:
-            by_line = np.argsort(grouped_lines, kind="stable")
-            sorted_lines = grouped_lines[by_line]
+        # sort by line keeps each line's accesses in stream order.
+        by_line = np.argsort(grouped_lines, kind="stable")
+        sorted_lines = grouped_lines[by_line]
         new_line = np.empty(m, dtype=bool)
         new_line[0] = True
         np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=new_line[1:])
@@ -361,10 +336,9 @@ class LruTagKernel:
         """The repeats (grouped-stream indices) that miss.
 
         ``starts`` holds each repeat's previous same-line access, and
-        ``previous`` every access's.  A repeat's window is the accesses
-        strictly between the two; it misses iff at least ``assoc``
-        distinct lines fill it, and a window position brings a line new
-        to the window iff its own previous use lies before the window.
+        ``previous`` every access's.  A window position brings a line
+        new to the window iff its own previous use lies before the
+        window.
         """
         associativity = self._associativity
         long = repeat_idx - starts - 1 >= associativity

@@ -52,7 +52,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 from itertools import chain
 
 import numpy as np
@@ -206,12 +206,36 @@ def _security_line_count(layout: CaliformedLayout, counts: bool) -> int:
     return len(lines)
 
 
-@lru_cache(maxsize=256)
+def repr_memo(function):
+    """Memoize a function of frozen records, keyed by its arguments' repr.
+
+    Equality is too coarse a key here: ``1 == 1.0`` and ``0 == False``,
+    yet a JSON dump or an f-string of them differs, and a user's spec
+    file can hold either.  Their reprs differ just as the dumps do.
+    """
+    cache: dict[str, object] = {}
+
+    @wraps(function)
+    def memoized(*args, **kwargs):
+        key = repr((args, kwargs))
+        try:
+            return cache[key]
+        except KeyError:
+            if len(cache) >= 4096:
+                cache.clear()
+            value = cache[key] = function(*args, **kwargs)
+            return value
+
+    memoized.cache_clear = cache.clear
+    return memoized
+
+
+@repr_memo
 def build_type_catalog(scenario: Scenario) -> tuple[_TypeInfo, ...]:
     """Materialise the heap type pool under one scenario.
 
-    Memoized on the frozen scenario: the catalog depends on nothing
-    else, and it is an immutable tuple of frozen records.
+    Memoized: the catalog depends on nothing else, and it is an
+    immutable tuple of frozen records.
     """
     rng = random.Random(f"catalog:{scenario.binary_seed}")
     catalog: list[_TypeInfo] = []

@@ -14,7 +14,7 @@ from repro.corpus.store import (
     spec_fingerprint,
 )
 from repro.memory.hierarchy import WESTMERE
-from repro.traces.registry import CORPUS
+from repro.traces.registry import CORPUS, TraceScenarioSpec
 from repro.traces.replayer import replay_timing
 from repro.workloads.generator import Scenario, slowdown
 from repro.workloads.specs import FIG10_BENCHMARKS, SPEC_PROFILES
@@ -42,6 +42,20 @@ class TestFingerprints:
         assert (
             spec_fingerprint(_spec(), WESTMERE.with_extra_latency(1)) != base
         )
+
+    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
+    def test_memo_keeps_value_types(self, order):
+        # 1 == 1.0, so the two specs are equal, yet they dump (and so
+        # fingerprint) differently; the memo must not hand one the
+        # other's fingerprint, whichever comes first.
+        spec_fingerprint.cache_clear()
+        for warmup in order:
+            document = _spec().to_dict()
+            document["warmup_fraction"] = warmup
+            spec = TraceScenarioSpec.from_dict(document)
+            assert spec == _spec()
+            assert spec_fingerprint(spec) == spec_fingerprint.__wrapped__(spec)
+        assert spec_fingerprint(_spec()) == spec_fingerprint.__wrapped__(_spec())
 
     def test_registry_fingerprint_covers_every_mix(self):
         # Any registry change must change the CI cache key.

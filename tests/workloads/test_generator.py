@@ -75,6 +75,17 @@ class TestTypeCatalog:
         for info in catalog:
             assert info.hooked == (info.cform_lines > 0)
 
+    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
+    def test_memo_keeps_value_types(self, order):
+        # Equal scenarios whose binary seeds differ in type seed the
+        # catalog's RNG differently ("catalog:1" against "catalog:1.0").
+        build_type_catalog.cache_clear()
+        for seed in order:
+            scenario = Scenario(policy=Policy.FULL, binary_seed=seed)
+            assert build_type_catalog(scenario) == (
+                build_type_catalog.__wrapped__(scenario)
+            )
+
 
 class TestRunTrace:
     def test_deterministic(self):
