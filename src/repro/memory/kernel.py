@@ -58,7 +58,22 @@ access:
   block skips the line sort and the residency probe: each set's row
   takes its last ``min(k, assoc)`` lines above its residents.  Every
   pre-warm sweep block has this shape at every level (a level below
-  passes on the ascending misses of the one above).
+  passes on the ascending misses of the one above).  When the last
+  ``num_sets·assoc`` lines of a longer ascending block give every set
+  ``assoc`` lines, each earlier line is evicted within the block, so
+  that tail alone is the new contents;
+* within the set-grouped stream, a **stable sort by tag** keeps each
+  line's accesses contiguous and in stream order (equal tags of
+  different sets stay apart, in set order), so it yields every access's
+  previous same-line access.  It runs as LSD radix passes over the
+  16-bit digits of the tag less the block's least tag: one pass while
+  tags span less than 2**16, at most four;
+* each level of a ladder is an **independent LRU filter of its ordered
+  input**, and the kernel is exact for any cut of that input, so a
+  lower level may take its input in other blocks than the level above
+  emitted it.  A 3-level :class:`LadderKernel` collects L1's misses as
+  a pending block of at most :data:`TOUCH_BLOCK` touches and runs L2,
+  then L3, on it whole.
 """
 
 from __future__ import annotations
@@ -72,6 +87,7 @@ from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig
 from repro.telemetry.runtime import active as telemetry_active
+from repro.telemetry.runtime import span as telemetry_span
 
 # -- the record stream --------------------------------------------------------
 #
@@ -100,7 +116,9 @@ CFORM_LINE_STRIDE = 64
 #: consumers.  The buffer is flushed at the first burst end or column
 #: block that reaches this size, and the column writers cut their blocks
 #: at about this size, so a live run holds about one block of its stream
-#: at a time; the statistics do not depend on the value.
+#: at a time.  An accountant hands its simulator at most this many
+#: records at once, and a 3-level ladder's pending block holds at most
+#: this many L1 misses.  The statistics do not depend on the value.
 TOUCH_BLOCK = 16384
 
 #: Records a :meth:`RecordBuffer.sweep` appends between flushes, so a
@@ -172,17 +190,18 @@ class LruTagKernel:
         The inclusion property (module docstring) decides the whole
         block at once:
 
-        1. collapse MRU repeats (global, then per set after the stable
-           set sort);
-        2. an ascending block misses on every access; skip to step 5;
-        3. one stable sort by line gives each access its previous
+        1. collapse global MRU repeats;
+        2. an ascending block misses on every access
+           (:meth:`_apply_ascending`); the rest of the steps are skipped;
+        3. sort by set, stably, and collapse per-set MRU repeats;
+        4. one stable radix sort by tag gives each access its previous
            same-line access; a repeat hits iff its window holds fewer
            than ``assoc`` distinct lines (:meth:`_repeat_misses`, at
            most ``assoc·m`` work);
-        4. a first touch misses unless resident; a resident one at
+        5. a first touch misses unless resident; a resident one at
            column ``col`` has distance ``q + f − c``
            (:meth:`_first_touches`);
-        5. :meth:`_rewrite_rows` rewrites each touched row.
+        6. :meth:`_rewrite_rows` rewrites each touched row.
         """
         n = len(addresses)
         self.accesses += n
@@ -198,16 +217,24 @@ class LruTagKernel:
         np.not_equal(lines[1:], lines[:-1], out=work[1:])
         work_idx = np.flatnonzero(work)
         work_lines = lines[work_idx]
+        if (work_lines[1:] > work_lines[:-1]).all() and (
+            work_lines[0] > self._way_lines.max()
+        ):
+            # Ascending block: every line is new to the block and above
+            # every resident line, so every access misses and is its
+            # line's last use.
+            self._apply_ascending(work_lines)
+            miss_mask[work_idx] = True
+            m = work_lines.size
+            self.ascending_accesses += n
+            self.misses += m
+            self.hits += n - m
+            return miss_mask
         set_column = work_lines % self._num_sets
         # Stable sort by set: each set's accesses stay in stream order,
         # different sets are independent, so deciding grouped-by-set
-        # cannot change any outcome.  A narrow key sorts by radix.
-        set_key = (
-            set_column.astype(np.int16)
-            if self._num_sets <= _NARROW_SETS
-            else set_column
-        )
-        order = np.argsort(set_key, kind="stable")
+        # cannot change any outcome.
+        order = self._set_order(set_column)
         grouped_sets = set_column[order]
         grouped_lines = work_lines[order]
         grouped_positions = work_idx[order]
@@ -231,25 +258,11 @@ class LruTagKernel:
         set_starts = np.flatnonzero(set_boundary)
         set_ids = grouped_sets[set_starts]
 
-        if (work_lines[1:] > work_lines[:-1]).all() and (
-            work_lines[0] > self._way_lines.max()
-        ):
-            # Ascending block: every line is new to the block and above
-            # every resident line, so every access misses and is its
-            # line's last use.
-            self._rewrite_rows(
-                set_ids, None, np.diff(set_starts, append=m), grouped_lines
-            )
-            miss_mask[work_idx] = True
-            self.ascending_accesses += n
-            self.misses += m
-            self.hits += n - m
-            return miss_mask
-
         # Previous same-line access of every access (-1 for a line's
-        # first touch in the block).  A line pins its set, so a stable
-        # sort by line keeps each line's accesses in stream order.
-        by_line = np.argsort(grouped_lines, kind="stable")
+        # first touch in the block).  The stream is grouped by set, so a
+        # stable sort by tag keeps each line's accesses contiguous and in
+        # stream order.
+        by_line = self._tag_order(grouped_lines)
         sorted_lines = grouped_lines[by_line]
         new_line = np.empty(m, dtype=bool)
         new_line[0] = True
@@ -331,6 +344,27 @@ class LruTagKernel:
             )
         return touched, which[hit]
 
+    def _set_order(self, sets):
+        """The stable order of ``sets``: a narrow key sorts by radix."""
+        if self._num_sets <= _NARROW_SETS:
+            sets = sets.astype(np.int16)
+        return np.argsort(sets, kind="stable")
+
+    def _tag_order(self, lines):
+        """The stable order of ``lines`` by tag: LSD radix passes over the
+        16-bit digits of the tag less the block's least (one pass while
+        tags span less than 2**16, at most four)."""
+        tags = lines // self._num_sets
+        tags -= tags.min()
+        span = int(tags.max())
+        order = np.argsort(tags.astype(np.uint16), kind="stable")
+        shift = 16
+        while span >> shift:
+            digit = (tags[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+            shift += 16
+        return order
+
     def _repeat_misses(self, repeat_idx, starts, previous, first_idx,
                        set_starts, set_first):
         """The repeats (grouped-stream indices) that miss.
@@ -404,6 +438,35 @@ class LruTagKernel:
             reaches[active] = count >= associativity
         return reaches
 
+    def _apply_ascending(self, lines):
+        """Write an ascending block's strictly increasing ``lines`` (all
+        misses) into the rows: each set takes its last ``assoc`` lines
+        above its residents."""
+        num_sets = self._num_sets
+        associativity = self._associativity
+        capacity = num_sets * associativity
+        if lines.size > capacity:
+            # When its last ``capacity`` lines give every set ``assoc``
+            # lines, every earlier line is evicted within the block.
+            tail = lines[-capacity:]
+            sets = tail % num_sets
+            if np.bincount(sets, minlength=num_sets).min() >= associativity:
+                self._way_lines[:] = tail[self._set_order(sets)].reshape(
+                    num_sets, associativity
+                )
+                return
+        sets = lines % num_sets
+        order = self._set_order(sets)
+        grouped_sets = sets[order]
+        boundary = np.empty(lines.size, dtype=bool)
+        boundary[0] = True
+        np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        self._rewrite_rows(
+            grouped_sets[starts], None, np.diff(starts, append=lines.size),
+            lines[order],
+        )
+
     def _rewrite_rows(self, set_ids, touched, distinct, lines):
         """Write the block's effect into the rows of ``set_ids``.
 
@@ -424,13 +487,15 @@ class LruTagKernel:
         # fill a row from its most recent end down, the untouched
         # residents sit right below them, the rest of the row is empty.
         base = np.arange(0, count * associativity, associativity)
-        rank = np.cumsum(kept).reshape(count, associativity)
+        rank = np.cumsum(
+            kept, dtype=np.int32 if kept.size < 2**31 else np.int64
+        ).reshape(count, associativity)
         target = rank + (base + associativity - 1 - distinct - rank[:, -1])[
             :, None
         ]
-        place = kept & (target >= base[:, None])
+        place = np.flatnonzero(kept & (target >= base[:, None]))
         out = np.full(count * associativity, _EMPTY_LINE, dtype=np.int64)
-        out[target[place]] = rows[place]
+        out[target.ravel()[place]] = rows.ravel()[place]
         placed = np.minimum(distinct, associativity)
         first_placed = np.cumsum(placed) - placed
         offset = np.arange(first_placed[-1] + placed[-1])
@@ -455,9 +520,16 @@ class LadderKernel:
     ``levels=2`` is a multi-core private L1+L2 ladder whose residual —
     the shared-L3 request stream — the caller collects via the returned
     indices.
+
+    A 3-level ladder defers its lower levels: L1's misses collect as a
+    pending block of at most :data:`TOUCH_BLOCK` touches, and
+    :meth:`flush` runs L2 on it, then L3 on L2's misses.  Its L2 and L3
+    counters are current after :meth:`flush`, which :meth:`events`,
+    :meth:`reset_counters`, :meth:`instrumentation` and :meth:`report`
+    call first.
     """
 
-    __slots__ = ("config", "l1", "l2", "l3")
+    __slots__ = ("config", "l1", "l2", "l3", "_pending", "_pending_count")
 
     def __init__(self, config: HierarchyConfig, levels: int = 3):
         if levels not in (2, 3):
@@ -466,25 +538,59 @@ class LadderKernel:
         self.l1 = LruTagKernel(config.l1_geometry)
         self.l2 = LruTagKernel(config.l2_geometry)
         self.l3 = LruTagKernel(config.l3_geometry) if levels == 3 else None
+        self._pending: list = []
+        self._pending_count = 0
 
     def touch_block(self, addresses):
         """Run one touch column through the ladder, top to bottom.
 
-        Returns the indices (into ``addresses``) of the touches that
-        missed every level of this ladder, in stream order — empty for a
-        3-level ladder's caller to ignore, the shared-L3 request stream
-        for a 2-level one.
+        A 2-level ladder returns the indices (into ``addresses``) of the
+        touches that missed both levels, in stream order: the shared-L3
+        request stream.  A 3-level ladder adds L1's misses to its
+        pending block, first flushing the block if they would take it
+        past :data:`TOUCH_BLOCK`, and returns no indices.  L2 and L3
+        never take more than :data:`TOUCH_BLOCK` touches at once.
         """
-        indices = np.flatnonzero(self.l1.access_block(addresses))
-        for level in (self.l2, self.l3):
-            if level is None:
-                break
-            if indices.size == 0:
-                return indices
-            indices = indices[np.flatnonzero(level.access_block(addresses[indices]))]
-        return indices
+        with telemetry_span("memory.kernel", accesses=len(addresses)):
+            missed = np.flatnonzero(self.l1.access_block(addresses))
+            if self.l3 is None:
+                if missed.size:
+                    missed = missed[
+                        np.flatnonzero(self.l2.access_block(addresses[missed]))
+                    ]
+                return missed
+            if self._pending_count + missed.size > TOUCH_BLOCK:
+                self._run_pending()
+            if missed.size:
+                self._pending.append(addresses[missed])
+                self._pending_count += missed.size
+                if self._pending_count >= TOUCH_BLOCK:
+                    self._run_pending()
+            return missed[:0]
+
+    def flush(self) -> None:
+        """Run the pending L1 misses through L2, then L2's through L3."""
+        if self._pending:
+            with telemetry_span("memory.kernel", pending=self._pending_count):
+                self._run_pending()
+
+    def _run_pending(self) -> None:
+        """:meth:`flush` without its span (the caller holds one)."""
+        pending = self._pending
+        if not pending:
+            return
+        block = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        self._pending = []
+        self._pending_count = 0
+        # Only a single L1 miss column can exceed TOUCH_BLOCK.
+        for start in range(0, block.size, TOUCH_BLOCK):
+            part = block[start : start + TOUCH_BLOCK]
+            part = part[self.l2.access_block(part)]
+            if part.size:
+                self.l3.access_block(part)
 
     def reset_counters(self) -> None:
+        self.flush()
         self.l1.reset_counters()
         self.l2.reset_counters()
         if self.l3 is not None:
@@ -492,6 +598,7 @@ class LadderKernel:
 
     def events(self) -> MemoryEventCounts:
         """A 3-level ladder's counters as the pipeline model's events."""
+        self.flush()
         return MemoryEventCounts(
             l1_accesses=self.l1.accesses,
             l1_misses=self.l1.misses,
@@ -513,6 +620,7 @@ class LadderKernel:
         the window walk, accesses of ascending blocks applied in closed
         form, and all accesses — the denominator of the walk and
         ascending shares."""
+        self.flush()
         return {
             name: {
                 "walk_accesses": level.walk_accesses,
@@ -524,7 +632,9 @@ class LadderKernel:
 
     def report(self) -> None:
         """Add :meth:`instrumentation` to the active telemetry sink as
-        ``kernel_<field>_total{level=}`` counters; a no-op without one."""
+        ``kernel_<field>_total{level=}`` counters; without one it only
+        flushes."""
+        self.flush()
         tel = telemetry_active()
         if tel is None:
             return
@@ -709,9 +819,10 @@ class RecordAccountant:
 
     :meth:`consume` rejects unknown kinds, splits each block at EV_WARM
     records (only when ``honor_warm``: a whole trace or live run honours
-    its warmup boundary, a shard region counts every record), tallies
-    the touches, CFORM lines and ALLOC events of each segment, and hands
-    the segment to :meth:`segment`, the subclass's simulator.  At a
+    its warmup boundary, a shard region counts every record) and into
+    segments of at most :data:`TOUCH_BLOCK` records, tallies the
+    touches, CFORM lines and ALLOC events of each segment, and hands the
+    segment to :meth:`segment`, the subclass's simulator.  At a
     warm record the tallies restart and :meth:`warm` resets the
     simulator's counters.
     """
@@ -730,9 +841,12 @@ class RecordAccountant:
             warm = np.flatnonzero(kinds == EV_WARM).tolist()
         start = 0
         for stop in warm + [end]:
-            if stop > start:
-                segment_kinds = kinds[start:stop]
-                segment_args = args[start:stop]
+            # Segments of at most TOUCH_BLOCK records: a whole decoded
+            # group would mix a pre-warm sweep with the bursts after it.
+            for low in range(start, stop, TOUCH_BLOCK):
+                high = min(low + TOUCH_BLOCK, stop)
+                segment_kinds = kinds[low:high]
+                segment_args = args[low:high]
                 lines = int(segment_args[segment_kinds == EV_CFORM].sum())
                 accesses = np.count_nonzero(
                     (segment_kinds == EV_LOAD) | (segment_kinds == EV_STORE)
@@ -743,7 +857,7 @@ class RecordAccountant:
                     np.count_nonzero(segment_kinds == EV_ALLOC)
                 )
                 self.segment(
-                    start, segment_kinds, addresses[start:stop], segment_args
+                    low, segment_kinds, addresses[low:high], segment_args
                 )
             if stop < end:
                 self.warm(stop)

@@ -277,6 +277,10 @@ def set_lines(geometry, set_index, tags) -> "np.ndarray":
 DIRECT = CacheGeometry(size_bytes=8 * 64, associativity=1)
 #: Eight ways in three sets (a set count that is no power of two).
 EIGHT_WAY = CacheGeometry(size_bytes=3 * 8 * 64, associativity=8)
+#: One set of two-byte lines: tags reach 2**62 within int64 addresses.
+ONE_SET_TWO_BYTE_LINES = CacheGeometry(
+    size_bytes=4 * 2, associativity=4, line_size=2
+)
 
 
 class TestStackDistance:
@@ -362,12 +366,50 @@ class TestStackDistance:
 
     @pytest.mark.parametrize("far", [1 << 40, 1 << 56])
     def test_lines_far_apart(self, far):
-        # The line sort packs (line, position) into one int64 key while
-        # the block's line span allows; 2**56 lines apart it does not,
-        # and the stable argsort takes over.
+        # Tags 2**36 and 2**52 apart: the tag sort takes three and four
+        # radix passes.
         rng = np.random.default_rng(9)
         lines = rng.integers(0, 40, 600) + far * rng.integers(0, 2, 600)
         drive(FOUR_WAY, [line_addresses(lines[:100]), line_addresses(lines)])
+
+    @pytest.mark.parametrize(
+        "geometry, bits",
+        [(FOUR_WAY, 1), (FOUR_WAY, 16), (FOUR_WAY, 17), (FOUR_WAY, 33),
+         (ONE_SET_TWO_BYTE_LINES, 62)],
+    )
+    def test_tag_spans_of_one_to_four_radix_digits(self, geometry, bits):
+        # Hot tags at both ends of a span of ``bits`` bits: a tag near
+        # the top shares its low digits with one near the bottom, so
+        # only the last radix pass tells them apart.
+        rng = np.random.default_rng(bits)
+        base = 3 << 20 if bits < 62 else 0
+        low = rng.integers(0, min(6, 1 << (bits - 1)), 2_000)
+        offsets = low + (1 << (bits - 1)) * rng.integers(0, 2, 2_000)
+        tags = base + offsets
+        tags[0], tags[-1] = base, base + (1 << bits) - 1
+        sets = rng.integers(0, geometry.num_sets, 2_000)
+        lines = tags * geometry.num_sets + sets
+        addresses = lines * geometry.line_size
+        drive(geometry, [addresses[:300], addresses])
+
+    def test_an_ascending_tail_that_fills_every_set(self):
+        # 200 lines ascending from above the residents: the last 64 give
+        # each of the 16 sets its 4 ways, so the tail alone is applied.
+        rng = np.random.default_rng(10)
+        warm = line_addresses(rng.integers(0, 500, 400))
+        batched = drive(FOUR_WAY, [warm, line_addresses(range(600, 800))])
+        assert batched.ascending_accesses == 200
+
+    def test_an_ascending_tail_that_starves_one_set(self):
+        # Set 3 takes lines only in the first half of the block, so the
+        # last 64 lines give it none and its row must come from earlier
+        # in the block.
+        rng = np.random.default_rng(11)
+        lines = np.arange(600, 900)
+        lines = lines[(lines % 16 != 3) | (lines < 750)]
+        warm = line_addresses(rng.integers(0, 500, 400))
+        batched = drive(FOUR_WAY, [warm, line_addresses(lines)])
+        assert batched.ascending_accesses == lines.size
 
     @pytest.mark.parametrize("geometry", [SMALL, FOUR_WAY, EIGHT_WAY])
     def test_an_ascending_prefix_then_bursts(self, geometry):
@@ -436,6 +478,7 @@ class TestLadderKernel:
                 if not l2.access(address):
                     l3.access(address)
         batched.touch_block(addresses)
+        batched.flush()
         assert (batched.l1.accesses, batched.l1.misses) == (
             l1.accesses, l1.misses
         )
@@ -445,6 +488,101 @@ class TestLadderKernel:
         assert (batched.l3.accesses, batched.l3.misses) == (
             l3.accesses, l3.misses
         )
+
+
+    @pytest.mark.parametrize(
+        "block", [1, 7, 4096, kernel.TOUCH_BLOCK - 1, kernel.TOUCH_BLOCK + 1]
+    )
+    def test_deferred_levels_match_the_serial_ladder(self, block, monkeypatch):
+        # Mostly L1 misses, so the pending block fills and flushes many
+        # times; warm resets fall mid-block, at a block edge and near
+        # the end.  A block of one touch is fed a shorter prefix.
+        count = 3_000 if block == 1 else 60_000
+        rng = np.random.default_rng(block)
+        addresses = line_addresses(rng.integers(0, 200_000, count))
+        resets = {5, count // 3, (count // 3) // block * block, count - 2}
+        ladder = LadderKernel(WESTMERE, levels=3)
+        # The pending block never holds more than TOUCH_BLOCK touches
+        # but for one L1 miss column (at most ``block`` touches).
+        run_pending = LadderKernel._run_pending
+        held = []
+
+        def recorded(owner):
+            held.append(owner._pending_count)
+            run_pending(owner)
+
+        monkeypatch.setattr(LadderKernel, "_run_pending", recorded)
+        reference = [TagOnlyCache(level.geometry) for _, level in ladder.levels]
+        cuts = sorted(set(range(0, count, block)) | resets | {count})
+        for start, stop in zip(cuts, cuts[1:]):
+            if start in resets:
+                ladder.reset_counters()
+                for level in reference:
+                    level.reset_counters()
+                self.assert_levels_match(ladder, reference)
+            for address in addresses[start:stop].tolist():
+                for level in reference:
+                    if level.access(address):
+                        break
+            assert len(ladder.touch_block(addresses[start:stop])) == 0
+            assert ladder._pending_count <= kernel.TOUCH_BLOCK
+        ladder.flush()
+        self.assert_levels_match(ladder, reference)
+        assert ladder.events().l3_misses == reference[2].misses
+        assert 0 < max(held) <= max(kernel.TOUCH_BLOCK, block)
+
+    def test_a_miss_column_longer_than_a_block_reaches_l2_in_blocks(
+        self, monkeypatch
+    ):
+        # 40,000 distinct ascending lines in one call: every touch misses
+        # L1, so one miss column holds more than TOUCH_BLOCK touches.
+        access_block = LruTagKernel.access_block
+        sizes = []
+
+        def recorded(level, addresses):
+            if level is not ladder.l1:
+                sizes.append(len(addresses))
+            return access_block(level, addresses)
+
+        monkeypatch.setattr(LruTagKernel, "access_block", recorded)
+        ladder = LadderKernel(WESTMERE, levels=3)
+        reference = [TagOnlyCache(level.geometry) for _, level in ladder.levels]
+        rng = np.random.default_rng(12)
+        addresses = np.concatenate([
+            line_addresses(rng.integers(0, 50_000, 3_000)),
+            line_addresses(np.arange(60_000, 100_000)),
+        ])
+        for address in addresses.tolist():
+            for level in reference:
+                if level.access(address):
+                    break
+        ladder.touch_block(addresses[:3_000])
+        ladder.touch_block(addresses[3_000:])
+        ladder.flush()
+        self.assert_levels_match(ladder, reference)
+        assert max(sizes) == kernel.TOUCH_BLOCK
+
+    @staticmethod
+    def assert_levels_match(ladder, reference):
+        for (_, level), expected in zip(ladder.levels, reference):
+            assert (level.accesses, level.hits, level.misses) == (
+                expected.accesses, expected.hits, expected.misses
+            )
+            assert kernel_sets(level) == oracle_sets(expected)
+
+    def test_two_level_blocks_return_their_misses_at_once(self):
+        reference = PrivateLadder(WESTMERE)
+        batched = LadderKernel(WESTMERE, levels=2)
+        addresses = random_addresses(8, count=20_000)
+        for block in np.array_split(addresses, 9):
+            expected = [
+                index
+                for index, address in enumerate(block.tolist())
+                if not reference.access(address)
+            ]
+            assert batched.touch_block(block).tolist() == expected
+            assert batched.l2.misses == reference.l2.misses
+            assert batched.l2.accesses == reference.l2.accesses
 
 
 class _Collect:

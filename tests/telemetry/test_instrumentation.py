@@ -68,6 +68,47 @@ def test_recording_reports_its_sweep_as_the_ascending_share(tmp_path):
         assert 0 < ascending < counters[f'kernel_accesses_total{{level="{level}"}}']
 
 
+def test_replay_reports_its_sweep_as_the_ascending_share(tmp_path):
+    # The replay hands the kernel at most TOUCH_BLOCK records at a time,
+    # so the recording's pre-warm sweep reaches it unmixed with bursts.
+    spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
+    trace = str(tmp_path / "t.trace")
+    record_spec(spec, trace, compress=True)
+    handle = runtime.configure(str(tmp_path / "tel"))
+    replay_timing(trace)
+    counters = exported(handle)["counters"]
+    for level in ("l1", "l2"):
+        ascending = counters[f'kernel_ascending_accesses_total{{level="{level}"}}']
+        assert 0 < ascending < counters[f'kernel_accesses_total{{level="{level}"}}']
+
+
+def test_live_run_emits_kernel_spans_under_run_trace(tmp_path):
+    from repro.workloads.generator import Scenario, run_trace
+    from repro.workloads.specs import SPEC_PROFILES
+
+    handle = runtime.configure(str(tmp_path / "tel"))
+    run_trace(SPEC_PROFILES["mcf"], Scenario.baseline(), INSTRUCTIONS)
+    handle.flush()
+    spans = read_span_log(
+        os.path.join(handle.directory, runtime.SPAN_LOG_NAME)
+    ).spans
+    (run,) = [span for span in spans if span["name"] == "workloads.run_trace"]
+    kernel = [span for span in spans if span["name"] == "memory.kernel"]
+    parents = {span["id"]: span["parent"] for span in spans}
+
+    def under_run(span):
+        parent = span["parent"]
+        while parent is not None and parent != run["id"]:
+            parent = parents[parent]
+        return parent == run["id"]
+
+    assert kernel and all(under_run(span) for span in kernel)
+    # The ladder's lower levels run on the pending block inside a span
+    # too, up to the final flush that the run's counters read.
+    assert any(span["attrs"].get("pending", 0) > 0 for span in kernel)
+    assert sum(span["attrs"].get("accesses", 0) for span in kernel) > 0
+
+
 def test_corpus_resolutions_count_recorded_then_hit(tmp_path):
     handle = runtime.configure(str(tmp_path / "tel"))
     store = CorpusStore(str(tmp_path / "corpus"))
