@@ -448,6 +448,8 @@ class LruTagKernel:
         if lines.size > capacity:
             # When its last ``capacity`` lines give every set ``assoc``
             # lines, every earlier line is evicted within the block.
+            # (A pre-warm sweep's blocks at L1 and L2; an L3 block, at
+            # most TOUCH_BLOCK touches, is shorter than L3's capacity.)
             tail = lines[-capacity:]
             sets = tail % num_sets
             if np.bincount(sets, minlength=num_sets).min() >= associativity:
@@ -487,9 +489,7 @@ class LruTagKernel:
         # fill a row from its most recent end down, the untouched
         # residents sit right below them, the rest of the row is empty.
         base = np.arange(0, count * associativity, associativity)
-        rank = np.cumsum(
-            kept, dtype=np.int32 if kept.size < 2**31 else np.int64
-        ).reshape(count, associativity)
+        rank = np.cumsum(kept, dtype=np.int32).reshape(count, associativity)
         target = rank + (base + associativity - 1 - distinct - rank[:, -1])[
             :, None
         ]
@@ -820,7 +820,8 @@ class RecordAccountant:
     :meth:`consume` rejects unknown kinds, splits each block at EV_WARM
     records (only when ``honor_warm``: a whole trace or live run honours
     its warmup boundary, a shard region counts every record) and into
-    segments of at most :data:`TOUCH_BLOCK` records, tallies the
+    segments of :data:`TOUCH_BLOCK` records, the last taking the rest
+    (a block below 2·:data:`TOUCH_BLOCK` records stays whole), tallies the
     touches, CFORM lines and ALLOC events of each segment, and hands the
     segment to :meth:`segment`, the subclass's simulator.  At a
     warm record the tallies restart and :meth:`warm` resets the
@@ -841,10 +842,15 @@ class RecordAccountant:
             warm = np.flatnonzero(kinds == EV_WARM).tolist()
         start = 0
         for stop in warm + [end]:
-            # Segments of at most TOUCH_BLOCK records: a whole decoded
-            # group would mix a pre-warm sweep with the bursts after it.
-            for low in range(start, stop, TOUCH_BLOCK):
-                high = min(low + TOUCH_BLOCK, stop)
+            # Segments of TOUCH_BLOCK records, the last taking the rest
+            # (below 2·TOUCH_BLOCK): a whole decoded group would mix a
+            # pre-warm sweep with the bursts after it, and a live block
+            # stays whole.
+            size = stop - start
+            parts = max(1, size // TOUCH_BLOCK) if size else 0
+            for part in range(parts):
+                low = start + part * TOUCH_BLOCK
+                high = stop if part == parts - 1 else low + TOUCH_BLOCK
                 segment_kinds = kinds[low:high]
                 segment_args = args[low:high]
                 lines = int(segment_args[segment_kinds == EV_CFORM].sum())

@@ -69,7 +69,7 @@ def test_recording_reports_its_sweep_as_the_ascending_share(tmp_path):
 
 
 def test_replay_reports_its_sweep_as_the_ascending_share(tmp_path):
-    # The replay hands the kernel at most TOUCH_BLOCK records at a time,
+    # The replay hands the kernel segments of about TOUCH_BLOCK records,
     # so the recording's pre-warm sweep reaches it unmixed with bursts.
     spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
