@@ -215,11 +215,14 @@ loadgen-smoke:
 	$(PY) -m repro.traces replay "$(LOADGEN_DIR)/uniform-churn.trace"
 
 ## CI gate for the LRU kernel and the columnar decoder: record a
-## trace in both containers (compressed CALTRC02 and its fixed-record
-## CALTRC01 twin), replay each through the production CLI (timing +
+## CALTRC02 trace, replay it through the production CLI (timing +
 ## hierarchy + shared-L3 modes) and through the per-record oracle in
 ## tests/oracle.py (the same CLI with the oracle's scalar decoder and
 ## replayers swapped in), and require byte-identical statistics output.
+## The recording's CALTRC01 twin (`python -m oracle canonical`, written
+## by the oracle's RecordWriter) goes through `python -m oracle
+## transcode`, the path for old CALTRC01 files: the result must equal
+## the recording byte for byte and replay to the same summaries.
 ## The attack driver and the loadgen composer each record a trace too:
 ## their footers come from the same accountant as the production replay,
 ## so the oracle's timing replay is the independent check of those
@@ -231,55 +234,55 @@ loadgen-smoke:
 ## check.
 kernel-smoke:
 	@$(DEMO_DIR_SETUP); \
+	trace="$$dir/server-churn.trace"; \
 	$(PY) -m repro.traces record --scenario server-churn \
-		--instructions 8000 --compress \
-		--out "$$dir/server-churn.v2.trace"; \
-	$(PY) -m repro.traces record --scenario server-churn \
-		--instructions 8000 --out "$$dir/server-churn.v1.trace"; \
-	for version in v1 v2; do \
-		trace="$$dir/server-churn.$$version.trace"; \
-		for mode in timing hierarchy; do \
-			$(PY) -m repro.traces replay "$$trace" \
-				--mode $$mode > "$$dir/$$version-$$mode-kernel.txt"; \
-			$(ORACLE) replay "$$trace" \
-				--mode $$mode > "$$dir/$$version-$$mode-oracle.txt"; \
-			cmp "$$dir/$$version-$$mode-kernel.txt" \
-				"$$dir/$$version-$$mode-oracle.txt"; \
-		done; \
-		$(PY) -m repro.traces replay-mc "$$trace" \
-			--cores 2 > "$$dir/$$version-mc-kernel.txt"; \
-		$(ORACLE) replay-mc "$$trace" \
-			--cores 2 > "$$dir/$$version-mc-oracle.txt"; \
-		cmp "$$dir/$$version-mc-kernel.txt" "$$dir/$$version-mc-oracle.txt"; \
+		--instructions 8000 --out "$$trace"; \
+	for mode in timing hierarchy; do \
+		$(PY) -m repro.traces replay "$$trace" \
+			--mode $$mode > "$$dir/$$mode-kernel.txt"; \
+		$(ORACLE) replay "$$trace" \
+			--mode $$mode > "$$dir/$$mode-oracle.txt"; \
+		cmp "$$dir/$$mode-kernel.txt" "$$dir/$$mode-oracle.txt"; \
+	done; \
+	$(PY) -m repro.traces replay-mc "$$trace" \
+		--cores 2 > "$$dir/mc-kernel.txt"; \
+	$(ORACLE) replay-mc "$$trace" --cores 2 > "$$dir/mc-oracle.txt"; \
+	cmp "$$dir/mc-kernel.txt" "$$dir/mc-oracle.txt"; \
+	$(ORACLE) canonical "$$trace" --out "$$dir/server-churn.v1.trace"; \
+	$(ORACLE) transcode "$$dir/server-churn.v1.trace" \
+		--out "$$dir/transcoded.trace"; \
+	cmp "$$trace" "$$dir/transcoded.trace"; \
+	for mode in timing hierarchy; do \
+		$(PY) -m repro.traces replay "$$dir/transcoded.trace" \
+			--mode $$mode > "$$dir/$$mode-transcoded.txt"; \
+		cmp "$$dir/$$mode-kernel.txt" "$$dir/$$mode-transcoded.txt"; \
 	done; \
 	$(PY) -m repro.traces record --scenario attack-replay \
 		--instructions 8000 --out "$$dir/attack-replay.trace"; \
 	$(PY) -m repro loadgen generate uniform-churn \
 		--out "$$dir/uniform-churn.trace"; \
 	$(PY) -m repro.traces record --scenario dma-mixed \
-		--instructions 8000 --compress --out "$$dir/dma-mixed.trace"; \
+		--instructions 8000 --out "$$dir/dma-mixed.trace"; \
 	for name in attack-replay uniform-churn dma-mixed; do \
 		trace="$$dir/$$name.trace"; \
 		$(PY) -m repro.traces replay "$$trace" > "$$dir/$$name-kernel.txt"; \
 		$(ORACLE) replay "$$trace" > "$$dir/$$name-oracle.txt"; \
 		cmp "$$dir/$$name-kernel.txt" "$$dir/$$name-oracle.txt"; \
 	done; \
-	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC01 and CALTRC02, on the attack and loadgen writers, and on a pre-warm sweep of several ascending blocks"
+	echo "kernel-smoke: the kernel and the per-record oracle agree on CALTRC02, on a CALTRC01 file transcoded back, on the attack and loadgen writers, and on a pre-warm sweep of several ascending blocks"
 
 ## CI gate for the columnar trace writers: record CALTRC02 traces of
 ## the workload generator (server-churn, and dma-mixed with CFORM
-## walks), a CALTRC01 trace of the attack driver and a composed
-## loadgen trace, then rewrite each through the per-record oracle
-## (tests/oracle.py: scalar decoder, one token probe per record, frames
-## cut by the same rule) and require byte-identical files.
+## walks), the attack driver and a composed loadgen trace, then rewrite
+## each through the per-record oracle (tests/oracle.py: scalar decoder,
+## one token probe per record, frames cut by the same rule) and require
+## byte-identical files.
 encode-smoke:
 	@$(DEMO_DIR_SETUP); \
-	$(PY) -m repro.traces record --scenario server-churn \
-		--instructions 8000 --compress --out "$$dir/server-churn.trace"; \
-	$(PY) -m repro.traces record --scenario dma-mixed \
-		--instructions 8000 --compress --out "$$dir/dma-mixed.trace"; \
-	$(PY) -m repro.traces record --scenario attack-replay \
-		--instructions 8000 --out "$$dir/attack-replay.trace"; \
+	for name in server-churn dma-mixed attack-replay; do \
+		$(PY) -m repro.traces record --scenario $$name \
+			--instructions 8000 --out "$$dir/$$name.trace"; \
+	done; \
 	$(PY) -m repro loadgen generate uniform-churn \
 		--out "$$dir/uniform-churn.trace"; \
 	for name in server-churn dma-mixed attack-replay uniform-churn; do \
@@ -300,13 +303,13 @@ synth-smoke:
 	@$(DEMO_DIR_SETUP); \
 	for name in server-churn dma-mixed; do \
 		$(PY) -m repro.traces record --scenario $$name \
-			--instructions 8000 --compress --out "$$dir/$$name.trace"; \
+			--instructions 8000 --out "$$dir/$$name.trace"; \
 		$(ORACLE) record --scenario $$name \
-			--instructions 8000 --compress --out "$$dir/$$name.oracle.trace"; \
+			--instructions 8000 --out "$$dir/$$name.oracle.trace"; \
 	done; \
 	$(PY) -m repro loadgen generate uniform-churn \
 		--out "$$dir/uniform-churn.trace"; \
-	$(ORACLE) record --load uniform-churn --compress \
+	$(ORACLE) record --load uniform-churn \
 		--out "$$dir/uniform-churn.oracle.trace"; \
 	for name in server-churn dma-mixed uniform-churn; do \
 		cmp "$$dir/$$name.trace" "$$dir/$$name.oracle.trace"; \

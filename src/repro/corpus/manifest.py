@@ -82,7 +82,7 @@ class ManifestEntry:
     instructions: int
     digest: str  # sha256 of the canonical (CALTRC01) byte stream
     records: int
-    raw_bytes: int  # canonical v1 stream length
+    raw_bytes: int  # canonical stream length
     stored_bytes: int  # on-disk (compressed) object size
     #: sha256 of the on-disk object bytes, taken before publishing: a
     #: corpus hit trusts an object (and the run summary in its footer)

@@ -12,11 +12,11 @@ Identity is two-level:
   the recording geometry — keys the manifest: same workload definition,
   same fingerprint, across machines and sessions;
 * the **content digest** — sha256 of the trace's *canonical CALTRC01
-  byte stream* (the v1 serialisation of header, records and footer) —
-  names the object file.  Hashing the canonical stream rather than the
-  on-disk bytes makes identity independent of the storage codec: a
-  recompressed or transcoded object keeps its name, and ``verify`` can
-  check a CALTRC02 file against the digest its v1 twin would have.  A
+  byte stream* (the fixed-record serialisation of header, records and
+  footer; see :mod:`repro.traces.format`) — names the object file.
+  Hashing the canonical stream rather than the on-disk bytes makes
+  identity independent of the storage codec: a recompressed object, or
+  one converted from an old CALTRC01 file, keeps its name.  A
   build hashes that stream while it records (a
   :class:`~repro.traces.format.CanonicalHash` fed the same record blocks
   as the writer); :func:`canonical_digest` re-derives it from a finished
@@ -147,10 +147,10 @@ def spec_fingerprint(
 def canonical_digest(source) -> tuple[str, int, dict]:
     """sha256, length and footer of a trace's canonical CALTRC01 stream.
 
-    Streams the file (any container version) through a
+    Streams the file through a
     :class:`~repro.traces.format.CanonicalHash`, which hashes the exact
-    bytes its v1 serialisation would hold — header ``format`` normalised
-    to ``CALTRC01`` so a transcoded twin hashes identically.  Records
+    bytes its CALTRC01 serialisation would hold — header ``format``
+    normalised to ``CALTRC01``.  Records
     come from :meth:`TraceReader.column_batches`, each batch packed into
     the ``<BQI`` layout and hashed in one update.  A record that layout
     cannot hold (a negative address, an ``arg`` outside ``[0, 2**32)``)
@@ -618,8 +618,8 @@ class CorpusStore:
                     )
                 stored = _HashedFile(handle)
                 result = record_spec(
-                    spec, stored, config=config, compress=True,
-                    canonical=canonical, script=script,
+                    spec, stored, config=config, canonical=canonical,
+                    script=script,
                 )
                 tspan.set("records", canonical.records)
                 tspan.set("stored_bytes", stored.length)

@@ -98,12 +98,11 @@ def _cmd_generate(arguments: argparse.Namespace) -> int:
     scenario = _resolve_one(arguments)
     spec = compose_spec(scenario)
     out = arguments.out or f"{scenario.name}.trace"
-    result = record_spec(spec, out, compress=not arguments.no_compress)
+    result = record_spec(spec, out)
     digest, raw_bytes, footer = canonical_digest(out)
     events = result.events
     print(
-        f"composed {scenario.name} -> {out}"
-        f"{'' if arguments.no_compress else ' (CALTRC02 compressed)'}\n"
+        f"composed {scenario.name} -> {out}\n"
         f"  {scenario.describe()}\n"
         f"  records {footer['records']}  instructions {result.instructions}  "
         f"alloc events {result.alloc_events}  "
@@ -148,10 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     generate.add_argument(
         "--out", default=None,
         help="output trace path (default: <name>.trace)",
-    )
-    generate.add_argument(
-        "--no-compress", action="store_true",
-        help="write the uncompressed CALTRC01 container",
     )
 
     arguments = parser.parse_args(argv)

@@ -20,18 +20,14 @@ Scenario families:
     the hierarchy provides one.
 ``trace_record`` / ``trace_file_replay`` / ``trace_multicore_replay``
     The trace engine (``repro.traces``): recording a registry scenario
-    to an in-memory trace, the streaming bit-identical replay of it, and
-    the 2-core shared-L3 interleaved replay of an antagonist pair.
-``trace_compress`` / ``trace_decompress_replay``
-    The CALTRC02 codec hot paths: transcoding a recorded v1 trace into
-    compressed frames (delta/run-length tokenisation + zlib), and the
-    streaming replay that inflates and de-tokenises frame by frame —
-    the corpus store's write and read sides.
-``trace_columnar_replay`` / ``trace_columnar_mc_replay``
-    Array-native decode + batched tag kernel over a compressed
-    single-core trace and over the 2-core shared-L3 pair (names kept
-    from when a per-record engine ran beside them, so the trajectory
-    stays comparable).
+    to an in-memory CALTRC02 trace, the streaming bit-identical replay
+    of it (frame inflate, columnar decode, batched tag kernel), and the
+    2-core shared-L3 interleaved replay of an antagonist pair.
+``trace_compress``
+    The CALTRC02 encoder: a recorded trace's decoded record columns
+    written through ``CompressedTraceWriter.append_columns``
+    (delta/run-length tokenisation + zlib) — the corpus store's write
+    side.
 ``loadgen_generate``
     The open-loop traffic engine (``repro.loadgen``): composing a
     2-tenant scenario's merged arrival stream and recording it as one
@@ -239,6 +235,7 @@ def _trace_record(quick: bool) -> Workload:
 def _trace_file_replay(quick: bool) -> Workload:
     from io import BytesIO
 
+    from repro.traces.format import TraceReader
     from repro.traces.recorder import record_spec
     from repro.traces.registry import corpus_spec
     from repro.traces.replayer import replay_timing
@@ -247,13 +244,11 @@ def _trace_file_replay(quick: bool) -> Workload:
     buffer = BytesIO()
     record_spec(spec, buffer)
     raw = buffer.getvalue()
+    records = TraceReader(BytesIO(raw)).read_footer()["records"]
 
     def replay_once() -> None:
         replay_timing(BytesIO(raw))
 
-    from repro.traces.format import TraceReader
-
-    records = TraceReader(BytesIO(raw)).read_footer()["records"]
     return replay_once, records
 
 
@@ -283,7 +278,9 @@ def _trace_multicore_replay(quick: bool) -> Workload:
 def _trace_compress(quick: bool) -> Workload:
     from io import BytesIO
 
-    from repro.traces.compress import transcode
+    import numpy as np
+
+    from repro.traces.compress import CompressedTraceWriter
     from repro.traces.format import TraceReader
     from repro.traces.recorder import record_spec
     from repro.traces.registry import corpus_spec
@@ -291,76 +288,20 @@ def _trace_compress(quick: bool) -> Workload:
     spec = corpus_spec("server-churn").scaled(2_000 if quick else 10_000)
     buffer = BytesIO()
     record_spec(spec, buffer)
-    raw = buffer.getvalue()
-    records = TraceReader(BytesIO(raw)).read_footer()["records"]
+    buffer.seek(0)
+    with TraceReader(buffer) as reader:
+        header = reader.header
+        batches = list(reader.column_batches())
+    kinds, addresses, args = (
+        np.concatenate([getattr(batch, column) for batch in batches])
+        for column in ("kind", "address", "arg")
+    )
 
     def compress_once() -> None:
-        transcode(BytesIO(raw), BytesIO(), version=2)
+        with CompressedTraceWriter(BytesIO(), header) as writer:
+            writer.append_columns(kinds, addresses, args)
 
-    return compress_once, records
-
-
-def _trace_decompress_replay(quick: bool) -> Workload:
-    from io import BytesIO
-
-    from repro.traces.format import TraceReader
-    from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
-    from repro.traces.replayer import replay_timing
-
-    spec = corpus_spec("server-churn").scaled(2_000 if quick else 10_000)
-    buffer = BytesIO()
-    record_spec(spec, buffer, compress=True)
-    raw = buffer.getvalue()
-    records = TraceReader(BytesIO(raw)).read_footer()["records"]
-
-    def replay_once() -> None:
-        replay_timing(BytesIO(raw))
-
-    return replay_once, records
-
-
-def _trace_columnar_replay(quick: bool) -> Workload:
-    from io import BytesIO
-
-    from repro.traces.format import TraceReader
-    from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
-    from repro.traces.replayer import replay_timing
-
-    spec = corpus_spec("server-churn").scaled(2_000 if quick else 10_000)
-    buffer = BytesIO()
-    record_spec(spec, buffer, compress=True)
-    raw = buffer.getvalue()
-    records = TraceReader(BytesIO(raw)).read_footer()["records"]
-
-    def replay_once() -> None:
-        replay_timing(BytesIO(raw))
-
-    return replay_once, records
-
-
-def _trace_columnar_mc_replay(quick: bool) -> Workload:
-    from io import BytesIO
-
-    from repro.traces.format import TraceReader
-    from repro.traces.recorder import record_spec
-    from repro.traces.registry import corpus_spec
-    from repro.traces.replayer import replay_multicore
-
-    length = 2_000 if quick else 8_000
-    raws: list[bytes] = []
-    records = 0
-    for name in ("server-churn", "pointer-chase"):
-        buffer = BytesIO()
-        record_spec(corpus_spec(name).scaled(length), buffer)
-        raws.append(buffer.getvalue())
-        records += TraceReader(BytesIO(raws[-1])).read_footer()["records"]
-
-    def replay_once() -> None:
-        replay_multicore([BytesIO(raw) for raw in raws], jobs=1)
-
-    return replay_once, records
+    return compress_once, len(kinds)
 
 
 def _loadgen_generate(quick: bool) -> Workload:
@@ -382,7 +323,7 @@ def _loadgen_generate(quick: bool) -> Workload:
     spec = compose_spec(load)
 
     def generate_once() -> None:
-        record_spec(spec, BytesIO(), compress=True)
+        record_spec(spec, BytesIO())
 
     return generate_once, 1
 
@@ -554,29 +495,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "trace_compress",
-            "CALTRC02 encode: delta/run-length tokenise + deflate a v1 trace",
+            "CALTRC02 encode: tokenise + deflate decoded record columns",
             _trace_compress,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_decompress_replay",
-            "CALTRC02 decode: streaming frame-inflating bit-identical replay",
-            _trace_decompress_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_columnar_replay",
-            "batched decode + kernel replay of a v2 trace",
-            _trace_columnar_replay,
-            default_iterations=10,
-            default_warmup=1,
-        ),
-        Scenario(
-            "trace_columnar_mc_replay",
-            "batched 2-core shared-L3 replay of the mc pair",
-            _trace_columnar_mc_replay,
             default_iterations=10,
             default_warmup=1,
         ),

@@ -2,9 +2,10 @@
 
 Workloads become first-class artifacts: the recorder taps a live driver
 (the workload generator, or the attack-suite campaign driver) and
-streams its event stream to a compact versioned binary format —
-fixed-record ``CALTRC01`` or frame-compressed ``CALTRC02`` (readers
-auto-detect; replay statistics are identical).  The replayer reproduces
+streams its event stream to one compact binary container, the
+frame-compressed ``CALTRC02`` (:mod:`repro.traces.format`; a trace's
+identity is the sha256 of its canonical fixed-record stream, taken by
+:class:`~repro.traces.format.CanonicalHash`).  The replayer reproduces
 the live run's cycle/exception statistics bit-identically from the
 file; the scenario registry names 8 declarative realistic mixes (plus
 named multi-core mixes); sharded replay splits a trace at epoch
@@ -17,13 +18,11 @@ content-addressed corpus store in :mod:`repro.corpus` builds on all of
 this.
 """
 
-from repro.traces.compress import CompressedTraceWriter, transcode
+from repro.traces.compress import CompressedTraceWriter
 from repro.traces.format import (
     TraceFormatError,
     TraceIntegrityError,
     TraceReader,
-    TraceWriter,
-    trace_writer,
 )
 from repro.traces.recorder import RecordingSink, live_run, record_spec
 from repro.traces.registry import (
@@ -60,7 +59,6 @@ __all__ = [
     "TraceIntegrityError",
     "TraceReader",
     "TraceScenarioSpec",
-    "TraceWriter",
     "corpus_spec",
     "expand_core_names",
     "live_run",
@@ -72,6 +70,4 @@ __all__ = [
     "replay_shards",
     "replay_timing",
     "shard_trace",
-    "trace_writer",
-    "transcode",
 ]

@@ -4,7 +4,6 @@ Subcommands::
 
     list                              show the scenario corpus (and mixes)
     record  --scenario NAME --out F   record a registry scenario
-                                      (--compress writes CALTRC02)
     info    TRACE [--frames]          header + footer + compression stats
     replay  TRACE [--mode ...]        single-process replay
     shard   TRACE --out-dir D -n N    split into N per-epoch-range shards
@@ -32,6 +31,7 @@ import argparse
 import os
 import sys
 
+from repro.traces.compress import compression_summary
 from repro.traces.format import TraceFormatError, TraceIntegrityError, TraceReader
 from repro.traces.recorder import record_spec
 from repro.traces.registry import (
@@ -83,11 +83,10 @@ def _resolve_spec(arguments: argparse.Namespace):
 
 def _cmd_record(arguments: argparse.Namespace) -> int:
     spec = _resolve_spec(arguments)
-    result = record_spec(spec, arguments.out, compress=arguments.compress)
+    result = record_spec(spec, arguments.out)
     events = result.events
     print(
-        f"recorded {spec.name} -> {arguments.out}"
-        f"{' (CALTRC02 compressed)' if arguments.compress else ''}\n"
+        f"recorded {spec.name} -> {arguments.out}\n"
         f"  instructions {result.instructions}  "
         f"alloc events {result.alloc_events}  "
         f"cform instructions {result.cform_instructions}\n"
@@ -99,14 +98,10 @@ def _cmd_record(arguments: argparse.Namespace) -> int:
 
 def _cmd_info(arguments: argparse.Namespace) -> int:
     with TraceReader(arguments.trace) as reader:
-        version = reader.version
         header = reader.header
         footer = reader.read_footer()
     spec = header.get("spec", {})
-    print(
-        f"format   {header.get('format')} (v{version}, "
-        f"{'per-epoch compressed frames' if version == 2 else '13 B fixed records'})"
-    )
+    print(f"format   {header.get('format')} (per-epoch compressed frames)")
     print(
         f"scenario {spec.get('name')}  policy {spec.get('policy') or 'baseline'}"
         f"{' +CFORM' if spec.get('with_cform') else ''}  seed {spec.get('seed')}"
@@ -126,28 +121,25 @@ def _cmd_info(arguments: argparse.Namespace) -> int:
             print(f"{key:19s}{footer[key]}")
     if "events" in footer:
         print(f"{'events':19s}{footer['events']}")
-    if version == 2:
-        from repro.traces.compress import compression_summary
-
-        summary = compression_summary(arguments.trace, footer.get("records", 0))
-        print(
-            f"{'compression':19s}{summary['ratio']:.1f}x "
-            f"({summary['raw_record_bytes']} B of records in "
-            f"{summary['payload_bytes']} B of frame payload)"
-        )
-        print(
-            f"{'frames':19s}{summary['frames']}  "
-            f"records/frame min {summary['records_per_frame_min']} / "
-            f"avg {summary['records_per_frame_avg']:.0f} / "
-            f"max {summary['records_per_frame_max']}"
-        )
-        if arguments.frames:
-            for index, (records, payload) in enumerate(summary["frame_detail"]):
-                bytes_per_record = payload / records if records else 0.0
-                print(
-                    f"  frame {index:4d}  {records:8d} records  "
-                    f"{payload:8d} B  {bytes_per_record:5.2f} B/record"
-                )
+    summary = compression_summary(arguments.trace, footer.get("records", 0))
+    print(
+        f"{'compression':19s}{summary['ratio']:.1f}x "
+        f"({summary['raw_record_bytes']} B of records in "
+        f"{summary['payload_bytes']} B of frame payload)"
+    )
+    print(
+        f"{'frames':19s}{summary['frames']}  "
+        f"records/frame min {summary['records_per_frame_min']} / "
+        f"avg {summary['records_per_frame_avg']:.0f} / "
+        f"max {summary['records_per_frame_max']}"
+    )
+    if arguments.frames:
+        for index, (records, payload) in enumerate(summary["frame_detail"]):
+            bytes_per_record = payload / records if records else 0.0
+            print(
+                f"  frame {index:4d}  {records:8d} records  "
+                f"{payload:8d} B  {bytes_per_record:5.2f} B/record"
+            )
     return 0
 
 
@@ -281,11 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override the spec's trace length",
     )
     record.add_argument("--out", required=True, help="output trace path")
-    record.add_argument(
-        "--compress", action="store_true",
-        help="write the CALTRC02 frame-compressed container "
-        "(replay statistics are identical either way)",
-    )
 
     info = commands.add_parser(
         "info", help="print header/footer/compression summary"
@@ -293,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     info.add_argument("trace")
     info.add_argument(
         "--frames", action="store_true",
-        help="also list per-epoch frame statistics (CALTRC02 only)",
+        help="also list per-epoch frame statistics",
     )
 
     replay = commands.add_parser("replay", help="replay one trace file")

@@ -1,12 +1,11 @@
 """CALTRC02: the epoch-framed compressed trace format.
 
-``CALTRC01`` (:mod:`repro.traces.format`) persists one fixed 13-byte
-struct per record — simple, seekable, but cold traces are highly
-redundant: addresses walk in small strides, ``arg`` is almost always the
-access width, and scans/pre-warm loops emit thousands of constant-stride
-touches.  ``CALTRC02`` keeps the container shape (magic, JSON header,
-record stream, JSON footer) but stores the record stream as a sequence of
-independently decodable *frames*:
+Cold traces are highly redundant: addresses walk in small strides,
+``arg`` is almost always the access width, and scans/pre-warm loops emit
+thousands of constant-stride touches.  ``CALTRC02`` (the container of
+:mod:`repro.traces.format`: magic, JSON header, record stream, JSON
+footer) stores the record stream as a sequence of independently
+decodable *frames*:
 
 * one frame per recorded **epoch** (the sink's shard split points), so
   frame boundaries coincide with the only legal shard boundaries and
@@ -17,8 +16,8 @@ independently decodable *frames*:
   (scans, the pre-warm sweep, CFORM line walks) into one token;
 * the token stream is then **zlib-deflated**, frame by frame.
 
-Frame wire format (after the v1-shaped ``magic + u32 header-length +
-header JSON`` preamble, all integers little-endian)::
+Frame wire format (after the ``magic + u32 header-length + header
+JSON`` preamble, all integers little-endian)::
 
     0x01  u32 record_count  u32 payload_length  <deflate(tokens)>   * N
     0xFF  u32 footer_length  <footer JSON>
@@ -42,6 +41,7 @@ never changes what the replayers see, only how many bytes hold it.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from typing import BinaryIO, Iterator
@@ -51,16 +51,13 @@ import numpy as np
 from repro.memory.kernel import check_kinds
 from repro.telemetry.runtime import active as telemetry_active
 from repro.traces.format import (
+    _HEADER_LEN,
     EV_EPOCH,
     MAGIC,
     RECORD_SIZE,
     TraceFormatError,
     TraceReader,
-    TraceWriterBase,
 )
-
-#: The compressed container's magic (same family, next version digit).
-MAGIC_V2 = b"CALTRC02"
 
 #: Frame type bytes.
 FRAME_RECORDS = 0x01
@@ -464,28 +461,50 @@ def _int64_column(values, column: str) -> np.ndarray:
     return result
 
 
-class CompressedTraceWriter(TraceWriterBase):
-    """Streaming CALTRC02 writer; drop-in for :class:`TraceWriter`.
+class CompressedTraceWriter:
+    """Streaming CALTRC02 writer: header first, frames, footer last.
 
-    Identical interface (``append`` / ``append_columns`` /
-    ``set_footer`` / ``close`` / ``abort`` / context manager /
-    ``record_count``): the recorder, the sharder and :func:`transcode`
-    pick their writer by format version and never look inside.  The
-    target/preamble/abort plumbing is the shared
-    :class:`~repro.traces.format.TraceWriterBase`; this class owns the
-    unfinished frame, kept as the column blocks it arrived in.  Each
-    block is checked, cut into frames (after every EPOCH record, and
-    wherever a frame reaches :data:`MAX_FRAME_RECORDS`), and the frames
-    it completes are encoded together by :func:`_encode_frames`.
+    ``target`` is a path or a binary file object (e.g. ``io.BytesIO``).
+    Use as a context manager, or call :meth:`close` after the footer::
+
+        with CompressedTraceWriter("x.trace", header) as writer:
+            writer.append_columns(kinds, addresses, args)
+            ...
+            writer.set_footer({"records": writer.record_count})
+
+    The header is serialised *before* the target is opened, so a
+    non-JSON-able header never leaves an empty file or a leaked
+    descriptor behind.  The writer holds the unfinished frame as the
+    column blocks it arrived in.  Each block is checked, cut into frames
+    (after every EPOCH record, and wherever a frame reaches
+    :data:`MAX_FRAME_RECORDS`), and the frames it completes are encoded
+    together by :func:`_encode_frames`.
     """
 
-    MAGIC_BYTES = MAGIC_V2
-
     def __init__(self, target: str | BinaryIO, header: dict):
-        super().__init__(target, header)
-        self.frame_count = 0
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        if isinstance(target, str):
+            self._file: BinaryIO = open(target, "wb")
+            self._owns_file = True
+        else:
+            self._file = target
+            self._owns_file = False
+        self.record_count = 0
+        self._footer: dict | None = None
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._pending_records = 0
+        try:
+            self._file.write(MAGIC)
+            self._file.write(_HEADER_LEN.pack(len(header_bytes)))
+            self._file.write(header_bytes)
+        except BaseException:
+            if self._owns_file:
+                self._file.close()
+            raise
+
+    def append(self, kind: int, address: int, arg: int) -> None:
+        """Append one record: the one-row case of :meth:`append_columns`."""
+        self.append_columns((kind,), (address,), (arg,))
 
     def append_columns(self, kinds, addresses, args) -> None:
         """Append a block of records; writes every frame it completes.
@@ -528,20 +547,46 @@ class CompressedTraceWriter(TraceWriterBase):
             np.concatenate(column) for column in zip(*self._pending)
         )
         self._file.write(_encode_frames(kinds, addresses, args, lengths))
-        self.frame_count += len(lengths)
         self._discard_buffer()
 
     def _discard_buffer(self) -> None:
         self._pending.clear()
         self._pending_records = 0
 
+    def set_footer(self, footer: dict) -> None:
+        """Provide the summary written after the terminator."""
+        self._footer = dict(footer)
+
     def close(self) -> None:
         if self._pending_records:
             self._write_frames([self._pending_records])
-        footer_bytes = self._footer_bytes()
+        footer_bytes = json.dumps(self._footer or {}, sort_keys=True).encode(
+            "utf-8"
+        )
         self._file.write(_FRAME_END_HEAD.pack(FRAME_END, len(footer_bytes)))
         self._file.write(footer_bytes)
-        self._finish()
+        self._file.flush()
+        if self._owns_file:
+            self._file.close()
+
+    def abort(self) -> None:
+        """Close without writing a terminator/footer (error cleanup).
+
+        The file is left deliberately invalid-on-read; callers should
+        unlink it.
+        """
+        self._discard_buffer()
+        if self._owns_file:
+            self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 # -- streaming reader side (driven by TraceReader) ----------------------------
@@ -563,7 +608,7 @@ def _read_exact(
 
 
 def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
-    """Walk a CALTRC02 reader's frames: ``(frame_offset, records, payload)``.
+    """Walk a reader's frames: ``(frame_offset, records, payload)``.
 
     The stream layer under columnar iteration: reads each record frame's
     header + compressed payload, parses the terminator frame's footer
@@ -571,8 +616,6 @@ def _iter_frames(reader: TraceReader) -> Iterator[tuple[int, int, bytes]]:
     offending frame's byte offset.  Payload decoding is the caller's
     business.
     """
-    import json
-
     file = reader._file
     path = reader.path
     position = reader.data_offset  # offset of the next frame's type byte
@@ -632,8 +675,6 @@ def tail_footer(reader: TraceReader) -> dict:
     whose ``<BI`` head's length equals the bytes after the head; if none
     is, the tail is damaged and :class:`TraceFormatError` is raised.
     """
-    import json
-
     data = reader._file.read()
     position = len(data)
     for _ in range(_FRAME_END_HEAD.size):
@@ -741,10 +782,6 @@ def frame_stats(path: str) -> list[tuple[int, int]]:
     file, by scanning frame headers and seeking past payloads — no
     decompression, so ``trace info`` stays cheap on big traces."""
     with TraceReader(path) as reader:
-        if reader.version != 2:
-            raise TraceFormatError(
-                f"{path} is not a compressed (CALTRC02) trace"
-            )
         file = reader._file
         frames: list[tuple[int, int]] = []
         position = reader.data_offset
@@ -779,7 +816,8 @@ def frame_stats(path: str) -> list[tuple[int, int]]:
 
 
 def compression_summary(path: str, records: int) -> dict:
-    """Ratio + frame aggregates for ``trace info`` (CALTRC02 only)."""
+    """Ratio + frame aggregates for ``trace info``; the raw size is the
+    canonical stream's 13 bytes per record."""
     frames = frame_stats(path)
     payload_bytes = sum(size for _, size in frames)
     raw_bytes = records * RECORD_SIZE
@@ -794,29 +832,3 @@ def compression_summary(path: str, records: int) -> dict:
         "records_per_frame_avg": (records / len(frames)) if frames else 0.0,
         "frame_detail": frames,
     }
-
-
-# -- transcoding --------------------------------------------------------------
-
-
-def transcode(source, target, version: int) -> int:
-    """Stream any-version ``source`` into ``target`` at ``version``.
-
-    Preserves the header (with ``format`` updated), every record, and the
-    footer byte-for-byte in JSON terms, so the canonical identity — and
-    every replay statistic — is unchanged.  Returns the record count.
-    """
-    from repro.traces.format import trace_writer
-
-    magic = {1: MAGIC, 2: MAGIC_V2}.get(version)
-    if magic is None:
-        raise ValueError(f"unknown trace format version {version}")
-    with TraceReader(source) as reader:
-        header = dict(reader.header)
-        if "format" in header:
-            header["format"] = magic.decode("ascii")
-        with trace_writer(target, header, version=version) as writer:
-            for batch in reader.column_batches():
-                writer.append_columns(batch.kind, batch.address, batch.arg)
-            writer.set_footer(reader.read_footer())
-    return writer.record_count

@@ -1,16 +1,17 @@
-"""The Califorms trace format: compact, versioned, streamable.
+"""The Califorms trace format: one container, one canonical stream.
 
 A trace file is a persisted workload — the exact event stream one
 :func:`repro.workloads.generator.run_trace` run pushed through the cache
 ladder, plus enough metadata to rebuild the run and verify the replay.
 
-Layout (all integers little-endian)::
+The container is ``CALTRC02`` (all integers little-endian)::
 
-    magic    8 bytes   b"CALTRC01" (version is part of the magic)
+    magic    8 bytes   b"CALTRC02" (version is part of the magic)
     u32      header length in bytes
     JSON     header: scenario spec, cache geometry, format constants
-    records  13-byte packed records, ``<BQI`` = (kind, address, arg)
-    record   terminator: kind=0xFF, address=0, arg=<footer length>
+    frames   per-epoch compressed record frames (delta/run-length
+             tokens + zlib; see :mod:`repro.traces.compress`)
+    frame    terminator: 0xFF, u32 footer length
     JSON     footer: summary statistics of the recorded run
 
 Record kinds are the ``EV_*`` record stream of
@@ -22,24 +23,27 @@ replay, load/store width for hierarchy replay); CFORM is one
 nothing; WARM marks the end-of-warmup counter reset; EPOCH markers sit
 between bursts and are the only legal shard split points.
 
-Both :class:`TraceWriter` and :class:`TraceReader` stream: the writer
-buffers a bounded number of packed records before flushing, the reader
-decodes the file in bounded column batches
-(:meth:`TraceReader.column_batches`, its one record decoder) — neither
-ever holds a full trace in memory, so traces are bounded by disk, not by
-RAM.
+A trace's identity is the sha256 of its **canonical stream**
+(:class:`CanonicalHash`), a fixed-record serialisation that production
+hashes but never writes::
 
-Two container versions share this module's reader:
+    magic    b"CALTRC01"
+    u32      header length, then the header JSON (``format`` normalised
+             to ``"CALTRC01"``)
+    records  13-byte packed records, ``<BQI`` = (kind, address, arg)
+    record   terminator: kind=0xFF, address=0, arg=<footer length>
+    JSON     footer
 
-* ``CALTRC01`` — the layout above (one fixed 13-byte struct per record);
-* ``CALTRC02`` — the same preamble and footer semantics, but the record
-  stream is stored as per-epoch compressed frames (delta/run-length
-  tokens + zlib; see :mod:`repro.traces.compress`).
+It is the layout of the retired CALTRC01 container, so the digest of a
+CALTRC02 trace equals the sha256 of its CALTRC01 twin; the per-record
+reference in ``tests/oracle.py`` reads and writes that layout, and
+``python -m oracle transcode`` turns an old CALTRC01 file into CALTRC02.
 
-:class:`TraceReader` detects the version from the magic and yields the
-identical ``(kind, address, arg)`` columns either way, so every consumer
-(replay, shard, digest, multi-core, info) is version-agnostic; writers
-are chosen per version through :func:`trace_writer`.
+:class:`TraceReader` streams: it decodes the file in bounded column
+batches (:meth:`TraceReader.column_batches`, its one record decoder),
+and the writer (:class:`~repro.traces.compress.CompressedTraceWriter`)
+holds at most one unfinished frame, so traces are bounded by disk, not
+by RAM.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from repro.telemetry.runtime import active as telemetry_active
 from repro.memory.kernel import (  # noqa: F401  (re-exported)
     EV_ALLOC,
     EV_CFORM,
@@ -63,13 +66,12 @@ from repro.memory.kernel import (  # noqa: F401  (re-exported)
     EV_WARM,
 )
 
-#: Bump the trailing digits when the binary layout changes shape.
-MAGIC = b"CALTRC01"
+#: The container's magic; bump the trailing digits when the binary
+#: layout changes shape.
+MAGIC = b"CALTRC02"
 
-#: The compressed container's magic; canonical home is
-#: :data:`repro.traces.compress.MAGIC_V2` (kept as a private alias here
-#: so version sniffing needs no import of the codec module).
-_MAGIC_V2 = b"CALTRC02"
+#: The canonical stream's magic (the retired fixed-record container's).
+CANONICAL_MAGIC = b"CALTRC01"
 
 #: Terminator record kind; its ``arg`` is the footer's byte length.
 EV_END = 0xFF
@@ -146,8 +148,8 @@ class RecordColumns:
     addresses are far below 2**63; signed width keeps delta/cumsum
     arithmetic and Python-int round-trips exact).  Row ``i`` of the three
     arrays is record ``i`` of the batch, in stream order — a batch holds
-    a group of CALTRC02 frames or one CALTRC01 read chunk, and batch
-    boundaries never change the concatenated record stream.
+    a group of frames, and batch boundaries never change the
+    concatenated record stream.
     """
 
     kind: np.ndarray
@@ -159,7 +161,7 @@ class RecordColumns:
 
 
 def pack_records(kinds, addresses, args, first: int = 0) -> bytes:
-    """Record columns as packed ``<BQI`` rows: the CALTRC01 record bytes.
+    """Record columns as packed ``<BQI`` rows: the canonical record bytes.
 
     Raises :class:`TraceFormatError` for a record the layout cannot
     hold — a negative address, or an ``arg`` outside ``[0, 2**32)`` —
@@ -188,14 +190,14 @@ class CanonicalHash:
 
     Fed in stream order — :meth:`begin` with the header, :meth:`consume`
     with each block of record columns, :meth:`end` with the footer — it
-    hashes the exact bytes a v1 serialisation of the trace would hold:
-    the magic, the header with ``format`` normalised to ``CALTRC01`` (so
-    a transcoded twin hashes identically), the packed ``<BQI`` rows of
-    :func:`pack_records`, the terminator and the footer.  A recorder
-    feeds it while writing (its :meth:`consume` is a record-stream
-    consumer); :func:`repro.corpus.store.canonical_digest` feeds it from
-    a decode of a finished file.  Header and footer go through one JSON
-    round trip, so both feeders hash what a reader would parse.
+    hashes the canonical stream of the module docstring: the magic, the
+    header with ``format`` normalised to ``CALTRC01``, the packed
+    ``<BQI`` rows of :func:`pack_records`, the terminator and the
+    footer.  A recorder feeds it while writing (its :meth:`consume` is a
+    record-stream consumer); :func:`repro.corpus.store.canonical_digest`
+    feeds it from a decode of a finished file.  Header and footer go
+    through one JSON round trip, so both feeders hash what a reader
+    would parse.
     """
 
     __slots__ = ("_sha", "length", "records", "hexdigest")
@@ -214,9 +216,9 @@ class CanonicalHash:
     def begin(self, header: dict) -> None:
         header = json.loads(json.dumps(header))
         if "format" in header:
-            header["format"] = MAGIC.decode("ascii")
+            header["format"] = CANONICAL_MAGIC.decode("ascii")
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        self._feed(MAGIC)
+        self._feed(CANONICAL_MAGIC)
         self._feed(_HEADER_LEN.pack(len(header_bytes)))
         self._feed(header_bytes)
 
@@ -234,134 +236,6 @@ class CanonicalHash:
         self._feed(footer_bytes)
         self.hexdigest = self._sha.hexdigest()
         return self.hexdigest
-
-
-class TraceWriterBase:
-    """Shared plumbing of the streaming trace writers.
-
-    Handles everything that is identical across container versions —
-    path-vs-file-object ownership, the ``magic + header-length + header
-    JSON`` preamble (serialised *before* opening, so a non-JSON-able
-    header never leaves an empty file or a leaked descriptor behind),
-    footer stashing, :meth:`abort` and the context-manager protocol.
-    Subclasses define :attr:`MAGIC_BYTES`, the record buffer
-    (:meth:`append_columns` / :meth:`_discard_buffer`) and :meth:`close`.
-    """
-
-    MAGIC_BYTES: bytes
-
-    def __init__(self, target: str | BinaryIO, header: dict):
-        self.header = dict(header)
-        header_bytes = json.dumps(self.header, sort_keys=True).encode("utf-8")
-        if isinstance(target, str):
-            self._file: BinaryIO = open(target, "wb")
-            self._owns_file = True
-        else:
-            self._file = target
-            self._owns_file = False
-        self.record_count = 0
-        self._footer: dict | None = None
-        try:
-            self._file.write(self.MAGIC_BYTES)
-            self._file.write(_HEADER_LEN.pack(len(header_bytes)))
-            self._file.write(header_bytes)
-        except BaseException:
-            if self._owns_file:
-                self._file.close()
-            raise
-
-    def append_columns(self, kinds, addresses, args) -> None:
-        """Append a block of records given as columns (a writer's
-        :class:`~repro.memory.kernel.RecordBuffer` consumer)."""
-        raise NotImplementedError
-
-    def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record: the one-row case of :meth:`append_columns`."""
-        self.append_columns((kind,), (address,), (arg,))
-
-    def set_footer(self, footer: dict) -> None:
-        """Provide the summary written after the terminator."""
-        self._footer = dict(footer)
-
-    def _footer_bytes(self) -> bytes:
-        return json.dumps(self._footer or {}, sort_keys=True).encode("utf-8")
-
-    def _discard_buffer(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def abort(self) -> None:
-        """Close without writing a terminator/footer (error cleanup).
-
-        The file is left deliberately invalid-on-read; callers should
-        unlink it.
-        """
-        self._discard_buffer()
-        if self._owns_file:
-            self._file.close()
-
-    def _finish(self) -> None:
-        """Flush and release the target (the tail of every close())."""
-        self._file.flush()
-        if self._owns_file:
-            self._file.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-class TraceWriter(TraceWriterBase):
-    """Streaming CALTRC01 writer: header, packed records, footer last.
-
-    ``target`` is a path or a binary file object (e.g. ``io.BytesIO``).
-    Use as a context manager, or call :meth:`close` with the footer::
-
-        with TraceWriter("x.trace", header) as writer:
-            writer.append(EV_LOAD, 0x1000, 8)
-            ...
-            writer.set_footer({"records": writer.record_count})
-    """
-
-    MAGIC_BYTES = MAGIC
-
-    #: Packed records buffered before a file write (~64 KB).
-    FLUSH_RECORDS = 5000
-
-    def __init__(self, target: str | BinaryIO, header: dict):
-        super().__init__(target, header)
-        self._buffer: list[bytes] = []
-        self._buffered = 0
-
-    def append_columns(self, kinds, addresses, args) -> None:
-        """Append a block of records, packed by :func:`pack_records`."""
-        self._buffer.append(
-            pack_records(kinds, addresses, args, first=self.record_count)
-        )
-        self.record_count += len(kinds)
-        self._buffered += len(kinds)
-        if self._buffered >= self.FLUSH_RECORDS:
-            self._file.write(b"".join(self._buffer))
-            self._discard_buffer()
-
-    def _discard_buffer(self) -> None:
-        self._buffer.clear()
-        self._buffered = 0
-
-    def close(self) -> None:
-        footer_bytes = self._footer_bytes()
-        self._buffer.append(RECORD.pack(EV_END, 0, len(footer_bytes)))
-        self._file.write(b"".join(self._buffer))
-        self._discard_buffer()
-        self._file.write(footer_bytes)
-        self._finish()
 
 
 class TraceReader:
@@ -386,20 +260,23 @@ class TraceReader:
             self.path = name if isinstance(name, str) else None
         try:
             magic = self._file.read(len(MAGIC))
-            if magic == MAGIC:
-                self.version = 1
-            elif magic == _MAGIC_V2:
-                self.version = 2
-            elif len(magic) < len(MAGIC):
+            if magic == CANONICAL_MAGIC:
+                raise self.error(
+                    "CALTRC01 trace: only CALTRC02 is read; convert it with "
+                    "`PYTHONPATH=src:tests python -m oracle transcode OLD "
+                    "--out NEW`",
+                    offset=0,
+                )
+            if len(magic) < len(MAGIC):
                 raise self.error(
                     f"truncated trace: file ends inside the magic "
                     f"({len(magic)} bytes)",
                     offset=0,
                 )
-            else:
+            if magic != MAGIC:
                 raise self.error(
                     f"not a Califorms trace (magic {magic!r}, wanted "
-                    f"{MAGIC!r} or {_MAGIC_V2!r})",
+                    f"{MAGIC!r})",
                     offset=0,
                 )
             try:
@@ -438,93 +315,24 @@ class TraceReader:
         """A :class:`TraceFormatError` located in this reader's file."""
         return TraceFormatError(detail, path=self.path, offset=offset)
 
-    #: Records per column batch on the v1 path (64 Ki records ≈ 832 KB
-    #: resident): one numpy batch amortises per-batch cost over many
-    #: records while keeping memory bounded.
-    COLUMN_CHUNK_RECORDS = 1 << 16
-
     def column_batches(self) -> Iterator[RecordColumns]:
         """Yield the record stream as :class:`RecordColumns` batches.
 
         The reader's only record decoder: the concatenation of the
         yielded batches is the ``(kind, address, arg)`` stream, and
-        :attr:`footer` is populated once the terminator is reached.  v2
-        (CALTRC02) batches are groups of epoch frames decoded straight
-        from the token stream
-        (:func:`repro.traces.compress.iter_compressed_columns`); v1
-        batches are fixed-size read chunks lifted via ``np.frombuffer``.
+        :attr:`footer` is populated once the terminator is reached.
+        Batches are groups of epoch frames decoded straight from the
+        token stream (:func:`repro.traces.compress.iter_compressed_columns`).
 
         The stream is single-pass: repeated calls return the *same*
         iterator, so a partially consumed iteration can be resumed and
         :meth:`read_footer` drains from wherever iteration stopped.
         """
         if self._batches is None:
-            if self.version == 2:
-                from repro.traces.compress import iter_compressed_columns
+            from repro.traces.compress import iter_compressed_columns
 
-                self._batches = iter_compressed_columns(self)
-            else:
-                self._batches = self._iter_columns_v1()
+            self._batches = iter_compressed_columns(self)
         return self._batches
-
-    def _iter_columns_v1(self) -> Iterator[RecordColumns]:
-        dtype = RECORD_DTYPE
-        chunk_bytes = self.COLUMN_CHUNK_RECORDS * RECORD_SIZE
-        pending = b""
-        position = self.data_offset  # file offset of the next record
-        while True:
-            chunk = pending + self._file.read(chunk_bytes)
-            if not chunk:
-                raise self.error(
-                    "trace ends without a terminator record", offset=position
-                )
-            usable = len(chunk) - (len(chunk) % RECORD_SIZE)
-            if usable == 0:
-                raise self.error("truncated trace record", offset=position)
-            rows = np.frombuffer(chunk, dtype=dtype, count=usable // RECORD_SIZE)
-            kinds = rows["kind"]
-            terminators = np.flatnonzero(kinds == EV_END)
-            stop = int(terminators[0]) if terminators.size else len(rows)
-            if stop:
-                batch = rows[:stop]
-                addresses = batch["address"]
-                if bool((addresses >> np.uint64(63)).any()):
-                    raise self.error(
-                        "record address exceeds the columnar engine's "
-                        "int64 range", offset=position,
-                    )
-                tel = telemetry_active()
-                if tel is not None:
-                    tel.inc("decode_records_total", stop, format="v1")
-                yield RecordColumns(
-                    kind=np.ascontiguousarray(batch["kind"]),
-                    address=addresses.astype(np.int64),
-                    arg=batch["arg"].astype(np.int64),
-                )
-            if terminators.size:
-                footer_length = int(rows["arg"][stop])
-                tail = chunk[(stop + 1) * RECORD_SIZE :]
-                self._read_footer_bytes(
-                    footer_length, tail, position + (stop + 1) * RECORD_SIZE
-                )
-                return
-            pending = chunk[usable:]
-            position += usable
-
-    def _read_footer_bytes(
-        self, length: int, already_read: bytes, offset: int | None = None
-    ) -> None:
-        footer_bytes = already_read[:length]
-        if len(footer_bytes) < length:
-            footer_bytes += self._file.read(length - len(footer_bytes))
-        if len(footer_bytes) != length:
-            raise self.error("truncated trace footer", offset=offset)
-        try:
-            self.footer = json.loads(footer_bytes)
-        except ValueError as error:  # bad JSON or bad UTF-8
-            raise self.error(
-                f"corrupt trace footer JSON: {error}", offset=offset
-            ) from None
 
     def read_footer(self) -> dict:
         """Drain remaining records and return the footer summary.
@@ -548,23 +356,6 @@ class TraceReader:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def trace_writer(target: str | BinaryIO, header: dict, version: int = 1):
-    """Open a streaming writer for the requested container version.
-
-    Version 1 is the fixed-record :class:`TraceWriter`; version 2 the
-    frame-compressed :class:`~repro.traces.compress.CompressedTraceWriter`.
-    Both expose the same interface, so callers (recorder, sharder,
-    transcoder) stay version-agnostic.
-    """
-    if version == 1:
-        return TraceWriter(target, header)
-    if version == 2:
-        from repro.traces.compress import CompressedTraceWriter
-
-        return CompressedTraceWriter(target, header)
-    raise ValueError(f"unknown trace format version {version}")
 
 
 def read_header(path: str) -> dict:

@@ -4,8 +4,9 @@ The writers own the workload logic; the recorder only listens.  A
 :class:`RecordingSink` is handed to a writer (``run_trace``,
 ``run_attack_trace`` or the loadgen composer) as its ``sink``: the
 writer's :class:`~repro.memory.kernel.RecordBuffer` hands every block of
-records to the streaming :class:`~repro.traces.format.TraceWriter` as
-well as to the timing accountant, and the sink drops an EPOCH marker
+records to the streaming
+:class:`~repro.traces.compress.CompressedTraceWriter` as well as to the
+timing accountant, and the sink drops an EPOCH marker
 into the stream every ``epoch_bursts`` bursts (the shard split points).
 The trace therefore holds exactly the stream the live
 :class:`~repro.workloads.generator.RunResult` was counted from;
@@ -23,14 +24,8 @@ import os
 import numpy as np
 
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig
-from repro.traces.compress import MAGIC_V2
-from repro.traces.format import (
-    EV_EPOCH,
-    MAGIC,
-    CanonicalHash,
-    TraceWriterBase,
-    trace_writer,
-)
+from repro.traces.compress import CompressedTraceWriter
+from repro.traces.format import EV_EPOCH, MAGIC, CanonicalHash
 from repro.traces.registry import SPEC_VERSION, TraceScenarioSpec
 from repro.workloads.generator import RunResult, Script, run_trace
 
@@ -43,7 +38,7 @@ class RecordingSink:
 
     def __init__(
         self,
-        writer: TraceWriterBase,
+        writer: CompressedTraceWriter,
         epoch_bursts: int,
         canonical: CanonicalHash | None = None,
     ):
@@ -139,7 +134,6 @@ def record_spec(
     spec: TraceScenarioSpec,
     target,
     config: HierarchyConfig = WESTMERE,
-    compress: bool = False,
     canonical: CanonicalHash | None = None,
     script: Script | None = None,
 ) -> RunResult:
@@ -148,9 +142,7 @@ def record_spec(
     Runs the spec's driver live with the recording sink attached and
     returns the live :class:`RunResult`; the trace's footer carries the
     result's statistics so any replay can verify itself against the
-    recording.  ``compress`` selects the CALTRC02 frame-compressed
-    container (the logical record stream — and hence every replay
-    statistic — is identical either way).
+    recording.
 
     ``canonical``, a fresh :class:`CanonicalHash`, is fed the header,
     every record block and the footer as they are written: afterwards
@@ -160,14 +152,14 @@ def record_spec(
     once and shared (the run's memo); without one the driver draws.
     """
     header = {
-        "format": (MAGIC_V2 if compress else MAGIC).decode("ascii"),
+        "format": MAGIC.decode("ascii"),
         "spec_version": SPEC_VERSION,
         "spec": spec.to_dict(),
         "geometry": _geometry_dict(config),
     }
     try:
         return _record_to_writer(
-            spec, target, config, header, compress, canonical, script
+            spec, target, config, header, canonical, script
         )
     except BaseException:
         # A failed/interrupted recording must not leave a terminator-less
@@ -181,12 +173,12 @@ def record_spec(
 
 
 def _record_to_writer(
-    spec, target, config, header, compress, canonical, script
+    spec, target, config, header, canonical, script
 ) -> RunResult:
     shared = {} if script is None else {"script": script}
     if canonical is not None:
         canonical.begin(header)
-    with trace_writer(target, header, version=2 if compress else 1) as writer:
+    with CompressedTraceWriter(target, header) as writer:
         sink = RecordingSink(writer, spec.epoch_bursts, canonical)
         result = _driver_for(spec)(
             spec.profile,

@@ -68,14 +68,13 @@ from repro.memory.kernel import (
 from repro.memory.multicore import SharedL3Kernel
 from repro.telemetry.runtime import flush as telemetry_flush
 from repro.telemetry.runtime import span as telemetry_span
-from repro.traces.compress import tail_footer
+from repro.traces.compress import CompressedTraceWriter, tail_footer
 from repro.traces.format import (
     EV_EPOCH,
     KIND_NAMES,
     TraceFormatError,
     TraceIntegrityError,
     TraceReader,
-    trace_writer,
 )
 from repro.traces.registry import TraceScenarioSpec
 from repro.workloads.generator import RunResult
@@ -280,17 +279,13 @@ def _footer_result(
 def recorded_result(source) -> RunResult:
     """The :class:`RunResult` a whole trace's footer states, unreplayed.
 
-    A CALTRC02 trace's footer is found from the end of its bytes
-    (:func:`~repro.traces.compress.tail_footer`), with no frame walked;
-    a CALTRC01 trace is drained to reach it.  The counts are the
-    recorder's, taken on trust: the caller vouches for the bytes (the
-    corpus store checks their sha256 first).
+    The footer is found from the end of the trace's bytes
+    (:func:`~repro.traces.compress.tail_footer`), with no frame walked.
+    The counts are the recorder's, taken on trust: the caller vouches
+    for the bytes (the corpus store checks their sha256 first).
     """
     with TraceReader(source) as reader:
-        if reader.version == 2:
-            footer = tail_footer(reader)
-        else:
-            footer = reader.read_footer()
+        footer = tail_footer(reader)
     return _footer_result(None, reader.header, footer)
 
 
@@ -368,9 +363,7 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
     FREE/ALLOC/CFORM cluster.  Each shard is itself a valid trace file
     carrying the original header plus a ``shard`` stanza; shard footers
     hold per-shard record counts (events are recomputed at replay — a
-    cold ladder per shard, SimPoint-style).  Shards inherit the source's
-    container version, so splitting a compressed (CALTRC02) trace yields
-    compressed shards.
+    cold ladder per shard, SimPoint-style).
     """
     if shards <= 0:
         raise ValueError("shards must be positive")
@@ -392,7 +385,7 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
             header = dict(reader.header)
             header["shard"] = {"index": index, "of": shards}
             shard_path = os.path.join(out_dir, f"{base}.shard{index:03d}.trace")
-            writers.append(trace_writer(shard_path, header, reader.version))
+            writers.append(CompressedTraceWriter(shard_path, header))
             counts.append({KIND_NAMES[k]: 0 for k in KIND_NAMES})
             paths.append(shard_path)
         segment = 0  # EPOCH markers seen before the current batch

@@ -200,22 +200,25 @@ class TestHitPath:
 
 class TestCanonicalDigest:
     def test_v1_and_v2_twins_hash_identically(self, store, tmp_path):
-        from repro.traces.recorder import record_spec
+        import oracle
 
-        v1 = str(tmp_path / "twin.v1.trace")
-        record_spec(_spec(), v1)
         resolved = store.ensure(_spec())  # stored as CALTRC02
-        assert canonical_digest(v1)[:2] == canonical_digest(resolved.path)[:2]
+        v1 = str(tmp_path / "twin.v1.trace")
+        oracle.write_canonical(resolved.path, v1)
+        assert canonical_digest(resolved.path) == oracle.canonical_digest(v1)
 
     def test_v1_digest_is_the_file_hash(self, tmp_path):
         import hashlib
 
+        import oracle
         from repro.traces.recorder import record_spec
 
-        path = str(tmp_path / "plain.v1.trace")
+        path = str(tmp_path / "plain.trace")
         record_spec(_spec(), path)
+        v1 = str(tmp_path / "plain.v1.trace")
+        oracle.write_canonical(path, v1)
         digest, raw_bytes, _footer = canonical_digest(path)
-        with open(path, "rb") as handle:
+        with open(v1, "rb") as handle:
             raw = handle.read()
         assert digest == hashlib.sha256(raw).hexdigest()
         assert raw_bytes == len(raw)

@@ -54,7 +54,7 @@ SPECS["loadgen"] = compose_spec(LOAD)
 def test_hash_taken_while_writing_equals_the_decode_path(tmp_path, name):
     path = str(tmp_path / f"{name.replace('/', '_')}.trace")
     canonical = CanonicalHash()
-    record_spec(SPECS[name], path, compress=True, canonical=canonical)
+    record_spec(SPECS[name], path, canonical=canonical)
     digest, length, footer = canonical_digest(path)
     assert (canonical.hexdigest, canonical.length) == (digest, length)
     assert (digest, length, footer) == oracle.canonical_digest(path)

@@ -46,9 +46,9 @@ def make(tenants=3, duration_s=0.2, warmup_s=0.0, **overrides) -> LoadScenario:
     return LoadScenario(**base)
 
 
-def record_bytes(load: LoadScenario, compress=False) -> bytes:
+def record_bytes(load: LoadScenario) -> bytes:
     buffer = BytesIO()
-    record_spec(compose_spec(load), buffer, compress=compress)
+    record_spec(compose_spec(load), buffer)
     return buffer.getvalue()
 
 
@@ -165,8 +165,8 @@ class TestDeterminismAndReplay:
         from repro.corpus.store import canonical_digest
 
         load = load_scenarios()["uniform-churn"].scaled(0.2)
-        first = record_bytes(load, compress=True)
-        second = record_bytes(load, compress=True)
+        first = record_bytes(load)
+        second = record_bytes(load)
         assert first == second
         assert canonical_digest(BytesIO(first)) == canonical_digest(
             BytesIO(second)

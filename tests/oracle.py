@@ -7,18 +7,22 @@ with one simulator, the batched :class:`~repro.memory.kernel.LadderKernel`
 This module keeps the straightforward one-record-at-a-time
 implementations they must agree with:
 
-* :func:`records` — the scalar ``(kind, address, arg)`` decoder for both
-  container versions (a ``struct`` walk of CALTRC01 records, and
-  :func:`decode_frame`'s token walk of CALTRC02 frames, sharing only the
-  frame walk and the varint primitives with production);
+* :func:`records` — the scalar ``(kind, address, arg)`` decoder:
+  :func:`decode_frame`'s token walk of CALTRC02 frames (sharing only
+  the frame walk and the varint primitives with production), and the
+  ``struct`` walk of :class:`FixedRecordReader` for the retired
+  CALTRC01 container; :func:`open_trace` opens either;
 * :func:`encode_frame`, :class:`FrameWriter` and :class:`RecordWriter`
   — the scalar encoder twin of
   :class:`~repro.traces.compress.CompressedTraceWriter` (one token
   probe per record, one frame cut after every EPOCH record and at
   ``MAX_FRAME_RECORDS``) and the one-``struct``-per-record CALTRC01
-  writer; :func:`reencode` rewrites a trace through them;
-* :func:`canonical_digest` — the corpus identity hash, one packed
-  record at a time over :func:`records`;
+  writer, the only CALTRC01 writer; :func:`reencode` rewrites a trace
+  through them;
+* :func:`write_canonical` — a trace's canonical stream written as a
+  CALTRC01 file, :func:`canonical_digest` — the corpus identity hash,
+  the sha256 of that stream, and :func:`transcode` — an old CALTRC01
+  file rewritten through the production CALTRC02 writer;
 * :func:`emit_trace` and :func:`run_trace` — the workload generator with one
   RNG draw and one buffer call per record or burst, with the heap
   simulated for every object and one burst end per burst (the twin of
@@ -40,14 +44,17 @@ with the production CLI's, plus a ``reencode`` command that rewrites a
 trace through the scalar decoder and writers, and a ``record`` command
 that records a registry scenario or a composed load scenario through
 the per-record generator, so either file can be compared byte for byte
-with the production writer's::
+with the production writer's; ``canonical`` writes a trace's CALTRC01
+twin and ``transcode`` turns a CALTRC01 file into CALTRC02::
 
     PYTHONPATH=src:tests python -m oracle replay sc.trace --mode timing
     PYTHONPATH=src:tests python -m oracle reencode sc.trace --out re.trace
     PYTHONPATH=src:tests python -m oracle record --scenario server-churn \
-        --compress --out sc.trace
+        --out sc.trace
     PYTHONPATH=src:tests python -m oracle record --load uniform-churn \
-        --compress --out uc.trace
+        --out uc.trace
+    PYTHONPATH=src:tests python -m oracle canonical sc.trace --out sc.v1
+    PYTHONPATH=src:tests python -m oracle transcode sc.v1 --out sc.trace
 """
 
 from __future__ import annotations
@@ -78,8 +85,8 @@ from repro.traces.compress import (
     COMPRESSION_LEVEL,
     FRAME_END,
     FRAME_RECORDS,
-    MAGIC_V2,
     MIN_RUN,
+    CompressedTraceWriter,
     _iter_frames,
     _read_signed,
     _read_varint,
@@ -94,11 +101,11 @@ from repro.traces.format import (
     EV_STORE,
     EV_WARM,
     MAGIC,
+    CANONICAL_MAGIC,
     RECORD,
     RECORD_SIZE,
     TraceFormatError,
     TraceReader,
-    TraceWriterBase,
 )
 from repro.traces.registry import corpus_spec
 from repro.traces.replayer import (
@@ -134,43 +141,111 @@ CHUNK_RECORDS = 8192
 # -- scalar decoding ------------------------------------------------------------
 
 
-def records(reader: TraceReader):
+class FixedRecordReader:
+    """The CALTRC01 reader: a ``struct`` walk of the magic, the header,
+    the ``<BQI`` records, the terminator and the footer.
+
+    The retired container's only reader.  ``header`` is read on open;
+    :meth:`records` yields the record tuples and then sets ``footer``.
+    """
+
+    def __init__(self, source):
+        if isinstance(source, str):
+            self._file = open(source, "rb")
+            self._owns_file = True
+            self.path = source
+        else:
+            self._file = source
+            self._owns_file = False
+            self.path = None
+        try:
+            magic = self._file.read(len(CANONICAL_MAGIC))
+            if magic != CANONICAL_MAGIC:
+                raise self.error(f"not a CALTRC01 trace (magic {magic!r})", 0)
+            (header_length,) = struct.unpack("<I", self._file.read(4))
+            self.header = json.loads(self._file.read(header_length))
+        except BaseException:
+            self.close()
+            raise
+        self.data_offset = len(CANONICAL_MAGIC) + 4 + header_length
+        self.footer = None
+
+    def error(self, detail: str, offset: int | None = None):
+        return TraceFormatError(detail, path=self.path, offset=offset)
+
+    def records(self):
+        chunk_bytes = CHUNK_RECORDS * RECORD_SIZE
+        unpack_from = RECORD.unpack_from
+        pending = b""
+        position = self.data_offset  # file offset of the next record
+        while True:
+            chunk = pending + self._file.read(chunk_bytes)
+            if not chunk:
+                raise self.error(
+                    "trace ends without a terminator record", position
+                )
+            usable = len(chunk) - (len(chunk) % RECORD_SIZE)
+            for offset in range(0, usable, RECORD_SIZE):
+                kind, address, arg = unpack_from(chunk, offset)
+                if kind == EV_END:
+                    footer = chunk[offset + RECORD_SIZE :]
+                    footer += self._file.read(max(arg - len(footer), 0))
+                    if len(footer) < arg:
+                        raise self.error(
+                            "truncated trace footer",
+                            position + offset + RECORD_SIZE,
+                        )
+                    self.footer = json.loads(footer[:arg])
+                    return
+                yield kind, address, arg
+            pending = chunk[usable:]
+            position += usable
+            if usable == 0:
+                raise self.error("truncated trace record", position)
+
+    def read_footer(self) -> dict:
+        if self.footer is None:
+            for _ in self.records():
+                pass
+        return self.footer
+
+    def close(self) -> None:
+        if self._owns_file:
+            self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_trace(source):
+    """A reader for either container: the production :class:`TraceReader`
+    for CALTRC02, a :class:`FixedRecordReader` for CALTRC01."""
+    if isinstance(source, str):
+        with open(source, "rb") as handle:
+            magic = handle.read(len(CANONICAL_MAGIC))
+    else:
+        start = source.tell()
+        magic = source.read(len(CANONICAL_MAGIC))
+        source.seek(start)
+    if magic == CANONICAL_MAGIC:
+        return FixedRecordReader(source)
+    return TraceReader(source)
+
+
+def records(reader):
     """Yield ``(kind, address, arg)`` until the terminator record.
 
-    The scalar twin of :meth:`TraceReader.column_batches` for both
-    container versions; leaves ``reader.footer`` populated.  Call it
-    once per reader, on a reader nothing else has iterated.
+    The scalar twin of :meth:`TraceReader.column_batches` for a reader
+    of either container (see :func:`open_trace`); leaves
+    ``reader.footer`` populated.  Call it once per reader, on a reader
+    nothing else has iterated.
     """
-    if reader.version == 2:
-        return _compressed_records(reader)
-    return _fixed_records(reader)
-
-
-def _fixed_records(reader: TraceReader):
-    chunk_bytes = CHUNK_RECORDS * RECORD_SIZE
-    unpack_from = RECORD.unpack_from
-    pending = b""
-    position = reader.data_offset  # file offset of the next record
-    while True:
-        chunk = pending + reader._file.read(chunk_bytes)
-        if not chunk:
-            raise reader.error(
-                "trace ends without a terminator record", offset=position
-            )
-        usable = len(chunk) - (len(chunk) % RECORD_SIZE)
-        for offset in range(0, usable, RECORD_SIZE):
-            kind, address, arg = unpack_from(chunk, offset)
-            if kind == EV_END:
-                tail = chunk[offset + RECORD_SIZE :]
-                reader._read_footer_bytes(
-                    arg, tail, position + offset + RECORD_SIZE
-                )
-                return
-            yield kind, address, arg
-        pending = chunk[usable:]
-        position += usable
-        if usable == 0:
-            raise reader.error("truncated trace record", offset=position)
+    if isinstance(reader, FixedRecordReader):
+        return reader.records()
+    return _compressed_records(reader)
 
 
 def _compressed_records(reader: TraceReader):
@@ -289,13 +364,53 @@ def encode_frame(records: list[tuple[int, int, int]]) -> bytes:
     return zlib.compress(bytes(tokens), COMPRESSION_LEVEL)
 
 
-class FrameWriter(TraceWriterBase):
+class _ScalarWriter:
+    """The scalar writers' shared plumbing: the ``magic + u32 header
+    length + header JSON`` preamble, the footer and the context-manager
+    protocol (closing writes the terminator, an exception only closes).
+    Subclasses define :attr:`MAGIC_BYTES`, :meth:`append` and
+    :meth:`_terminate`."""
+
+    MAGIC_BYTES: bytes
+
+    def __init__(self, target, header: dict):
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        self._owns_file = isinstance(target, str)
+        self._file = open(target, "wb") if self._owns_file else target
+        self._file.write(self.MAGIC_BYTES)
+        self._file.write(struct.pack("<I", len(header_bytes)))
+        self._file.write(header_bytes)
+        self.record_count = 0
+        self._footer = {}
+
+    def set_footer(self, footer: dict) -> None:
+        self._footer = dict(footer)
+
+    def close(self) -> None:
+        footer_bytes = json.dumps(self._footer, sort_keys=True).encode("utf-8")
+        self._terminate(len(footer_bytes))
+        self._file.write(footer_bytes)
+        self._file.flush()
+        if self._owns_file:
+            self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        elif self._owns_file:
+            self._file.close()
+
+
+class FrameWriter(_ScalarWriter):
     """The per-record CALTRC02 writer: one frame of record tuples is
     buffered, cut after every EPOCH record and whenever it reaches
     ``compress.MAX_FRAME_RECORDS`` (read at each append, so a test may
     monkeypatch it), and encoded by :func:`encode_frame`."""
 
-    MAGIC_BYTES = MAGIC_V2
+    MAGIC_BYTES = MAGIC
 
     def __init__(self, target, header: dict):
         super().__init__(target, header)
@@ -317,45 +432,36 @@ class FrameWriter(TraceWriterBase):
         self._file.write(payload)
         self._frame.clear()
 
-    def _discard_buffer(self) -> None:
-        self._frame.clear()
-
-    def close(self) -> None:
+    def _terminate(self, footer_length: int) -> None:
         self._flush_frame()
-        footer_bytes = self._footer_bytes()
-        self._file.write(struct.pack("<BI", FRAME_END, len(footer_bytes)))
-        self._file.write(footer_bytes)
-        self._finish()
+        self._file.write(struct.pack("<BI", FRAME_END, footer_length))
 
 
-class RecordWriter(TraceWriterBase):
+class RecordWriter(_ScalarWriter):
     """The per-record CALTRC01 writer: one ``struct`` pack per record."""
 
-    MAGIC_BYTES = MAGIC
+    MAGIC_BYTES = CANONICAL_MAGIC
 
     def append(self, kind: int, address: int, arg: int) -> None:
         self._file.write(RECORD.pack(kind, address, arg))
         self.record_count += 1
 
-    def _discard_buffer(self) -> None:
-        pass
-
-    def close(self) -> None:
-        footer_bytes = self._footer_bytes()
-        self._file.write(RECORD.pack(EV_END, 0, len(footer_bytes)))
-        self._file.write(footer_bytes)
-        self._finish()
+    def _terminate(self, footer_length: int) -> None:
+        self._file.write(RECORD.pack(EV_END, 0, footer_length))
 
 
 def reencode(source, target) -> int:
     """Rewrite ``source`` into ``target`` through :func:`records` and the
-    scalar writer of its container version; returns the record count.
+    scalar writer of its container; returns the record count.
 
     The header and footer are carried over, so for a trace a production
     writer wrote, ``target`` must equal ``source`` byte for byte.
     """
-    with TraceReader(source) as reader:
-        writer_class = FrameWriter if reader.version == 2 else RecordWriter
+    with open_trace(source) as reader:
+        if isinstance(reader, FixedRecordReader):
+            writer_class = RecordWriter
+        else:
+            writer_class = FrameWriter
         with writer_class(target, reader.header) as writer:
             for record in records(reader):
                 writer.append(*record)
@@ -363,31 +469,72 @@ def reencode(source, target) -> int:
     return writer.record_count
 
 
+def _with_format(header: dict, magic: bytes) -> dict:
+    header = dict(header)
+    if "format" in header:
+        header["format"] = magic.decode("ascii")
+    return header
+
+
+def write_canonical(source, target) -> dict:
+    """Write a trace's canonical stream to ``target`` through
+    :class:`RecordWriter` — the CALTRC01 file the retired container
+    held, whose sha256 is the corpus digest; returns the footer."""
+    with open_trace(source) as reader:
+        header = _with_format(reader.header, CANONICAL_MAGIC)
+        with RecordWriter(target, header) as writer:
+            for record in records(reader):
+                writer.append(*record)
+            writer.set_footer(reader.footer)
+    return reader.footer
+
+
+class _HashingSink:
+    """A write-only file object that keeps the sha256 and length of what
+    it is given."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.length = 0
+
+    def write(self, data: bytes) -> None:
+        self.sha.update(data)
+        self.length += len(data)
+
+    def flush(self) -> None:
+        pass
+
+
 def canonical_digest(source) -> tuple[str, int, dict]:
-    """Per-record twin of :func:`repro.corpus.store.canonical_digest`."""
-    digest = hashlib.sha256()
-    length = 0
+    """Per-record twin of :func:`repro.corpus.store.canonical_digest`:
+    the sha256 and length of :func:`write_canonical`'s bytes."""
+    sink = _HashingSink()
+    footer = write_canonical(source, sink)
+    return sink.sha.hexdigest(), sink.length, footer
 
-    def feed(data: bytes) -> None:
-        nonlocal length
-        digest.update(data)
-        length += len(data)
 
-    with TraceReader(source) as reader:
-        header = dict(reader.header)
-        if "format" in header:
-            header["format"] = MAGIC.decode("ascii")
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        feed(MAGIC)
-        feed(struct.pack("<I", len(header_bytes)))
-        feed(header_bytes)
-        for kind, address, arg in records(reader):
-            feed(RECORD.pack(kind, address, arg))
-        footer = reader.footer
-        footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
-        feed(RECORD.pack(EV_END, 0, len(footer_bytes)))
-        feed(footer_bytes)
-    return digest.hexdigest(), length, footer
+def transcode(source, target) -> int:
+    """Rewrite a CALTRC01 file as CALTRC02: :class:`FixedRecordReader`'s
+    walk into the production
+    :class:`~repro.traces.compress.CompressedTraceWriter`, in blocks of
+    :data:`CHUNK_RECORDS` records (the writer's bytes do not depend on
+    how its input is cut).  The header's ``format`` becomes
+    ``CALTRC02``; records and footer are carried over, so the canonical
+    digest and every replay statistic stay what they were.  Returns the
+    record count."""
+    with FixedRecordReader(source) as reader:
+        header = _with_format(reader.header, MAGIC)
+        with CompressedTraceWriter(target, header) as writer:
+            block: list[tuple[int, int, int]] = []
+            for record in reader.records():
+                block.append(record)
+                if len(block) == CHUNK_RECORDS:
+                    writer.append_columns(*zip(*block))
+                    block.clear()
+            if block:
+                writer.append_columns(*zip(*block))
+            writer.set_footer(reader.footer)
+    return writer.record_count
 
 
 # -- tag arrays ------------------------------------------------------------------
@@ -707,7 +854,7 @@ def filter_core_stream(
     offset = core * _CORE_ADDRESS_STRIDE
     slot = core
     for source in sources:
-        with TraceReader(source) as reader:
+        with open_trace(source) as reader:
             source_config = _config_from_header(reader.header)
             if config is None:
                 config = source_config
@@ -757,7 +904,7 @@ def filter_core_stream(
 
 def replay_timing(source, verify: bool = True):
     """Per-record twin of :func:`repro.traces.replayer.replay_timing`."""
-    with TraceReader(source) as reader:
+    with open_trace(source) as reader:
         stats = replay_timing_stream(reader)
         footer = reader.read_footer()
     return _footer_result(stats, reader.header, footer, verify)
@@ -765,7 +912,7 @@ def replay_timing(source, verify: bool = True):
 
 def replay_hierarchy(source) -> ShardStats:
     """Per-record twin of :func:`repro.traces.replayer.replay_hierarchy`."""
-    with TraceReader(source) as reader:
+    with open_trace(source) as reader:
         stats = replay_hierarchy_stream(reader)
         reader.read_footer()
     return stats
@@ -784,7 +931,7 @@ def replay_shards(
     }[mode]
     merged = None
     for path in shard_paths:
-        with TraceReader(path) as reader:
+        with open_trace(path) as reader:
             stats = replay_stream(reader, honor_warm=False)
             reader.read_footer()
         merged = stats if merged is None else merged.merged_with(stats)
@@ -1085,7 +1232,7 @@ def merge_arrivals(records: RecordBuffer, load, arrivals, streams) -> int:
     return int(app_instructions + overhead)
 
 
-def record(spec, target, compress: bool = False) -> RunResult:
+def record(spec, target) -> RunResult:
     """:func:`repro.traces.recorder.record_spec` with this module's
     per-record generator (:func:`run_trace`, and :func:`emit_trace` for
     the loadgen composer's tenants) and per-arrival
@@ -1101,7 +1248,7 @@ def record(spec, target, compress: bool = False) -> RunResult:
     compose._EMITTERS["generator"] = emit_trace
     compose.merge_arrivals = merge_arrivals
     try:
-        return recorder.record_spec(spec, target, compress=compress)
+        return recorder.record_spec(spec, target)
     finally:
         (
             recorder.run_trace, compose._EMITTERS["generator"],
@@ -1109,25 +1256,41 @@ def record(spec, target, compress: bool = False) -> RunResult:
         ) = saved
 
 
+#: ``python -m oracle NAME SOURCE --out TARGET``: the file conversions.
+CONVERSIONS = {
+    "reencode": (
+        reencode, "rewrite a trace through the scalar decoder and the "
+        "per-record writer of its container",
+    ),
+    "canonical": (
+        write_canonical, "write a trace's canonical stream as a CALTRC01 "
+        "file through the per-record writer",
+    ),
+    "transcode": (
+        transcode, "rewrite a CALTRC01 file as CALTRC02 through the "
+        "production writer",
+    ),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """The ``python -m repro.traces`` CLI, replaying through this oracle,
-    plus ``reencode SOURCE --out TARGET`` (:func:`reencode`) and
-    ``record (--scenario NAME | --load NAME) --out TARGET``
-    (:func:`record`)."""
+    plus the :data:`CONVERSIONS` (``reencode``, ``canonical`` and
+    ``transcode``, each ``SOURCE --out TARGET``) and ``record
+    (--scenario NAME | --load NAME) --out TARGET`` (:func:`record`)."""
     from repro.traces import __main__ as cli
 
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["reencode"]:
+    if argv and argv[0] in CONVERSIONS:
+        convert, description = CONVERSIONS[argv[0]]
         parser = argparse.ArgumentParser(
-            prog="python -m oracle reencode",
-            description="rewrite a trace through the scalar decoder and "
-            "the per-record writer of its container version",
+            prog=f"python -m oracle {argv[0]}", description=description
         )
         parser.add_argument("source")
         parser.add_argument("--out", required=True)
         arguments = parser.parse_args(argv[1:])
-        count = reencode(arguments.source, arguments.out)
-        print(f"re-encoded {count} records to {arguments.out}")
+        convert(arguments.source, arguments.out)
+        print(f"{argv[0]}: {arguments.source} -> {arguments.out}")
         return 0
 
     if argv[:1] == ["record"]:
@@ -1140,7 +1303,6 @@ def main(argv: list[str] | None = None) -> int:
         source.add_argument("--scenario", help="trace registry scenario")
         source.add_argument("--load", help="loadgen scenario to compose")
         parser.add_argument("--instructions", type=int)
-        parser.add_argument("--compress", action="store_true")
         parser.add_argument("--out", required=True)
         arguments = parser.parse_args(argv[1:])
         if arguments.load:
@@ -1152,7 +1314,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = corpus_spec(arguments.scenario)
         if arguments.instructions is not None:
             spec = spec.scaled(arguments.instructions)
-        result = record(spec, arguments.out, compress=arguments.compress)
+        result = record(spec, arguments.out)
         print(
             f"recorded {spec.name} -> {arguments.out} "
             f"({result.instructions} instructions)"

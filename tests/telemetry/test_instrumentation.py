@@ -23,7 +23,7 @@ def exported(handle):
 def test_replay_emits_decode_kernel_counters_and_spans(tmp_path):
     spec = CORPUS["server-churn"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "server-churn.trace")
-    record_spec(spec, trace, compress=True)
+    record_spec(spec, trace)
 
     handle = runtime.configure(str(tmp_path / "tel"))
     replay_timing(trace)
@@ -61,7 +61,7 @@ def test_recording_reports_its_sweep_as_the_ascending_share(tmp_path):
     # level; the bursts after them take the general path.
     spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
     handle = runtime.configure(str(tmp_path / "tel"))
-    record_spec(spec, str(tmp_path / "t.trace"), compress=True)
+    record_spec(spec, str(tmp_path / "t.trace"))
     counters = exported(handle)["counters"]
     for level in ("l1", "l2", "l3"):
         ascending = counters[f'kernel_ascending_accesses_total{{level="{level}"}}']
@@ -73,7 +73,7 @@ def test_replay_reports_its_sweep_as_the_ascending_share(tmp_path):
     # so the recording's pre-warm sweep reaches it unmixed with bursts.
     spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
-    record_spec(spec, trace, compress=True)
+    record_spec(spec, trace)
     handle = runtime.configure(str(tmp_path / "tel"))
     replay_timing(trace)
     counters = exported(handle)["counters"]
@@ -138,7 +138,7 @@ def test_corpus_verify_counts_outcomes(tmp_path):
 def test_disabled_run_writes_nothing(tmp_path):
     spec = CORPUS["server-churn"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
-    record_spec(spec, trace, compress=True)
+    record_spec(spec, trace)
     assert runtime.active() is None
     replay_timing(trace)  # must not create any sink
     assert not os.path.exists(str(tmp_path / "tel"))

@@ -26,7 +26,7 @@ def test_record_info_replay_shard_pipeline(tmp_path, capsys):
 
     assert main(["info", trace]) == 0
     out = capsys.readouterr().out
-    assert "CALTRC01" in out
+    assert "CALTRC02" in out
     assert "server-churn" in out
 
     assert main(["replay", trace]) == 0
@@ -54,9 +54,9 @@ def test_compressed_record_info_replay(tmp_path, capsys):
     trace = str(tmp_path / "cli.v2.trace")
     assert main(
         ["record", "--scenario", "scan-heavy", "--instructions", "3000",
-         "--compress", "--out", trace]
+         "--out", trace]
     ) == 0
-    assert "CALTRC02 compressed" in capsys.readouterr().out
+    assert "recorded scan-heavy" in capsys.readouterr().out
 
     assert main(["info", trace, "--frames"]) == 0
     out = capsys.readouterr().out
@@ -79,29 +79,28 @@ def test_compressed_record_info_replay(tmp_path, capsys):
 
 
 def test_info_on_truncated_file_fails_clearly(tmp_path, capsys):
-    for compress in (False, True):
-        trace = str(tmp_path / f"trunc-{compress}.trace")
-        assert main(
-            ["record", "--scenario", "server-churn", "--instructions", "2000",
-             *(["--compress"] if compress else []), "--out", trace]
-        ) == 0
-        capsys.readouterr()
-        with open(trace, "rb") as handle:
-            raw = handle.read()
-        for cut in (3, 10, len(raw) // 2, len(raw) - 4):
-            with open(trace, "wb") as handle:
-                handle.write(raw[:cut])
-            assert main(["info", trace]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:")
-            assert "struct" not in err
+    trace = str(tmp_path / "trunc.trace")
+    assert main(
+        ["record", "--scenario", "server-churn", "--instructions", "2000",
+         "--out", trace]
+    ) == 0
+    capsys.readouterr()
+    with open(trace, "rb") as handle:
+        raw = handle.read()
+    for cut in (3, 10, len(raw) // 2, len(raw) - 4):
+        with open(trace, "wb") as handle:
+            handle.write(raw[:cut])
+        assert main(["info", trace]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "struct" not in err
 
 
 def test_info_on_corrupted_header_fails_clearly(tmp_path, capsys):
     trace = str(tmp_path / "corrupt.trace")
     assert main(
         ["record", "--scenario", "server-churn", "--instructions", "2000",
-         "--compress", "--out", trace]
+         "--out", trace]
     ) == 0
     capsys.readouterr()
     with open(trace, "r+b") as handle:

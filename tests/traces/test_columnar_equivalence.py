@@ -1,15 +1,22 @@
 """Columnar production vs per-record oracles: a whole-registry suite.
 
 The acceptance gate for the one trace decoder and the one LRU simulation
-path: over every registry scenario in both container versions — plus a
-loadgen-composed trace — production is **bit-identical** to the
-per-record oracles in ``tests/oracle.py``: the record stream
+path: over every registry scenario — plus a loadgen-composed trace —
+production is **bit-identical** to the per-record oracles in
+``tests/oracle.py``.  Each trace runs in two legs: ``v2``, where both
+sides read the CALTRC02 recording, and ``v1``, an old CALTRC01 file
+(the recording's twin, written by ``oracle.RecordWriter``) that the
+oracle reads with its ``struct`` walk while production reads what
+``oracle transcode`` made of it.  Compared are the record stream
 :meth:`TraceReader.column_batches` decodes, the corpus digest, the live
 writers (the ``RunResult`` a recording returns and its footer), timing
 replay, hierarchy replay (counters, violations, cycles), sharded merges,
 and multi-core per-core attribution.  The same differential-testing
 pattern as ``tests/core/test_fastpath_equivalence``.
 """
+
+import hashlib
+from typing import NamedTuple
 
 import pytest
 
@@ -25,6 +32,7 @@ from repro.traces.replayer import (
     replay_shards,
     shard_trace,
 )
+from repro.workloads.generator import RunResult
 
 INSTRUCTIONS = 5_000
 
@@ -33,17 +41,36 @@ ALL_SCENARIOS = sorted(CORPUS)
 CONTAINERS = ("v1", "v2")
 
 
+class Trace(NamedTuple):
+    path: str  # the CALTRC02 file production reads
+    reference: str  # the file the oracle reads
+    live: RunResult
+
+
+def _v1_twin(path: str) -> str:
+    """The CALTRC01 file holding ``path``'s canonical stream."""
+    twin = path.replace(".trace", ".v1.trace")
+    oracle.write_canonical(path, twin)
+    return twin
+
+
+def _legs(path: str, live: RunResult) -> dict:
+    v1 = _v1_twin(path)
+    transcoded = path.replace(".trace", ".transcoded.trace")
+    oracle.transcode(v1, transcoded)
+    return {"v1": Trace(transcoded, v1, live), "v2": Trace(path, path, live)}
+
+
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """Every registry scenario in both containers, plus a loadgen mix."""
+    """Every registry scenario plus a loadgen mix, in both legs."""
     workdir = tmp_path_factory.mktemp("columnar")
     traces = {}
     for name in ALL_SCENARIOS:
-        spec = CORPUS[name].scaled(INSTRUCTIONS)
-        for container in CONTAINERS:
-            path = str(workdir / f"{name}.{container}.trace")
-            live = record_spec(spec, path, compress=container == "v2")
-            traces[name, container] = (path, live)
+        path = str(workdir / f"{name}.trace")
+        live = record_spec(CORPUS[name].scaled(INSTRUCTIONS), path)
+        for container, trace in _legs(path, live).items():
+            traces[name, container] = trace
     load = LoadScenario(
         name="columnar-mix",
         description="loadgen stream for the columnar differential suite",
@@ -57,12 +84,10 @@ def recorded(tmp_path_factory):
         warmup_s=0.05,
         seed=23,
     )
-    for container in CONTAINERS:
-        path = str(workdir / f"loadgen.{container}.trace")
-        live = record_spec(
-            compose_spec(load), path, compress=container == "v2"
-        )
-        traces["loadgen", container] = (path, live)
+    path = str(workdir / "loadgen.trace")
+    live = record_spec(compose_spec(load), path)
+    for container, trace in _legs(path, live).items():
+        traces["loadgen", container] = trace
     return traces
 
 
@@ -78,8 +103,9 @@ ALL_TRACES = [
 
 @pytest.mark.parametrize("name,container", ALL_TRACES)
 def test_column_batches_reproduce_the_record_stream(name, container, recorded):
-    path, _ = recorded[name, container]
-    with TraceReader(path) as tuples, TraceReader(path) as columns:
+    trace = recorded[name, container]
+    with oracle.open_trace(trace.reference) as tuples, \
+            TraceReader(trace.path) as columns:
         stream = oracle.records(tuples)
         for batch in columns.column_batches():
             for row in zip(
@@ -94,11 +120,13 @@ def test_column_batches_reproduce_the_record_stream(name, container, recorded):
 def test_canonical_digest_matches_the_oracle(name, container, recorded):
     # The corpus identity: columnar repack + one hash update per batch
     # against one packed record at a time, and one name per workload
-    # whichever container holds it.
-    path, _ = recorded[name, container]
-    digest = canonical_digest(path)
-    assert digest == oracle.canonical_digest(path)
-    assert digest == canonical_digest(recorded[name, "v1"][0])
+    # whichever container holds it: the sha256 of the CALTRC01 file.
+    trace = recorded[name, container]
+    digest = canonical_digest(trace.path)
+    assert digest == oracle.canonical_digest(trace.reference)
+    with open(recorded[name, "v1"].reference, "rb") as handle:
+        v1 = handle.read()
+    assert digest[:2] == (hashlib.sha256(v1).hexdigest(), len(v1))
 
 
 # -- live writers ---------------------------------------------------------------
@@ -108,7 +136,7 @@ def test_canonical_digest_matches_the_oracle(name, container, recorded):
 def test_live_run_footer_and_oracle_replay_agree(name, recorded):
     # The writers count their touches with the kernel while recording;
     # the per-record oracle replays the recorded stream independently.
-    path, live = recorded[name, "v1"]
+    path, _, live = recorded[name, "v2"]
     with TraceReader(path) as reader:
         stats = oracle.replay_timing_stream(reader)
         footer = reader.read_footer()
@@ -130,8 +158,8 @@ def test_live_run_footer_and_oracle_replay_agree(name, recorded):
 
 @pytest.mark.parametrize("name,container", ALL_TRACES)
 def test_timing_replay_is_engine_agnostic(name, container, recorded):
-    path, live = recorded[name, container]
-    assert replay_timing(path) == oracle.replay_timing(path) == live
+    path, reference, live = recorded[name, container]
+    assert replay_timing(path) == oracle.replay_timing(reference) == live
 
 
 @pytest.mark.parametrize(
@@ -146,9 +174,9 @@ def test_timing_replay_is_engine_agnostic(name, container, recorded):
     ],
 )
 def test_hierarchy_replay_is_engine_agnostic(name, container, recorded):
-    path, _ = recorded[name, container]
+    path, reference, _ = recorded[name, container]
     # Full ShardStats equality: counters, violations, AMAT cycles.
-    assert replay_hierarchy(path) == oracle.replay_hierarchy(path)
+    assert replay_hierarchy(path) == oracle.replay_hierarchy(reference)
 
 
 # -- sharded merge ------------------------------------------------------------
@@ -157,10 +185,14 @@ def test_hierarchy_replay_is_engine_agnostic(name, container, recorded):
 @pytest.mark.parametrize("container", CONTAINERS)
 @pytest.mark.parametrize("mode", ["timing", "hierarchy"])
 def test_sharded_merge_is_engine_agnostic(container, mode, recorded, tmp_path):
-    path, _ = recorded["server-churn", container]
+    path = recorded["server-churn", container].path
     shards = shard_trace(path, str(tmp_path / "shards"), shards=3)
+    if container == "v1":
+        references = [_v1_twin(shard) for shard in shards]
+    else:
+        references = shards
     assert replay_shards(shards, jobs=2, mode=mode) == oracle.replay_shards(
-        shards, mode=mode
+        references, mode=mode
     )
 
 
@@ -169,13 +201,14 @@ def test_sharded_merge_is_engine_agnostic(container, mode, recorded, tmp_path):
 
 @pytest.mark.parametrize("container", CONTAINERS)
 def test_multicore_attribution_is_engine_agnostic(container, recorded):
-    sources = [
-        recorded["server-churn", container][0],
-        recorded["scan-heavy", container][0],
-        recorded["pointer-chase", container][0],
+    traces = [
+        recorded[name, container]
+        for name in ("server-churn", "scan-heavy", "pointer-chase")
     ]
-    from_kernel = replay_multicore(sources, jobs=2)
-    from_oracle = oracle.replay_multicore(sources)
+    from_kernel = replay_multicore([trace.path for trace in traces], jobs=2)
+    from_oracle = oracle.replay_multicore(
+        [trace.reference for trace in traces]
+    )
     assert from_kernel.per_core == from_oracle.per_core
     assert from_kernel.merged == from_oracle.merged
 
@@ -183,8 +216,8 @@ def test_multicore_attribution_is_engine_agnostic(container, recorded):
 def test_multicore_shard_streams_are_engine_agnostic(recorded, tmp_path):
     # Concatenated shard files per core: region semantics (warm markers
     # ignored) must match the oracle too.
-    churn, _ = recorded["server-churn", "v1"]
-    scan, _ = recorded["scan-heavy", "v2"]
+    churn = recorded["server-churn", "v1"].path
+    scan = recorded["scan-heavy", "v2"].path
     churn_shards = shard_trace(churn, str(tmp_path / "churn"), shards=2)
     scan_shards = shard_trace(scan, str(tmp_path / "scan"), shards=2)
     sources = [churn_shards, scan_shards]

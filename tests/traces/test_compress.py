@@ -1,13 +1,18 @@
-"""CALTRC02: codec correctness, v1↔v2 equivalence, error paths.
+"""CALTRC02: codec correctness, CALTRC01 equivalence, error paths.
 
 The acceptance gate for the compressed container: across the whole
-scenario registry, a CALTRC02 recording replays bit-identically to its
-CALTRC01 twin — single-core, sharded and multi-core — while shrinking
-the on-disk footprint by well over the 4x target on compressible mixes.
+scenario registry, a CALTRC02 recording holds the record stream of its
+CALTRC01 twin (the canonical stream, written by ``oracle.RecordWriter``)
+and replays bit-identically to it — single-core, sharded and multi-core
+— while shrinking the canonical size by well over the 4x target on
+compressible mixes; ``oracle transcode`` turns the twin back into the
+recording byte for byte.
 """
 
+import hashlib
 import io
 import json
+import os
 import zlib
 
 import numpy as np
@@ -18,9 +23,9 @@ from hypothesis import strategies as st
 import oracle
 from oracle import encode_frame
 from repro.memory import kernel
+from repro.corpus.store import canonical_digest
 from repro.traces import CORPUS, compress, record_spec, replay_timing
 from repro.traces.compress import (
-    MAGIC_V2,
     MAX_FRAME_RECORDS,
     CompressedTraceWriter,
     _decode_frame_tokens,
@@ -28,7 +33,6 @@ from repro.traces.compress import (
     compression_summary,
     frame_stats,
     tail_footer,
-    transcode,
 )
 from repro.traces.format import (
     EV_ALLOC,
@@ -36,9 +40,9 @@ from repro.traces.format import (
     EV_EPOCH,
     EV_LOAD,
     EV_STORE,
+    MAGIC,
     TraceFormatError,
     TraceReader,
-    trace_writer,
 )
 from repro.traces.replayer import replay_multicore, replay_shards, shard_trace
 
@@ -294,6 +298,8 @@ def test_two_runs_sharing_a_boundary_record():
 def test_recorded_trace_matches_its_oracle_reencode(
     name, compressed, tmp_path
 ):
+    # ``compressed=False`` re-encodes the recording's CALTRC01 twin
+    # through the per-record RecordWriter.
     if name == "uniform-churn":
         from repro.loadgen.compose import compose_spec
         from repro.loadgen.sets import load_scenarios
@@ -302,13 +308,17 @@ def test_recorded_trace_matches_its_oracle_reencode(
     else:
         spec = CORPUS[name].scaled(INSTRUCTIONS)
     path = str(tmp_path / f"{name}.trace")
-    record_spec(spec, path, compress=compressed)
+    record_spec(spec, path)
     if name == "dma-mixed":
         with TraceReader(path) as reader:
             assert any(
                 (batch.kind == EV_CFORM).any()
                 for batch in reader.column_batches()
             )
+    if not compressed:
+        twin = str(tmp_path / f"{name}.v1.trace")
+        oracle.write_canonical(path, twin)
+        path = twin
     again = str(tmp_path / "again.trace")
     assert oracle.reencode(path, again) > 0
     with open(path, "rb") as a, open(again, "rb") as b:
@@ -338,7 +348,6 @@ class TestContainer:
         buffer = self._write(records)
         buffer.seek(0)
         reader = TraceReader(buffer)
-        assert reader.version == 2
         assert _reader_rows(reader) == records
         assert reader.footer == {"records": len(records)}
 
@@ -359,100 +368,106 @@ class TestContainer:
 
     def test_magic_detected(self):
         buffer = self._write([])
-        assert buffer.getvalue().startswith(MAGIC_V2)
-
-    def test_trace_writer_factory_rejects_unknown_version(self):
-        with pytest.raises(ValueError, match="version"):
-            trace_writer(io.BytesIO(), {}, version=3)
+        assert buffer.getvalue().startswith(MAGIC) and MAGIC == b"CALTRC02"
 
 
-# -- whole-registry v1 <-> v2 equivalence ------------------------------------
+# -- whole-registry CALTRC01 <-> CALTRC02 equivalence ------------------------
+
+
+def _sha256(path: str) -> tuple[str, int]:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 
 @pytest.fixture(scope="module")
 def recorded_pairs(tmp_path_factory):
-    """Record every registry scenario in both containers once."""
+    """Record every registry scenario once, beside its CALTRC01 twin."""
     workdir = tmp_path_factory.mktemp("v1v2")
     pairs = {}
     for name in ALL_SCENARIOS:
         spec = CORPUS[name].scaled(INSTRUCTIONS)
         v1 = str(workdir / f"{name}.v1.trace")
         v2 = str(workdir / f"{name}.v2.trace")
-        live = record_spec(spec, v1)
-        record_spec(spec, v2, compress=True)
+        live = record_spec(spec, v2)
+        oracle.write_canonical(v2, v1)
         pairs[name] = (spec, v1, v2, live)
     return pairs
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_v2_record_stream_is_identical(name, recorded_pairs):
+def test_v2_record_stream_is_identical(name, recorded_pairs, tmp_path):
     _, v1, v2, _ = recorded_pairs[name]
-    with TraceReader(v1) as a, TraceReader(v2) as b:
-        left = list(a.column_batches())
+    with oracle.open_trace(v1) as a, TraceReader(v2) as b:
+        left = np.array(list(oracle.records(a)), dtype=np.int64)
         right = list(b.column_batches())
-        for column in ("kind", "address", "arg"):
+        for index, column in enumerate(("kind", "address", "arg")):
             assert np.array_equal(
-                np.concatenate([getattr(batch, column) for batch in left]),
+                left[:, index],
                 np.concatenate([getattr(batch, column) for batch in right]),
             )
         assert a.footer == b.footer
         assert {k: v for k, v in a.header.items() if k != "format"} == {
             k: v for k, v in b.header.items() if k != "format"
         }
+    # ``oracle transcode`` gives the recording back byte for byte.
+    again = str(tmp_path / "again.trace")
+    oracle.transcode(v1, again)
+    assert _sha256(again) == _sha256(v2)
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_v2_replay_is_bit_identical(name, recorded_pairs):
     _, v1, v2, live = recorded_pairs[name]
-    assert replay_timing(v2) == replay_timing(v1) == live
+    assert replay_timing(v2) == oracle.replay_timing(v1) == live
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_sharded_v2_replay_matches_v1(name, recorded_pairs, tmp_path):
-    _, v1, v2, _ = recorded_pairs[name]
-    shards_v1 = shard_trace(v1, str(tmp_path / "v1"), shards=3)
-    shards_v2 = shard_trace(v2, str(tmp_path / "v2"), shards=3)
-    # v2 shards stay compressed.
-    with TraceReader(shards_v2[0]) as reader:
-        assert reader.version == 2
+    _, _, v2, _ = recorded_pairs[name]
+    shards = shard_trace(v2, str(tmp_path / "v2"), shards=3)
+    twins = []
+    for shard in shards:
+        twins.append(shard.replace(".trace", ".v1.trace"))
+        oracle.write_canonical(shard, twins[-1])
     assert (
-        replay_shards(shards_v2, jobs=2).stats
-        == replay_shards(shards_v1, jobs=1).stats
+        replay_shards(shards, jobs=2).stats
+        == oracle.replay_shards(twins).stats
     )
 
 
 def test_multicore_replay_is_container_agnostic(recorded_pairs):
     _, churn_v1, churn_v2, _ = recorded_pairs["server-churn"]
     _, scan_v1, scan_v2, _ = recorded_pairs["scan-heavy"]
-    from_v1 = replay_multicore([churn_v1, scan_v1])
     from_v2 = replay_multicore([churn_v2, scan_v2], jobs=2)
-    mixed = replay_multicore([churn_v1, scan_v2])
+    from_v1 = oracle.replay_multicore([churn_v1, scan_v1])
+    mixed = oracle.replay_multicore([churn_v1, scan_v2])
     assert from_v1.per_core == from_v2.per_core == mixed.per_core
     assert from_v1.merged == from_v2.merged == mixed.merged
 
 
 def test_compression_reaches_target_ratio(recorded_pairs):
-    """≥4x on-disk reduction on at least two registry mixes (acceptance
-    criterion); in practice every mix clears it by a wide margin."""
-    import os
-
+    """≥4x reduction of the canonical size on at least two registry
+    mixes (acceptance criterion); in practice every mix clears it by a
+    wide margin."""
     winners = [
         name
-        for name, (_, v1, v2, _) in recorded_pairs.items()
-        if os.path.getsize(v1) / os.path.getsize(v2) >= 4.0
+        for name, (_, _, v2, _) in recorded_pairs.items()
+        if canonical_digest(v2)[1] / os.path.getsize(v2) >= 4.0
     ]
     assert len(winners) >= 2, winners
 
 
 def test_transcode_both_directions(recorded_pairs, tmp_path):
-    spec, v1, v2, live = recorded_pairs["quarantine-pressure"]
-    back_to_v1 = str(tmp_path / "back.v1.trace")
+    _, v1, v2, live = recorded_pairs["quarantine-pressure"]
     to_v2 = str(tmp_path / "to.v2.trace")
-    transcode(v2, back_to_v1, version=1)
-    transcode(v1, to_v2, version=2)
-    # v2 -> v1 reproduces the original v1 file byte-for-byte.
-    with open(v1, "rb") as a, open(back_to_v1, "rb") as b:
-        assert a.read() == b.read()
+    back_to_v1 = str(tmp_path / "back.v1.trace")
+    oracle.transcode(v1, to_v2)
+    oracle.write_canonical(to_v2, back_to_v1)
+    # Each direction reproduces the other container's file byte for
+    # byte, and the canonical digest is the CALTRC01 file's sha256.
+    assert _sha256(to_v2) == _sha256(v2)
+    assert _sha256(back_to_v1) == _sha256(v1) == canonical_digest(to_v2)[:2]
     assert replay_timing(to_v2) == live
 
 
@@ -469,7 +484,7 @@ def test_frame_stats_match_footer(recorded_pairs):
 
 def test_frame_stats_rejects_v1(recorded_pairs):
     _, v1, _, _ = recorded_pairs["server-churn"]
-    with pytest.raises(TraceFormatError, match="not a compressed"):
+    with pytest.raises(TraceFormatError, match="oracle transcode"):
         frame_stats(v1)
 
 
@@ -529,7 +544,7 @@ class TestMalformedCompressed:
 
     def test_truncated_magic(self):
         with pytest.raises(TraceFormatError, match="truncated"):
-            TraceReader(io.BytesIO(MAGIC_V2[:5]))
+            TraceReader(io.BytesIO(MAGIC[:5]))
 
     def test_abort_leaves_invalid_file(self, tmp_path):
         path = str(tmp_path / "aborted.trace")
@@ -597,3 +612,27 @@ class TestTailFooter:
         data = damage(self._trace({"records": 303}))
         with pytest.raises(TraceFormatError):
             tail_footer(TraceReader(io.BytesIO(data)))
+
+
+def test_oracle_transcode_makes_an_old_file_usable(tmp_path, capsys):
+    """A CALTRC01 file written record by record, as the retired
+    container's writer did, keeps its corpus identity and its replay
+    through ``python -m oracle transcode``."""
+    spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
+    recording = str(tmp_path / "recording.trace")
+    live = record_spec(spec, recording)
+    with TraceReader(recording) as reader:
+        header = dict(reader.header, format="CALTRC01")
+        rows = [
+            row for batch in reader.column_batches() for row in _rows(batch)
+        ]
+        footer = reader.footer
+    old = str(tmp_path / "old.trace")
+    with oracle.RecordWriter(old, header) as writer:
+        for row in rows:
+            writer.append(*row)
+        writer.set_footer(footer)
+    new = str(tmp_path / "new.trace")
+    assert oracle.main(["transcode", old, "--out", new]) == 0
+    assert canonical_digest(new)[:2] == _sha256(old)
+    assert replay_timing(new) == live

@@ -7,9 +7,9 @@ import pytest
 import oracle
 from repro.traces import (
     CORPUS,
+    CompressedTraceWriter,
     TraceIntegrityError,
     TraceReader,
-    TraceWriter,
     record_spec,
     replay_hierarchy,
     replay_shards,
@@ -36,9 +36,8 @@ class TestIntegrity:
             footer = dict(reader.footer)
         footer["events"] = dict(footer["events"], l1_misses=12345)
         tampered = str(tmp_path / "tampered.trace")
-        with TraceWriter(tampered, header) as writer:
-            for record in records:
-                writer.append(*record)
+        with CompressedTraceWriter(tampered, header) as writer:
+            writer.append_columns(*zip(*records))
             writer.set_footer(footer)
         with pytest.raises(TraceIntegrityError, match="cache events"):
             replay_timing(tampered)
@@ -53,9 +52,8 @@ class TestIntegrity:
             records = list(oracle.records(reader))
             footer = reader.footer
         truncated = str(tmp_path / "truncated.trace")
-        with TraceWriter(truncated, header) as writer:
-            for record in records[: len(records) // 2]:
-                writer.append(*record)
+        with CompressedTraceWriter(truncated, header) as writer:
+            writer.append_columns(*zip(*records[: len(records) // 2]))
             writer.set_footer(footer)
         with pytest.raises(TraceIntegrityError):
             replay_timing(truncated)
@@ -176,11 +174,14 @@ def test_unknown_record_kind_rejected(tmp_path):
     with TraceReader(path) as reader:
         header = reader.header
     bad = str(tmp_path / "bad.trace")
-    with TraceWriter(bad, header) as writer:
+    # The production writer refuses the kind, so the per-record oracle
+    # writer puts it in the frame.
+    with oracle.FrameWriter(bad, header) as writer:
         writer.append(EV_LOAD, 0, 8)
-        writer.append(200, 0, 0)  # not a known EV_* kind
+        writer.append(EV_EPOCH + 1, 0, 0)  # not a known EV_* kind
         writer.set_footer({})
     from repro.traces.format import TraceFormatError
 
-    with pytest.raises(TraceFormatError, match="unknown record kind"):
+    with pytest.raises(TraceFormatError, match="invalid record kind") as error:
         replay_timing(bad, verify=False)
+    assert error.value.path == bad
