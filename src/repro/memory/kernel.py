@@ -72,7 +72,7 @@ access:
   input**, and the kernel is exact for any cut of that input, so a
   lower level may take its input in other blocks than the level above
   emitted it.  A 3-level :class:`LadderKernel` collects L1's misses as
-  a pending block of at most :data:`TOUCH_BLOCK` touches and runs L2,
+  a pending block of at most :data:`PENDING_TOUCHES` touches and runs L2,
   then L3, on it whole.
 """
 
@@ -116,10 +116,16 @@ CFORM_LINE_STRIDE = 64
 #: consumers.  The buffer is flushed at the first burst end or column
 #: block that reaches this size, and the column writers cut their blocks
 #: at about this size, so a live run holds about one block of its stream
-#: at a time.  An accountant hands its simulator at most this many
-#: records at once, and a 3-level ladder's pending block holds at most
-#: this many L1 misses.  The statistics do not depend on the value.
+#: at a time.
 TOUCH_BLOCK = 16384
+
+#: Records of one :meth:`RecordAccountant.consume` segment (the last of
+#: a warm-free stretch takes the rest).
+SEGMENT_RECORDS = 16384
+
+#: L1 misses a 3-level :class:`LadderKernel`'s pending block holds at
+#: most.  The statistics depend on none of these three sizes.
+PENDING_TOUCHES = 16384
 
 #: Records a :meth:`RecordBuffer.sweep` appends between flushes, so a
 #: long sweep reaches the consumers in bounded blocks (peak memory).
@@ -449,7 +455,8 @@ class LruTagKernel:
             # When its last ``capacity`` lines give every set ``assoc``
             # lines, every earlier line is evicted within the block.
             # (A pre-warm sweep's blocks at L1 and L2; an L3 block, at
-            # most TOUCH_BLOCK touches, is shorter than L3's capacity.)
+            # most PENDING_TOUCHES touches, is shorter than L3's
+            # capacity.)
             tail = lines[-capacity:]
             sets = tail % num_sets
             if np.bincount(sets, minlength=num_sets).min() >= associativity:
@@ -522,7 +529,7 @@ class LadderKernel:
     indices.
 
     A 3-level ladder defers its lower levels: L1's misses collect as a
-    pending block of at most :data:`TOUCH_BLOCK` touches, and
+    pending block of at most :data:`PENDING_TOUCHES` touches, and
     :meth:`flush` runs L2 on it, then L3 on L2's misses.  Its L2 and L3
     counters are current after :meth:`flush`, which :meth:`events`,
     :meth:`reset_counters`, :meth:`instrumentation` and :meth:`report`
@@ -548,8 +555,8 @@ class LadderKernel:
         touches that missed both levels, in stream order: the shared-L3
         request stream.  A 3-level ladder adds L1's misses to its
         pending block, first flushing the block if they would take it
-        past :data:`TOUCH_BLOCK`, and returns no indices.  L2 and L3
-        never take more than :data:`TOUCH_BLOCK` touches at once.
+        past :data:`PENDING_TOUCHES`, and returns no indices.  L2 and L3
+        never take more than :data:`PENDING_TOUCHES` touches at once.
         """
         with telemetry_span("memory.kernel", accesses=len(addresses)):
             missed = np.flatnonzero(self.l1.access_block(addresses))
@@ -559,12 +566,12 @@ class LadderKernel:
                         np.flatnonzero(self.l2.access_block(addresses[missed]))
                     ]
                 return missed
-            if self._pending_count + missed.size > TOUCH_BLOCK:
+            if self._pending_count + missed.size > PENDING_TOUCHES:
                 self._run_pending()
             if missed.size:
                 self._pending.append(addresses[missed])
                 self._pending_count += missed.size
-                if self._pending_count >= TOUCH_BLOCK:
+                if self._pending_count >= PENDING_TOUCHES:
                     self._run_pending()
             return missed[:0]
 
@@ -582,9 +589,9 @@ class LadderKernel:
         block = pending[0] if len(pending) == 1 else np.concatenate(pending)
         self._pending = []
         self._pending_count = 0
-        # Only a single L1 miss column can exceed TOUCH_BLOCK.
-        for start in range(0, block.size, TOUCH_BLOCK):
-            part = block[start : start + TOUCH_BLOCK]
+        # Only a single L1 miss column can exceed PENDING_TOUCHES.
+        for start in range(0, block.size, PENDING_TOUCHES):
+            part = block[start : start + PENDING_TOUCHES]
             part = part[self.l2.access_block(part)]
             if part.size:
                 self.l3.access_block(part)
@@ -820,10 +827,10 @@ class RecordAccountant:
     :meth:`consume` rejects unknown kinds, splits each block at EV_WARM
     records (only when ``honor_warm``: a whole trace or live run honours
     its warmup boundary, a shard region counts every record) and into
-    segments of :data:`TOUCH_BLOCK` records, the last taking the rest
-    (a block below 2·:data:`TOUCH_BLOCK` records stays whole), tallies the
-    touches, CFORM lines and ALLOC events of each segment, and hands the
-    segment to :meth:`segment`, the subclass's simulator.  At a
+    segments of :data:`SEGMENT_RECORDS` records, the last taking the
+    rest (a block below 2·:data:`SEGMENT_RECORDS` records stays whole),
+    tallies the touches, CFORM lines and ALLOC events of each segment,
+    and hands the segment to :meth:`segment`, the subclass's simulator.  At a
     warm record the tallies restart and :meth:`warm` resets the
     simulator's counters.
     """
@@ -842,15 +849,15 @@ class RecordAccountant:
             warm = np.flatnonzero(kinds == EV_WARM).tolist()
         start = 0
         for stop in warm + [end]:
-            # Segments of TOUCH_BLOCK records, the last taking the rest
-            # (below 2·TOUCH_BLOCK): a whole decoded group would mix a
-            # pre-warm sweep with the bursts after it, and a live block
-            # stays whole.
+            # Segments of SEGMENT_RECORDS records, the last taking the
+            # rest (below 2·SEGMENT_RECORDS): a whole decoded group would
+            # mix a pre-warm sweep with the bursts after it, and a live
+            # block stays whole.
             size = stop - start
-            parts = max(1, size // TOUCH_BLOCK) if size else 0
+            parts = max(1, size // SEGMENT_RECORDS) if size else 0
             for part in range(parts):
-                low = start + part * TOUCH_BLOCK
-                high = stop if part == parts - 1 else low + TOUCH_BLOCK
+                low = start + part * SEGMENT_RECORDS
+                high = stop if part == parts - 1 else low + SEGMENT_RECORDS
                 segment_kinds = kinds[low:high]
                 segment_args = args[low:high]
                 lines = int(segment_args[segment_kinds == EV_CFORM].sum())

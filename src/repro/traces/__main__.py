@@ -101,7 +101,7 @@ def _cmd_info(arguments: argparse.Namespace) -> int:
         header = reader.header
         footer = reader.read_footer()
     spec = header.get("spec", {})
-    print(f"format   {header.get('format')} (per-epoch compressed frames)")
+    print(f"format   {header.get('format')} (compressed frames)")
     print(
         f"scenario {spec.get('name')}  policy {spec.get('policy') or 'baseline'}"
         f"{' +CFORM' if spec.get('with_cform') else ''}  seed {spec.get('seed')}"
@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     info.add_argument("trace")
     info.add_argument(
         "--frames", action="store_true",
-        help="also list per-epoch frame statistics",
+        help="also list each frame's records and payload bytes",
     )
 
     replay = commands.add_parser("replay", help="replay one trace file")

@@ -1,4 +1,4 @@
-"""CALTRC02: the epoch-framed compressed trace format.
+"""CALTRC02: the frame-compressed trace format.
 
 Cold traces are highly redundant: addresses walk in small strides,
 ``arg`` is almost always the access width, and scans/pre-warm loops emit
@@ -7,14 +7,16 @@ thousands of constant-stride touches.  ``CALTRC02`` (the container of
 footer) stores the record stream as a sequence of independently
 decodable *frames*:
 
-* one frame per recorded **epoch** (the sink's shard split points), so
-  frame boundaries coincide with the only legal shard boundaries and
-  sharded/multi-core replay stream frame-by-frame exactly as before;
+* a frame holds :data:`MAX_FRAME_RECORDS` records (the last frame the
+  rest), so where frames are cut depends only on the record stream, not
+  on EPOCH placement or on how the writer was handed its records; the
+  shard split points (EPOCH records) fall anywhere inside frames;
 * inside a frame, records are byte-tokenised: **delta-encoded addresses**
   (zigzag varints against the previous record's address), **varint args**
   and **run tokens** that collapse a monotone constant-stride burst
   (scans, the pre-warm sweep, CFORM line walks) into one token;
-* the token stream is then **zlib-deflated**, frame by frame.
+* the token stream is then **zlib-deflated**, frame by frame, at
+  :data:`COMPRESSION_LEVEL`.
 
 Frame wire format (after the ``magic + u32 header-length + header
 JSON`` preamble, all integers little-endian)::
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.memory.kernel import check_kinds
 from repro.telemetry.runtime import active as telemetry_active
+from repro.telemetry.runtime import span as telemetry_span
 from repro.traces.format import (
     _HEADER_LEN,
     EV_EPOCH,
@@ -63,13 +66,15 @@ from repro.traces.format import (
 FRAME_RECORDS = 0x01
 FRAME_END = 0xFF
 
-#: zlib level: 6 is the sweet spot for these token streams (9 buys a few
-#: percent for a multiple of the encode time).
-COMPRESSION_LEVEL = 6
+#: zlib level.  On the 128 frames of a cold quick fig10 corpus (3.3 MB
+#: of tokens, 2-vCPU host) level 1 deflates at 43 MB/s into 1.76 MB and
+#: level 6 at 11 MB/s into 1.58 MB.  The corpus (1.78 MB stored) is still
+#: smaller than with the per-epoch level-6 frames it replaced (1.92 MB).
+COMPRESSION_LEVEL = 1
 
-#: Frames are cut at EPOCH records; epoch-less traces (foreign writers,
-#: tests) still flush after this many records so memory stays bounded.
-MAX_FRAME_RECORDS = 1 << 16
+#: Records per frame.  The writer cuts a frame every this many records
+#: and nowhere else, so it buffers at most one frame.
+MAX_FRAME_RECORDS = 1 << 14
 
 #: A constant-stride same-kind/same-arg run must be at least this long
 #: before the encoder emits a run token (shorter runs compress fine as
@@ -476,9 +481,8 @@ class CompressedTraceWriter:
     non-JSON-able header never leaves an empty file or a leaked
     descriptor behind.  The writer holds the unfinished frame as the
     column blocks it arrived in.  Each block is checked, cut into frames
-    (after every EPOCH record, and wherever a frame reaches
-    :data:`MAX_FRAME_RECORDS`), and the frames it completes are encoded
-    together by :func:`_encode_frames`.
+    of :data:`MAX_FRAME_RECORDS` records, and the frames it completes are
+    encoded together by :func:`_encode_frames`.
     """
 
     def __init__(self, target: str | BinaryIO, header: dict):
@@ -520,22 +524,13 @@ class CompressedTraceWriter:
         args = _int64_column(args, "arg")
         if (args < 0).any():
             raise TraceFormatError("arg column holds a negative value")
-        # Block-relative ends of the frames this block completes.
-        ends = []
-        start = -self._pending_records
-        cap = MAX_FRAME_RECORDS
-        for epoch_end in (np.flatnonzero(kinds == EV_EPOCH) + 1).tolist():
-            ends.extend(range(start + cap, epoch_end, cap))
-            ends.append(epoch_end)
-            start = epoch_end
-        ends.extend(range(start + cap, len(kinds) + 1, cap))
         self.record_count += len(kinds)
-        if ends:
-            cut = ends[-1]
+        # The block-relative end of the last frame this block completes.
+        frames = (self._pending_records + len(kinds)) // MAX_FRAME_RECORDS
+        cut = frames * MAX_FRAME_RECORDS - self._pending_records
+        if frames:
             self._pending.append((kinds[:cut], addresses[:cut], args[:cut]))
-            self._write_frames(
-                np.diff([-self._pending_records, *ends]).tolist()
-            )
+            self._write_frames([MAX_FRAME_RECORDS] * frames)
             kinds, addresses, args = kinds[cut:], addresses[cut:], args[cut:]
         if len(kinds):
             self._pending.append((kinds.copy(), addresses.copy(), args.copy()))
@@ -543,10 +538,13 @@ class CompressedTraceWriter:
 
     def _write_frames(self, lengths: list[int]) -> None:
         """Encode the pending blocks as frames of ``lengths`` records."""
-        kinds, addresses, args = (
-            np.concatenate(column) for column in zip(*self._pending)
-        )
-        self._file.write(_encode_frames(kinds, addresses, args, lengths))
+        with telemetry_span(
+            "traces.encode", records=sum(lengths), frames=len(lengths)
+        ):
+            kinds, addresses, args = (
+                np.concatenate(column) for column in zip(*self._pending)
+            )
+            self._file.write(_encode_frames(kinds, addresses, args, lengths))
         self._discard_buffer()
 
     def _discard_buffer(self) -> None:
@@ -699,10 +697,11 @@ def tail_footer(reader: TraceReader) -> dict:
     )
 
 
-#: Records accumulated before one grouped columnar decode.  Epoch frames
-#: are a few hundred records each; decoding a group of them as one
-#: vectorized pass amortises the array-op overhead that would otherwise
-#: dominate per-frame columns.
+#: Records accumulated before one grouped columnar decode: 16 frames of
+#: :data:`MAX_FRAME_RECORDS` records, decoded as one vectorized pass, so
+#: the array-op overhead is paid per group.  Frames a writer cut smaller
+#: (an older writer cut one after every EPOCH record) join the same
+#: groups.
 FRAME_GROUP_RECORDS = 1 << 18
 
 
@@ -779,40 +778,13 @@ def iter_compressed_columns(reader: TraceReader):
 
 def frame_stats(path: str) -> list[tuple[int, int]]:
     """Per-frame ``(records, compressed_payload_bytes)`` of a CALTRC02
-    file, by scanning frame headers and seeking past payloads — no
+    file, from :func:`_iter_frames`' walk of the frame heads — no
     decompression, so ``trace info`` stays cheap on big traces."""
     with TraceReader(path) as reader:
-        file = reader._file
-        frames: list[tuple[int, int]] = []
-        position = reader.data_offset
-        while True:
-            frame_start = position
-            type_byte = file.read(1)
-            if not type_byte:
-                raise reader.error(
-                    "compressed trace ends without a terminator frame",
-                    offset=frame_start,
-                )
-            frame_type = type_byte[0]
-            if frame_type == FRAME_RECORDS:
-                head = _read_exact(
-                    file, _FRAME_RECORDS_HEAD.size - 1, "frame header",
-                    path=path, offset=frame_start,
-                )
-                record_count, payload_length = struct.unpack("<II", head)
-                file.seek(payload_length, 1)
-                position = (
-                    frame_start + _FRAME_RECORDS_HEAD.size + payload_length
-                )
-                frames.append((record_count, payload_length))
-            elif frame_type == FRAME_END:
-                return frames
-            else:
-                raise reader.error(
-                    "corrupt compressed trace: unknown frame type "
-                    f"0x{frame_type:02X}",
-                    offset=frame_start,
-                )
+        return [
+            (records, len(payload))
+            for _, records, payload in _iter_frames(reader)
+        ]
 
 
 def compression_summary(path: str, records: int) -> dict:

@@ -9,8 +9,9 @@ The container is ``CALTRC02`` (all integers little-endian)::
     magic    8 bytes   b"CALTRC02" (version is part of the magic)
     u32      header length in bytes
     JSON     header: scenario spec, cache geometry, format constants
-    frames   per-epoch compressed record frames (delta/run-length
-             tokens + zlib; see :mod:`repro.traces.compress`)
+    frames   compressed record frames of a fixed record count
+             (delta/run-length tokens + zlib; see
+             :mod:`repro.traces.compress`)
     frame    terminator: 0xFF, u32 footer length
     JSON     footer: summary statistics of the recorded run
 
@@ -321,7 +322,7 @@ class TraceReader:
         The reader's only record decoder: the concatenation of the
         yielded batches is the ``(kind, address, arg)`` stream, and
         :attr:`footer` is populated once the terminator is reached.
-        Batches are groups of epoch frames decoded straight from the
+        Batches are groups of frames decoded straight from the
         token stream (:func:`repro.traces.compress.iter_compressed_columns`).
 
         The stream is single-pass: repeated calls return the *same*

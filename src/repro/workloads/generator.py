@@ -472,9 +472,12 @@ def script_for(
 
 
 def _draw(profile, instructions, seed, warmup_fraction) -> Script:
+    # ``randrange(n)`` is inlined as CPython's own rejection loop:
+    # ``getrandbits(n.bit_length())`` until the value is below ``n``.  It
+    # consumes the same words, so the script is the one randrange draws.
     rng = random.Random(f"{profile.name}:{seed}")
     r = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     baseline_carved = [
         info.carved for info in build_type_catalog(Scenario.baseline())
     ]
@@ -491,7 +494,11 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
                 if r() < profile.ptr_array_fraction
                 else _PLAIN_TYPE_INDICES
             )
-            type_index = pool[randrange(len(pool))]
+            size = len(pool)
+            pick = getrandbits(size.bit_length())
+            while pick >= size:
+                pick = getrandbits(size.bit_length())
+            type_index = pool[pick]
             types.append(type_index)
             raw_sizes.append(0)
             baseline_bytes += baseline_carved[type_index]
@@ -505,6 +512,7 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
     object_count = len(types)
     skew_exponent = 1.0 / profile.locality_skew
     field_counts = [len(struct.fields) for struct in HEAP_TYPE_POOL]
+    object_bits = object_count.bit_length()
     burst_length = profile.burst_length
     touches = range(burst_length)
     burst_instructions = burst_length / profile.mem_ratio
@@ -548,13 +556,21 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
             else:
                 kinds.append(BURST_FIELD)
                 count = field_counts[type_index]
-                fields.extend([randrange(count) for _ in touches])
+                bits = count.bit_length()
+                for _ in touches:
+                    field = getrandbits(bits)
+                    while field >= count:
+                        field = getrandbits(bits)
+                    fields.append(field)
 
         # Allocation/free churn at the profile's rate.
         alloc_accumulator += allocs_per_burst
         while alloc_accumulator >= 1.0:
             alloc_accumulator -= 1.0
-            victims.append(randrange(object_count))
+            victim = getrandbits(object_bits)
+            while victim >= object_count:
+                victim = getrandbits(object_bits)
+            victims.append(victim)
             victim_bursts.append(burst)
         burst += 1
 

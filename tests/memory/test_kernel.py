@@ -491,7 +491,8 @@ class TestLadderKernel:
 
 
     @pytest.mark.parametrize(
-        "block", [1, 7, 4096, kernel.TOUCH_BLOCK - 1, kernel.TOUCH_BLOCK + 1]
+        "block",
+        [1, 7, 4096, kernel.PENDING_TOUCHES - 1, kernel.PENDING_TOUCHES + 1],
     )
     def test_deferred_levels_match_the_serial_ladder(self, block, monkeypatch):
         # Mostly L1 misses, so the pending block fills and flushes many
@@ -502,7 +503,7 @@ class TestLadderKernel:
         addresses = line_addresses(rng.integers(0, 200_000, count))
         resets = {5, count // 3, (count // 3) // block * block, count - 2}
         ladder = LadderKernel(WESTMERE, levels=3)
-        # The pending block never holds more than TOUCH_BLOCK touches
+        # The pending block never holds more than PENDING_TOUCHES touches
         # but for one L1 miss column (at most ``block`` touches).
         run_pending = LadderKernel._run_pending
         held = []
@@ -525,17 +526,17 @@ class TestLadderKernel:
                     if level.access(address):
                         break
             assert len(ladder.touch_block(addresses[start:stop])) == 0
-            assert ladder._pending_count <= kernel.TOUCH_BLOCK
+            assert ladder._pending_count <= kernel.PENDING_TOUCHES
         ladder.flush()
         self.assert_levels_match(ladder, reference)
         assert ladder.events().l3_misses == reference[2].misses
-        assert 0 < max(held) <= max(kernel.TOUCH_BLOCK, block)
+        assert 0 < max(held) <= max(kernel.PENDING_TOUCHES, block)
 
     def test_a_miss_column_longer_than_a_block_reaches_l2_in_blocks(
         self, monkeypatch
     ):
         # 40,000 distinct ascending lines in one call: every touch misses
-        # L1, so one miss column holds more than TOUCH_BLOCK touches.
+        # L1, so one miss column holds more than PENDING_TOUCHES touches.
         access_block = LruTagKernel.access_block
         sizes = []
 
@@ -560,7 +561,7 @@ class TestLadderKernel:
         ladder.touch_block(addresses[3_000:])
         ladder.flush()
         self.assert_levels_match(ladder, reference)
-        assert max(sizes) == kernel.TOUCH_BLOCK
+        assert max(sizes) == kernel.PENDING_TOUCHES
 
     @staticmethod
     def assert_levels_match(ladder, reference):
@@ -740,7 +741,7 @@ class TestRecordAccountant:
         # the 16 records after it are cut 4-4-4-4, the 3 after the
         # second stay whole, and a last 7, 8, 9 or 11 records make one
         # segment or two, the last segment taking the rest.
-        monkeypatch.setattr(kernel, "TOUCH_BLOCK", 4)
+        monkeypatch.setattr(kernel, "SEGMENT_RECORDS", 4)
 
         class Segments(kernel.RecordAccountant):
             def __init__(self):

@@ -15,8 +15,8 @@ implementations they must agree with:
 * :func:`encode_frame`, :class:`FrameWriter` and :class:`RecordWriter`
   — the scalar encoder twin of
   :class:`~repro.traces.compress.CompressedTraceWriter` (one token
-  probe per record, one frame cut after every EPOCH record and at
-  ``MAX_FRAME_RECORDS``) and the one-``struct``-per-record CALTRC01
+  probe per record, one frame cut every ``MAX_FRAME_RECORDS`` records)
+  and the one-``struct``-per-record CALTRC01
   writer, the only CALTRC01 writer; :func:`reencode` rewrites a trace
   through them;
 * :func:`write_canonical` — a trace's canonical stream written as a
@@ -69,6 +69,8 @@ import sys
 import zlib
 from collections import OrderedDict
 from operator import itemgetter
+
+import numpy as np
 
 from repro.cpu.pipeline import MemoryEventCounts
 from repro.memory.cache import CacheGeometry
@@ -406,9 +408,9 @@ class _ScalarWriter:
 
 class FrameWriter(_ScalarWriter):
     """The per-record CALTRC02 writer: one frame of record tuples is
-    buffered, cut after every EPOCH record and whenever it reaches
-    ``compress.MAX_FRAME_RECORDS`` (read at each append, so a test may
-    monkeypatch it), and encoded by :func:`encode_frame`."""
+    buffered, cut whenever it reaches ``compress.MAX_FRAME_RECORDS``
+    (read at each append, so a test may monkeypatch it), and encoded by
+    :func:`encode_frame`."""
 
     MAGIC_BYTES = MAGIC
 
@@ -419,7 +421,7 @@ class FrameWriter(_ScalarWriter):
     def append(self, kind: int, address: int, arg: int) -> None:
         self._frame.append((kind, address, arg))
         self.record_count += 1
-        if kind == EV_EPOCH or len(self._frame) >= compress.MAX_FRAME_RECORDS:
+        if len(self._frame) >= compress.MAX_FRAME_RECORDS:
             self._flush_frame()
 
     def _flush_frame(self) -> None:
@@ -993,6 +995,106 @@ def replay_multicore(
 
 
 # -- per-record synthesis -------------------------------------------------------
+
+
+def draw(
+    profile: BenchmarkProfile,
+    instructions: int = 200_000,
+    seed: int = 0,
+    warmup_fraction: float = 1.0,
+) -> generator.Script:
+    """The twin of :func:`repro.workloads.generator.draw` that draws its
+    integers with :meth:`random.Random.randrange`, one draw and one
+    list append at a time (production inlines randrange's rejection
+    loop over ``getrandbits``)."""
+    rng = random.Random(f"{profile.name}:{seed}")
+    baseline_catalog = build_type_catalog(Scenario.baseline())
+    types: list[int] = []
+    raw_sizes: list[int] = []
+    baseline_bytes = 0
+    while baseline_bytes < profile.heap_kb * 1024:
+        if rng.random() < profile.struct_fraction:
+            pool = (
+                generator._PTR_ARRAY_TYPE_INDICES
+                if rng.random() < profile.ptr_array_fraction
+                else generator._PLAIN_TYPE_INDICES
+            )
+            type_index = pool[rng.randrange(len(pool))]
+            types.append(type_index)
+            raw_sizes.append(0)
+            baseline_bytes += baseline_catalog[type_index].carved
+        else:
+            raw = max(int(profile.raw_buffer_bytes * (0.5 + rng.random())), 16)
+            types.append(-1)
+            raw_sizes.append(raw)
+            baseline_bytes += align_up(raw, 16)
+
+    object_count = len(types)
+    burst_instructions = profile.burst_length / profile.mem_ratio
+    allocs_per_burst = profile.allocs_per_kinst * burst_instructions / 1000.0
+    kinds: list[int] = []
+    targets: list[int] = []
+    raw_offsets: list[int] = []
+    fields: list[int] = []
+    victims: list[int] = []
+    victim_bursts: list[int] = []
+    app_instructions = 0.0
+    alloc_accumulator = 0.0
+    warmup_budget = instructions * warmup_fraction
+    total_budget = warmup_budget + instructions
+    warm = warmup_fraction == 0.0
+    warm_burst = -1
+    burst = 0
+    while app_instructions < total_budget:
+        if not warm and app_instructions >= warmup_budget:
+            warm = True
+            warm_burst = burst
+            app_instructions -= warmup_budget
+            total_budget -= warmup_budget
+        app_instructions += burst_instructions
+        if rng.random() < profile.stack_fraction:
+            kinds.append(generator.BURST_STACK)
+            targets.append(int(rng.random() * generator._STACK_HOT_BYTES))
+        else:
+            index = min(
+                int(object_count * rng.random() ** (1.0 / profile.locality_skew)),
+                object_count - 1,
+            )
+            targets.append(index)
+            if rng.random() < profile.scan_fraction:
+                kinds.append(generator.BURST_SCAN)
+            elif types[index] < 0:
+                kinds.append(generator.BURST_RAW)
+                span = max(raw_sizes[index] - 8, 1)
+                for _ in range(profile.burst_length):
+                    raw_offsets.append(int(rng.random() * span))
+            else:
+                kinds.append(generator.BURST_FIELD)
+                count = len(generator.HEAP_TYPE_POOL[types[index]].fields)
+                for _ in range(profile.burst_length):
+                    fields.append(rng.randrange(count))
+        alloc_accumulator += allocs_per_burst
+        while alloc_accumulator >= 1.0:
+            alloc_accumulator -= 1.0
+            victims.append(rng.randrange(object_count))
+            victim_bursts.append(burst)
+        burst += 1
+    return generator.Script(
+        profile=profile,
+        instructions=instructions,
+        seed=seed,
+        warmup_fraction=warmup_fraction,
+        types=np.array(types, dtype=np.int16),
+        raw_sizes=np.array(raw_sizes, dtype=np.int32),
+        kinds=np.array(kinds, dtype=np.int8),
+        targets=np.array(targets, dtype=np.int32),
+        raw_offsets=np.array(raw_offsets, dtype=np.int32),
+        fields=np.array(fields, dtype=np.uint8),
+        victims=np.array(victims, dtype=np.int32),
+        victim_bursts=np.array(victim_bursts, dtype=np.int32),
+        warm_burst=warm_burst,
+        app_instructions=app_instructions,
+    )
 
 
 def run_trace(

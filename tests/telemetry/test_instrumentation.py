@@ -69,7 +69,7 @@ def test_recording_reports_its_sweep_as_the_ascending_share(tmp_path):
 
 
 def test_replay_reports_its_sweep_as_the_ascending_share(tmp_path):
-    # The replay hands the kernel segments of about TOUCH_BLOCK records,
+    # The replay hands the kernel segments of about SEGMENT_RECORDS records,
     # so the recording's pre-warm sweep reaches it unmixed with bursts.
     spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
@@ -221,3 +221,36 @@ def test_a_cold_build_is_covered_by_its_phase_spans(tmp_path):
     assert ops.count("append") == 4
     assert ops.count("compact") >= 1
     assert all(span["parent"] is None for span in manifest)
+
+
+def test_a_cold_build_emits_encode_spans(tmp_path, monkeypatch):
+    # Small frames, so the build encodes frames while it runs and the
+    # writer's close encodes the last one.
+    from repro.traces import compress
+
+    monkeypatch.setattr(compress, "MAX_FRAME_RECORDS", 1_000)
+    handle = runtime.configure(str(tmp_path / "tel"))
+    store = CorpusStore(str(tmp_path / "corpus"))
+    built = store.ensure(CORPUS["server-churn"].scaled(INSTRUCTIONS))
+    handle.flush()
+    spans = read_span_log(
+        os.path.join(handle.directory, runtime.SPAN_LOG_NAME)
+    ).spans
+    (record,) = [span for span in spans if span["name"] == "corpus/record"]
+    encode = [span for span in spans if span["name"] == "traces.encode"]
+    parents = {span["id"]: span["parent"] for span in spans}
+
+    def under_record(span):
+        parent = span["parent"]
+        while parent is not None and parent != record["id"]:
+            parent = parents[parent]
+        return parent == record["id"]
+
+    frames = compress.frame_stats(built.path)
+    assert len(frames) > 2 and all(under_record(span) for span in encode)
+    assert sum(span["attrs"]["frames"] for span in encode) == len(frames)
+    assert (
+        sum(span["attrs"]["records"] for span in encode)
+        == sum(records for records, _ in frames)
+        == record["attrs"]["records"]
+    )

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import zlib
 
 import numpy as np
@@ -351,13 +352,93 @@ class TestContainer:
         assert _reader_rows(reader) == records
         assert reader.footer == {"records": len(records)}
 
-    def test_epochless_trace_flushes_by_cap(self):
+    def test_epochless_trace_flushes_by_cap(self, tmp_path):
         count = MAX_FRAME_RECORDS + 17
-        records = [(EV_LOAD, index * 8, 8) for index in range(count)]
-        buffer = self._write(records)
-        buffer.seek(0)
-        batches = list(TraceReader(buffer).column_batches())
-        assert sum(len(batch) for batch in batches) == count
+        path = str(tmp_path / "loads.trace")
+        with CompressedTraceWriter(path, {"kind": "test"}) as writer:
+            writer.append_columns(
+                np.full(count, EV_LOAD, dtype=np.uint8),
+                np.arange(count, dtype=np.int64) * 8,
+                np.full(count, 8, dtype=np.int64),
+            )
+            writer.set_footer({"records": count})
+        assert [records for records, _ in frame_stats(path)] == [
+            MAX_FRAME_RECORDS, 17
+        ]
+        with TraceReader(path) as reader:
+            address = np.concatenate(
+                [batch.address for batch in reader.column_batches()]
+            )
+        assert np.array_equal(address, np.arange(count) * 8)
+
+    def test_frames_are_cut_by_size_only(self):
+        # Moving the EPOCH records or cutting the input differently
+        # changes no frame boundary, and the input blocking no byte.
+        count = 3 * MAX_FRAME_RECORDS + 5
+        rng = np.random.default_rng(3)
+        kinds = rng.choice([EV_LOAD, EV_STORE], count).astype(np.uint8)
+        addresses = rng.integers(0, 1 << 20, count) * 8
+        args = np.full(count, 8, dtype=np.int64)
+        frame_counts = set()
+        for epochs in ([], [0, 99, 100, count - 1], range(50, count, 800)):
+            marked = kinds.copy()
+            marked[list(epochs)] = EV_EPOCH
+            written = set()
+            for block in (1_000, MAX_FRAME_RECORDS - 1, count):
+                buffer = io.BytesIO()
+                with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
+                    for start in range(0, count, block):
+                        stop = start + block
+                        writer.append_columns(
+                            marked[start:stop], addresses[start:stop],
+                            args[start:stop],
+                        )
+                written.add(buffer.getvalue())
+            assert len(written) == 1
+            reader = TraceReader(io.BytesIO(written.pop()))
+            frame_counts.add(
+                tuple(records for _, records, _ in compress._iter_frames(reader))
+            )
+        assert frame_counts == {(MAX_FRAME_RECORDS,) * 3 + (5,)}
+
+    def test_per_epoch_level_6_frames_still_decode(self):
+        # The writer used to cut a frame after every EPOCH record (and at
+        # 2**16 records) and deflate it at level 6; such a trace keeps
+        # its records, footer and corpus identity.
+        records = []
+        for epoch in range(40):
+            records.extend(
+                (EV_LOAD + epoch % 2, 0x1000 + epoch * 4096 + index * 8, 8)
+                for index in range(37 * epoch % 300)
+            )
+            records.append((EV_EPOCH, epoch, 0))
+        records.extend((EV_STORE, index * 64, 4) for index in range(10))
+        footer = {"records": len(records)}
+        header = json.dumps({"kind": "test"}, sort_keys=True).encode()
+        old = io.BytesIO()
+        old.write(MAGIC + len(header).to_bytes(4, "little") + header)
+        ends = [i + 1 for i, row in enumerate(records) if row[0] == EV_EPOCH]
+        for start, stop in zip([0] + ends, ends + [len(records)]):
+            tokens = zlib.decompress(encode_frame(records[start:stop]))
+            payload = zlib.compress(tokens, 6)
+            old.write(
+                struct.pack("<BII", compress.FRAME_RECORDS, stop - start,
+                            len(payload))
+            )
+            old.write(payload)
+        footer_bytes = json.dumps(footer, sort_keys=True).encode()
+        old.write(struct.pack("<BI", compress.FRAME_END, len(footer_bytes)))
+        old.write(footer_bytes)
+        reader = TraceReader(io.BytesIO(old.getvalue()))
+        assert len(list(compress._iter_frames(reader))) == 41
+        reader = TraceReader(io.BytesIO(old.getvalue()))
+        assert _reader_rows(reader) == records
+        assert reader.footer == footer
+        new = self._write(records)
+        assert new.getvalue() != old.getvalue()
+        assert canonical_digest(io.BytesIO(old.getvalue())) == canonical_digest(
+            io.BytesIO(new.getvalue())
+        )
 
     def test_empty_trace(self):
         buffer = self._write([])
@@ -494,6 +575,10 @@ def test_frame_stats_rejects_v1(recorded_pairs):
 class TestMalformedCompressed:
     @pytest.fixture()
     def sample(self):
+        return self._sample()
+
+    @staticmethod
+    def _sample():
         buffer = io.BytesIO()
         with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
             for index in range(500):
@@ -555,14 +640,14 @@ class TestMalformedCompressed:
             with pytest.raises(TraceFormatError, match="terminator"):
                 reader.read_footer()
 
-    def test_read_footer_after_partial_iteration(self, sample, monkeypatch):
-        # Small frame groups, so the 500-record sample spans batches.
-        from repro.traces import compress
-
+    def test_read_footer_after_partial_iteration(self, monkeypatch):
+        # Small frames and frame groups, so the 505-record sample spans
+        # batches.
+        monkeypatch.setattr(compress, "MAX_FRAME_RECORDS", 101)
         monkeypatch.setattr(compress, "FRAME_GROUP_RECORDS", 150)
-        reader = TraceReader(io.BytesIO(sample))
+        reader = TraceReader(io.BytesIO(self._sample()))
         first = next(reader.column_batches())
-        assert len(first) == 202  # two 101-record epoch frames
+        assert len(first) == 202  # two 101-record frames
         assert reader.footer is None
         assert reader.read_footer() == {"records": 505}
         assert list(reader.column_batches()) == []

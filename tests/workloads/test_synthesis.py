@@ -153,3 +153,23 @@ def test_a_figure_draws_each_benchmark_once(monkeypatch):
     benchmarks = ["gobmk", "hmmer", "mcf"]
     fig12_intelligent.run(instructions=2_000, benchmarks=benchmarks)
     assert sorted(calls) == benchmarks
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PROFILES))
+def test_draw_matches_the_randrange_reference(name):
+    # Production inlines randrange's rejection loop over getrandbits; the
+    # oracle calls random.Random.randrange, so a Python whose randrange
+    # consumes other words fails here.
+    profile = SPEC_PROFILES[name]
+    for seed, warmup_fraction in ((0, 1.0), (7, 0.5)):
+        script = draw(profile, 5_000, seed, warmup_fraction)
+        reference = oracle.draw(profile, 5_000, seed, warmup_fraction)
+        for field in (
+            "types", "raw_sizes", "kinds", "targets", "raw_offsets",
+            "fields", "victims", "victim_bursts",
+        ):
+            expected = getattr(reference, field)
+            assert getattr(script, field).dtype == expected.dtype
+            assert np.array_equal(getattr(script, field), expected), field
+        assert script.warm_burst == reference.warm_burst
+        assert script.app_instructions == reference.app_instructions
