@@ -293,15 +293,16 @@ encode-smoke:
 	echo "encode-smoke: the columnar writers and the per-record oracle write identical bytes"
 
 ## CI gate for the columnar workload synthesis: record CALTRC02 traces
-## of server-churn and dma-mixed (CFORM walks) and a composed loadgen
-## trace, once through the production writers and once through the
-## per-record generator and per-arrival merge of tests/oracle.py
-## (`python -m oracle record`), and require byte-identical files, so
-## the record streams, EPOCH placement and the composer's burst cuts
-## all agree.
+## of server-churn, dma-mixed (CFORM walks) and fragmentation-heavy (raw
+## bursts of 5 touches, whose words the generator draws in one batch;
+## the oracle calls random() per touch) and a composed loadgen trace,
+## once through the production writers and once through the per-record
+## generator and per-arrival merge of tests/oracle.py (`python -m oracle
+## record`), and require byte-identical files, so the record streams,
+## EPOCH placement and the composer's burst cuts all agree.
 synth-smoke:
 	@$(DEMO_DIR_SETUP); \
-	for name in server-churn dma-mixed; do \
+	for name in server-churn dma-mixed fragmentation-heavy; do \
 		$(PY) -m repro.traces record --scenario $$name \
 			--instructions 8000 --out "$$dir/$$name.trace"; \
 		$(ORACLE) record --scenario $$name \
@@ -311,7 +312,7 @@ synth-smoke:
 		--out "$$dir/uniform-churn.trace"; \
 	$(ORACLE) record --load uniform-churn \
 		--out "$$dir/uniform-churn.oracle.trace"; \
-	for name in server-churn dma-mixed uniform-churn; do \
+	for name in server-churn dma-mixed fragmentation-heavy uniform-churn; do \
 		cmp "$$dir/$$name.trace" "$$dir/$$name.oracle.trace"; \
 	done; \
 	echo "synth-smoke: the columnar generator and the per-record oracle record identical bytes"

@@ -236,7 +236,9 @@ class LruTagKernel:
             self.misses += m
             self.hits += n - m
             return miss_mask
-        set_column = work_lines % self._num_sets
+        # The remainder from the floor quotient: exact, and faster than
+        # numpy's int64 ``%`` for any set count.
+        set_column = work_lines - work_lines // self._num_sets * self._num_sets
         # Stable sort by set: each set's accesses stay in stream order,
         # different sets are independent, so deciding grouped-by-set
         # cannot change any outcome.
@@ -321,10 +323,9 @@ class LruTagKernel:
         """
         associativity = self._associativity
         rows = np.take(self._way_lines, grouped_sets[first_idx], axis=0)
-        which, column = np.divmod(
-            np.flatnonzero(rows == grouped_lines[first_idx, None]),
-            associativity,
-        )
+        found = np.flatnonzero(rows == grouped_lines[first_idx, None])
+        which = found // associativity
+        column = found - which * associativity
         set_ordinal = np.searchsorted(set_first, which, side="right") - 1
         touched = (set_ordinal, column)
         # f: first touches earlier in the same set's block.
@@ -458,13 +459,13 @@ class LruTagKernel:
             # most PENDING_TOUCHES touches, is shorter than L3's
             # capacity.)
             tail = lines[-capacity:]
-            sets = tail % num_sets
+            sets = tail - tail // num_sets * num_sets
             if np.bincount(sets, minlength=num_sets).min() >= associativity:
                 self._way_lines[:] = tail[self._set_order(sets)].reshape(
                     num_sets, associativity
                 )
                 return
-        sets = lines % num_sets
+        sets = lines - lines // num_sets * num_sets
         order = self._set_order(sets)
         grouped_sets = sets[order]
         boundary = np.empty(lines.size, dtype=bool)

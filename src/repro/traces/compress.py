@@ -116,8 +116,9 @@ def _leb128(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the byte offset where each value starts.
 
     Most values fit one byte, so the longer ones are filled in byte
-    column by byte column over a shrinking index set; every byte but
-    the last of each value then gets the continuation bit.
+    column by byte column over a shrinking index set, each byte but a
+    value's last with the continuation bit; one-byte values never get
+    a second pass.
     """
     sizes = np.ones(len(values), dtype=np.int64)
     wide = np.flatnonzero(values > 0x7F)
@@ -136,10 +137,10 @@ def _leb128(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for byte in range(1, 10):
         if not longer.size:
             break
-        out[offsets[longer] + byte] = (values[longer] >> (7 * byte)) & 0x7F
+        at = offsets[longer] + byte
+        out[at - 1] |= 0x80
+        out[at] = (values[longer] >> (7 * byte)) & 0x7F
         longer = longer[sizes[longer] > byte + 1]
-    out |= 0x80
-    out[ends - 1] &= 0x7F
     return out, offsets
 
 
@@ -358,13 +359,16 @@ def _encode_frames(kinds, addresses, args, lengths: list[int]) -> bytes:
     ``lengths`` cuts the record columns into frames.  Tokenising runs
     once over all of them: pair ``j`` joins records ``j`` and ``j + 1``
     of one frame when they share kind and arg, and maximal stretches of
-    pairs with one address step are the constant-stride segments.  A
-    greedy walk takes a run token wherever one reaches :data:`MIN_RUN`
-    records — a run starting at record ``i`` covers ``1 +`` the segment
-    pairs from ``i`` on, and a run ending on a segment's last record
-    leaves the next segment one record shorter — and every record no run
-    covers is a plain token.  All token fields are then varint-encoded
-    in one pass; only zlib runs per frame.
+    pairs with one address step are the constant-stride segments.  The
+    encoder takes, in closed form, the runs a greedy left-to-right walk
+    takes: each segment of at least :data:`MIN_RUN` records becomes a
+    run token, except that a run ending on a segment's last record
+    leaves the next segment one record shorter when the two share that
+    record.  Only a segment exactly :data:`MIN_RUN` long then falls
+    short, so a chain of those after a taken segment is taken every
+    other one.  Every record no run covers is a plain token.  All token
+    fields are then varint-encoded in one pass; only zlib runs per
+    frame.
     """
     count = len(kinds)
     frame_ends = np.cumsum(lengths)
@@ -388,20 +392,26 @@ def _encode_frames(kinds, addresses, args, lengths: list[int]) -> bytes:
     lasts[:-1] &= ~continues
     segment_starts = np.flatnonzero(firsts)
     segment_ends = np.flatnonzero(lasts) + 1  # the segment's last record
-    long = segment_ends - segment_starts + 1 >= MIN_RUN
-    run_starts: list[int] = []
-    run_stops: list[int] = []
-    free = 0  # the first record no run has taken yet
-    for start, end in zip(
-        segment_starts[long].tolist(), segment_ends[long].tolist()
-    ):
-        start = max(start, free)
-        if end - start + 1 >= MIN_RUN:
-            run_starts.append(start)
-            run_stops.append(end + 1)
-            free = end + 1
-    runs = np.array(run_starts, dtype=np.int64)
-    stops = np.array(run_stops, dtype=np.int64)
+    sizes = segment_ends - segment_starts + 1
+    long = sizes >= MIN_RUN
+    starts = segment_starts[long]
+    ends = segment_ends[long]
+    sizes = sizes[long]
+    # Long segment ``i`` can share its first record only with long
+    # segment ``i - 1``'s last.  When that one was taken, the greedy walk
+    # starts this run one record later, which drops it below MIN_RUN only
+    # when it is exactly MIN_RUN long.  Such dependent segments are taken
+    # every other one after the last segment taken regardless.
+    shared = np.zeros(starts.size, dtype=bool)
+    shared[1:] = starts[1:] == ends[:-1]
+    position = np.arange(starts.size)
+    anchor = np.maximum.accumulate(
+        np.where(shared & (sizes == MIN_RUN), 0, position)
+    )
+    taken = (position - anchor) % 2 == 0
+    shared[1:] &= taken[:-1]  # the run starts one record later
+    runs = (starts + shared)[taken]
+    stops = ends[taken] + 1
     # Token starts: every record but the second-and-later of a run.
     inside = np.zeros(count + 1, dtype=np.int64)
     inside[runs + 1] += 1

@@ -506,7 +506,7 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
             raw = max(int(profile.raw_buffer_bytes * (0.5 + r())), 16)
             types.append(-1)
             raw_sizes.append(raw)
-            baseline_bytes += align_up(raw, 16)
+            baseline_bytes += (raw + 15) & ~15
 
     # -- bursts and churn -------------------------------------------------------
     object_count = len(types)
@@ -515,11 +515,19 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
     object_bits = object_count.bit_length()
     burst_length = profile.burst_length
     touches = range(burst_length)
+    # A raw burst's ``burst_length`` calls of ``random()`` consume two
+    # Mersenne Twister words each; one ``getrandbits`` takes them all.
+    # CPython fills a wide ``getrandbits`` least-significant word first,
+    # so its little-endian bytes hold the words in the order the calls
+    # would have drawn them (``test_draw_matches_the_randrange_reference``
+    # pins this).  They become offsets after the loop.
+    raw_bits = 64 * burst_length
+    raw_bytes = 8 * burst_length
+    raw_words = bytearray()
     burst_instructions = burst_length / profile.mem_ratio
     allocs_per_burst = profile.allocs_per_kinst * burst_instructions / 1000.0
     kinds = array("b")
     targets = array("i")
-    raw_offsets = array("i")
     fields = array("B")
     victims = array("i")
     victim_bursts = array("i")
@@ -543,16 +551,16 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
             kinds.append(BURST_STACK)
             targets.append(int(r() * _STACK_HOT_BYTES))
         else:
-            index = min(int(object_count * r() ** skew_exponent),
-                        object_count - 1)
+            index = int(object_count * r() ** skew_exponent)
+            if index == object_count:  # the product rounded up
+                index -= 1
             targets.append(index)
             type_index = types[index]
             if r() < profile.scan_fraction:
                 kinds.append(BURST_SCAN)
             elif type_index < 0:
                 kinds.append(BURST_RAW)
-                span = max(raw_sizes[index] - 8, 1)
-                raw_offsets.extend([int(r() * span) for _ in touches])
+                raw_words += getrandbits(raw_bits).to_bytes(raw_bytes, "little")
             else:
                 kinds.append(BURST_FIELD)
                 count = field_counts[type_index]
@@ -574,22 +582,50 @@ def _draw(profile, instructions, seed, warmup_fraction) -> Script:
             victim_bursts.append(burst)
         burst += 1
 
+    kinds = np.frombuffer(kinds, dtype=np.int8)
+    targets = np.frombuffer(targets, dtype=np.int32)
+    raw_sizes = np.frombuffer(raw_sizes, dtype=np.int32)
     return Script(
         profile=profile,
         instructions=instructions,
         seed=seed,
         warmup_fraction=warmup_fraction,
         types=np.frombuffer(types, dtype=np.int16),
-        raw_sizes=np.frombuffer(raw_sizes, dtype=np.int32),
-        kinds=np.frombuffer(kinds, dtype=np.int8),
-        targets=np.frombuffer(targets, dtype=np.int32),
-        raw_offsets=np.frombuffer(raw_offsets, dtype=np.int32),
+        raw_sizes=raw_sizes,
+        kinds=kinds,
+        targets=targets,
+        raw_offsets=_raw_offsets(
+            raw_words, raw_sizes[targets[kinds == BURST_RAW]], burst_length
+        ),
         fields=np.frombuffer(fields, dtype=np.uint8),
         victims=np.frombuffer(victims, dtype=np.int32),
         victim_bursts=np.frombuffer(victim_bursts, dtype=np.int32),
         warm_burst=warm_burst,
         app_instructions=app_instructions,
     )
+
+
+def _raw_offsets(words: bytearray, sizes, burst_length: int):
+    """The raw bursts' touch offsets, ``int(random() * (size - 8))`` per
+    touch, from the Mersenne Twister words the bursts took in order.
+
+    ``random()`` is ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53`` of its
+    word pair: the 53-bit integer and its scaling are exact in float64,
+    and the product with the span rounds as Python's float product
+    does, so each offset equals the scalar one.  The conversion runs in
+    place in ``words``.
+    """
+    pairs = np.frombuffer(words, dtype="<u8")
+    high = pairs & 0xFFFFFFE0  # w0 with its low 5 bits cleared
+    high <<= 21
+    pairs >>= 38  # w1 >> 6
+    pairs |= high
+    del high
+    values = pairs.view(np.float64)
+    np.multiply(pairs, 2.0**-53, out=values)
+    values.shape = (sizes.size, burst_length)
+    values *= (sizes - 8)[:, None]
+    return values.astype(np.int32).ravel()
 
 
 def render(script: Script, scenario: Scenario, quarantine_delay: int = 16):

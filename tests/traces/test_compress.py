@@ -287,6 +287,65 @@ def test_two_runs_sharing_a_boundary_record():
     assert tokens[0:2] == bytes([run, 5]) and tokens[5:7] == bytes([run, 5])
 
 
+def _segment_chain(lengths):
+    """Constant-stride segments of ``lengths`` records, strides 8 and 64
+    alternating, each starting on the previous segment's last record."""
+    records = [(EV_LOAD, 0, 8)]
+    for segment, length in enumerate(lengths):
+        stride = (8, 64)[segment % 2]
+        for _ in range(length - 1):
+            records.append((EV_LOAD, records[-1][1] + stride, 8))
+    return records
+
+
+def _token_runs(tokens):
+    """Whether each token of a frame's token stream is a run token."""
+    runs = []
+    offset = 0
+    while offset < len(tokens):
+        kind = tokens[offset]
+        offset += 1
+        fields = 4 if kind & compress._RUN_FLAG else 2
+        for _ in range(fields):
+            _, offset = compress._read_varint(tokens, offset)
+        runs.append(bool(kind & compress._RUN_FLAG))
+    return runs
+
+
+@pytest.mark.parametrize("frame_cap", [MAX_FRAME_RECORDS, 7, 9, 10])
+def test_a_chain_of_min_run_segments_alternates(frame_cap):
+    # Each exactly-MIN_RUN segment after a taken one loses its shared
+    # first record and falls short, so the chain is taken every other
+    # segment; the 5-record segment is taken either way and restarts
+    # the alternation.  Caps 7, 9 and 10 cut frames inside the chain.
+    lengths = [compress.MIN_RUN] * 3 + [compress.MIN_RUN + 1]
+    lengths += [compress.MIN_RUN] * 3
+    records = _segment_chain(lengths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compress, "MAX_FRAME_RECORDS", frame_cap)
+        expected = _oracle_bytes(records)
+        for block in (1, len(records)):
+            assert _production_bytes(records, block) == expected
+    # In one frame: runs for segments 0, 2, 3 and 5; plain tokens for
+    # the two records segments 1 and 4 keep between runs and the three
+    # the last segment keeps.
+    runs = _token_runs(zlib.decompress(encode_frame(records)))
+    assert runs == [True, False, False, True, True, False, False, True,
+                    False, False, False]
+
+
+def test_leb128_matches_the_oracle_varints():
+    values = [0, 0x7F, 0x80, 0x3FFF, 0x4000, 2**63 - 1, 2**64 - 1]
+    encoded, offsets = compress._leb128(np.array(values, dtype=np.uint64))
+    expected = bytearray()
+    starts = []
+    for value in values:
+        starts.append(len(expected))
+        oracle._append_varint(expected, value)
+    assert encoded.tobytes() == bytes(expected)
+    assert offsets.tolist() == starts
+
+
 @pytest.mark.parametrize(
     "name, compressed",
     [

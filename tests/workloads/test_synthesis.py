@@ -10,6 +10,8 @@ for every object, one burst end per burst.  Both must hand a
 the same burst ends, and return the same instruction count.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,3 +175,44 @@ def test_draw_matches_the_randrange_reference(name):
             assert np.array_equal(getattr(script, field), expected), field
         assert script.warm_burst == reference.warm_burst
         assert script.app_instructions == reference.app_instructions
+
+
+def _assert_same_script(script, reference):
+    for field in (
+        "types", "raw_sizes", "kinds", "targets", "raw_offsets",
+        "fields", "victims", "victim_bursts",
+    ):
+        expected = getattr(reference, field)
+        assert getattr(script, field).dtype == expected.dtype, field
+        assert np.array_equal(getattr(script, field), expected), field
+    assert script.warm_burst == reference.warm_burst
+    assert script.app_instructions == reference.app_instructions
+
+
+@pytest.mark.parametrize("burst_length", [1, 5])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Raw bursts only: every burst's touches come from one batched
+        # getrandbits.
+        {"struct_fraction": 0.0, "scan_fraction": 0.0, "stack_fraction": 0.0},
+        # No raw buffers, so no raw bursts.
+        {"struct_fraction": 1.0},
+    ],
+    ids=["raw-only", "no-raw"],
+)
+def test_raw_bursts_match_the_scalar_reference(overrides, burst_length):
+    profile = replace(
+        SPEC_PROFILES["mcf"], burst_length=burst_length, **overrides
+    )
+    for seed, warmup_fraction in ((0, 1.0), (3, 0.5)):
+        script = draw(profile, 20_000, seed, warmup_fraction)
+        _assert_same_script(
+            script, oracle.draw(profile, 20_000, seed, warmup_fraction)
+        )
+        raw_bursts = np.count_nonzero(script.kinds == generator.BURST_RAW)
+        assert script.raw_offsets.size == raw_bursts * burst_length
+        if overrides["struct_fraction"] == 1.0:
+            assert raw_bursts == 0  # an empty int32 column, as compared
+        else:
+            assert raw_bursts == script.kinds.size
