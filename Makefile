@@ -24,7 +24,7 @@ DEMO_DIR_SETUP = set -e; dir="$(TRACE_DEMO_DIR)"; \
 #: the second build demonstrates pure corpus hits; CI caches it).
 CORPUS_DIR ?= .repro-corpus
 
-.PHONY: test test-slow bench bench-quick bench-smoke bench-profile \
+.PHONY: test test-slow \
         experiments experiments-full experiments-smoke faults-smoke \
         trace-demo trace-demo-mc corpus-demo loadgen-smoke kernel-smoke \
         encode-smoke synth-smoke telemetry-smoke serve-smoke live-check \
@@ -41,21 +41,6 @@ test:
 ## the default session; CI runs this as its own step).
 test-slow:
 	$(PY) -m pytest -x -q -m slow
-
-## Record a full BENCH_<timestamp>.json trajectory entry.
-bench:
-	$(PY) -m repro.perf $(BENCH_ARGS)
-
-## Fast smoke run (small workloads, no report written).
-bench-quick:
-	$(PY) -m repro.perf --quick --no-write
-
-## CI alias for the smoke run (the workflow gate).
-bench-smoke: bench-quick
-
-## Full run plus cProfile dumps under benchmarks/trajectory/profiles/.
-bench-profile:
-	$(PY) -m repro.perf --profile $(BENCH_ARGS)
 
 ## Regenerate EXPERIMENTS.md + results/*.json (quick profile).
 experiments:

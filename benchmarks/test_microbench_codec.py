@@ -9,7 +9,11 @@ import random
 
 from repro.core import bitvector as bv
 from repro.core.cform import CformRequest, apply_cform_mask
-from repro.core.line_formats import BitvectorLine
+from repro.core.line_formats import (
+    BitvectorLine,
+    normalize_security_bytes,
+    security_bytes_clean,
+)
 from repro.core.sentinel import decode, encode
 
 
@@ -54,6 +58,23 @@ def test_roundtrip_dense_lines(benchmark):
             decode(encode(line))
 
     benchmark(roundtrip_all)
+
+
+def test_normalize_throughput(benchmark):
+    """Security-byte zeroing (the L1-side canonicalisation) over random
+    64-bit masks."""
+    rng = random.Random(3)
+    pairs = []
+    for _ in range(256):
+        data = bytes(rng.randrange(256) for _ in range(64))
+        pairs.append((data, rng.getrandbits(64) & bv.FULL_MASK))
+
+    def normalize_all():
+        for data, mask in pairs:
+            normalized = normalize_security_bytes(data, mask)
+        return normalized
+
+    assert security_bytes_clean(benchmark(normalize_all), pairs[-1][1])
 
 
 def test_cform_kmap_throughput(benchmark):

@@ -1,8 +1,13 @@
 """Microbenchmarks: functional memory hierarchy and allocator paths."""
 
+import random
+
+import numpy as np
+
 from repro.core.cform import CformRequest
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.kernel import EV_LOAD, EV_STORE
 from repro.softstack.allocator import CaliformsHeap
 from repro.softstack.compiler import CompilerConfig, CompilerPass
 from repro.softstack.ctypes_model import LISTING_1_STRUCT_A
@@ -39,6 +44,36 @@ def test_califormed_eviction_path(benchmark):
             hierarchy.load(index * 64 + 8, 4)
 
     benchmark(thrash)
+
+
+def test_mixed_trace_replay(benchmark):
+    """A decoded record batch through ``replay_columns``, the hierarchy
+    replay mode's production path: 4,096 loads and stores over 512
+    lines, every tenth line califormed at bytes 62 and 63."""
+    rng = random.Random(7)
+    kinds, addresses, args = [], [], []
+    for _ in range(4096):
+        line = rng.randrange(512)
+        offset = rng.randrange(56)
+        addresses.append(line * 64 + offset)
+        if rng.random() < 0.5:
+            kinds.append(EV_LOAD)
+            args.append(rng.choice((1, 2, 4, 8)))
+        else:
+            kinds.append(EV_STORE)
+            args.append(4)
+            rng.randrange(256)  # a store's byte; replay_columns derives it
+    columns = (
+        np.array(kinds, dtype=np.uint8),
+        np.array(addresses, dtype=np.int64),
+        np.array(args, dtype=np.int64),
+    )
+    hierarchy = MemoryHierarchy()
+    for line in range(0, 512, 10):
+        hierarchy.cform(CformRequest.set_bytes(line * 64, [62, 63]))
+
+    # Three of the trace's loads reach a califormed line's bytes 62-63.
+    assert benchmark(hierarchy.replay_columns, *columns) == 3
 
 
 def test_malloc_free_cycle(benchmark):

@@ -4,7 +4,6 @@ Subcommands::
 
     run       run registered experiments (by name/tag/--set; default: all)
               and write EXPERIMENTS.md + results/*.json
-    perf      the perf harness          (= python -m repro.perf ...)
     trace     the trace engine          (= python -m repro.traces ...)
     corpus    the corpus store          (= python -m repro.corpus ...)
     faults    fault injection           (= python -m repro.reliability ...)
@@ -27,7 +26,6 @@ tools document works unchanged.  Examples::
     python -m repro run --telemetry            # spans + metrics sidecar
     python -m repro run --profile-sections     # + per-section cProfile
     python -m repro telemetry summarize        # read the sidecar back
-    python -m repro perf --quick
     python -m repro trace list
     python -m repro corpus ls
     python -m repro faults matrix              # the CI faults-smoke
@@ -217,9 +215,8 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
 #: Delegated subcommands: name -> import path of the module CLI's main.
 #: Dispatched before argparse sees the argv tail, because
 #: ``nargs=REMAINDER`` refuses tails that start with an option token
-#: (``python -m repro perf --list``).
+#: (``python -m repro corpus --root DIR ls``).
 _DELEGATED = {
-    "perf": "repro.perf.__main__",
     "trace": "repro.traces.__main__",
     "corpus": "repro.corpus.__main__",
     "faults": "repro.reliability.__main__",
@@ -239,8 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         return module.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Califorms reproduction: experiments, perf harness, "
-        "trace engine and corpus store behind one CLI.",
+        description="Califorms reproduction: experiments, trace engine "
+        "and corpus store behind one CLI.",
     )
     from repro import package_version
 
@@ -349,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     # Registered for `python -m repro -h` discoverability; actual
     # dispatch happened above, before argparse.
     for name, help_text in (
-        ("perf", "perf harness (= python -m repro.perf ...)"),
         ("trace", "trace engine (= python -m repro.traces ...)"),
         ("corpus", "corpus store (= python -m repro.corpus ...)"),
         ("faults", "fault injection (= python -m repro.reliability ...)"),

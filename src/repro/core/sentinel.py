@@ -270,7 +270,7 @@ def _plan_for_mask(secmask: int) -> _CodecPlan:
 
 
 def codec_plan_cache_info():
-    """Expose the plan cache statistics (perf harness / debugging aid)."""
+    """Expose the plan cache statistics (a debugging aid)."""
     return _plan_for_mask.cache_info()
 
 

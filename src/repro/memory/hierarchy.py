@@ -139,45 +139,6 @@ class MemoryHierarchy:
 
     # -- batched access API --------------------------------------------------
 
-    def load_many(
-        self, requests: list[tuple[int, int]]
-    ) -> list[tuple[bytes, list[ExceptionRecord]]]:
-        """Perform many loads; one ``(value, records)`` pair per request.
-
-        Semantically identical to calling :meth:`load` per request, with
-        the attribute lookups hoisted out of the loop — the fast path for
-        trace replay and bulk experiment drivers.
-        """
-        l1_load = self.l1.load
-        line_size = bv.LINE_SIZE
-        offset_mask = line_size - 1
-        results: list[tuple[bytes, list[ExceptionRecord]]] = []
-        append = results.append
-        for address, size in requests:
-            if 0 < size and (address & offset_mask) + size <= line_size:
-                value, record = l1_load(address, size)
-                append((value, [] if record is None else [record]))
-            else:
-                append(self.load(address, size))
-        return results
-
-    def store_many(
-        self, requests: list[tuple[int, bytes]]
-    ) -> list[list[ExceptionRecord]]:
-        """Perform many stores; one record list per request."""
-        l1_store = self.l1.store
-        line_size = bv.LINE_SIZE
-        offset_mask = line_size - 1
-        results: list[list[ExceptionRecord]] = []
-        append = results.append
-        for address, data in requests:
-            if 0 < len(data) <= line_size - (address & offset_mask):
-                record = l1_store(address, data)
-                append([] if record is None else [record])
-            else:
-                append(self.store(address, data))
-        return results
-
     def replay_trace(self, ops: list[tuple]) -> int:
         """Replay a mixed trace of ``("L", addr, size)`` / ``("S", addr, data)``.
 

@@ -516,10 +516,6 @@ class CompressedTraceWriter:
                 self._file.close()
             raise
 
-    def append(self, kind: int, address: int, arg: int) -> None:
-        """Append one record: the one-row case of :meth:`append_columns`."""
-        self.append_columns((kind,), (address,), (arg,))
-
     def append_columns(self, kinds, addresses, args) -> None:
         """Append a block of records; writes every frame it completes.
 

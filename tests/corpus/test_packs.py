@@ -163,7 +163,7 @@ class TestDamage:
         with TraceReader(object_path) as reader:
             header = reader.header
         with CompressedTraceWriter(object_path, header) as writer:
-            writer.append(*record)
+            writer.append_columns(*zip(record))
             writer.set_footer({"records": 1})
         path, _identifier, _count = write_pack(store)
         (problem,) = verify_pack(path)

@@ -167,9 +167,11 @@ class TestDelegation:
         out = capsys.readouterr().out.strip()
         assert len(out) == 64 and int(out, 16) >= 0
 
-    def test_perf_subcommand_delegates(self, capsys):
-        assert main(["perf", "--list"]) == 0
-        assert "codec_encode" in capsys.readouterr().out
+    def test_perf_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     def test_loadgen_subcommand_delegates(self, capsys):
         assert main(["loadgen", "list"]) == 0

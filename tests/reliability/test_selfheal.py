@@ -152,7 +152,7 @@ def _out_of_layout_copy(template, tmp_path, record):
     with TraceReader(path) as reader:
         header = reader.header
     with CompressedTraceWriter(path, header) as writer:
-        writer.append(*record)
+        writer.append_columns(*zip(record))
         writer.set_footer({"records": 1})
     return copy, digest
 

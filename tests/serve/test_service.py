@@ -368,3 +368,38 @@ class TestClientValidation:
 
     def test_integrity_error_is_remote_error(self):
         assert issubclass(RemoteIntegrityError, RemoteError)
+
+
+class TestBenchmarks:
+    """Timed probes of the service's two cached read paths, each a run
+    of GETs on one keep-alive connection."""
+
+    @staticmethod
+    def _statuses(server, path, count, revalidate=False):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=30
+        )
+        try:
+            statuses, headers = [], {}
+            for _ in range(count):
+                connection.request("GET", path, headers=headers)
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+                if revalidate:
+                    headers = {"If-None-Match": response.getheader("ETag")}
+            return statuses
+        finally:
+            connection.close()
+
+    def test_fetch_by_digest(self, served, benchmark):
+        server, store = served[0], served[1]
+        digest = next(iter(store.manifest().entries.values())).digest
+        statuses = benchmark(self._statuses, server, f"/objects/{digest}", 32)
+        assert statuses == [200] * 32
+
+    def test_results_revalidation(self, served, benchmark):
+        statuses = benchmark(
+            self._statuses, served[0], "/results/fig_smoke", 64, revalidate=True
+        )
+        assert statuses == [200] + [304] * 63

@@ -129,7 +129,7 @@ class TestFrameCodec:
         for record, column in refused:
             writer = CompressedTraceWriter(io.BytesIO(), {})
             with pytest.raises(TraceFormatError, match=column):
-                writer.append(*record)
+                writer.append_columns(*zip(record))
             with pytest.raises(TraceFormatError, match=column):
                 writer.append_columns(
                     np.array([record[0]], dtype=np.uint8),
@@ -146,8 +146,8 @@ class TestFrameCodec:
             )
         # Two int64 addresses of one frame whose delta int64 cannot hold.
         writer = CompressedTraceWriter(io.BytesIO(), {})
-        writer.append(EV_LOAD, -(2**62) - 1, 8)
-        writer.append(EV_STORE, 2**62, 8)
+        writer.append_columns((EV_LOAD,), (-(2**62) - 1,), (8,))
+        writer.append_columns((EV_STORE,), (2**62,), (8,))
         with pytest.raises(TraceFormatError, match="address"):
             writer.close()
         payload = encode_frame(
@@ -392,8 +392,8 @@ class TestContainer:
     def _write(self, records, buffer=None):
         buffer = buffer if buffer is not None else io.BytesIO()
         with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
-            for record in records:
-                writer.append(*record)
+            if records:
+                writer.append_columns(*zip(*records))
             writer.set_footer({"records": len(records)})
         return buffer
 
@@ -638,12 +638,14 @@ class TestMalformedCompressed:
 
     @staticmethod
     def _sample():
+        records = []
+        for index in range(500):
+            records.append((EV_LOAD, index * 64, 8))
+            if index % 100 == 99:
+                records.append((EV_EPOCH, index // 100, 0))
         buffer = io.BytesIO()
         with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
-            for index in range(500):
-                writer.append(EV_LOAD, index * 64, 8)
-                if index % 100 == 99:
-                    writer.append(EV_EPOCH, index // 100, 0)
+            writer.append_columns(*zip(*records))
             writer.set_footer({"records": writer.record_count})
         return buffer.getvalue()
 
@@ -693,7 +695,7 @@ class TestMalformedCompressed:
     def test_abort_leaves_invalid_file(self, tmp_path):
         path = str(tmp_path / "aborted.trace")
         writer = CompressedTraceWriter(path, {"kind": "test"})
-        writer.append(EV_LOAD, 64, 8)
+        writer.append_columns((EV_LOAD,), (64,), (8,))
         writer.abort()
         with TraceReader(path) as reader:
             with pytest.raises(TraceFormatError, match="terminator"):
@@ -719,12 +721,14 @@ class TestTailFooter:
     @staticmethod
     def _trace(footer):
         # Addresses and args whose varint tokens hold 0xFF bytes.
+        records = []
+        for index in range(300):
+            records.append((EV_LOAD, index * 0xFF7F, 0xFF))
+            if index % 100 == 99:
+                records.append((EV_EPOCH, index // 100, 0))
         buffer = io.BytesIO()
         with CompressedTraceWriter(buffer, {"kind": "test"}) as writer:
-            for index in range(300):
-                writer.append(EV_LOAD, index * 0xFF7F, 0xFF)
-                if index % 100 == 99:
-                    writer.append(EV_EPOCH, index // 100, 0)
+            writer.append_columns(*zip(*records))
             writer.set_footer(footer)
         return buffer.getvalue()
 

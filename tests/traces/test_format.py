@@ -26,8 +26,8 @@ END_HEAD = 5
 
 def _write_sample(target, records, header=None, footer=None):
     with CompressedTraceWriter(target, header or {"kind": "test"}) as writer:
-        for kind, address, arg in records:
-            writer.append(kind, address, arg)
+        if records:
+            writer.append_columns(*zip(*records))
         writer.set_footer(footer or {"records": len(records)})
 
 
