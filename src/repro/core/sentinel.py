@@ -269,11 +269,6 @@ def _plan_for_mask(secmask: int) -> _CodecPlan:
     return _CodecPlan(secmask)
 
 
-def codec_plan_cache_info():
-    """Expose the plan cache statistics (a debugging aid)."""
-    return _plan_for_mask.cache_info()
-
-
 def _find_sentinel_normalized(data: bytes, security_count: int) -> int:
     """Sentinel search for a line whose security bytes are already zero.
 

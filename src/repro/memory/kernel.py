@@ -53,15 +53,19 @@ access:
   arithmetic: the last ``assoc`` of its untouched residents, in order,
   then the block's distinct lines in last-use order;
 * a block whose lines, after the MRU collapse, are **strictly ascending
-  and start above every resident line** misses on every access: no line
-  of it is resident at entry, and none recurs within the block.  Such a
-  block skips the line sort and the residency probe: each set's row
-  takes its last ``min(k, assoc)`` lines above its residents.  Every
-  pre-warm sweep block has this shape at every level (a level below
-  passes on the ascending misses of the one above).  When the last
-  ``num_sets·assoc`` lines of a longer ascending block give every set
-  ``assoc`` lines, each earlier line is evicted within the block, so
-  that tail alone is the new contents;
+  and start above every line seen so far** misses on every access: no
+  line of it is resident at entry, and none recurs within the block.
+  Every pre-warm sweep block has this shape at every level (a level
+  below passes on the ascending misses of the one above), and
+  consecutive such blocks form one ascending run.  Its misses are
+  counted as each block arrives, but its lines are *held*: the rows
+  after a run are each set's last ``min(k, assoc)`` lines of it above
+  its residents, so they are written once per run.  Once the held lines
+  reach ``num_sets·assoc`` and their last ``num_sets·assoc`` give every
+  set ``assoc`` lines, each earlier line is evicted within the run, so
+  that tail alone becomes the rows and the run is dropped (at L1 and
+  L2 each sweep block does this by itself); otherwise the run is
+  written before the next other block is decided;
 * within the set-grouped stream, a **stable sort by tag** keeps each
   line's accesses contiguous and in stream order (equal tags of
   different sets stay apart, in set order), so it yields every access's
@@ -152,13 +156,16 @@ class LruTagKernel:
     line, the last column the most recently used, and empty ways
     (:data:`_EMPTY_LINE`, unmatched by any real address) sit at the
     least-recently-used end.  A line resident at column ``col`` has
-    ``associativity - 1 - col`` more recently used lines above it.
+    ``associativity - 1 - col`` more recently used lines above it.  The
+    lines of a held ascending run (module docstring) come after the
+    rows; :meth:`resident_lines` reads both.
     """
 
     __slots__ = (
         "geometry", "accesses", "hits", "misses", "total_accesses",
         "walk_accesses", "ascending_accesses",
         "_line_size", "_num_sets", "_associativity", "_way_lines",
+        "_held",
     )
 
     def __init__(self, geometry: CacheGeometry):
@@ -171,6 +178,9 @@ class LruTagKernel:
             _EMPTY_LINE,
             dtype=np.int64,
         )
+        #: The held ascending run: strictly ascending line arrays, each
+        #: above the last, not yet written into the rows.
+        self._held: list = []
         self.accesses = 0
         self.hits = 0
         self.misses = 0
@@ -181,8 +191,9 @@ class LruTagKernel:
         #: window walk (no cheap bound decided them).  A few int adds
         #: per batch; kept unconditional.
         self.walk_accesses = 0
-        #: Accesses of ascending blocks, applied in closed form (the
-        #: pre-warm sweep's share of the stream).
+        #: Accesses of ascending blocks, counted as they arrive and
+        #: applied in closed form (the pre-warm sweep's share of the
+        #: stream).
         self.ascending_accesses = 0
 
     def access_block(self, addresses):
@@ -197,8 +208,10 @@ class LruTagKernel:
         block at once:
 
         1. collapse global MRU repeats;
-        2. an ascending block misses on every access
-           (:meth:`_apply_ascending`); the rest of the steps are skipped;
+        2. an ascending block misses on every access and joins the held
+           run (:meth:`_hold`); the rest of the steps are skipped.  Any
+           other block first writes the held run into the rows
+           (:meth:`_settle`);
         3. sort by set, stably, and collapse per-set MRU repeats;
         4. one stable radix sort by tag gives each access its previous
            same-line access; a repeat hits iff its window holds fewer
@@ -223,19 +236,19 @@ class LruTagKernel:
         np.not_equal(lines[1:], lines[:-1], out=work[1:])
         work_idx = np.flatnonzero(work)
         work_lines = lines[work_idx]
-        if (work_lines[1:] > work_lines[:-1]).all() and (
-            work_lines[0] > self._way_lines.max()
-        ):
+        top = self._held[-1][-1] if self._held else self._way_lines.max()
+        if (work_lines[1:] > work_lines[:-1]).all() and work_lines[0] > top:
             # Ascending block: every line is new to the block and above
-            # every resident line, so every access misses and is its
+            # every line seen so far, so every access misses and is its
             # line's last use.
-            self._apply_ascending(work_lines)
+            self._hold(work_lines)
             miss_mask[work_idx] = True
             m = work_lines.size
             self.ascending_accesses += n
             self.misses += m
             self.hits += n - m
             return miss_mask
+        self._settle()
         # The remainder from the floor quotient: exact, and faster than
         # numpy's int64 ``%`` for any set count.
         set_column = work_lines - work_lines // self._num_sets * self._num_sets
@@ -305,7 +318,8 @@ class LruTagKernel:
             )])
 
         self._rewrite_rows(
-            set_ids, touched, distinct, grouped_lines[last_use]
+            self._way_lines, set_ids, touched, distinct,
+            grouped_lines[last_use],
         )
         miss_count = missed.size
         miss_mask[grouped_positions[missed]] = True
@@ -445,26 +459,57 @@ class LruTagKernel:
             reaches[active] = count >= associativity
         return reaches
 
-    def _apply_ascending(self, lines):
-        """Write an ascending block's strictly increasing ``lines`` (all
-        misses) into the rows: each set takes its last ``assoc`` lines
-        above its residents."""
+    def _hold(self, lines):
+        """Add an ascending block's strictly increasing ``lines`` (all
+        misses, above every line seen so far) to the held run.
+
+        Once the run holds ``num_sets·assoc`` lines it is written: when
+        its last ``num_sets·assoc`` give every set ``assoc`` lines,
+        every earlier line is evicted within the run, so that tail alone
+        becomes the rows; otherwise :meth:`_apply_ascending` writes the
+        whole run.  So a run holds fewer lines than the level has ways.
+        """
+        self._held.append(lines)
         num_sets = self._num_sets
-        associativity = self._associativity
-        capacity = num_sets * associativity
-        if lines.size > capacity:
-            # When its last ``capacity`` lines give every set ``assoc``
-            # lines, every earlier line is evicted within the block.
-            # (A pre-warm sweep's blocks at L1 and L2; an L3 block, at
-            # most PENDING_TOUCHES touches, is shorter than L3's
-            # capacity.)
-            tail = lines[-capacity:]
-            sets = tail - tail // num_sets * num_sets
-            if np.bincount(sets, minlength=num_sets).min() >= associativity:
-                self._way_lines[:] = tail[self._set_order(sets)].reshape(
-                    num_sets, associativity
-                )
-                return
+        capacity = num_sets * self._associativity
+        if sum(piece.size for piece in self._held) < capacity:
+            return
+        tail = self._run()[-capacity:]
+        sets = tail - tail // num_sets * num_sets
+        if np.bincount(sets, minlength=num_sets).min() >= self._associativity:
+            self._way_lines[:] = tail[self._set_order(sets)].reshape(
+                num_sets, self._associativity
+            )
+            self._held = []
+        else:
+            self._settle()
+
+    def _run(self):
+        """The held run's lines, in stream order."""
+        held = self._held
+        return held[0] if len(held) == 1 else np.concatenate(held)
+
+    def _settle(self) -> None:
+        """Write the held run, if any, into the rows."""
+        if self._held:
+            self._apply_ascending(self._run(), self._way_lines)
+            self._held = []
+
+    def resident_lines(self):
+        """Each set's resident lines, as a copy of the rows with the held
+        run applied (the run stays held): row ``s`` holds set ``s`` in
+        recency order, column 0 least recent, empty ways
+        (:data:`_EMPTY_LINE`) at that end."""
+        rows = self._way_lines.copy()
+        if self._held:
+            self._apply_ascending(self._run(), rows)
+        return rows
+
+    def _apply_ascending(self, lines, rows):
+        """Write strictly increasing ``lines`` above every line in
+        ``rows`` (all misses) into ``rows``: each set takes its last
+        ``assoc`` lines above its residents."""
+        num_sets = self._num_sets
         sets = lines - lines // num_sets * num_sets
         order = self._set_order(sets)
         grouped_sets = sets[order]
@@ -473,12 +518,13 @@ class LruTagKernel:
         np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
         self._rewrite_rows(
-            grouped_sets[starts], None, np.diff(starts, append=lines.size),
-            lines[order],
+            rows, grouped_sets[starts], None,
+            np.diff(starts, append=lines.size), lines[order],
         )
 
-    def _rewrite_rows(self, set_ids, touched, distinct, lines):
-        """Write the block's effect into the rows of ``set_ids``.
+    def _rewrite_rows(self, way_lines, set_ids, touched, distinct, lines):
+        """Write the block's effect into the rows ``set_ids`` of
+        ``way_lines``.
 
         ``set_ids`` are the touched sets in grouped order; ``touched`` is
         ``(set ordinal, column)`` of each resident line the block touched
@@ -489,7 +535,7 @@ class LruTagKernel:
         """
         associativity = self._associativity
         count = len(set_ids)
-        rows = np.take(self._way_lines, set_ids, axis=0)
+        rows = np.take(way_lines, set_ids, axis=0)
         kept = rows != _EMPTY_LINE
         if touched is not None:
             kept[touched] = False
@@ -512,7 +558,7 @@ class LruTagKernel:
         )] = lines[offset + np.repeat(
             np.cumsum(distinct) - placed - first_placed, placed
         )]
-        self._way_lines[set_ids] = out.reshape(count, associativity)
+        way_lines[set_ids] = out.reshape(count, associativity)
 
     def reset_counters(self) -> None:
         """Zero the counters, keep the tag contents warm (end of warmup)."""

@@ -712,16 +712,26 @@ def _sweep_blocks(homes, sizes):
     lines = (np.maximum(sizes, 1) + 63) // 64
     line_ends = np.cumsum(lines)
     line_starts = line_ends - lines
+    # Sweep line ``i`` of an object lies at its base plus ``i·64``.
+    bases = homes - line_starts * 64
     total = int(line_ends[-1])
+    first = 0
     for start in range(0, total, kernel.SWEEP_BLOCK):
-        line = np.arange(start, min(start + kernel.SWEEP_BLOCK, total))
-        owner = np.searchsorted(line_ends, line, side="right")
+        stop = min(start + kernel.SWEEP_BLOCK, total)
+        # The objects this block's lines belong to: ``first`` (which may
+        # have begun in the block before) up to the owner of its last.
+        end = int(np.searchsorted(line_ends, stop - 1, side="right")) + 1
+        counts = np.minimum(line_ends[first:end], stop) - np.maximum(
+            line_starts[first:end], start
+        )
         yield (
-            np.full(len(line), EV_LOAD, dtype=np.uint8),
-            homes[owner] + (line - line_starts[owner]) * 64,
-            np.full(len(line), 8, dtype=np.int64),
+            np.full(stop - start, EV_LOAD, dtype=np.uint8),
+            np.repeat(bases[first:end], counts)
+            + np.arange(start * 64, stop * 64, 64),
+            np.full(stop - start, 8, dtype=np.int64),
             None,
         )
+        first = end - 1
 
 
 def _burst_blocks(script, catalog, types, sizes, homes, new_addresses, churn):

@@ -117,7 +117,7 @@ def line_addresses(lines) -> "np.ndarray":
 def kernel_sets(batched: LruTagKernel) -> list:
     """Each set's resident lines, least recently used first (a row is
     kept in recency order, its empty ways at the least recent end)."""
-    rows = batched._way_lines
+    rows = batched.resident_lines()
     live = rows != kernel._EMPTY_LINE
     for row in live:
         assert not (row[:-1] & ~row[1:]).any()  # no empty way above a line
@@ -134,11 +134,13 @@ def oracle_sets(reference: TagOnlyCache) -> list:
     ]
 
 
-def drive(geometry, blocks, reset_before=()) -> LruTagKernel:
+def drive(geometry, blocks, reset_before=(), trail=None) -> LruTagKernel:
     """Feed ``blocks`` to a kernel and to the oracle; after every block,
     compare the miss masks, the counters, and every set's contents in
-    LRU order.  Both reset their counters before the blocks whose
-    indices are in ``reset_before``."""
+    LRU order (:meth:`~LruTagKernel.resident_lines` leaves a held run
+    held).  Both reset their counters before the blocks whose indices
+    are in ``reset_before``.  ``trail``, when given, gets the kernel's
+    held line count, ascending accesses and accesses after each block."""
     reference = TagOnlyCache(geometry)
     batched = LruTagKernel(geometry)
     for index, block in enumerate(blocks):
@@ -151,7 +153,27 @@ def drive(geometry, blocks, reset_before=()) -> LruTagKernel:
             reference.accesses, reference.hits, reference.misses
         )
         assert kernel_sets(batched) == oracle_sets(reference)
+        if trail is not None:
+            trail.append((
+                sum(piece.size for piece in batched._held),
+                batched.ascending_accesses, batched.total_accesses,
+            ))
     return batched
+
+
+def spy_row_writes(monkeypatch) -> list:
+    """The line counts of the ascending runs written into a kernel's own
+    rows (not into :meth:`~LruTagKernel.resident_lines`' copy)."""
+    writes = []
+    apply_ascending = LruTagKernel._apply_ascending
+
+    def spied(owner, lines, rows):
+        if rows is owner._way_lines:
+            writes.append(lines.size)
+        apply_ascending(owner, lines, rows)
+
+    monkeypatch.setattr(LruTagKernel, "_apply_ascending", spied)
+    return writes
 
 
 class TestAscendingBlocks:
@@ -445,6 +467,108 @@ class TestStackDistance:
             )
         )
         drive(geometry, [line_addresses(block) for block in blocks])
+
+
+class TestHeldRuns:
+    """Consecutive ascending blocks held as one run and written once,
+    checked state-for-state against the oracle after every block.
+    FOUR_WAY has 64 ways, so four 20-line blocks pass them."""
+
+    @staticmethod
+    def warm():
+        return line_addresses(np.random.default_rng(12).integers(0, 500, 400))
+
+    def test_a_tail_that_fills_every_set_becomes_the_rows(self, monkeypatch):
+        writes = spy_row_writes(monkeypatch)
+        runs = [line_addresses(range(start, start + 20))
+                for start in range(1000, 1100, 20)]
+        trail = []
+        drive(FOUR_WAY, [self.warm(), *runs, self.warm()], trail=trail)
+        # The fourth block brings the run to 80 lines: its last 64 give
+        # each set four, so they become the rows without a rewrite; the
+        # fifth is held until the general block writes it.
+        assert [held for held, _, _ in trail] == [0, 20, 40, 60, 0, 20, 0]
+        assert writes == [20]
+
+    def test_a_tail_that_starves_one_set_writes_the_whole_run(
+        self, monkeypatch
+    ):
+        # Set 3 takes no line from 1050 on, so when the third block
+        # brings the run to 74 lines, its last 64 give set 3 only three
+        # and the whole run is written; the next two are held again.
+        writes = spy_row_writes(monkeypatch)
+        runs = []
+        for start in range(1000, 1125, 25):
+            lines = np.arange(start, start + 25)
+            runs.append(lines[(lines % 16 != 3) | (lines < 1050)])
+        trail = []
+        drive(FOUR_WAY, [self.warm(), *map(line_addresses, runs),
+                         self.warm()], trail=trail)
+        held = [held for held, _, _ in trail]
+        assert held == [0, 25, 50, 0, 23, 46, 0] and writes == [74, 46]
+
+    @pytest.mark.parametrize("first", [1019, 1010, 1000, 400])
+    def test_a_block_from_at_or_below_the_held_top_settles_the_run(
+        self, first, monkeypatch
+    ):
+        # The held run's lines are not in the rows yet, so the top is
+        # the run's last line, not the rows' highest.
+        writes = spy_row_writes(monkeypatch)
+        blocks = [
+            self.warm(),
+            line_addresses(range(1000, 1020)),
+            line_addresses(range(first, first + 20)),
+        ]
+        trail = []
+        batched = drive(FOUR_WAY, blocks, trail=trail)
+        assert writes == [20] and trail[-1][:2] == (0, 20)
+        assert batched.hits >= (first >= 1000)
+
+    def test_reset_counters_keeps_the_run_held(self):
+        blocks = [
+            self.warm(),
+            line_addresses(range(1000, 1030)),
+            line_addresses(range(1030, 1050)),
+            line_addresses(range(1050, 1060)),
+            self.warm(),
+        ]
+        trail = []
+        batched = drive(FOUR_WAY, blocks, reset_before=(2, 4), trail=trail)
+        assert [held for held, _, _ in trail] == [0, 30, 50, 60, 0]
+        assert batched.ascending_accesses == 60
+
+    def test_accesses_are_counted_as_each_block_arrives(self):
+        # MRU repeats count as hits of the block they arrive in.
+        blocks = [
+            self.warm(),
+            line_addresses(np.repeat(np.arange(1000, 1010), 3)),
+            line_addresses(np.arange(1010, 1040)),
+        ]
+        trail = []
+        drive(FOUR_WAY, blocks, trail=trail)
+        assert trail[1:] == [(10, 30, 430), (40, 60, 460)]
+
+    def test_a_sweep_longer_than_l3_through_a_ladder(self, monkeypatch):
+        # A pre-warm sweep of 40,000 lines reaches L3 in L2's miss blocks
+        # of 8,000 lines, so L3 holds them as a run whose tail fills
+        # every set (L1 and L2 take each block's tail by itself); then
+        # bursts over the swept lines.  No run is written row by row.
+        writes = spy_row_writes(monkeypatch)
+        rng = np.random.default_rng(13)
+        sweep = line_addresses(np.arange(50_000, 90_000))
+        bursts = line_addresses(rng.integers(40_000, 90_000, 30_000))
+        ladder = LadderKernel(WESTMERE, levels=3)
+        reference = [TagOnlyCache(level.geometry) for _, level in ladder.levels]
+        for block in (*np.array_split(sweep, 5), bursts):
+            ladder.touch_block(block)
+            for address in block.tolist():
+                for level in reference:
+                    if level.access(address):
+                        break
+            ladder.flush()
+            TestLadderKernel.assert_levels_match(ladder, reference)
+        assert ladder.l3.ascending_accesses == 40_000
+        assert writes == []
 
 
 class TestLadderKernel:

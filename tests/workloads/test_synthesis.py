@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import oracle
 from repro.experiments import fig12_intelligent
+from repro.memory import kernel
 from repro.memory.kernel import RecordBuffer
 from repro.softstack.insertion import Policy
 from repro.workloads import generator
@@ -216,3 +217,41 @@ def test_raw_bursts_match_the_scalar_reference(overrides, burst_length):
             assert raw_bursts == 0  # an empty int32 column, as compared
         else:
             assert raw_bursts == script.kinds.size
+
+
+def _searched_sweep(homes, sizes, block):
+    """The pre-warm sweep's addresses by a per-line search: each line's
+    owner is found in the objects' cumulative line counts."""
+    lines = (np.maximum(sizes, 1) + 63) // 64
+    line_ends = np.cumsum(lines)
+    line_starts = line_ends - lines
+    total = int(line_ends[-1])
+    for start in range(0, total, block):
+        line = np.arange(start, min(start + block, total))
+        owner = np.searchsorted(line_ends, line, side="right")
+        yield homes[owner] + (line - line_starts[owner]) * 64
+
+
+@pytest.mark.parametrize("block", [7, 64, kernel.SWEEP_BLOCK])
+def test_sweep_blocks_match_the_per_line_search(monkeypatch, block):
+    # Zero-size objects (one line each), sizes at and around a line,
+    # objects longer than a block, and homes off the 64-byte grid; the
+    # sweep spans several blocks at every block size.
+    monkeypatch.setattr(kernel, "SWEEP_BLOCK", block)
+    rng = np.random.default_rng(block)
+    sizes = np.concatenate([
+        [0, 0, 1, 63, 64, 65, 0, 128, 200_000, 0],
+        rng.integers(0, 4096, 300),
+        [64 * 3 * block + 1, 0],
+    ]).astype(np.int64)
+    carved = (sizes + 15) & ~15
+    homes = 0x10_0008 + np.cumsum(carved) - carved
+    assert (homes % 64 != 0).any()
+    blocks = list(generator._sweep_blocks(homes, sizes))
+    expected = list(_searched_sweep(homes, sizes, block))
+    assert len(blocks) == len(expected) >= 3
+    for (kinds, addresses, args, ends), reference in zip(blocks, expected):
+        assert addresses.dtype == np.int64
+        assert np.array_equal(addresses, reference)
+        assert (kinds == generator.EV_LOAD).all() and (args == 8).all()
+        assert kinds.size == args.size == addresses.size and ends is None
