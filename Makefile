@@ -284,14 +284,15 @@ encode-smoke:
 ## CI gate for the columnar workload synthesis: record CALTRC02 traces
 ## of server-churn, dma-mixed (CFORM walks) and fragmentation-heavy (raw
 ## bursts of 5 touches, whose words the generator draws in one batch;
-## the oracle calls random() per touch) and a composed loadgen trace,
+## the oracle calls random() per touch), pointer-chase (Figure 12's
+## intelligent policy with CFORM) and a composed loadgen trace,
 ## once through the production writers and once through the per-record
 ## generator and per-arrival merge of tests/oracle.py (`python -m oracle
 ## record`), and require byte-identical files, so the record streams,
 ## EPOCH placement and the composer's burst cuts all agree.
 synth-smoke:
 	@$(DEMO_DIR_SETUP); \
-	for name in server-churn dma-mixed fragmentation-heavy; do \
+	for name in server-churn dma-mixed fragmentation-heavy pointer-chase; do \
 		$(PY) -m repro.traces record --scenario $$name \
 			--instructions 8000 --out "$$dir/$$name.trace"; \
 		$(ORACLE) record --scenario $$name \
@@ -301,7 +302,8 @@ synth-smoke:
 		--out "$$dir/uniform-churn.trace"; \
 	$(ORACLE) record --load uniform-churn \
 		--out "$$dir/uniform-churn.oracle.trace"; \
-	for name in server-churn dma-mixed fragmentation-heavy uniform-churn; do \
+	for name in server-churn dma-mixed fragmentation-heavy pointer-chase \
+			uniform-churn; do \
 		cmp "$$dir/$$name.trace" "$$dir/$$name.oracle.trace"; \
 	done; \
 	echo "synth-smoke: the columnar generator and the per-record oracle record identical bytes"

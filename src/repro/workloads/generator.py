@@ -52,7 +52,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import chain
 
 import numpy as np
@@ -424,6 +424,31 @@ class Script:
     warm_burst: int
     app_instructions: float
 
+    @cached_property
+    def relocations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(bursts, events)``: every heap burst whose object the churn
+        of an earlier burst moved, ascending, and the churn event (an
+        index into ``victims``) that moved it last.  A burst's own churn
+        follows its touches, so it does not count.  It depends on the
+        draw alone, so every scenario's :func:`render` shares it."""
+        heap = np.flatnonzero(self.kinds != BURST_STACK)
+        victim = np.zeros(len(self.types), dtype=bool)
+        victim[self.victims] = True
+        bursts = heap[victim[self.targets[heap]]]
+        objects = self.targets[bursts].astype(np.int64)
+        # Churn events sort by (object, burst); a burst's last earlier
+        # event is the last one below its own key.
+        span = len(self.kinds) + 1
+        keys = self.victims.astype(np.int64) * span + self.victim_bursts
+        order = np.argsort(keys, kind="stable")
+        last = np.searchsorted(keys[order], objects * span + bursts) - 1
+        events = order[np.maximum(last, 0)]
+        moved = (last >= 0) & (self.victims[events] == objects)
+        # Kept as long as the script is: int32, like the draw's columns.
+        return (
+            bursts[moved].astype(np.int32), events[moved].astype(np.int32)
+        )
+
 
 def draw(
     profile: BenchmarkProfile,
@@ -640,7 +665,10 @@ def render(script: Script, scenario: Scenario, quarantine_delay: int = 16):
     ``ends`` the block positions where each burst (its touches, then its
     churn) ends.  Only the allocator runs one churn event at a time;
     every other address comes from the population layout and the
-    relocations before it.
+    relocations before it.  Which churn event last moved a burst's
+    object depends on the draw alone, so it is resolved once per
+    script (:attr:`Script.relocations`); a render places only the
+    moved addresses.
     """
     catalog = build_type_catalog(scenario)
     types = script.types.astype(np.intp)
@@ -735,24 +763,20 @@ def _sweep_blocks(homes, sizes):
 
 
 def _burst_blocks(script, catalog, types, sizes, homes, new_addresses, churn):
-    """The bursts of :func:`render`, in blocks of whole bursts."""
+    """The bursts of :func:`render`, in blocks of whole bursts.
+
+    A block's touches are one ``(bursts, burst_length)`` offset array,
+    each row its burst's base added by broadcast: the stack offset, or
+    its object's home or the address :attr:`Script.relocations` says an
+    earlier churn event moved it to.  The records around the touches
+    (each burst's churn, and the warm record before its burst's
+    touches) take the slots one mask leaves free.
+    """
     churn_kinds, churn_addresses, churn_args, churn_bursts = churn
     burst_count = len(script.kinds)
     burst_length = script.profile.burst_length
-    steps = np.arange(burst_length, dtype=np.int64)
-    targets = script.targets.astype(np.int64)
-
-    # Where an object lives during a burst: its home, or where its last
-    # relocation in an earlier burst put it (a burst's own churn follows
-    # its touches).  Relocations sort by (object, burst).
-    relocation_keys = (
-        script.victims.astype(np.int64) * (burst_count + 1)
-        + script.victim_bursts
-    )
-    order = np.argsort(relocation_keys, kind="stable")
-    relocation_keys = relocation_keys[order]
-    relocation_objects = script.victims[order]
-    relocation_addresses = new_addresses[order]
+    steps = np.arange(0, 8 * burst_length, 8, dtype=np.int64)
+    moved_bursts, moved_events = script.relocations
 
     # The scenario's offset of every (type, field) pair.
     field_offsets = np.zeros(
@@ -775,69 +799,70 @@ def _burst_blocks(script, catalog, types, sizes, homes, new_addresses, churn):
             burst_count,
         )
         kinds = script.kinds[first:stop]
+        targets = script.targets[first:stop]
 
-        # Touches: one row of burst_length addresses per burst.
+        # Touches: each burst's offsets from its base, then the bases.
         touches = np.empty((stop - first, burst_length), dtype=np.int64)
-        stack = kinds == BURST_STACK
-        touches[stack] = _STACK_BASE + targets[first:stop][stack, None] + steps * 8
-        heap = ~stack
-        objects = targets[first:stop][heap]
-        addresses = homes[objects]
-        if len(relocation_keys):
-            keys = objects * (burst_count + 1) + np.arange(first, stop)[heap]
-            last = np.searchsorted(relocation_keys, keys, side="left") - 1
-            relocated = last >= 0
-            last[~relocated] = 0
-            relocated &= relocation_objects[last] == objects
-            addresses = np.where(relocated, relocation_addresses[last], addresses)
-        offsets = np.empty((len(objects), burst_length), dtype=np.int64)
-        heap_kinds = kinds[heap]
-        scan = heap_kinds == BURST_SCAN
-        offsets[scan] = steps * 8 % np.maximum(sizes[objects[scan]], 8)[:, None]
-        raw = heap_kinds == BURST_RAW
-        count = int(raw.sum()) * burst_length
-        offsets[raw] = script.raw_offsets[
+        touches[:] = steps
+        # A scan wraps only in an object shorter than its burst.
+        rows = np.flatnonzero(kinds == BURST_SCAN)
+        spans = np.maximum(sizes[targets[rows]], 8)
+        wraps = spans <= steps[-1]
+        touches[rows[wraps]] %= spans[wraps, None]
+        rows = np.flatnonzero(kinds == BURST_RAW)
+        count = rows.size * burst_length
+        touches[rows] = script.raw_offsets[
             raw_cursor : raw_cursor + count
         ].reshape(-1, burst_length)
         raw_cursor += count
-        field = heap_kinds == BURST_FIELD
-        count = int(field.sum()) * burst_length
-        offsets[field] = field_offsets[
-            types[objects[field]][:, None],
+        rows = np.flatnonzero(kinds == BURST_FIELD)
+        count = rows.size * burst_length
+        touches[rows] = field_offsets[
+            types[targets[rows]][:, None],
             script.fields[field_cursor : field_cursor + count].reshape(
                 -1, burst_length
             ),
         ]
         field_cursor += count
-        touches[heap] = addresses[:, None] + offsets
+        stack = kinds == BURST_STACK
+        bases = targets + np.int64(_STACK_BASE)
+        heap = ~stack
+        bases[heap] = homes[targets[heap]]
+        low, high = np.searchsorted(moved_bursts, (first, stop))
+        bases[moved_bursts[low:high] - first] = new_addresses[
+            moved_events[low:high]
+        ]
+        touches += bases[:, None]
 
-        # Records, burst by burst: [WARM], the touches, then the churn,
-        # which fills every position the first two leave.
+        # Records, burst by burst: [WARM], the touches, then the churn.
+        # The block's churn record j, of burst b, follows the touches of
+        # the bursts up to b, the j churn records before it and the warm
+        # record, if that comes first.
+        low, high = np.searchsorted(churn_bursts, (first, stop))
+        churn_at = churn_bursts[low:high] - first
+        others = burst_length * (churn_at + 1) + np.arange(high - low)
         ends = burst_ends[first:stop] - base
-        starts = ends - per_burst[first:stop]
         size = int(ends[-1])
+        touch = np.ones(size, dtype=bool)
         record_kinds = np.empty(size, dtype=np.uint8)
         record_addresses = np.empty(size, dtype=np.int64)
-        record_args = np.empty(size, dtype=np.int64)
-        churn_slots = np.ones(size, dtype=bool)
+        record_args = np.full(size, 8, dtype=np.int64)
         if first <= script.warm_burst < stop:
-            warm_at = int(starts[script.warm_burst - first])
+            warm = script.warm_burst - first
+            before = int(np.searchsorted(churn_at, warm))
+            others[before:] += 1
+            warm_at = burst_length * warm + before
+            touch[warm_at] = False
             record_kinds[warm_at] = EV_WARM
             record_addresses[warm_at] = record_args[warm_at] = 0
-            churn_slots[warm_at] = False
-            starts[script.warm_burst - first] += 1
-        positions = (starts[:, None] + steps).ravel()
-        record_kinds[positions] = np.where(stack, EV_STORE, EV_LOAD).repeat(
-            burst_length
-        )
-        record_addresses[positions] = touches.ravel()
-        record_args[positions] = 8
-        churn_slots[positions] = False
-        low, high = np.searchsorted(churn_bursts, (first, stop))
-        positions = np.flatnonzero(churn_slots)
-        record_kinds[positions] = churn_kinds[low:high]
-        record_addresses[positions] = churn_addresses[low:high]
-        record_args[positions] = churn_args[low:high]
+        touch[others] = False
+        record_kinds[touch] = np.where(
+            stack, np.uint8(EV_STORE), np.uint8(EV_LOAD)
+        ).repeat(burst_length)
+        record_kinds[others] = churn_kinds[low:high]
+        record_addresses[touch] = touches.ravel()
+        record_addresses[others] = churn_addresses[low:high]
+        record_args[others] = churn_args[low:high]
         yield record_kinds, record_addresses, record_args, ends
         first = stop
 

@@ -58,6 +58,19 @@ class BenchmarkProfile:
     #: Baseline CPI of the non-stalled core.
     base_cpi: float
 
+    def __post_init__(self):
+        # Synthesis cannot run on any of these at zero: a burst of no
+        # touches or a zero ``mem_ratio`` never spends the instruction
+        # budget, an empty heap has no object to touch, and the skew's
+        # exponent is its reciprocal.
+        for name in ("heap_kb", "mem_ratio", "locality_skew", "burst_length"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(
+                    f"profile {self.name!r}: {name} must be positive, "
+                    f"got {value!r}"
+                )
+
 
 def _p(
     name,

@@ -2,9 +2,13 @@
 
 import glob
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.traces.__main__ import main
 from repro.traces.registry import CORPUS
 
@@ -135,6 +139,25 @@ def test_mistyped_spec_key_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["record", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
     assert "unknown spec key" in capsys.readouterr().err
+
+
+def test_a_profile_of_zero_length_bursts_is_a_usage_error(tmp_path):
+    # Recorded, it would draw bursts of no instructions forever; a
+    # separate process bounds the wait should the check ever go.
+    spec_path = tmp_path / "empty-bursts.json"
+    document = CORPUS["server-churn"].scaled(2000).to_dict()
+    document["profile"]["burst_length"] = 0
+    spec_path.write_text(json.dumps(document))
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.traces", "record",
+         "--spec", str(spec_path), "--out", str(tmp_path / "x.trace")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    assert done.returncode == 2
+    assert "burst_length must be positive" in done.stderr
+    assert not (tmp_path / "x.trace").exists()
 
 
 def test_replay_missing_file_is_a_runtime_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the benchmark profiles and the trace/timing engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.memory.hierarchy import WESTMERE
@@ -45,6 +47,15 @@ class TestProfiles:
             assert 0 <= p.ptr_array_fraction <= 1
             assert p.overlap >= 1
             assert p.base_cpi > 0
+
+    # At zero, burst_length and mem_ratio leave draw's budget loop
+    # unending, heap_kb leaves it no object and locality_skew divides.
+    @pytest.mark.parametrize(
+        "field", ["heap_kb", "mem_ratio", "locality_skew", "burst_length"]
+    )
+    def test_a_zero_that_synthesis_cannot_run_is_refused(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            replace(SPEC_PROFILES["mcf"], **{field: 0})
 
 
 class TestScenario:
