@@ -273,13 +273,16 @@ _DIVERGENCES = """
   analytical in-order stall model pays relatively more L2/L3 cycles than
   the validated OoO ZSim core.  Ordering (compute-bound lowest,
   cache-resident-but-L2-missing highest) is preserved.
-* **Figure 4** starts near 4.5 % at 1 B vs the paper's 3.0 %: in our
+* **Figure 4** starts at 4.77 % at 1 B vs the paper's 3.0 %: in our
   layout engine one inserted byte frequently costs a full alignment slot
   (up to 8 B) for the following field, so small paddings are relatively
-  more expensive.  The curve remains monotonic and ends near the paper's
-  7.6 %.
-* **Figure 11** opportunistic+CFORM averages ~6 % vs 7.9 %; the
-  per-benchmark outliers (gobmk, perlbench, h264ref) match.
+  more expensive.  The paper's curve grows monotonically; ours dips from
+  3 to 4 B (5.28 → 5.25 %) and from 6 to 7 B (6.724 → 6.716 %) at the
+  quick profile, and only from 6 to 7 B at the full profile.  It ends at
+  6.7 % vs the paper's 7.6 %.
+* **Figure 11** opportunistic+CFORM averages 4.88 % vs 7.9 %.  Of the
+  paper's outliers (gobmk, perlbench, h264ref), gobmk and perlbench are
+  our top two; h264ref is our fourth, behind povray.
 * **Table 2/7** delay/area/power are structural estimates calibrated to
   the paper's baseline row only; they land within a few percent of the
   paper's overhead percentages, and all orderings (spill ≫ fill, 4B

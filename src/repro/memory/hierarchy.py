@@ -88,7 +88,7 @@ class MemoryHierarchy:
 
     This is the data-carrying simulator used by the runtime and the
     security experiments.  The timing experiments use the lighter
-    :class:`repro.analysis.timing_model` machinery instead.
+    tag-only kernel of :mod:`repro.memory.kernel` instead.
     """
 
     def __init__(self, config: HierarchyConfig | None = None):
@@ -139,86 +139,24 @@ class MemoryHierarchy:
 
     # -- batched access API --------------------------------------------------
 
-    def replay_trace(self, ops: list[tuple]) -> int:
-        """Replay a mixed trace of ``("L", addr, size)`` / ``("S", addr, data)``.
-
-        Returns the number of security-byte violations observed.  This is
-        the bulk driver for trace-based experiments: per-op results are
-        not materialised, attribute lookups are hoisted, and single-line
-        accesses (the overwhelming majority in real traces) go straight to
-        the L1 entry point.
-
-        Edge cases are defined behaviour: an empty (or single-op) trace
-        replays normally — ``[]`` returns 0 without touching any level —
-        and a malformed op (unknown kind, or too few fields) raises
-        :class:`ValueError` identifying the offending position, leaving
-        any earlier ops' effects applied.
-        """
-        if not ops:
-            return 0
-        l1_load = self.l1.load
-        l1_store = self.l1.store
-        line_size = bv.LINE_SIZE
-        offset_mask = line_size - 1
-        violations = 0
-        for index, op in enumerate(ops):
-            try:
-                kind = op[0]
-                address = op[1]
-            except (IndexError, TypeError):
-                raise ValueError(
-                    f"malformed trace op at index {index}: {op!r} "
-                    "(need (kind, address, size-or-data))"
-                ) from None
-            if kind == "L":
-                try:
-                    size = op[2]
-                except IndexError:
-                    raise ValueError(
-                        f"malformed trace op at index {index}: {op!r} "
-                        "(load needs a size)"
-                    ) from None
-                if 0 < size and (address & offset_mask) + size <= line_size:
-                    if l1_load(address, size)[1] is not None:
-                        violations += 1
-                else:
-                    violations += len(self.load(address, size)[1])
-            elif kind == "S":
-                try:
-                    data = op[2]
-                except IndexError:
-                    raise ValueError(
-                        f"malformed trace op at index {index}: {op!r} "
-                        "(store needs data)"
-                    ) from None
-                if 0 < len(data) <= line_size - (address & offset_mask):
-                    if l1_store(address, data) is not None:
-                        violations += 1
-                else:
-                    violations += len(self.store(address, data))
-            else:
-                raise ValueError(
-                    f"unknown trace op kind {kind!r} at index {index}"
-                )
-        return violations
-
     def replay_columns(
         self, kinds, addresses, args, cform_offsets=(62, 63)
     ) -> int:
         """Replay one decoded record batch (parallel columns) in order.
 
-        The trace replayer's hierarchy-mode entry point: ``kinds``/``addresses``/``args`` are equal-length arrays
-        in stream order using the trace event codes (see
+        The trace replayer's hierarchy-mode entry point: ``kinds``,
+        ``addresses`` and ``args`` are equal-length arrays in stream
+        order using the trace event codes (see
         :mod:`repro.memory.kernel`).  LOAD/STORE move data through the
-        stack exactly as the equivalent :meth:`replay_trace` ops would
-        (a store writes ``arg`` repeats of its address's low byte);
-        CFORM records caliform ``arg`` consecutive lines, setting the
-        still-clear ``cform_offsets`` bytes of each; every other kind is
-        inert here — the replayer accounts for them.  Returns the number
-        of security-byte violations, counted as :meth:`replay_trace`
-        counts them, and prices every touch through the usual level
-        statistics (:meth:`total_cycles` covers the batch with no extra
-        work).
+        stack exactly as the equivalent :meth:`load` and :meth:`store`
+        calls would (a store writes ``arg`` repeats of its address's low
+        byte); CFORM records caliform ``arg`` consecutive lines, setting
+        the still-clear ``cform_offsets`` bytes of each; every other kind
+        is inert here — the replayer accounts for them.  Returns the
+        number of security-byte violations, one per exception record
+        those calls would return, and prices every touch through the
+        usual level statistics (:meth:`total_cycles` covers the batch
+        with no extra work).
         """
         from repro.core.cform import CformRequest
         from repro.memory.kernel import EV_CFORM, EV_LOAD, EV_STORE

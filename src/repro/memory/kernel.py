@@ -3,16 +3,17 @@
 Every timing statistic (Figures 4 and 10–12) is a count of hits and
 misses of an access stream through tag-only L1/L2/L3 LRU caches.  The
 stream is a sequence of ``EV_*`` records, defined here.  The trace layer
-decodes whole epochs into parallel numpy columns
+decodes each stored frame into one batch of parallel numpy columns
 (:class:`repro.traces.format.RecordColumns`), and the live writers (the
 workload generator, the attack driver and the loadgen composer) emit
 their records into a :class:`RecordBuffer` that hands them over as the
 same columns in blocks.  Either way the columns reach one
 :class:`TimingAccountant` — the single rule that turns records into
 counts: warm reset, CFORM line expansion (:func:`expand_touches`), and
-the CFORM/ALLOC tallies.  The kernel under it resolves set indices, tag
-matches, LRU victim selection and miss accounting over those arrays in
-vectorized batches.
+the CFORM/ALLOC tallies.  It splits a batch or block only at warm
+records.  The kernel under it resolves set indices, tag matches, LRU
+victim selection and miss accounting over those arrays in vectorized
+batches.
 
 Exactness is the design constraint, not an aspiration: every statistic a
 kernel produces is **bit-identical** to a one-access-at-a-time LRU
@@ -123,16 +124,17 @@ CFORM_LINE_STRIDE = 64
 #: at a time.
 TOUCH_BLOCK = 16384
 
-#: Records of one :meth:`RecordAccountant.consume` segment (the last of
-#: a warm-free stretch takes the rest).
-SEGMENT_RECORDS = 16384
-
 #: L1 misses a 3-level :class:`LadderKernel`'s pending block holds at
-#: most.  The statistics depend on none of these three sizes.
+#: most.  The statistics depend on none of these three sizes.  It is a
+#: constant of its own so that patching :data:`TOUCH_BLOCK` varies the
+#: writers' blocks alone: at a tiny ``TOUCH_BLOCK`` the ladder still runs
+#: L2 and L3 on full pending blocks.
 PENDING_TOUCHES = 16384
 
 #: Records a :meth:`RecordBuffer.sweep` appends between flushes, so a
 #: long sweep reaches the consumers in bounded blocks (peak memory).
+#: Like :data:`PENDING_TOUCHES`, it keeps its size when a test patches
+#: :data:`TOUCH_BLOCK`, so a multi-MB sweep is not cut record by record.
 SWEEP_BLOCK = TOUCH_BLOCK
 
 
@@ -871,15 +873,15 @@ def check_kinds(kinds) -> None:
 class RecordAccountant:
     """The one walk that turns record columns into run statistics.
 
-    :meth:`consume` rejects unknown kinds, splits each block at EV_WARM
-    records (only when ``honor_warm``: a whole trace or live run honours
-    its warmup boundary, a shard region counts every record) and into
-    segments of :data:`SEGMENT_RECORDS` records, the last taking the
-    rest (a block below 2·:data:`SEGMENT_RECORDS` records stays whole),
-    tallies the touches, CFORM lines and ALLOC events of each segment,
-    and hands the segment to :meth:`segment`, the subclass's simulator.  At a
-    warm record the tallies restart and :meth:`warm` resets the
-    simulator's counters.
+    :meth:`consume` rejects unknown kinds and splits each block only at
+    EV_WARM records (and only when ``honor_warm``: a whole trace or live
+    run honours its warmup boundary, a shard region counts every
+    record).  It tallies the touches, CFORM lines and ALLOC events of
+    each warm-free segment and hands the segment to :meth:`segment`, the
+    subclass's simulator.  A block is a decoded frame or a live
+    writer's block, already bounded, and the kernel is exact for any
+    cut, so no other cut is made.  At a warm record the tallies restart
+    and :meth:`warm` resets the simulator's counters.
     """
 
     def __init__(self, honor_warm: bool = True):
@@ -896,17 +898,9 @@ class RecordAccountant:
             warm = np.flatnonzero(kinds == EV_WARM).tolist()
         start = 0
         for stop in warm + [end]:
-            # Segments of SEGMENT_RECORDS records, the last taking the
-            # rest (below 2·SEGMENT_RECORDS): a whole decoded group would
-            # mix a pre-warm sweep with the bursts after it, and a live
-            # block stays whole.
-            size = stop - start
-            parts = max(1, size // SEGMENT_RECORDS) if size else 0
-            for part in range(parts):
-                low = start + part * SEGMENT_RECORDS
-                high = stop if part == parts - 1 else low + SEGMENT_RECORDS
-                segment_kinds = kinds[low:high]
-                segment_args = args[low:high]
+            if stop > start:
+                segment_kinds = kinds[start:stop]
+                segment_args = args[start:stop]
                 lines = int(segment_args[segment_kinds == EV_CFORM].sum())
                 accesses = np.count_nonzero(
                     (segment_kinds == EV_LOAD) | (segment_kinds == EV_STORE)
@@ -917,7 +911,7 @@ class RecordAccountant:
                     np.count_nonzero(segment_kinds == EV_ALLOC)
                 )
                 self.segment(
-                    low, segment_kinds, addresses[low:high], segment_args
+                    start, segment_kinds, addresses[start:stop], segment_args
                 )
             if stop < end:
                 self.warm(stop)

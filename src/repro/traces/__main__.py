@@ -31,7 +31,7 @@ import argparse
 import os
 import sys
 
-from repro.traces.compress import compression_summary
+from repro.traces.compress import compression_summary, tail_footer
 from repro.traces.format import TraceFormatError, TraceIntegrityError, TraceReader
 from repro.traces.recorder import record_spec
 from repro.traces.registry import (
@@ -99,7 +99,7 @@ def _cmd_record(arguments: argparse.Namespace) -> int:
 def _cmd_info(arguments: argparse.Namespace) -> int:
     with TraceReader(arguments.trace) as reader:
         header = reader.header
-        footer = reader.read_footer()
+        footer = tail_footer(reader)
     spec = header.get("spec", {})
     print(f"format   {header.get('format')} (compressed frames)")
     print(

@@ -36,9 +36,9 @@ boundary so frames decode independently.  Encode and decode are both
 fully streaming and columnar: the writer buffers at most one frame of
 records and encodes the frames each record block completes in one
 vectorized pass (:func:`_encode_frames`), the reader
-(:meth:`~repro.traces.format.TraceReader.column_batches`) decodes a
-bounded group of frames at a time into record columns — compression
-never changes what the replayers see, only how many bytes hold it.
+(:meth:`~repro.traces.format.TraceReader.column_batches`) decodes one
+frame at a time into one batch of record columns — compression never
+changes what the replayers see, only how many bytes hold it.
 """
 
 from __future__ import annotations
@@ -224,24 +224,23 @@ def _decode_frame_tokens(tokens: bytes, record_count: int):
     )
 
 
-def _decode_frames_fast(streams, record_counts):
-    """Vectorized decode of one or more inflated token streams.
+def _decode_frames_fast(tokens: bytes, record_count: int):
+    """Vectorized decode of one frame's inflated token stream.
 
-    Returns the concatenated :class:`RecordColumns` of every frame, or
-    ``None`` for anything irregular — truncated or over-long varints,
-    token/frame misalignment, invalid kind bytes, record-count
-    mismatches — so the caller can re-run the per-token walk and raise
-    its exact diagnostics.  The trick is that *every* unit of the token
-    stream — a kind byte (always ``< 0x80``) or a varint — ends at the
-    first byte with the continuation bit clear, so one vectorized scan
-    splits the whole stream into units and decodes every varint at once;
-    only the token-boundary walk (3 or 5 units per token) stays a Python
-    loop, one cheap step per token.
+    Returns the frame's :class:`RecordColumns`, or ``None`` for anything
+    irregular — truncated or over-long varints, a stream that ends
+    inside a token, invalid kind bytes, a record-count mismatch — so the
+    caller can re-run the per-token walk and raise its exact
+    diagnostics.  The trick is that *every* unit of the token stream — a
+    kind byte (always ``< 0x80``) or a varint — ends at the first byte
+    with the continuation bit clear, so one vectorized scan splits the
+    whole stream into units and decodes every varint at once; only the
+    token-boundary walk (3 or 5 units per token) stays a Python loop,
+    one cheap step per token.
     """
     from repro.traces.format import RecordColumns
 
-    data = streams[0] if len(streams) == 1 else b"".join(streams)
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(tokens, dtype=np.uint8)
     if raw.size == 0 or (raw[-1] & 0x80):
         return None
     # Unit split: every byte with bit 7 clear terminates a unit.
@@ -266,40 +265,23 @@ def _decode_frames_fast(streams, record_counts):
             values[longer] |= (
                 raw[unit_starts[longer] + column] & 0x7F
             ).astype(np.int64) << (7 * column)
-    # Frame boundaries must coincide with unit boundaries.
-    if any(len(stream) == 0 for stream in streams):
-        return None
-    frame_byte_starts = np.zeros(len(streams), dtype=np.int64)
-    frame_byte_starts[1:] = np.cumsum(
-        [len(stream) for stream in streams[:-1]]
-    )
-    frame_units = np.searchsorted(unit_starts, frame_byte_starts)
-    if (frame_units >= unit_total).any() or (
-        unit_starts[frame_units] != frame_byte_starts
-    ).any():
-        return None
-    # Token walk: per frame, tokens span 3 units (plain) or 5 (run).
-    # Only the (rare) run tokens are collected; every start position is
-    # then reconstructed with one cumulative sum over the step widths.
+    # Token walk: tokens span 3 units (plain) or 5 (run).  Only the
+    # (rare) run tokens are collected; every start position is then
+    # reconstructed with one cumulative sum over the step widths.
     values_list = values.tolist()
     run_token_list: list[int] = []
     append = run_token_list.append
-    frame_token_counts: list[int] = []
     unit = 0
     token_total = 0
-    for limit in frame_units[1:].tolist() + [unit_total]:
-        token_count = 0
-        while unit < limit:
-            if values_list[unit] & _RUN_FLAG:
-                append(token_total + token_count)
-                unit += 5
-            else:
-                unit += 3
-            token_count += 1
-        if unit != limit or token_count == 0:
-            return None
-        frame_token_counts.append(token_count)
-        token_total += token_count
+    while unit < unit_total:
+        if values_list[unit] & _RUN_FLAG:
+            append(token_total)
+            unit += 5
+        else:
+            unit += 3
+        token_total += 1
+    if unit != unit_total:
+        return None
     run_tokens = np.array(run_token_list, dtype=np.int64)
     steps = np.full(token_total, 3, dtype=np.int64)
     steps[run_tokens] = 5
@@ -317,6 +299,8 @@ def _decode_frames_fast(streams, record_counts):
     counts[run_tokens] = values[run_starts + 1]
     if (counts[run_tokens] <= 0).any():
         return None  # zero-length runs shift the delta base: fall back
+    if int(counts.sum()) != record_count:
+        return None
     run_offset = np.zeros(token_total, dtype=np.int64)
     run_offset[run_tokens] = 1
     zigzag = values[starts + 1 + run_offset]
@@ -325,26 +309,15 @@ def _decode_frames_fast(streams, record_counts):
     zigzag_strides = values[run_starts + 3]
     strides[run_tokens] = (zigzag_strides >> 1) ^ -(zigzag_strides & 1)
     args = values[starts + 2 + 2 * run_offset]
-    frame_token_starts = np.zeros(len(streams), dtype=np.int64)
-    frame_token_starts[1:] = np.cumsum(frame_token_counts[:-1])
-    produced = np.add.reduceat(counts, frame_token_starts)
-    if (produced != np.asarray(record_counts, dtype=np.int64)).any():
-        return None
     # Expansion: per-record address increments are a token's delta on
-    # its first record and the run stride afterwards; the cumulative sum
-    # re-bases at every frame boundary (the encoder resets the delta
-    # base to 0 per frame).
+    # its first record and the run stride afterwards; the delta base is
+    # 0 at the frame's start, so one cumulative sum gives the addresses.
     kind_column = np.repeat((kind_bytes & ~_RUN_FLAG).astype(np.uint8), counts)
     arg_column = np.repeat(args, counts)
     increments = np.repeat(strides, counts)
     record_starts = np.cumsum(counts) - counts
     increments[record_starts] = first_deltas
     address_column = np.cumsum(increments)
-    if len(streams) > 1:
-        frame_record_starts = np.cumsum(produced) - produced
-        bases = np.zeros(len(streams), dtype=np.int64)
-        bases[1:] = address_column[frame_record_starts[1:] - 1]
-        address_column = address_column - np.repeat(bases, produced)
     return RecordColumns(
         kind=kind_column, address=address_column, arg=arg_column
     )
@@ -703,80 +676,39 @@ def tail_footer(reader: TraceReader) -> dict:
     )
 
 
-#: Records accumulated before one grouped columnar decode: 16 frames of
-#: :data:`MAX_FRAME_RECORDS` records, decoded as one vectorized pass, so
-#: the array-op overhead is paid per group.  Frames a writer cut smaller
-#: (an older writer cut one after every EPOCH record) join the same
-#: groups.
-FRAME_GROUP_RECORDS = 1 << 18
-
-
-def _decode_group(reader, group):
-    """Decode a list of ``(frame_start, record_count, payload)`` frames
-    into one concatenated :class:`RecordColumns`, or — when the fast
-    path declines — per-frame token-walk columns with the standard
-    located errors."""
-    from repro.traces.format import RecordColumns
-
-    path = reader.path
-    streams = []
-    for frame_start, _, payload in group:
-        try:
-            streams.append(zlib.decompress(payload))
-        except zlib.error as error:
-            raise TraceFormatError(f"corrupt frame: {error}").located(
-                path, frame_start
-            ) from None
-    columns = _decode_frames_fast(
-        streams, [record_count for _, record_count, _ in group]
-    )
-    tel = telemetry_active()
-    if tel is not None:
-        tel.inc("decode_frames_total", len(group))
-        tel.inc(
-            "decode_records_total",
-            sum(record_count for _, record_count, _ in group),
-        )
-        if columns is None:
-            tel.inc("decode_scalar_fallback_total", len(group))
-    if columns is not None:
-        return columns
-    parts = []
-    for (frame_start, record_count, _), tokens in zip(group, streams):
-        try:
-            parts.append(_decode_frame_tokens(tokens, record_count))
-        except TraceFormatError as error:
-            raise error.located(path, frame_start) from None
-    return RecordColumns(
-        kind=np.concatenate([part.kind for part in parts]),
-        address=np.concatenate([part.address for part in parts]),
-        arg=np.concatenate([part.arg for part in parts]),
-    )
-
-
 def iter_compressed_columns(reader: TraceReader):
     """Columnar frame iterator: one
-    :class:`~repro.traces.format.RecordColumns` per *group* of record
-    frames (up to :data:`FRAME_GROUP_RECORDS` records).
+    :class:`~repro.traces.format.RecordColumns` per record frame.
 
     The CALTRC02 side of :meth:`TraceReader.column_batches`: populates
     ``reader.footer`` when the end frame is reached, and locates every
     error — including frame-payload corruption — at the offending
-    frame's byte offset in the reader's file.  Batch boundaries are a
-    decoding artifact — consumers see the identical concatenated record
-    stream whatever the grouping.
+    frame's byte offset in the reader's file.  Each frame takes the
+    vectorized decoder, or — when it declines — the token walk, which
+    raises the exact diagnostics.  Batch boundaries are the writer's
+    frame cuts — consumers see the identical concatenated record stream
+    whatever the cut.
     """
-    group: list[tuple[int, int, bytes]] = []
-    pending = 0
     for frame_start, record_count, payload in _iter_frames(reader):
-        group.append((frame_start, record_count, payload))
-        pending += record_count
-        if pending >= FRAME_GROUP_RECORDS:
-            yield _decode_group(reader, group)
-            group = []
-            pending = 0
-    if group:
-        yield _decode_group(reader, group)
+        try:
+            tokens = zlib.decompress(payload)
+        except zlib.error as error:
+            raise TraceFormatError(f"corrupt frame: {error}").located(
+                reader.path, frame_start
+            ) from None
+        columns = _decode_frames_fast(tokens, record_count)
+        tel = telemetry_active()
+        if tel is not None:
+            tel.inc("decode_frames_total")
+            tel.inc("decode_records_total", record_count)
+            if columns is None:
+                tel.inc("decode_scalar_fallback_total")
+        if columns is None:
+            try:
+                columns = _decode_frame_tokens(tokens, record_count)
+            except TraceFormatError as error:
+                raise error.located(reader.path, frame_start) from None
+        yield columns
 
 
 # -- frame statistics (no decompression) --------------------------------------

@@ -40,8 +40,8 @@ CALTRC02 trace equals the sha256 of its CALTRC01 twin; the per-record
 reference in ``tests/oracle.py`` reads and writes that layout, and
 ``python -m oracle transcode`` turns an old CALTRC01 file into CALTRC02.
 
-:class:`TraceReader` streams: it decodes the file in bounded column
-batches (:meth:`TraceReader.column_batches`, its one record decoder),
+:class:`TraceReader` streams: it decodes the file one column batch per
+frame (:meth:`TraceReader.column_batches`, its one record decoder),
 and the writer (:class:`~repro.traces.compress.CompressedTraceWriter`)
 holds at most one unfinished frame, so traces are bounded by disk, not
 by RAM.
@@ -149,8 +149,8 @@ class RecordColumns:
     addresses are far below 2**63; signed width keeps delta/cumsum
     arithmetic and Python-int round-trips exact).  Row ``i`` of the three
     arrays is record ``i`` of the batch, in stream order — a batch holds
-    a group of frames, and batch boundaries never change the
-    concatenated record stream.
+    one frame, and batch boundaries never change the concatenated record
+    stream.
     """
 
     kind: np.ndarray
@@ -322,8 +322,8 @@ class TraceReader:
         The reader's only record decoder: the concatenation of the
         yielded batches is the ``(kind, address, arg)`` stream, and
         :attr:`footer` is populated once the terminator is reached.
-        Batches are groups of frames decoded straight from the
-        token stream (:func:`repro.traces.compress.iter_compressed_columns`).
+        One batch per stored frame, decoded straight from its token
+        stream (:func:`repro.traces.compress.iter_compressed_columns`).
 
         The stream is single-pass: repeated calls return the *same*
         iterator, so a partially consumed iteration can be resumed and

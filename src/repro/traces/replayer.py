@@ -368,7 +368,7 @@ def shard_trace(path: str, out_dir: str, shards: int) -> list[str]:
     if shards <= 0:
         raise ValueError("shards must be positive")
     with TraceReader(path) as reader:
-        footer = reader.read_footer()
+        footer = tail_footer(reader)
     epochs = footer.get("epochs", 0)
     segments = epochs + 1  # trailing records after the last marker
     per_shard = max(1, -(-segments // shards))

@@ -12,6 +12,7 @@ with the same randomized and adversarial inputs and demand equality.
 import random
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from repro.core.sentinel import (
     find_sentinel,
     find_sentinel_reference,
 )
+from repro.memory.kernel import EV_LOAD, EV_STORE
 
 
 def random_line(rng: random.Random, security_bytes: int) -> BitvectorLine:
@@ -235,36 +237,44 @@ class TestHierarchyBatchedEquivalence:
             hierarchies.append(hierarchy)
         return hierarchies
 
-    def _trace(self):
+    def _columns(self):
+        """A random mixed batch of loads and stores, as record columns;
+        a store writes ``arg`` copies of its address's low byte."""
         rng = random.Random(23)
-        ops = []
+        records = []
         for _ in range(400):
             address = rng.randrange(64 * 64 - 8)
             if rng.random() < 0.5:
-                ops.append(("L", address, rng.choice((1, 2, 4, 8, 70))))
+                records.append((EV_LOAD, address, rng.choice((1, 2, 4, 8, 70))))
             else:
-                ops.append(("S", address, bytes([rng.randrange(256)] *
-                                                rng.choice((1, 4, 70)))))
-        return ops
+                records.append((EV_STORE, address, rng.choice((1, 4, 70))))
+        kinds, addresses, args = zip(*records)
+        return (
+            np.array(kinds, dtype=np.uint8),
+            np.array(addresses, dtype=np.int64),
+            np.array(args, dtype=np.int64),
+        )
 
-    def test_replay_trace_matches_per_op(self):
+    def test_replay_columns_matches_per_op(self):
         batched, serial = self._fresh_pair()
-        trace = self._trace()
+        kinds, addresses, args = self._columns()
         violations = 0
-        for op in trace:
-            if op[0] == "L":
-                violations += len(serial.load(op[1], op[2])[1])
+        for kind, address, arg in zip(
+            kinds.tolist(), addresses.tolist(), args.tolist()
+        ):
+            if kind == EV_LOAD:
+                violations += len(serial.load(address, arg)[1])
             else:
-                violations += len(serial.store(op[1], op[2]))
-        assert batched.replay_trace(trace) == violations
+                data = bytes([address & 0xFF]) * arg
+                violations += len(serial.store(address, data))
+        assert batched.replay_columns(kinds, addresses, args) == violations
         assert violations > 0
         assert batched.l1.stats.accesses == serial.l1.stats.accesses
         assert batched.l1.stats.misses == serial.l1.stats.misses
+        assert batched.total_cycles() == serial.total_cycles()
         batched.flush_all()
         serial.flush_all()
         assert batched.dram._lines == serial.dram._lines
-        with pytest.raises(ValueError):
-            batched.replay_trace([("X", 0, 1)])
 
 
 #: The optimized codec must keep at least this edge over the reference.

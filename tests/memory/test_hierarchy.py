@@ -1,5 +1,6 @@
 """Integration tests for the full memory hierarchy with Califorms lines."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from repro.core.cform import CformRequest
 from repro.core.exceptions import SecurityByteAccess
 from repro.memory.cache import CacheGeometry
 from repro.memory.hierarchy import WESTMERE, HierarchyConfig, MemoryHierarchy
+from repro.memory.kernel import EV_LOAD, EV_STORE
 
 
 def small_hierarchy():
@@ -166,47 +168,37 @@ class TestCycleAccounting:
 
 
 class TestReplayTraceEdgeCases:
-    """Defined behaviour for degenerate traces (trace-engine hardening)."""
+    """Defined behaviour for degenerate record batches through
+    :meth:`MemoryHierarchy.replay_columns` (trace-engine hardening)."""
+
+    @staticmethod
+    def _replay(hierarchy, records):
+        columns = np.array(records, dtype=np.int64).reshape(-1, 3)
+        return hierarchy.replay_columns(
+            columns[:, 0].astype(np.uint8), columns[:, 1], columns[:, 2]
+        )
 
     def test_empty_trace_returns_zero_without_touching_caches(self):
         hierarchy = MemoryHierarchy()
-        assert hierarchy.replay_trace([]) == 0
+        assert self._replay(hierarchy, []) == 0
         assert hierarchy.l1.stats.accesses == 0
 
     def test_single_load_op(self):
         hierarchy = MemoryHierarchy()
-        assert hierarchy.replay_trace([("L", 0x1000, 8)]) == 0
+        assert self._replay(hierarchy, [(EV_LOAD, 0x1000, 8)]) == 0
+        assert hierarchy.l1.stats.accesses == 1
 
     def test_single_store_op_on_security_byte_counts_one_violation(self):
         hierarchy = MemoryHierarchy()
         hierarchy.cform(CformRequest.set_bytes(0x2000, [5]))
-        assert hierarchy.replay_trace([("S", 0x2005, b"x")]) == 1
-
-    def test_unknown_kind_raises_value_error_with_index(self):
-        hierarchy = MemoryHierarchy()
-        with pytest.raises(ValueError, match="unknown trace op kind 'X' at index 1"):
-            hierarchy.replay_trace([("L", 0, 8), ("X", 0, 8)])
-
-    def test_malformed_short_op_raises_value_error(self):
-        hierarchy = MemoryHierarchy()
-        with pytest.raises(ValueError, match="malformed trace op at index 0"):
-            hierarchy.replay_trace([("L",)])
-        with pytest.raises(ValueError, match="load needs a size"):
-            hierarchy.replay_trace([("L", 0x1000)])
-        with pytest.raises(ValueError, match="store needs data"):
-            hierarchy.replay_trace([("S", 0x1000)])
-
-    def test_earlier_ops_apply_before_the_error(self):
-        hierarchy = MemoryHierarchy()
-        with pytest.raises(ValueError):
-            hierarchy.replay_trace([("S", 0x3000, b"ok"), ("X", 0, 0)])
-        assert hierarchy.load_or_raise(0x3000, 2) == b"ok"
+        assert self._replay(hierarchy, [(EV_STORE, 0x2005, 1)]) == 1
 
     def test_zero_and_negative_sizes_keep_defined_behaviour(self):
         hierarchy = MemoryHierarchy()
-        assert hierarchy.replay_trace([("L", 0x1000, 0)]) == 0
+        assert self._replay(hierarchy, [(EV_LOAD, 0x1000, 0)]) == 0
+        assert hierarchy.l1.stats.accesses == 0
         with pytest.raises(ValueError):
-            hierarchy.replay_trace([("L", 0x1000, -4)])
+            self._replay(hierarchy, [(EV_LOAD, 0x1000, -4)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -858,18 +858,13 @@ class TestRecordBuffer:
 
 
 class TestRecordAccountant:
-    def test_segments_are_cut_at_warm_records_and_touch_blocks(
-        self, monkeypatch
-    ):
-        # Warm records at 0, 17 and 21: nothing comes before the first,
-        # the 16 records after it are cut 4-4-4-4, the 3 after the
-        # second stay whole, and a last 7, 8, 9 or 11 records make one
-        # segment or two, the last segment taking the rest.
-        monkeypatch.setattr(kernel, "SEGMENT_RECORDS", 4)
-
+    def test_segments_are_cut_at_warm_records_only(self):
+        # Warm records at 0, 17, 21 and 22: nothing comes before the
+        # first or between the last two, and every warm-free stretch is
+        # one segment however long, here a tail of 40,000 records.
         class Segments(kernel.RecordAccountant):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, honor_warm=True):
+                super().__init__(honor_warm)
                 self.cuts = []
 
             def segment(self, start, kinds, addresses, args):
@@ -878,17 +873,22 @@ class TestRecordAccountant:
             def warm(self, position):
                 self.cuts.append(("warm", position))
 
-        for tail, pieces in ((7, [7]), (8, [4, 4]), (9, [4, 5]), (11, [4, 7])):
-            kinds = np.full(22 + tail, EV_LOAD, dtype=np.uint8)
-            kinds[[0, 17, 21]] = EV_WARM
-            zeros = np.zeros(kinds.size, dtype=np.int64)
-            accountant = Segments()
-            accountant.consume(kinds, zeros, zeros)
-            starts = 22 + np.cumsum([0] + pieces[:-1])
-            assert accountant.cuts == [
-                ("warm", 0), (1, 4), (5, 4), (9, 4), (13, 4), ("warm", 17),
-                (18, 3), ("warm", 21),
-            ] + list(zip(starts.tolist(), pieces))
+        tail = 40_000
+        kinds = np.full(23 + tail, EV_LOAD, dtype=np.uint8)
+        kinds[[0, 17, 21, 22]] = EV_WARM
+        zeros = np.zeros(kinds.size, dtype=np.int64)
+        accountant = Segments()
+        accountant.consume(kinds, zeros, zeros)
+        assert accountant.cuts == [
+            ("warm", 0), (1, 16), ("warm", 17), (18, 3), ("warm", 21),
+            ("warm", 22), (23, tail),
+        ]
+        assert accountant.touches == tail
+        # A shard region ignores warm records: the block stays whole.
+        region = Segments(honor_warm=False)
+        region.consume(kinds, zeros, zeros)
+        assert region.cuts == [(0, kinds.size)]
+        assert region.touches == kinds.size - 4
 
 
 class TestExpandTouches:

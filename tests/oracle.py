@@ -133,9 +133,6 @@ from repro.workloads.generator import (
 )
 from repro.workloads.specs import BenchmarkProfile
 
-#: Ops accumulated before one ``replay_trace`` batch in hierarchy mode.
-HIERARCHY_BATCH_OPS = 2048
-
 #: Records per read on the CALTRC01 walk.
 CHUNK_RECORDS = 8192
 
@@ -760,35 +757,26 @@ def replay_timing_stream(reader: TraceReader, honor_warm: bool = True) -> ShardS
 def replay_hierarchy_stream(
     reader: TraceReader, honor_warm: bool = True
 ) -> ShardStats:
-    """Drive the data-carrying hierarchy via batched ``replay_trace``."""
+    """Drive the data-carrying hierarchy one ``load``/``store`` per record."""
     from repro.core.cform import CformRequest
 
     config = _config_from_header(reader.header)
     hierarchy = MemoryHierarchy(config)
-    replay_batch = hierarchy.replay_trace
     cform = hierarchy.cform
-    ops: list[tuple] = []
     violations = 0
     touches = 0
     cform_lines = 0
     alloc_events = 0
     for kind, address, arg in records(reader):
         if kind == EV_LOAD:
-            ops.append(("L", address, arg))
+            violations += len(hierarchy.load(address, arg)[1])
             touches += 1
-            if len(ops) >= HIERARCHY_BATCH_OPS:
-                violations += replay_batch(ops)
-                ops = []
         elif kind == EV_STORE:
-            ops.append(("S", address, bytes([address & 0xFF]) * arg))
+            violations += len(
+                hierarchy.store(address, bytes([address & 0xFF]) * arg)
+            )
             touches += 1
-            if len(ops) >= HIERARCHY_BATCH_OPS:
-                violations += replay_batch(ops)
-                ops = []
         elif kind == EV_CFORM:
-            if ops:
-                violations += replay_batch(ops)
-                ops = []
             cform_lines += arg
             for line_index in range(arg):
                 line_address = (address + line_index * 64) & ~63
@@ -810,9 +798,6 @@ def replay_hierarchy_stream(
             pass
         elif kind == EV_WARM:
             if honor_warm:
-                if ops:
-                    violations += replay_batch(ops)
-                    ops = []
                 hierarchy.reset_stats()
                 violations = 0
                 touches = 0
@@ -820,8 +805,6 @@ def replay_hierarchy_stream(
                 alloc_events = 0
         else:
             raise TraceFormatError(f"unknown record kind {kind}")
-    if ops:
-        violations += replay_batch(ops)
     events = MemoryEventCounts(
         l1_accesses=hierarchy.l1.stats.accesses,
         l1_misses=hierarchy.l1.stats.misses,

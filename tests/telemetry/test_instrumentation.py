@@ -69,8 +69,9 @@ def test_recording_reports_its_sweep_as_the_ascending_share(tmp_path):
 
 
 def test_replay_reports_its_sweep_as_the_ascending_share(tmp_path):
-    # The replay hands the kernel segments of about SEGMENT_RECORDS records,
-    # so the recording's pre-warm sweep reaches it unmixed with bursts.
+    # The replay hands the kernel one decoded frame at a time, split
+    # only at the warm record, so the recording's pre-warm sweep fills
+    # whole frames and reaches it unmixed with bursts.
     spec = CORPUS["dma-mixed"].scaled(INSTRUCTIONS)
     trace = str(tmp_path / "t.trace")
     record_spec(spec, trace)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -80,6 +81,27 @@ def test_compressed_record_info_replay(tmp_path, capsys):
 
     assert main(["replay-mc", trace, "--cores", "2"]) == 0
     assert "merged over 2 cores" in capsys.readouterr().out
+
+
+def test_info_inflates_no_frame(tmp_path, capsys, monkeypatch):
+    # The footer comes from the end of the bytes and the frame table
+    # from the frame heads, so no payload is decompressed.
+    trace = str(tmp_path / "info.trace")
+    assert main(
+        ["record", "--scenario", "server-churn", "--instructions", "2000",
+         "--out", trace]
+    ) == 0
+    inflated = []
+    decompress = zlib.decompress
+
+    def spy(data, *args, **kwargs):
+        inflated.append(len(data))
+        return decompress(data, *args, **kwargs)
+
+    monkeypatch.setattr(zlib, "decompress", spy)
+    assert main(["info", trace, "--frames"]) == 0
+    assert "records/frame" in capsys.readouterr().out
+    assert inflated == []
 
 
 def test_info_on_truncated_file_fails_clearly(tmp_path, capsys):

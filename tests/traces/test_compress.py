@@ -72,7 +72,7 @@ def _columnar_decode(payload, record_count):
     token walk it falls back to (which must agree wherever both run)."""
     tokens = zlib.decompress(payload)
     walked = _decode_frame_tokens(tokens, record_count)
-    fast = _decode_frames_fast([tokens], [record_count])
+    fast = _decode_frames_fast(tokens, record_count)
     if fast is not None:
         assert _rows(fast) == _rows(walked)
     return _rows(walked)
@@ -190,7 +190,7 @@ class TestFrameCodec:
         payload = encode_frame([(EV_LOAD, 64, 8)] * 10)
         with pytest.raises(TraceFormatError, match="promised"):
             list(oracle.decode_frame(payload, 11))
-        assert _decode_frames_fast([zlib.decompress(payload)], [11]) is None
+        assert _decode_frames_fast(zlib.decompress(payload), 11) is None
         with pytest.raises(TraceFormatError, match="promised"):
             _columnar_decode(payload, 11)
 
@@ -506,6 +506,31 @@ class TestContainer:
         assert list(reader.column_batches()) == []
         assert reader.footer == {"records": 0}
 
+    def test_one_batch_per_frame(self, monkeypatch, tmp_path):
+        # Small frames: three full ones and a short last one, written
+        # from blocks whose edges fall inside frames.
+        monkeypatch.setattr(compress, "MAX_FRAME_RECORDS", 1_000)
+        rng = np.random.default_rng(5)
+        count = 3_000 + 417
+        kinds = rng.choice([EV_LOAD, EV_STORE, EV_CFORM], count).astype(
+            np.uint8
+        )
+        addresses = rng.integers(0, 1 << 30, count, dtype=np.int64)
+        args = rng.integers(1, 9, count, dtype=np.int64)
+        path = str(tmp_path / "frames.trace")
+        with CompressedTraceWriter(path, {"kind": "test"}) as writer:
+            for part in np.array_split(np.arange(count), 7):
+                writer.append_columns(kinds[part], addresses[part], args[part])
+            writer.set_footer({"records": count})
+        with TraceReader(path) as reader:
+            batches = list(reader.column_batches())
+        lengths = [records for records, _ in frame_stats(path)]
+        assert lengths == [1_000, 1_000, 1_000, 417]
+        assert [len(batch) for batch in batches] == lengths
+        assert np.array_equal(
+            np.concatenate([batch.address for batch in batches]), addresses
+        )
+
     def test_magic_detected(self):
         buffer = self._write([])
         assert buffer.getvalue().startswith(MAGIC) and MAGIC == b"CALTRC02"
@@ -702,13 +727,11 @@ class TestMalformedCompressed:
                 reader.read_footer()
 
     def test_read_footer_after_partial_iteration(self, monkeypatch):
-        # Small frames and frame groups, so the 505-record sample spans
-        # batches.
+        # Small frames, so the 505-record sample spans batches.
         monkeypatch.setattr(compress, "MAX_FRAME_RECORDS", 101)
-        monkeypatch.setattr(compress, "FRAME_GROUP_RECORDS", 150)
         reader = TraceReader(io.BytesIO(self._sample()))
         first = next(reader.column_batches())
-        assert len(first) == 202  # two 101-record frames
+        assert len(first) == 101  # one batch per frame
         assert reader.footer is None
         assert reader.read_footer() == {"records": 505}
         assert list(reader.column_batches()) == []

@@ -87,30 +87,30 @@ class TestRoundTrip:
             assert reader.read_footer() == {"records": 1}
 
     def test_streaming_across_flush_boundaries(self, monkeypatch):
-        # More records than one writer frame and one reader batch.
+        # More records than one writer frame: one reader batch per frame,
+        # whatever blocks the writer was handed.
         monkeypatch.setattr(compress, "MAX_FRAME_RECORDS", 1_000)
-        monkeypatch.setattr(compress, "FRAME_GROUP_RECORDS", 4_000)
         count = 4_000 + 17
         buffer = io.BytesIO()
         _write_loads(buffer, count)
         buffer.seek(0)
         reader = TraceReader(buffer)
         batches = list(reader.column_batches())
-        assert [len(batch) for batch in batches] == [4_000, 17]
-        assert batches[1].address.tolist()[-1] == (count - 1) * 64
+        assert [len(batch) for batch in batches] == [1_000] * 4 + [17]
+        assert batches[-1].address.tolist()[-1] == (count - 1) * 64
         assert reader.footer == {"records": count}
 
     def test_read_footer_after_partial_iteration(self, monkeypatch):
         """read_footer continues the reader's one column iterator —
         breaking out of an iteration must not lose the buffered frames."""
         monkeypatch.setattr(compress, "MAX_FRAME_RECORDS", 1_000)
-        monkeypatch.setattr(compress, "FRAME_GROUP_RECORDS", 4_000)
         count = 4_000 + 100
         buffer = io.BytesIO()
         _write_loads(buffer, count)
         buffer.seek(0)
         reader = TraceReader(buffer)
         first = next(reader.column_batches())
+        assert len(first) == 1_000
         assert reader.footer is None
         assert reader.read_footer() == {"records": count}
         assert first.address.tolist()[:5] == [0, 64, 128, 192, 256]

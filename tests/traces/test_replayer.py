@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 import oracle
@@ -16,7 +17,8 @@ from repro.traces import (
     replay_timing,
     shard_trace,
 )
-from repro.traces.format import EV_EPOCH, EV_LOAD
+from repro.traces import compress
+from repro.traces.format import EV_EPOCH, EV_LOAD, EV_WARM, TraceFormatError
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,25 @@ class TestIntegrity:
         with pytest.raises(TraceIntegrityError):
             replay_timing(truncated)
 
+    def test_warm_record_mid_frame_matches_the_live_footer(
+        self, small_trace
+    ):
+        # The decoder yields one batch per frame and the accountant
+        # splits it at the warm record, so the counter reset lands inside
+        # a batch and the replay must still match the live run.
+        path, live = small_trace
+        with TraceReader(path) as reader:
+            batches = list(reader.column_batches())
+        warm = [
+            (batch, np.flatnonzero(batch.kind == EV_WARM).tolist())
+            for batch in batches
+        ]
+        holding = [(batch, at) for batch, at in warm if at]
+        assert len(holding) == 1
+        batch, (position,) = holding[0]
+        assert 0 < position < len(batch) - 1
+        assert replay_timing(path) == live
+
 
 class TestSharding:
     def test_shard_count_and_validity(self, small_trace, tmp_path):
@@ -93,6 +114,38 @@ class TestSharding:
         shards = shard_trace(path, str(tmp_path / "many"), shards=16)
         merged = replay_shards(shards, jobs=1)
         assert merged.shards == 16  # trailing shards are valid empty traces
+
+    def test_shard_walks_the_frames_once(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        # The footer comes from the end of the bytes, so only the split
+        # itself walks (and inflates) the frames.
+        path, _ = small_trace
+        walks = []
+        walk = compress._iter_frames
+
+        def spy(reader):
+            walks.append(reader.path)
+            return walk(reader)
+
+        monkeypatch.setattr(compress, "_iter_frames", spy)
+        shard_trace(path, str(tmp_path / "once"), shards=3)
+        assert walks == [path]
+
+    def test_corrupt_frame_leaves_no_shards(self, small_trace, tmp_path):
+        path, _ = small_trace
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        with TraceReader(path) as reader:
+            first_payload = reader.data_offset + 9  # type byte, two u32s
+        data[first_payload + 20 : first_payload + 28] = b"\xff" * 8
+        damaged = str(tmp_path / "damaged.trace")
+        with open(damaged, "wb") as handle:
+            handle.write(data)
+        out_dir = tmp_path / "d"
+        with pytest.raises(TraceFormatError, match="corrupt frame"):
+            shard_trace(damaged, str(out_dir), shards=3)
+        assert list(out_dir.glob("*")) == []
 
     def test_invalid_arguments(self, small_trace, tmp_path):
         path, _ = small_trace

@@ -9,8 +9,8 @@ burst ends.  The accountant is exact however the stream is cut — the
 warm boundary may fall anywhere inside a block — so the ``RunResult``
 must be identical for any block size, down to one record per block.
 Patching ``TOUCH_BLOCK`` varies only the writers' and the buffer's cut:
-the accountant's segments (``SEGMENT_RECORDS``) and the ladder's
-pending block (``PENDING_TOUCHES``) keep their own sizes.
+the accountant splits a block only at warm records, and the ladder's
+pending block (``PENDING_TOUCHES``) keeps its own size.
 """
 
 from dataclasses import replace
